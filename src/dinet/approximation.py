@@ -120,12 +120,10 @@ def _greedy_grow(
         for k, j in enumerate(picks)
     ]
     while len(picks) < length:
-        prefix = tuple(sorted(picks))
+        candidates = [j for j in range(1, m + 1) if j != target and j not in picks]
+        values = evaluator.increments(target, [(j,) for j in candidates], picks)
         best_j, best_v = None, -np.inf
-        for j in range(1, m + 1):
-            if j == target or j in picks:
-                continue
-            v = evaluator.increment(target, (j,), prefix)
+        for j, v in zip(candidates, values):
             if v > best_v:
                 best_j, best_v = j, v
         if best_j is None:
@@ -279,8 +277,11 @@ def greedy_connected(
     """Greedy selection within the spanning-tree constrained class.
 
     For each potential tree edge ``j -> i`` a parent set is grown greedily
-    from the seed ``{j}`` to size ``L`` and scored by its chain rule sum;
-    a maximum weight arborescence over those scores picks the tree.
+    from the seed ``{j}`` to size ``L`` and weighed by the evaluator's
+    value of the whole set (the chain rule sum of its increments, up to
+    rounding); a maximum weight arborescence over those weights picks the
+    tree.  :func:`dinet.topr.top_r_greedy` weighs its edges the same way,
+    so its rank 1 is this structure.
     """
     m = evaluator.m
     if L < 1 or L >= m:
@@ -293,9 +294,9 @@ def greedy_connected(
         for j in range(1, m + 1):
             if j == i:
                 continue
-            picks, increments = _greedy_grow(evaluator, i, L, seed=(j,))
+            picks, _ = _greedy_grow(evaluator, i, L, seed=(j,))
             members = tuple(sorted(picks))
-            value = di_chain_rule(increments)
+            value = evaluator.set_value(i, members)
             w[j - 1, i - 1] = value
             allowed[j - 1, i - 1] = True
             edge_sets[(i, j)] = members
@@ -305,9 +306,9 @@ def greedy_connected(
     if root_has_parents:
         tree = max_weight_arborescence(augment_with_dummy_root(weights), root=0)
         root = min(c for c, p in tree.parent.items() if p == 0)
-        picks, increments = _greedy_grow(evaluator, root, L)
+        picks, _ = _greedy_grow(evaluator, root, L)
         root_set = tuple(sorted(picks))
-        node_values[(root, root_set)] = di_chain_rule(increments)
+        node_values[(root, root_set)] = evaluator.set_value(root, root_set)
     else:
         tree = max_weight_arborescence(weights)
         root_set = ()

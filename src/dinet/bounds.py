@@ -185,9 +185,8 @@ def _greedy_chain(
     gains: list[float] = []
     while remaining:
         best_j, best_v = None, -math.inf
-        cond = tuple(sorted(chosen))
-        for j in remaining:
-            v = evaluator.increment(target, (j,), cond)
+        values = evaluator.increments(target, [(j,) for j in remaining], chosen)
+        for j, v in zip(remaining, values):
             if v > best_v:
                 best_j, best_v = j, v
         picks.append(best_j)

@@ -6,15 +6,28 @@ one-step prediction of the target beyond the target's own past and the
 conditioning processes' past.  All values returned by this module are
 per-time-step rates in natural log units (nats).
 
-Three routes to a value are provided:
+Both Gaussian routes reduce to one computation on second moments:
 
-* :func:`estimate_di_gaussian` fits two one-step least squares predictors
-  (with and without the source processes' lags) and reports the log ratio
-  of their residual standard deviations.
-* :func:`estimate_di_discrete` is the plug-in conditional mutual
-  information over lagged windows for finite-alphabet data.
-* :func:`exact_di_gaussian` computes the exact value for a known linear
-  network model from its stationary covariance, with no data involved.
+* :func:`estimate_di_gaussian` (least squares, no intercepts) uses the
+  sample moments of the panel's lag design: ``G = Z Z'`` over the
+  ``m * order`` lagged rows, ``C = Y Z'`` and ``diag(Y Y')`` for the
+  one-step targets ``Y``, all over the same rows.
+* :func:`exact_di_gaussian` uses a known linear network's population
+  moments ``(S, A S, diag S)``, ``S`` being the stationary covariance.
+
+For a target, a conditioning set and a stack of equal-size addition
+sets, the kernel gathers each augmented block ``[[G_SS, c_S], [c_S', y'y]]``
+(regressors ordered as the target and conditioning lags, then the
+addition's lags) and factors the whole stack with one Cholesky call.  The
+factor's last row holds the full residual sum of squares as ``L_yy**2``
+and its drop from the reduced fit as ``|L_y,add|**2``, so the value,
+``log1p(|L_y,add|**2 / L_yy**2) / 2``, never subtracts two residual sums.
+A single query is a batch of one and gives bit for bit the same value.
+Moments are computed once per :class:`DIEvaluator`, and
+:func:`build_cache` asks it for one target's sets at a time.
+
+:func:`estimate_di_discrete`, the plug-in conditional mutual information
+over lagged windows for finite-alphabet data, stays one query per call.
 
 The estimators and the exact oracle share a conventions contract: order-1
 models, least squares fits without intercepts (processes are zero mean),
@@ -24,9 +37,12 @@ greedy structure searches.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,8 +54,13 @@ from .errors import (
 )
 from .structures import DirectedInfoCache, _check_process
 
+# relative size of the last doubling update of the stationary covariance
 LYAPUNOV_TOL = 1e-12
-RIDGE_SCALE = 1e-10
+LYAPUNOV_MAX_DOUBLINGS = 64
+# a squared Cholesky pivot below this fraction of its diagonal entry marks
+# a regressor as dependent on the regressors before it
+SINGULAR_PIVOT = 1e-10
+SINGULAR_DESIGN = "singular design: regressor columns are linearly dependent"
 
 
 @dataclass(frozen=True)
@@ -171,12 +192,14 @@ class LinearNetworkModel:
 
 
 def stationary_covariance(model: LinearNetworkModel) -> np.ndarray:
-    """Stationary covariance by fixed-point iteration.
+    """Stationary covariance ``S = A S A' + Q`` by doubling (Smith, 1968).
 
-    Starting from the noise covariance, applies ``S <- A S A' + Q`` until
-    the largest absolute update falls below ``1e-12``.  Convergence is
-    linear at rate equal to the squared spectral radius, so the model must
-    be stable.
+    After k steps ``S`` holds the first ``2**k`` terms of the series
+    ``sum_j A^j Q A'^j`` and ``A`` has been squared k times, so a spectral
+    radius ``rho`` needs about ``log2(1 / (1 - rho))`` steps.  The
+    iteration stops once an update falls below ``1e-12`` of the largest
+    entry, a relative limit that holds however large the entries grow as
+    ``rho`` nears one.
     """
     rho = model.spectral_radius()
     if rho >= 1.0:
@@ -184,15 +207,14 @@ def stationary_covariance(model: LinearNetworkModel) -> np.ndarray:
             f"model is not stationary: spectral radius {rho:.6f} >= 1"
         )
     a = model.dynamics_matrix()
-    q = np.diag(model.noise_variances)
-    sigma = q.copy()
-    for _ in range(1_000_000):
-        nxt = a @ sigma @ a.T + q
-        delta = float(np.max(np.abs(nxt - sigma)))
-        sigma = nxt
-        if delta < LYAPUNOV_TOL:
-            return sigma
-    raise EstimationError("covariance fixed-point iteration did not converge")
+    sigma = np.diag(model.noise_variances)
+    for _ in range(LYAPUNOV_MAX_DOUBLINGS):
+        update = a @ sigma @ a.T
+        sigma = sigma + update
+        if np.max(np.abs(update)) <= LYAPUNOV_TOL * np.max(np.abs(sigma)):
+            return 0.5 * (sigma + sigma.T)
+        a = a @ a
+    raise EstimationError("covariance doubling iteration did not converge")
 
 
 def _check_query(
@@ -214,32 +236,150 @@ def _check_query(
     return add, cond
 
 
-def _conditional_variance(
-    sigma: np.ndarray, lagged_cross: np.ndarray, target: int, regressors: Sequence[int]
-) -> float:
-    """Variance of ``X[target, t]`` given ``X[s, t-1]`` for ``s`` in regressors.
+class _Moments(NamedTuple):
+    """Second moments of lagged regressors and one-step targets.
 
-    ``lagged_cross[i, j] = Cov(X[i, t], X[j, t-1])``.  Uses the Gaussian
-    projection formula with a small ridge retry on near-singular blocks.
+    Regressor ``(s - 1) * order + lag - 1`` is process ``s`` at lag
+    ``lag``.  ``gram`` holds regressor against regressor, ``cross[i]``
+    target ``i + 1`` against every regressor and ``total[i]`` target
+    ``i + 1`` against itself.  ``rows`` is the sample count of a panel's
+    moments and None for a model's population moments.
     """
-    ti = target - 1
-    idx = [s - 1 for s in regressors]
-    marginal = float(sigma[ti, ti])
-    if not idx:
-        return marginal
-    g = sigma[np.ix_(idx, idx)]
-    c = lagged_cross[ti, idx]
+
+    gram: np.ndarray
+    cross: np.ndarray
+    total: np.ndarray
+    order: int
+    rows: int | None
+
+
+def _panel_moments(panel: TimeSeriesPanel, order: int) -> _Moments:
+    """Sample moments over the rows every lag design of the panel shares."""
+    data = panel.data.astype(float)
+    rows = max(panel.n - order, 0)
+    z = np.empty((panel.m * order, rows))
+    for lag in range(1, order + 1):
+        z[lag - 1::order] = data[:, order - lag: order - lag + rows]
+    y = data[:, order: order + rows]
+    return _Moments(z @ z.T, y @ z.T, np.einsum("ij,ij->i", y, y), order, rows)
+
+
+def _model_moments(model: LinearNetworkModel) -> _Moments:
+    """Population moments: ``(S, A S, diag S)`` for stationary covariance S."""
+    sigma = stationary_covariance(model)
+    return _Moments(
+        sigma, model.dynamics_matrix() @ sigma, np.diag(sigma).copy(), 1, None
+    )
+
+
+def _query_error(
+    what: str, target: int, add: Sequence[int], cond: Sequence[int]
+) -> EstimationError:
+    return EstimationError(
+        f"{what} (target {target}, addition {list(add)}, conditioning {list(cond)})"
+    )
+
+
+def _projection_di(
+    moments: _Moments,
+    target: int,
+    additions: Sequence[tuple[int, ...]],
+    cond: tuple[int, ...],
+) -> list[float]:
+    """Directed information of each addition set, by Cholesky projection.
+
+    All additions have one size.  Each value factors the augmented block
+    ``[[G_SS, c_S], [c_S', y'y]]`` whose regressors ``S`` are the lags of
+    the target and ``cond`` (the reduced set), then the addition's lags.
+    The last row of the factor ``L`` gives ``ss_full = L_yy**2`` and
+    ``ss_reduced - ss_full = |L_y,add|**2``, so the value is
+    ``log1p(|L_y,add|**2 / L_yy**2) / 2`` with no difference of two
+    residual sums.  Every block of the batch goes through one stacked
+    factorization and the same element-wise steps, so a batch of one
+    gives bit for bit the value the same set gets in a larger batch.
+    """
+    sets = np.array(additions, dtype=np.intp).reshape(len(additions), -1)
+    n_sets, k = sets.shape
+    if k == 0:
+        return [0.0] * n_sets
+    order = moments.order
+    reduced = [
+        (s - 1) * order + lag for s in sorted({target, *cond}) for lag in range(order)
+    ]
+    r = len(reduced)
+    d = r + k * order
+    if moments.rows is not None and moments.rows <= d:
+        raise _query_error(
+            f"insufficient samples: {moments.rows} rows for {d} regressors",
+            target, additions[0], cond,
+        )
+    p = moments.gram.shape[0]
+    aug = np.empty((p + 1, p + 1))
+    aug[:p, :p] = moments.gram
+    aug[p, :p] = aug[:p, p] = moments.cross[target - 1]
+    aug[p, p] = moments.total[target - 1]
+    idx = np.empty((n_sets, d + 1), dtype=np.intp)
+    idx[:, :r] = reduced
+    idx[:, r:d] = (((sets - 1) * order)[:, :, None] + np.arange(order)).reshape(
+        n_sets, -1
+    )
+    idx[:, d] = p
+    blocks = aug[idx[:, :, None], idx[:, None, :]]
     try:
-        sol = np.linalg.solve(g, c)
+        chol = np.linalg.cholesky(blocks)
     except np.linalg.LinAlgError:
-        ridge = RIDGE_SCALE * float(np.trace(g))
-        try:
-            sol = np.linalg.solve(g + ridge * np.eye(len(idx)), c)
-        except np.linalg.LinAlgError as exc:
-            raise EstimationError(
-                "regularization failure: lagged covariance block is singular"
-            ) from exc
-    return marginal - float(c @ sol)
+        if n_sets > 1:
+            # factor the sets one by one, so the failing one is named
+            return [
+                _projection_di(moments, target, [add], cond)[0] for add in additions
+            ]
+        return [_degenerate_value(blocks[0], r, d, target, additions[0], cond)]
+    pivots = np.diagonal(chol, axis1=1, axis2=2)[:, :d] ** 2
+    scale = np.diagonal(blocks, axis1=1, axis2=2)[:, :d]
+    singular = np.flatnonzero((pivots < SINGULAR_PIVOT * scale).any(axis=1))
+    if singular.size:
+        raise _query_error(SINGULAR_DESIGN, target, additions[singular[0]], cond)
+    tail = chol[:, d, r:d]
+    gain = tail[:, 0] ** 2
+    for j in range(1, d - r):
+        gain = gain + tail[:, j] ** 2
+    ss_full = chol[:, d, d] ** 2
+    return [0.5 * math.log1p(g / s) for g, s in zip(gain.tolist(), ss_full.tolist())]
+
+
+def _degenerate_value(
+    block: np.ndarray,
+    r: int,
+    d: int,
+    target: int,
+    add: tuple[int, ...],
+    cond: tuple[int, ...],
+) -> float:
+    """Diagnose an augmented block that failed to factor.
+
+    Either the regressors are dependent, or the target's own pivot, the
+    full residual sum of squares, came out nonpositive: the target is a
+    deterministic function of the regressors.  Then the value is 0 when
+    the reduced regressors already leave no residual, and an error
+    otherwise.
+    """
+    try:
+        regressors = np.linalg.cholesky(block[:d, :d])
+    except np.linalg.LinAlgError:
+        regressors = None
+    if regressors is None or np.any(
+        np.diagonal(regressors) ** 2 < SINGULAR_PIVOT * np.diagonal(block)[:d]
+    ):
+        raise _query_error(SINGULAR_DESIGN, target, add, cond)
+    keep = [*range(r), d]
+    try:
+        np.linalg.cholesky(block[np.ix_(keep, keep)])
+    except np.linalg.LinAlgError:
+        return 0.0
+    raise _query_error(
+        "zero residual variance: target is a deterministic function of lags",
+        target, add, cond,
+    )
 
 
 def exact_di_gaussian(
@@ -250,72 +390,15 @@ def exact_di_gaussian(
 ) -> float:
     """Exact per-step directed information for a known linear model.
 
-    Computes one-step prediction error variances of the target given lag-1
-    values of (target + conditioning) versus (target + conditioning +
-    addition) by Gaussian projection against the stationary covariance,
-    and returns half the log variance ratio.
+    Projects the target's next value on the lag-1 values of (target +
+    conditioning), then of (target + conditioning + addition), against
+    the stationary covariance, and returns half the log ratio of the two
+    prediction error variances.
     """
     add, cond = _check_query(model.m, target, addition, conditioning)
     if not add:
         return 0.0
-    sigma = stationary_covariance(model)
-    lagged = model.dynamics_matrix() @ sigma
-    return _exact_from_covariance(sigma, lagged, target, add, cond)
-
-
-def _exact_from_covariance(
-    sigma: np.ndarray,
-    lagged: np.ndarray,
-    target: int,
-    add: tuple[int, ...],
-    cond: tuple[int, ...],
-) -> float:
-    reduced = sorted({target, *cond})
-    full = sorted({target, *cond, *add})
-    v_reduced = _conditional_variance(sigma, lagged, target, reduced)
-    v_full = _conditional_variance(sigma, lagged, target, full)
-    if v_full <= 0 or v_reduced <= 0:
-        raise EstimationError(
-            "regularization failure: nonpositive conditional variance"
-        )
-    value = 0.5 * (np.log(v_reduced) - np.log(v_full))
-    if value < -1e-9:
-        raise EstimationError(
-            f"conditional variance increased when adding regressors ({value:.3e})"
-        )
-    return max(0.0, float(value))
-
-
-def _lag_design(
-    panel: TimeSeriesPanel, processes: Sequence[int], order: int
-) -> np.ndarray:
-    """Columns: for each process in order given, its lags 1..order."""
-    n = panel.n
-    cols = []
-    for s in processes:
-        series = panel.data[s - 1].astype(float)
-        for lag in range(1, order + 1):
-            cols.append(series[order - lag: n - lag])
-    if not cols:
-        return np.empty((n - order, 0))
-    return np.column_stack(cols)
-
-
-def _residual_ss(design: np.ndarray, y: np.ndarray) -> float:
-    if design.shape[1] == 0:
-        return float(y @ y)
-    if design.shape[0] <= design.shape[1]:
-        raise EstimationError(
-            f"insufficient samples: {design.shape[0]} rows for "
-            f"{design.shape[1]} regressors"
-        )
-    beta, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
-    if rank < design.shape[1]:
-        raise EstimationError(
-            "singular design: regressor columns are linearly dependent"
-        )
-    resid = y - design @ beta
-    return float(resid @ resid)
+    return _projection_di(_model_moments(model), target, [add], cond)[0]
 
 
 def estimate_di_gaussian(
@@ -338,23 +421,8 @@ def estimate_di_gaussian(
     add, cond = _check_query(panel.m, target, addition, conditioning)
     if not add:
         return 0.0
-    order = config.markov_order
-    if panel.n <= order:
-        raise EstimationError(
-            f"insufficient samples: need more than {order} steps, have {panel.n}"
-        )
-    y = panel.data[target - 1].astype(float)[order:]
-    reduced = sorted({target, *cond})
-    full = sorted({target, *cond, *add})
-    ss_reduced = _residual_ss(_lag_design(panel, reduced, order), y)
-    ss_full = _residual_ss(_lag_design(panel, full, order), y)
-    if ss_full <= 0.0:
-        if ss_reduced <= 0.0:
-            return 0.0
-        raise EstimationError(
-            "zero residual variance: target is a deterministic function of lags"
-        )
-    return max(0.0, 0.5 * float(np.log(ss_reduced / ss_full)))
+    moments = _panel_moments(panel, config.markov_order)
+    return _projection_di(moments, target, [add], cond)[0]
 
 
 def _encode_windows(
@@ -466,7 +534,9 @@ class DIEvaluator:
     Wraps a raw ``(target, addition, conditioning) -> value`` function and
     caches every result, so repeated queries (common in greedy searches
     and bound measurements) are free.  Construct via :meth:`from_model`
-    for exact values or :meth:`from_panel` for estimates.
+    for exact values or :meth:`from_panel` for estimates.  Gaussian
+    evaluators built that way answer from second moments computed once,
+    and :func:`build_cache` fills their memo one batch per target.
     """
 
     def __init__(
@@ -476,10 +546,14 @@ class DIEvaluator:
     ) -> None:
         if m < 1:
             raise ValidationError("m must be >= 1")
-        self._fn = fn
         self.m = m
         self._memo: dict[tuple[int, tuple[int, ...], tuple[int, ...]], float] = {}
         self.calls = 0
+        # (target, additions of one size, conditioning) -> values; the
+        # moment-backed constructors replace it with the batched kernel
+        self._batch: Callable[..., list[float]] = lambda target, adds, cond: [
+            fn(target, add, cond) for add in adds
+        ]
 
     def increment(
         self,
@@ -490,34 +564,76 @@ class DIEvaluator:
         add, cond = _check_query(self.m, target, addition, conditioning)
         key = (target, add, cond)
         if key not in self._memo:
-            self.calls += 1
-            self._memo[key] = float(self._fn(target, add, cond))
+            self._fill(target, [add], cond)
         return self._memo[key]
+
+    def increments(
+        self,
+        target: int,
+        additions: Iterable[Iterable[int]],
+        conditioning: Iterable[int] = (),
+    ) -> list[float]:
+        """:meth:`increment` for several additions under one conditioning set.
+
+        Moment-backed evaluators compute the values not yet memoized in
+        one batch per addition size; each equals the single query's value
+        bit for bit.
+        """
+        cond = _check_query(self.m, target, (), conditioning)[1]
+        free = set(range(1, self.m + 1)) - {target, *cond}
+        adds = []
+        for a in additions:
+            add = tuple(sorted(a))
+            if len(free.intersection(add)) != len(add) or any(
+                type(j) is not int for j in add
+            ):
+                _check_query(self.m, target, add, cond)  # raises naming the fault
+            adds.append(add)
+        return self._fill(target, adds, cond)
 
     def set_value(self, target: int, members: Iterable[int]) -> float:
         """Directed information from a whole parent set to the target."""
         return self.increment(target, members, ())
 
+    def _fill(
+        self, target: int, adds: Sequence[tuple[int, ...]], cond: tuple[int, ...]
+    ) -> list[float]:
+        """Values of checked, sorted queries; computes those not memoized."""
+        memo = self._memo
+        missing = list(dict.fromkeys(a for a in adds if (target, a, cond) not in memo))
+        if missing:
+            fresh = {}
+            for size in sorted({len(a) for a in missing}):
+                group = [a for a in missing if len(a) == size]
+                fresh.update(zip(group, self._batch(target, group, cond)))
+            self.calls += len(missing)
+            for add in missing:
+                memo[(target, add, cond)] = float(fresh[add])
+        return [memo[(target, a, cond)] for a in adds]
+
+    @classmethod
+    def _from_moments(cls, moments: _Moments, m: int) -> "DIEvaluator":
+        batch = partial(_projection_di, moments)
+        evaluator = cls(lambda target, add, cond: batch(target, [add], cond)[0], m)
+        evaluator._batch = batch
+        return evaluator
+
     @classmethod
     def from_model(cls, model: LinearNetworkModel) -> "DIEvaluator":
-        sigma = stationary_covariance(model)
-        lagged = model.dynamics_matrix() @ sigma
-
-        def fn(target: int, add: tuple[int, ...], cond: tuple[int, ...]) -> float:
-            if not add:
-                return 0.0
-            return _exact_from_covariance(sigma, lagged, target, add, cond)
-
-        return cls(fn, model.m)
+        return cls._from_moments(_model_moments(model), model.m)
 
     @classmethod
     def from_panel(
         cls, panel: TimeSeriesPanel, config: EstimatorConfig | None = None
     ) -> "DIEvaluator":
         config = config or EstimatorConfig()
+        if config.estimator == "gaussian":
+            return cls._from_moments(
+                _panel_moments(panel, config.markov_order), panel.m
+            )
 
         def fn(target: int, add: tuple[int, ...], cond: tuple[int, ...]) -> float:
-            return estimate_di(panel, target, add, cond, config)
+            return estimate_di_discrete(panel, target, add, cond, config)
 
         return cls(fn, panel.m)
 
@@ -526,15 +642,17 @@ def build_cache(evaluator: DIEvaluator, m: int, K: int) -> DirectedInfoCache:
     """Directed information values for every size-``K`` parent set.
 
     Populates all ``m * C(m-1, K)`` entries deterministically in
-    (target, set) order.
+    (target, set) order, asking the evaluator for one target's sets at a
+    time (a single batch for moment-backed evaluators).
     """
     if m != evaluator.m:
         raise ValidationError(f"evaluator has m={evaluator.m}, asked for m={m}")
     cache = DirectedInfoCache(m, K)
     for target in range(1, m + 1):
         others = [j for j in range(1, m + 1) if j != target]
-        for members in combinations(others, K):
-            cache.put(target, members, evaluator.set_value(target, members))
+        sets = list(combinations(others, K))
+        for members, value in zip(sets, evaluator._fill(target, sets, ())):
+            cache.put(target, members, value)
     return cache
 
 

@@ -196,10 +196,9 @@ def get_new_solutions(
 def _ranked_candidates(
     evaluator: DIEvaluator, target: int, avail: set[int], prefix: Sequence[int]
 ) -> list[int]:
-    cond = tuple(sorted(prefix))
-    scored = sorted(
-        (-evaluator.increment(target, (j,), cond), j) for j in avail
-    )
+    candidates = sorted(avail)
+    values = evaluator.increments(target, [(j,) for j in candidates], prefix)
+    scored = sorted((-v, j) for v, j in zip(values, candidates))
     return [j for _, j in scored]
 
 

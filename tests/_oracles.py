@@ -1,7 +1,8 @@
 """Independent reference implementations used to validate the library.
 
 Everything here favors obviousness over speed: exhaustive enumeration,
-naive counting, generic LP solvers.  Nothing imports from the package's
+naive counting, generic LP solvers, per-query least squares fits and
+scipy's Lyapunov solver.  Nothing imports from the package's
 algorithm internals beyond plain data containers, so agreement between
 these oracles and the library is meaningful evidence.
 """
@@ -232,6 +233,83 @@ def power_iteration_radius(matrix: np.ndarray, squarings: int = 40) -> float:
     if norm > 0.0:
         log_rho += np.log(norm) / (2.0**squarings)
     return float(np.exp(log_rho))
+
+
+def lag_design(data: np.ndarray, processes, order: int) -> np.ndarray:
+    """Columns: for each process in the order given, its lags 1..order."""
+    n = data.shape[1]
+    cols = []
+    for s in processes:
+        series = data[s - 1].astype(float)
+        for lag in range(1, order + 1):
+            cols.append(series[order - lag: n - lag])
+    if not cols:
+        return np.empty((n - order, 0))
+    return np.column_stack(cols)
+
+
+def residual_ss(design: np.ndarray, y: np.ndarray) -> float:
+    """Residual sum of squares of a least squares fit, by ``lstsq``."""
+    if design.shape[1] == 0:
+        return float(y @ y)
+    beta, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
+    assert rank == design.shape[1], "singular design"
+    resid = y - design @ beta
+    return float(resid @ resid)
+
+
+def lstsq_di(
+    data: np.ndarray,
+    target: int,
+    addition: tuple[int, ...],
+    conditioning: tuple[int, ...],
+    order: int,
+) -> float:
+    """Least squares DI by two per-query ``lstsq`` fits on fresh lag designs.
+
+    Half the log ratio of the residual sums of squares without and with
+    the addition's lags, both fits over the same rows and without
+    intercepts.
+    """
+    if not addition:
+        return 0.0
+    y = data[target - 1].astype(float)[order:]
+    reduced = sorted({target, *conditioning})
+    full = sorted({target, *conditioning, *addition})
+    ss_reduced = residual_ss(lag_design(data, reduced, order), y)
+    ss_full = residual_ss(lag_design(data, full, order), y)
+    return max(0.0, 0.5 * float(np.log(ss_reduced / ss_full)))
+
+
+def lyapunov_exact_di(
+    coefficients: np.ndarray,
+    noise_variances: np.ndarray,
+    target: int,
+    addition: tuple[int, ...],
+    conditioning: tuple[int, ...],
+) -> float:
+    """Exact DI of a linear network from scipy's Lyapunov solution.
+
+    Conditional variances come from ``numpy.linalg.solve`` on the
+    stationary covariance blocks, differenced in logs.
+    """
+    from scipy.linalg import solve_discrete_lyapunov
+
+    if not addition:
+        return 0.0
+    a = np.asarray(coefficients, dtype=float).T
+    sigma = solve_discrete_lyapunov(a, np.diag(noise_variances))
+    lagged = a @ sigma
+
+    def cond_var(regressors) -> float:
+        idx = [s - 1 for s in regressors]
+        g = sigma[np.ix_(idx, idx)]
+        c = lagged[target - 1, idx]
+        return float(sigma[target - 1, target - 1] - c @ np.linalg.solve(g, c))
+
+    reduced = sorted({target, *conditioning})
+    full = sorted({target, *conditioning, *addition})
+    return 0.5 * float(np.log(cond_var(reduced) / cond_var(full)))
 
 
 def naive_discrete_di(

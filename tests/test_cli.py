@@ -186,6 +186,18 @@ def test_incomplete_cache_is_internal_error(capsys, tmp_path, cache_path):
     assert "target" in err
 
 
+def test_cache_build_names_a_singular_query(capsys, tmp_path):
+    rng = np.random.default_rng(29)
+    x = rng.standard_normal(80)
+    path = tmp_path / "duplicated.csv"
+    write_panel_csv(TimeSeriesPanel(np.vstack([rng.standard_normal(80), x, x])), str(path))
+    code, out, err = run(capsys, "cache", "build", str(path), "--K", "1")
+    assert code == 3
+    assert out == ""
+    assert "singular design" in err
+    assert "target 2, addition [3], conditioning []" in err
+
+
 def test_topr_rank_one_matches_approximate(capsys, cache_path):
     code, single, _ = run(capsys, "approximate", "--cache", cache_path, "--K", "1")
     assert code == 0

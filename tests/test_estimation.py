@@ -26,7 +26,7 @@ from dinet.estimation import (
     stationary_covariance,
     write_panel_csv,
 )
-from dinet.simulate import simulate_panel
+from dinet.simulate import generate_ar_network, simulate_panel
 
 from _oracles import naive_discrete_di
 
@@ -126,6 +126,23 @@ def test_stationary_covariance_matches_lyapunov_solver():
         a = model.dynamics_matrix()
         expected = solve_discrete_lyapunov(a, np.diag(model.noise_variances))
         assert np.allclose(sigma, expected, atol=1e-9)
+
+
+@pytest.mark.parametrize(
+    "seed, radius",
+    [((10, 2), 0.9999), ((0, 1), 0.9999), ((0, 1), 0.999), ((0, 1), 0.99999)],
+)
+def test_stationary_covariance_near_unit_radius(seed, radius):
+    # an absolute stopping rule never settled on these: entries reach 1e3-1e5
+    model = generate_ar_network(16, np.random.default_rng(list(seed)), spectral_target=radius)
+    sigma = stationary_covariance(model)
+    a = model.dynamics_matrix()
+    q = np.diag(model.noise_variances)
+    expected = solve_discrete_lyapunov(a, q)
+    scale = float(np.max(np.abs(expected)))
+    assert np.max(np.abs(sigma - expected)) <= 1e-8 * scale
+    assert np.max(np.abs(a @ sigma @ a.T + q - sigma)) <= 1e-13 * scale
+    assert np.array_equal(sigma, sigma.T)
 
 
 def test_stationary_covariance_rejects_unstable_model():
@@ -249,6 +266,40 @@ def test_gaussian_estimator_singular_design():
     with pytest.raises(EstimationError) as err:
         estimate_di_gaussian(panel, 3, (1, 2))
     assert "singular design" in str(err.value)
+
+
+def test_singular_design_in_a_cache_names_the_query():
+    rng = np.random.default_rng(29)
+    x = rng.standard_normal(80)
+    panel = TimeSeriesPanel(np.vstack([rng.standard_normal(80), x, x]))
+    ev = DIEvaluator.from_panel(panel)
+    with pytest.raises(EstimationError) as err:
+        build_cache(ev, 3, 1)
+    # target 1's sets factor cleanly; target 2 with set {3} is the first
+    # query whose regressors repeat a column
+    message = str(err.value)
+    assert "singular design" in message
+    assert "target 2, addition [3], conditioning []" in message
+    with pytest.raises(EstimationError) as err:
+        estimate_di_gaussian(panel, 1, (2,), (3,))
+    assert "target 1, addition [2], conditioning [3]" in str(err.value)
+    with pytest.raises(EstimationError) as err:
+        estimate_di_gaussian(TimeSeriesPanel(rng.standard_normal((2, 3))), 1, (2,))
+    assert "insufficient samples" in str(err.value)
+    assert "target 1, addition [2]" in str(err.value)
+
+
+def test_batched_cache_finds_the_failing_set():
+    # a zero column makes the stacked factorization fail outright; the
+    # cache build falls back to single sets to name the failing one
+    rng = np.random.default_rng(30)
+    data = rng.standard_normal((4, 60))
+    data[2] = 0.0
+    panel = TimeSeriesPanel(data)
+    with pytest.raises(EstimationError) as err:
+        build_cache(DIEvaluator.from_panel(panel), 4, 2)
+    assert "singular design" in str(err.value)
+    assert "target 1, addition [2, 3], conditioning []" in str(err.value)
 
 
 def test_gaussian_estimator_deterministic_coupling_is_extreme():

@@ -11,6 +11,7 @@ from dinet.approximation import (
 )
 from dinet.errors import ValidationError
 from dinet.estimation import DIEvaluator
+from dinet.simulate import generate_ar_network
 from dinet.structures import contains_spanning_arborescence
 from dinet.topr import TopR, get_new_solutions, top_r_connected, top_r_general, top_r_greedy
 
@@ -254,6 +255,23 @@ def test_top_r_greedy_rank_one_matches_single_searches():
         ref_c = greedy_connected(ev2, L)
         assert got_c[0].assignment == ref_c.assignment
         assert got_c[0].score == pytest.approx(ref_c.score, abs=1e-10)
+
+
+@pytest.mark.parametrize("root_has_parents", [False, True])
+def test_top_r_greedy_rank_one_is_greedy_connected_under_exact_ties(root_has_parents):
+    # nodes 4 and 6 have fewer true parents than L=2, so every set adding
+    # any second process to the true parent has the same exact value; the
+    # two searches must still break those ties identically
+    model = generate_ar_network(6, np.random.default_rng([27, 6]))
+    assert [len(model.true_parent_set(i)) for i in (4, 6)] == [1, 1]
+    ev = DIEvaluator.from_model(model)
+    ranked = top_r_greedy(ev, 2, 3, connected=True, root_has_parents=root_has_parents)
+    single = greedy_connected(ev, 2, root_has_parents=root_has_parents)
+    assert ranked[0].assignment == single.assignment
+    assert ranked[0].score == single.score
+    # the score is the evaluator's value of the chosen sets
+    parents = [single.assignment.members_of(i) for i in range(1, 7)]
+    assert single.score == sum(ev.set_value(i, ms) for i, ms in enumerate(parents, 1) if ms)
 
 
 def test_top_r_greedy_enumerates_the_whole_space_at_length_one():
