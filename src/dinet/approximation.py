@@ -28,7 +28,6 @@ import numpy as np
 from .arborescence import (
     Arborescence,
     EdgeWeights,
-    augment_with_dummy_root,
     max_weight_arborescence,
 )
 from .errors import ValidationError
@@ -189,20 +188,7 @@ def _assemble_connected(
     node_values: dict[tuple[int, tuple[int, ...]], float],
 ) -> ConnectedApproximation:
     """Build the assignment induced by a tree over edge-constrained sets."""
-    if tree.root == 0:
-        dummy_children = sorted(c for c, p in tree.parent.items() if p == 0)
-        if len(dummy_children) != 1:
-            raise ValidationError(
-                "dummy root chose multiple children; edge weights must be "
-                "nonnegative for the augmented construction"
-            )
-        root = dummy_children[0]
-        real_edges = tuple(
-            sorted((p, c) for c, p in tree.parent.items() if p != 0)
-        )
-    else:
-        root = tree.root
-        real_edges = tuple(sorted((p, c) for c, p in tree.parent.items()))
+    root = tree.root
     lists: list[tuple[int, ...]] = []
     for i in range(1, m + 1):
         if i == root:
@@ -217,7 +203,7 @@ def _assemble_connected(
         if ms:
             score += node_values[(i, ms)]
     return ConnectedApproximation(
-        assignment, score, root=root, tree=real_edges, weights=weights
+        assignment, score, root=root, tree=tuple(tree.edges()), weights=weights
     )
 
 
@@ -227,10 +213,11 @@ def optimal_connected(
     """Exact selection within the spanning-tree constrained class.
 
     Weights edge ``j -> i`` by the best size-``K`` parent set for ``i``
-    containing ``j``, then takes a maximum weight arborescence.  By
-    default the tree root keeps an empty parent set; with
-    ``root_has_parents`` a dummy root with weight -1 edges makes every
-    real node take ``K`` parents, the tree root's set chosen freely.
+    containing ``j``, then takes a maximum weight arborescence over all
+    roots.  By default the tree root keeps an empty parent set; with
+    ``root_has_parents`` the same tree is kept and its root then takes
+    its best size-``K`` set, so the root's own set does not influence
+    the choice of tree.
     """
     m = cache.m
     if K < 1 or K >= m:
@@ -247,14 +234,11 @@ def optimal_connected(
         node_values[(i, members)] = value
     weights = EdgeWeights(w, allowed)
 
+    tree = max_weight_arborescence(weights)
+    root_set: tuple[int, ...] = ()
     if root_has_parents:
-        tree = max_weight_arborescence(augment_with_dummy_root(weights), root=0)
-        root = min(c for c, p in tree.parent.items() if p == 0)
-        root_set, root_value = _best_unconstrained(cache, root, K)
-        node_values[(root, root_set)] = root_value
-    else:
-        tree = max_weight_arborescence(weights)
-        root_set = ()
+        root_set, root_value = _best_unconstrained(cache, tree.root, K)
+        node_values[(tree.root, root_set)] = root_value
     return _assemble_connected(tree, weights, edge_sets, m, root_set, node_values)
 
 
@@ -303,13 +287,10 @@ def greedy_connected(
             node_values[(i, members)] = value
     weights = EdgeWeights(w, allowed)
 
+    tree = max_weight_arborescence(weights)
+    root_set: tuple[int, ...] = ()
     if root_has_parents:
-        tree = max_weight_arborescence(augment_with_dummy_root(weights), root=0)
-        root = min(c for c, p in tree.parent.items() if p == 0)
-        picks, _ = _greedy_grow(evaluator, root, L)
+        picks, _ = _greedy_grow(evaluator, tree.root, L)
         root_set = tuple(sorted(picks))
-        node_values[(root, root_set)] = evaluator.set_value(root, root_set)
-    else:
-        tree = max_weight_arborescence(weights)
-        root_set = ()
+        node_values[(tree.root, root_set)] = evaluator.set_value(tree.root, root_set)
     return _assemble_connected(tree, weights, edge_sets, m, root_set, node_values)

@@ -7,6 +7,16 @@ and recurse.  Everything is deterministic: among equal-weight choices the
 smaller original ``(source, destination)`` pair wins, so equal-weight
 inputs always reproduce the same tree.
 
+Internally an arc's weight is an element of the ordered group
+``Z x R x Z``, compared lexicographically; contraction subtracts weights
+elementwise, and the algorithm is correct over any totally ordered
+group.  A real arc of weight ``w`` is ``(0, w, 0)``.  A free-root query
+is one solve over the graph plus a dummy node with an arc ``(-1, 0.0,
+-r)`` into every real node ``r``: the optimum uses as few dummy arcs as
+possible (exactly one when a spanning tree of real arcs exists), then
+maximizes the real weight, then takes the smallest root.  Removing the
+dummy arc leaves the best tree over all roots.
+
 Weights live in an :class:`EdgeWeights` table.  Forbidden edges are an
 explicit mask, never a large negative float, so they can never be chosen
 no matter how the finite weights scale.
@@ -77,12 +87,11 @@ class EdgeWeights:
     def arcs(self) -> list[tuple[int, int, float]]:
         """All allowed arcs as ``(src, dst, weight)``, sorted by (src, dst)."""
         base = self.first_node
-        out = []
-        for a in range(self.m):
-            for b in range(self.m):
-                if self._allowed[a, b]:
-                    out.append((a + base, b + base, float(self._w[a, b])))
-        return out
+        src, dst = np.nonzero(self._allowed)  # row-major: sorted by (src, dst)
+        return [
+            (a + base, b + base, w)
+            for a, b, w in zip(src.tolist(), dst.tolist(), self._w[src, dst].tolist())
+        ]
 
 
 def augment_with_dummy_root(weights: EdgeWeights) -> EdgeWeights:
@@ -116,11 +125,19 @@ class Arborescence:
         return sorted((p, c) for c, p in self.parent.items())
 
 
-@dataclass(frozen=True)
+# (-dummy arcs, real weight, -root) in the ordered group Z x R x Z
+_Weight = tuple[int, float, int]
+
+
+def _minus(a: _Weight, b: _Weight) -> _Weight:
+    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
+
+
+@dataclass(slots=True)
 class _Arc:
     src: int
     dst: int
-    w: float
+    w: _Weight
     key: tuple[int, int]  # original (src, dst), used for deterministic ties
     # for arcs touching a contracted node: the one-level-down arc they wrap
     # and, for arcs entering the cycle, the cycle node they enter at
@@ -181,7 +198,7 @@ def _solve(nodes: list[int], arcs: list[_Arc], root: int) -> list[_Arc] | None:
         if s_in and d_in:
             continue
         if d_in:
-            adjusted = arc.w - best_in[arc.dst].w
+            adjusted = _minus(arc.w, best_in[arc.dst].w)
             cand = _Arc(arc.src, super_node, adjusted, arc.key, arc, arc.dst)
         elif s_in:
             cand = _Arc(super_node, arc.dst, arc.w, arc.key, arc, None)
@@ -218,33 +235,37 @@ def max_weight_arborescence(
 ) -> Arborescence:
     """Maximum total weight spanning arborescence.
 
-    With ``root`` given the tree is rooted there; otherwise every root is
-    tried and the best total wins, ties going to the smallest root index.
-    Raises :class:`InfeasibleArborescenceError` when no spanning tree of
-    allowed edges exists.
+    With ``root`` given the tree is rooted there.  Otherwise one solve
+    over the graph plus a dummy root (see the module notes) returns the
+    best tree over all roots, exact ties going to the smallest root
+    index.  ``total_weight`` sums the chosen edges' weights in ascending
+    child order.  Raises :class:`InfeasibleArborescenceError` when no
+    spanning tree of allowed edges exists.
     """
     nodes = list(weights.nodes)
     if root is not None and root not in weights.nodes:
         raise ValidationError(f"root {root} out of range {weights.nodes}")
-    arcs = [_Arc(s, d, w, (s, d), None, None) for s, d, w in weights.arcs()]
-    roots = [root] if root is not None else nodes
-
-    best: Arborescence | None = None
-    for r in roots:
-        chosen = _solve(nodes, arcs, r)
-        if chosen is None:
-            continue
-        total = sum(a.w for a in sorted(chosen, key=lambda a: a.dst))
-        cand = Arborescence(
-            root=r,
-            parent={a.dst: a.src for a in chosen},
-            total_weight=total,
-        )
-        if best is None or cand.total_weight > best.total_weight:
-            best = cand
-    if best is None:
+    arcs = [_Arc(s, d, (0, w, 0), (s, d), None, None) for s, d, w in weights.arcs()]
+    if root is not None:
+        chosen = _solve(nodes, arcs, root)
+    else:
+        dummy = weights.first_node - 1
+        arcs += [_Arc(dummy, r, (-1, 0.0, -r), (dummy, r), None, None) for r in nodes]
+        chosen = _solve([dummy, *nodes], arcs, dummy)
+        # the dummy graph always has a tree; it is a real one only when
+        # that tree needs a single dummy arc
+        tops = [a.dst for a in chosen if a.src == dummy]  # type: ignore[union-attr]
+        if len(tops) == 1:
+            root = tops[0]
+            chosen = [a for a in chosen if a.src != dummy]  # type: ignore[union-attr]
+        else:
+            chosen = None
+    if chosen is None:
         raise InfeasibleArborescenceError(
             "infeasible: no spanning arborescence with allowed edges"
             + (f" rooted at {root}" if root is not None else "")
         )
-    return best
+    total = sum(a.w[1] for a in sorted(chosen, key=lambda a: a.dst))
+    return Arborescence(
+        root=root, parent={a.dst: a.src for a in chosen}, total_weight=total
+    )

@@ -287,11 +287,23 @@ def contains_spanning_arborescence(
     Edges point from parent to child.  With ``root`` given, every node must
     be reachable from it; otherwise any node may serve as the root.
     """
-    m = assignment.m
+    if root is not None:
+        _check_process(root, assignment.m, "root")
+    return _has_spanning_tree(assignment.canonical_key(), root)
+
+
+def _has_spanning_tree(
+    members: Sequence[tuple[int, ...]], root: int | None
+) -> bool:
+    """:func:`contains_spanning_arborescence` over raw member tuples.
+
+    ``members[i - 1]`` holds node ``i``'s parents; nothing is validated.
+    """
+    m = len(members)
     children: list[list[int]] = [[] for _ in range(m + 1)]
-    for ps in assignment.parents:
-        for j in ps.members:
-            children[j].append(ps.target)
+    for i, ms in enumerate(members, start=1):
+        for j in ms:
+            children[j].append(i)
 
     def reaches_all(r: int) -> bool:
         seen = {r}
@@ -305,12 +317,11 @@ def contains_spanning_arborescence(
         return len(seen) == m
 
     if root is not None:
-        _check_process(root, m, "root")
         return reaches_all(root)
     # only nodes with no in-edges can root a spanning tree; if none exists,
     # any node on a source cycle works, so fall back to trying all
     candidates = [
-        i for i in range(1, m + 1) if not assignment.members_of(i)
+        i for i, ms in enumerate(members, start=1) if not ms
     ] or list(range(1, m + 1))
     return any(reaches_all(r) for r in candidates)
 

@@ -5,6 +5,10 @@ queue; whenever a solution is emitted, a branching rule generates nearby
 candidates that re-enter the queue, with a seen-set suppressing duplicate
 assignments across the queue and the emitted list.  The queue orders by
 score descending with deterministic tie keys, so runs are reproducible.
+Queue entries hold lattice positions or member tuples, never
+:class:`ParentAssignment` objects, which are built only for emitted
+solutions.  A score is always the full sum of node values in node
+order, so equal scores compare bit for bit.
 
 Branching rules differ per variant:
 
@@ -12,19 +16,23 @@ Branching rules differ per variant:
   set with its next-best candidate.  Every solution one step below an
   emitted one is generated, which makes the enumeration exact: the
   (l+1)-th best always differs from some better solution in exactly one
-  parent set.
+  parent set.  Ties go to the smaller :func:`approximation_index`, kept
+  as a Python int: a one-node step changes it by the difference of two
+  set ranks times that node's radix power.
 * tree-constrained exact (:func:`top_r_connected`): the same
   one-coordinate branching, run per candidate root over per-node
   candidate lists, with assignments filtered to those containing a
-  spanning tree.  A score plateau is fully drained before anything below
-  it is emitted, so the ranking stays exact under the tree constraint.
+  spanning tree (checked on the raw member tuples).  A score plateau is
+  fully drained before anything below it is emitted, so the ranking
+  stays exact under the tree constraint.
 * greedy (:func:`top_r_greedy`): walk each node's greedy choice sequence
   depth-first, changing the most recently added parent first and backing
-  up to earlier picks when alternatives run out.  The tree-constrained
-  combination demotes the greedy set behind one tree edge (and every
-  subset of edges currently inducing that same set) and re-runs the
-  arborescence search.  Emission follows pool order, which here is not
-  guaranteed globally sorted.
+  up to earlier picks when alternatives run out; ties go to the smaller
+  approximation index, summed from memoised per-node set ranks.  The
+  tree-constrained combination demotes the greedy set behind one tree
+  edge (and every subset of edges currently inducing that same set) and
+  re-runs the free-root arborescence search, one solve each.  Emission
+  follows pool order, which here is not guaranteed globally sorted.
 """
 
 from __future__ import annotations
@@ -37,19 +45,15 @@ from math import comb
 
 import numpy as np
 
-from .arborescence import (
-    EdgeWeights,
-    augment_with_dummy_root,
-    max_weight_arborescence,
-)
+from .arborescence import EdgeWeights, max_weight_arborescence
 from .errors import InfeasibleArborescenceError, ValidationError
 from .estimation import DIEvaluator
 from .structures import (
     DirectedInfoCache,
     ParentAssignment,
     ScoredApproximation,
-    approximation_index,
-    contains_spanning_arborescence,
+    parent_set_index,
+    _has_spanning_tree,
 )
 
 
@@ -79,11 +83,16 @@ class TopR:
 # unconstrained exact enumeration
 
 
+_Candidate = tuple[tuple[int, ...], float, int]  # (members, value, set rank)
+
+
 def _node_candidate_lists(
     cache: DirectedInfoCache, K: int
-) -> tuple[list[list[tuple[tuple[int, ...], float]]], list[dict[tuple[int, ...], int]]]:
+) -> tuple[list[list[_Candidate]], list[dict[tuple[int, ...], int]]]:
     """Per node: all size-K sets sorted best-first, plus position maps.
 
+    Each candidate carries its set rank, its position in the
+    ``combinations`` walk, which is :func:`parent_set_index` order.
     Sorting is by value descending with the smaller set index first among
     equal values, the same total order used everywhere else.
     """
@@ -92,17 +101,24 @@ def _node_candidate_lists(
     positions = []
     for i in range(1, m + 1):
         others = [j for j in range(1, m + 1) if j != i]
-        cands = [(ms, cache.get(i, ms)) for ms in combinations(others, K)]
-        cands.sort(key=lambda mv: (-mv[1], mv[0]))
+        cands = [
+            (ms, cache.get(i, ms), rank)
+            for rank, ms in enumerate(combinations(others, K))
+        ]
+        cands.sort(key=lambda c: (-c[1], c[2]))
         lists.append(cands)
-        positions.append({ms: p for p, (ms, _) in enumerate(cands)})
+        positions.append({ms: p for p, (ms, _, _) in enumerate(cands)})
     return lists, positions
 
 
-def _score_at(
-    lists: list[list[tuple[tuple[int, ...], float]]], pos: tuple[int, ...]
-) -> float:
-    return sum(lists[i][p][1] for i, p in enumerate(pos))
+def _value_columns(lists: list[list[_Candidate]]) -> list[list[float]]:
+    """Per node, the candidate values alone, in candidate order."""
+    return [[v for _, v, _ in cands] for cands in lists]
+
+
+def _score_at(columns: Sequence[list[float]], pos: tuple[int, ...]) -> float:
+    """The summed values at ``pos``, one value column per node, in node order."""
+    return sum(map(list.__getitem__, columns, pos))
 
 
 def top_r_general(cache: DirectedInfoCache, K: int, r: int) -> TopR:
@@ -119,37 +135,31 @@ def top_r_general(cache: DirectedInfoCache, K: int, r: int) -> TopR:
         raise ValidationError(f"r={r} out of range 1..{space}")
 
     lists, _ = _node_candidate_lists(cache, K)
+    # the tie key is approximation_index, kept as an int and updated in
+    # O(1) when one node's set changes: node i weighs its rank by radix**i
+    weight = [comb(m - 1, K) ** i for i in range(m)]
     seed = tuple(0 for _ in range(m))
+    seed_index = 1 + sum(w * lists[i][0][2] for i, w in enumerate(weight))
+    columns = _value_columns(lists)
 
-    def as_assignment(pos: tuple[int, ...]) -> ParentAssignment:
-        return ParentAssignment.from_lists(
-            [lists[i][p][0] for i, p in enumerate(pos)]
-        )
-
-    heap: list[tuple[float, int, tuple[int, ...]]] = []
-    seed_assignment = as_assignment(seed)
-    heapq.heappush(
-        heap, (-_score_at(lists, seed), approximation_index(seed_assignment), seed)
-    )
+    heap = [(-_score_at(columns, seed), seed_index, seed)]
     seen = {seed}
     emitted: list[ScoredApproximation] = []
     while heap and len(emitted) < r:
-        neg_score, _, pos = heapq.heappop(heap)
-        emitted.append(ScoredApproximation(as_assignment(pos), -neg_score))
+        neg_score, index, pos = heapq.heappop(heap)
+        assignment = ParentAssignment.from_lists(
+            [lists[i][p][0] for i, p in enumerate(pos)]
+        )
+        emitted.append(ScoredApproximation(assignment, -neg_score))
         for i in range(m):
-            if pos[i] + 1 < len(lists[i]):
-                nxt = pos[:i] + (pos[i] + 1,) + pos[i + 1:]
+            p = pos[i]
+            if p + 1 < len(lists[i]):
+                nxt = pos[:i] + (p + 1,) + pos[i + 1:]
                 if nxt in seen:
                     continue
                 seen.add(nxt)
-                heapq.heappush(
-                    heap,
-                    (
-                        -_score_at(lists, nxt),
-                        approximation_index(as_assignment(nxt)),
-                        nxt,
-                    ),
-                )
+                step = (lists[i][p + 1][2] - lists[i][p][2]) * weight[i]
+                heapq.heappush(heap, (-_score_at(columns, nxt), index + step, nxt))
     return TopR(tuple(emitted))
 
 
@@ -167,6 +177,7 @@ def get_new_solutions(
     if seed.m != m:
         raise ValidationError(f"seed has m={seed.m} but cache has m={m}")
     lists, positions = _node_candidate_lists(cache, K)
+    columns = _value_columns(lists)
     out: list[ScoredApproximation] = []
     for i in range(m):
         ms = seed.members_of(i + 1)
@@ -185,7 +196,7 @@ def get_new_solutions(
         pos = tuple(
             positions[k][assignment.members_of(k + 1)] for k in range(m)
         )
-        out.append(ScoredApproximation(assignment, _score_at(lists, pos)))
+        out.append(ScoredApproximation(assignment, _score_at(columns, pos)))
     return tuple(out)
 
 
@@ -343,34 +354,23 @@ class _ConnectedEngine:
             current[(i, j)] = entry
             w[j - 1, i - 1] = entry[1]
             allowed[j - 1, i - 1] = True
-        weights = EdgeWeights(w, allowed)
-
-        if self.root_set_fn is not None:
-            tree = max_weight_arborescence(augment_with_dummy_root(weights), root=0)
-            dummy_children = sorted(c for c, p in tree.parent.items() if p == 0)
-            if len(dummy_children) != 1:
-                raise InfeasibleArborescenceError(
-                    "demotions left a node without usable in-edges"
-                )
-            root = dummy_children[0]
-            real = tuple(sorted((p, c) for c, p in tree.parent.items() if p != 0))
-        else:
-            tree = max_weight_arborescence(weights)
-            root = tree.root
-            real = tuple(sorted((p, c) for c, p in tree.parent.items()))
+        tree = max_weight_arborescence(EdgeWeights(w, allowed))
 
         lists = []
         score = 0.0
-        parent_of = dict(tree.parent)
         for i in range(1, m + 1):
-            if i == root:
+            if i == tree.root:
                 members, value = self._root_set(i)
             else:
-                members, value = current[(i, parent_of[i])]
+                members, value = current[(i, tree.parent[i])]
             lists.append(members)
             score += value
         return _ConnectedEntry(
-            ParentAssignment.from_lists(lists), score, root, real, dict(levels)
+            ParentAssignment.from_lists(lists),
+            score,
+            tree.root,
+            tuple(tree.edges()),
+            dict(levels),
         )
 
     def branches(self, entry: _ConnectedEntry):
@@ -486,29 +486,33 @@ def top_r_connected(
     roots = [0] if root_has_parents else list(range(1, m + 1))
     others = {rt: [i for i in range(1, m + 1) if i != rt] for rt in roots}
 
-    def score_of(rt: int, pos: tuple[int, ...]) -> float:
-        return sum(lists[i - 1][p][1] for i, p in zip(others[rt], pos))
+    values = _value_columns(lists)
+    columns = {rt: [values[i - 1] for i in others[rt]] for rt in roots}
 
-    def as_assignment(rt: int, pos: tuple[int, ...]) -> ParentAssignment:
-        by_node = {i: lists[i - 1][p][0] for i, p in zip(others[rt], pos)}
-        return ParentAssignment.from_lists(
-            [by_node.get(i, ()) for i in range(1, m + 1)]
-        )
+    def members_at(rt: int, pos: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+        """The assignment's canonical key: one member tuple per node."""
+        key = [lists[i - 1][p][0] for i, p in zip(others[rt], pos)]
+        if rt:
+            key.insert(rt - 1, ())
+        return tuple(key)
 
     heap: list[tuple[float, int, tuple[int, ...]]] = []
     seen: dict[int, set[tuple[int, ...]]] = {rt: set() for rt in roots}
     for rt in roots:
         pos0 = tuple(0 for _ in others[rt])
         seen[rt].add(pos0)
-        heapq.heappush(heap, (-score_of(rt, pos0), rt, pos0))
+        heapq.heappush(heap, (-_score_at(columns[rt], pos0), rt, pos0))
 
     emitted: list[ScoredApproximation] = []
-    block: list[tuple[tuple, ScoredApproximation]] = []
+    block: list[tuple[tuple[tuple[int, ...], ...], float]] = []
     block_score: float | None = None
 
     def flush() -> None:
-        block.sort(key=lambda row: row[0])
-        emitted.extend(sol for _, sol in block)
+        block.sort()
+        for key, score in block[: r - len(emitted)]:
+            emitted.append(
+                ScoredApproximation(ParentAssignment.from_lists(key), score)
+            )
         block.clear()
 
     while heap:
@@ -521,22 +525,18 @@ def top_r_connected(
             if len(emitted) >= r:
                 break
         block_score = score
-        assignment = as_assignment(rt, pos)
-        if contains_spanning_arborescence(
-            assignment, None if root_has_parents else rt
-        ):
-            block.append(
-                (assignment.canonical_key(), ScoredApproximation(assignment, score))
-            )
+        key = members_at(rt, pos)
+        if _has_spanning_tree(key, None if root_has_parents else rt):
+            block.append((key, score))
         for c, node in enumerate(others[rt]):
             if pos[c] + 1 < len(lists[node - 1]):
                 nxt = pos[:c] + (pos[c] + 1,) + pos[c + 1:]
                 if nxt not in seen[rt]:
                     seen[rt].add(nxt)
-                    heapq.heappush(heap, (-score_of(rt, nxt), rt, nxt))
+                    heapq.heappush(heap, (-_score_at(columns[rt], nxt), rt, nxt))
     if block:
         flush()
-    return TopR(tuple(emitted[:r]))
+    return TopR(tuple(emitted))
 
 
 # ---------------------------------------------------------------------------
@@ -584,45 +584,38 @@ def top_r_greedy(
         engine = _ConnectedEngine(m, edge_lists, root_set_fn, demote_cap)
         return engine.run(r)
 
-    states = tuple(_initial_state(evaluator, i, L, ()) for i in range(1, m + 1))
+    # tie key: approximation_index from per-node set ranks
+    weight = [comb(m - 1, L) ** i for i in range(m)]
+    set_ranks: dict[tuple[int, tuple[int, ...]], int] = {}
 
-    def as_solution(sts) -> ScoredApproximation:
-        lists = [tuple(sorted(st[0])) for st in sts]
-        assignment = ParentAssignment.from_lists(lists)
-        score = sum(
-            evaluator.set_value(i + 1, lists[i]) for i in range(m)
+    def set_rank(i: int, members: tuple[int, ...]) -> int:
+        if (i, members) not in set_ranks:
+            set_ranks[(i, members)] = parent_set_index(m, i, members)
+        return set_ranks[(i, members)]
+
+    def push(sts) -> None:
+        key = tuple(tuple(sorted(st[0])) for st in sts)
+        if key in seen:
+            return
+        seen.add(key)
+        score = sum(evaluator.set_value(i, ms) for i, ms in enumerate(key, 1))
+        index = 1 + sum(
+            set_rank(i, ms) * w for i, (ms, w) in enumerate(zip(key, weight), 1)
         )
-        return ScoredApproximation(assignment, score)
+        # indices are unique, so the entries never compare beyond them
+        heapq.heappush(heap, (-score, index, key, sts))
 
-    seed_sol = as_solution(states)
-    heap: list[tuple[float, int, int]] = []
-    store: dict[int, tuple] = {}
-    counter = 0
-    seen = {seed_sol.assignment.canonical_key()}
-    store[counter] = (states, seed_sol)
-    heapq.heappush(
-        heap, (-seed_sol.score, approximation_index(seed_sol.assignment), counter)
-    )
-    counter += 1
+    heap: list[tuple] = []
+    seen: set[tuple[tuple[int, ...], ...]] = set()
+    push(tuple(_initial_state(evaluator, i, L, ()) for i in range(1, m + 1)))
     emitted: list[ScoredApproximation] = []
     while heap and len(emitted) < r:
-        _, _, idx = heapq.heappop(heap)
-        sts, sol = store.pop(idx)
-        emitted.append(sol)
+        neg_score, _, key, sts = heapq.heappop(heap)
+        emitted.append(
+            ScoredApproximation(ParentAssignment.from_lists(key), -neg_score)
+        )
         for i in range(m):
             nxt = _dfs_successor(evaluator, i + 1, *sts[i], n_pinned=0)
-            if nxt is None:
-                continue
-            new_states = sts[:i] + (nxt,) + sts[i + 1:]
-            new_sol = as_solution(new_states)
-            key = new_sol.assignment.canonical_key()
-            if key in seen:
-                continue
-            seen.add(key)
-            store[counter] = (new_states, new_sol)
-            heapq.heappush(
-                heap,
-                (-new_sol.score, approximation_index(new_sol.assignment), counter),
-            )
-            counter += 1
+            if nxt is not None:
+                push(sts[:i] + (nxt,) + sts[i + 1:])
     return TopR(tuple(emitted))

@@ -4,7 +4,10 @@ Everything here favors obviousness over speed: exhaustive enumeration,
 naive counting, generic LP solvers, per-query least squares fits and
 scipy's Lyapunov solver.  Nothing imports from the package's
 algorithm internals beyond plain data containers, so agreement between
-these oracles and the library is meaningful evidence.
+these oracles and the library is meaningful evidence.  The one exception
+is :func:`per_root_arborescence`, which loops the package's fixed-root
+solver (checked against :func:`brute_force_arborescence` on its own)
+over every root.
 """
 
 from __future__ import annotations
@@ -77,6 +80,33 @@ def brute_force_arborescence(
             )
             if best is None or total > best[0]:
                 best = (total, dict(parent_map))
+    return best
+
+
+def per_root_arborescence(weights):
+    """Best free-root arborescence by one fixed-root solve per root.
+
+    Takes an ``EdgeWeights`` table.  Each root's tree comes from the
+    package's fixed-root solver (checked against
+    :func:`brute_force_arborescence` on its own); the first root with the
+    strictly largest total wins, so exact ties go to the smallest root.
+    Raises ``InfeasibleArborescenceError`` when no root has a tree.
+    """
+    from dinet.arborescence import max_weight_arborescence
+    from dinet.errors import InfeasibleArborescenceError
+
+    best = None
+    for r in weights.nodes:
+        try:
+            tree = max_weight_arborescence(weights, r)
+        except InfeasibleArborescenceError:
+            continue
+        if best is None or tree.total_weight > best.total_weight:
+            best = tree
+    if best is None:
+        raise InfeasibleArborescenceError(
+            "infeasible: no spanning arborescence with allowed edges"
+        )
     return best
 
 
@@ -156,6 +186,66 @@ def exhaustive_connected(cache, K: int, root_has_parents: bool = False):
         rows.append((assignment, score))
     rows.sort(key=lambda row: (-row[1], row[0].canonical_key()))
     return rows
+
+
+def per_point_top_r_connected(cache, K: int, r: int, root_has_parents: bool = False):
+    """The connected ranking's lattice walk, one assignment per point.
+
+    Walks each root's product lattice of per-node candidate lists (value
+    descending, set index ascending) in score order, builds a
+    ``ParentAssignment`` at every popped point and keeps those that pass
+    the public spanning check; each finished score plateau is emitted in
+    canonical key order.  Returns (assignment, score) rows, at most r.
+    """
+    import heapq
+
+    m = cache.m
+    lists = []
+    for i in range(1, m + 1):
+        cands = [
+            (ms, cache.get(i, ms))
+            for ms in combinations([j for j in range(1, m + 1) if j != i], K)
+        ]
+        cands.sort(key=lambda mv: (-mv[1], mv[0]))
+        lists.append(cands)
+    roots = [0] if root_has_parents else list(range(1, m + 1))
+    others = {rt: [i for i in range(1, m + 1) if i != rt] for rt in roots}
+
+    def score_of(rt, pos):
+        return sum(lists[i - 1][p][1] for i, p in zip(others[rt], pos))
+
+    def as_assignment(rt, pos):
+        by_node = {i: lists[i - 1][p][0] for i, p in zip(others[rt], pos)}
+        return ParentAssignment.from_lists(
+            [by_node.get(i, ()) for i in range(1, m + 1)]
+        )
+
+    heap = []
+    seen = {rt: set() for rt in roots}
+    for rt in roots:
+        pos0 = tuple(0 for _ in others[rt])
+        seen[rt].add(pos0)
+        heapq.heappush(heap, (-score_of(rt, pos0), rt, pos0))
+    rows, block, block_score = [], [], None
+    while heap:
+        neg, rt, pos = heapq.heappop(heap)
+        if block and -neg != block_score:
+            rows += sorted(block, key=lambda row: row[0].canonical_key())
+            block = []
+            if len(rows) >= r:
+                break
+        block_score = -neg
+        assignment = as_assignment(rt, pos)
+        if contains_spanning_arborescence(assignment, None if root_has_parents else rt):
+            block.append((assignment, -neg))
+        for c, node in enumerate(others[rt]):
+            if pos[c] + 1 < len(lists[node - 1]):
+                nxt = pos[:c] + (pos[c] + 1,) + pos[c + 1:]
+                if nxt not in seen[rt]:
+                    seen[rt].add(nxt)
+                    heapq.heappush(heap, (-score_of(rt, nxt), rt, nxt))
+    rows += sorted(block, key=lambda row: row[0].canonical_key())
+    return rows[:r]
 
 
 def exhaustive_sorted_general(cache, K: int):

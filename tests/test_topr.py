@@ -1,3 +1,4 @@
+from itertools import combinations, islice, product
 from math import comb
 
 import numpy as np
@@ -10,15 +11,20 @@ from dinet.approximation import (
     optimal_general,
 )
 from dinet.errors import ValidationError
-from dinet.estimation import DIEvaluator
+from dinet.estimation import DIEvaluator, build_cache
 from dinet.simulate import generate_ar_network
-from dinet.structures import contains_spanning_arborescence
+from dinet.structures import (
+    approximation_index,
+    contains_spanning_arborescence,
+    parent_set_index,
+)
 from dinet.topr import TopR, get_new_solutions, top_r_connected, top_r_general, top_r_greedy
 
 from _oracles import (
     all_assignments,
     exhaustive_connected,
     exhaustive_sorted_general,
+    per_point_top_r_connected,
     random_cache,
 )
 from test_approximation import evaluator_from_cache
@@ -73,6 +79,43 @@ def test_top_r_general_validation():
         top_r_general(cache, 1, 9)  # space is 2^3 = 8
     with pytest.raises(ValidationError):
         top_r_general(cache, 3, 1)
+
+
+@pytest.mark.parametrize("tie_rich", [False, True])
+def test_top_r_general_tie_keys_at_big_int_scale(tie_rich):
+    # C(15, 2)**16 is about 2**107, far past any fixed-width integer
+    m, K, r = 16, 2, 500
+    if tie_rich:
+        cache = random_cache(m, K, np.random.default_rng(433), tie_rich=True)
+    else:
+        network = generate_ar_network(m, np.random.default_rng([7, 10]))
+        cache = build_cache(DIEvaluator.from_model(network), m, K)
+    assert comb(m - 1, K) ** m > 2**106
+    got = top_r_general(cache, K, r)
+    assert len(got) == r
+    keys = [(-sol.score, approximation_index(sol.assignment)) for sol in got]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    if tie_rich:
+        # every node has several sets at the top value, so all r solutions
+        # tie and must be the r smallest indices among the top-value sets
+        tops = []
+        for i in range(1, m + 1):
+            others = [j for j in range(1, m + 1) if j != i]
+            tops.append(
+                sorted(
+                    parent_set_index(m, i, ms)
+                    for ms in combinations(others, K)
+                    if cache.get(i, ms) == 0.5
+                )
+            )
+        assert all(tops)
+        assert len({sol.score for sol in got}) == 1
+        # index order is lexicographic in the ranks read from node m down
+        want = [
+            1 + sum(rank * comb(m - 1, K) ** i for i, rank in enumerate(reversed(ranks)))
+            for ranks in islice(product(*reversed(tops)), r)
+        ]
+        assert [index for _, index in keys] == want
 
 
 def test_get_new_solutions_structure():
@@ -211,6 +254,17 @@ def test_top_r_connected_rooted_variant_matches_rooted_oracle():
         # can only match or beat the two-stage dummy-root construction
         rooted = optimal_connected(cache, 2, root_has_parents=True)
         assert got[0].score >= rooted.score - 1e-12
+
+
+@pytest.mark.parametrize("root_has_parents", [False, True])
+def test_top_r_connected_matches_per_point_reference(root_has_parents):
+    rng = np.random.default_rng(439)
+    for trial in range(3):
+        cache = random_cache(5, 2, rng, tie_rich=True)
+        got = top_r_connected(cache, 2, 100, root_has_parents=root_has_parents)
+        want = per_point_top_r_connected(cache, 2, 100, root_has_parents)
+        assert len(got) == 100
+        assert [(sol.assignment, sol.score) for sol in got] == want
 
 
 def test_top_r_connected_validation():
