@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -31,12 +30,13 @@ from .arborescence import (
     max_weight_arborescence,
 )
 from .errors import ValidationError
-from .estimation import DIEvaluator, di_chain_rule
+from .estimation import DIEvaluator
 from .structures import (
     DirectedInfoCache,
     ParentAssignment,
     ParentSet,
     ScoredApproximation,
+    all_parent_sets,
 )
 
 
@@ -88,17 +88,24 @@ def optimal_general(
     chosen: list[tuple[int, ...]] = []
     score = 0.0
     for i in range(1, m + 1):
-        others = [j for j in range(1, m + 1) if j != i]
-        best: tuple[int, ...] | None = None
-        best_v = -np.inf
-        for members in combinations(others, degrees[i - 1]):
-            v = cache.get(i, members) if members else 0.0
-            if v > best_v:
-                best, best_v = members, v
-        assert best is not None
+        best, best_v = _best_parent_set(cache, i, degrees[i - 1])
         chosen.append(best)
         score += best_v
     return ScoredApproximation(ParentAssignment.from_lists(chosen), score)
+
+
+def _best_parent_set(
+    cache: DirectedInfoCache, target: int, K: int
+) -> tuple[tuple[int, ...], float]:
+    """The first maximum over ``target``'s size-``K`` sets in index order."""
+    best: tuple[int, ...] | None = None
+    best_v = -np.inf
+    for members in all_parent_sets(cache.m, target, K):
+        v = cache.get(target, members) if members else 0.0
+        if v > best_v:
+            best, best_v = members, v
+    assert best is not None
+    return best, best_v
 
 
 def _greedy_grow(
@@ -152,7 +159,7 @@ def greedy_general(
         picks, increments = _greedy_grow(evaluator, i, lengths[i - 1])
         orders.append(picks)
         members.append(tuple(sorted(picks)))
-        score += di_chain_rule(increments)
+        score += sum(increments)
     return GreedyApproximation(
         ParentAssignment.from_lists(members), score, tuple(orders)
     )
@@ -169,8 +176,7 @@ def constrained_best_sets(
     m = cache.m
     best: dict[tuple[int, int], tuple[tuple[int, ...], float]] = {}
     for i in range(1, m + 1):
-        others = [j for j in range(1, m + 1) if j != i]
-        for members in combinations(others, K):
+        for members in all_parent_sets(m, i, K):
             v = cache.get(i, members)
             for j in members:
                 cur = best.get((i, j))
@@ -237,22 +243,9 @@ def optimal_connected(
     tree = max_weight_arborescence(weights)
     root_set: tuple[int, ...] = ()
     if root_has_parents:
-        root_set, root_value = _best_unconstrained(cache, tree.root, K)
+        root_set, root_value = _best_parent_set(cache, tree.root, K)
         node_values[(tree.root, root_set)] = root_value
     return _assemble_connected(tree, weights, edge_sets, m, root_set, node_values)
-
-
-def _best_unconstrained(
-    cache: DirectedInfoCache, target: int, K: int
-) -> tuple[tuple[int, ...], float]:
-    others = [j for j in range(1, cache.m + 1) if j != target]
-    best, best_v = None, -np.inf
-    for members in combinations(others, K):
-        v = cache.get(target, members)
-        if v > best_v:
-            best, best_v = members, v
-    assert best is not None
-    return best, best_v
 
 
 def greedy_connected(

@@ -205,10 +205,7 @@ def cmd_topr(args) -> int:
             args.r,
             connected=args.graph_class == "connected",
             root_has_parents=args.root_has_parents,
-            demote_cap=args.demote_cap,
         )
-    if ranked.truncated:
-        print("warning: branching capped; ranks beyond the first may be incomplete", file=sys.stderr)
     payload = [
         {
             "rank": rank,
@@ -333,7 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("topr", help="enumerate the r best structures")
     _add_search_flags(p)
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--demote-cap", type=int, default=12)
     p.add_argument("--out", default=None, help="JSON array path (default stdout)")
     p.add_argument("--dot-dir", default=None, help="write one DOT file per rank here")
     p.set_defaults(func=cmd_topr)

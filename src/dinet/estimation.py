@@ -41,7 +41,6 @@ import math
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
@@ -52,7 +51,7 @@ from .errors import (
     PanelFormatError,
     ValidationError,
 )
-from .structures import DirectedInfoCache, _check_process
+from .structures import DirectedInfoCache, _check_process, all_parent_sets
 
 # relative size of the last doubling update of the stationary covariance
 LYAPUNOV_TOL = 1e-12
@@ -123,15 +122,13 @@ class EstimatorConfig:
     """Estimator settings shared across calls.
 
     ``markov_order`` is the number of lags included per process.  Values
-    are computed in nats regardless of ``log_base``; the command line layer
-    divides by ``ln 2`` for display when ``log_base`` is ``"bits"``.
-    ``state_space_cap`` bounds the joint cell count the discrete estimator
-    will attempt.
+    are in nats; the command line layer divides by ``ln 2`` for display
+    with ``--units bits``.  ``state_space_cap`` bounds the joint cell
+    count the discrete estimator will attempt.
     """
 
     markov_order: int = 1
     estimator: str = "gaussian"
-    log_base: str = "nats"
     state_space_cap: int = 1_000_000
 
     def __post_init__(self) -> None:
@@ -139,8 +136,6 @@ class EstimatorConfig:
             raise ValidationError("markov_order must be >= 1")
         if self.estimator not in ("gaussian", "discrete"):
             raise ValidationError(f"unknown estimator {self.estimator!r}")
-        if self.log_base not in ("nats", "bits"):
-            raise ValidationError(f"unknown log_base {self.log_base!r}")
         if self.state_space_cap < 1:
             raise ValidationError("state_space_cap must be positive")
 
@@ -518,16 +513,6 @@ def estimate_di(
     return fn(panel, target, addition, conditioning, config)
 
 
-def di_chain_rule(increments: Iterable[float]) -> float:
-    """Total directed information from a sequence of conditional increments.
-
-    Expanding a set one process at a time, each step conditioned on the
-    processes already added, telescopes to the full-set value; the order
-    of expansion does not change the sum.
-    """
-    return float(sum(increments))
-
-
 class DIEvaluator:
     """Memoized access to directed information values.
 
@@ -649,8 +634,7 @@ def build_cache(evaluator: DIEvaluator, m: int, K: int) -> DirectedInfoCache:
         raise ValidationError(f"evaluator has m={evaluator.m}, asked for m={m}")
     cache = DirectedInfoCache(m, K)
     for target in range(1, m + 1):
-        others = [j for j in range(1, m + 1) if j != target]
-        sets = list(combinations(others, K))
+        sets = list(all_parent_sets(m, target, K))
         for members, value in zip(sets, evaluator._fill(target, sets, ())):
             cache.put(target, members, value)
     return cache

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
+from itertools import combinations
 from math import comb
 
 from .errors import UncachedParentSetError, ValidationError
@@ -377,8 +378,6 @@ def parent_set_from_index(m: int, target: int, K: int, rank: int) -> tuple[int, 
 
 def all_parent_sets(m: int, target: int, K: int) -> Iterator[tuple[int, ...]]:
     """All size-``K`` parent sets for ``target``, in index order."""
-    from itertools import combinations
-
     universe = [j for j in range(1, m + 1) if j != target]
     return iter(combinations(universe, K))
 

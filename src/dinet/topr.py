@@ -29,18 +29,21 @@ Branching rules differ per variant:
   depth-first, changing the most recently added parent first and backing
   up to earlier picks when alternatives run out; ties go to the smaller
   approximation index, summed from memoised per-node set ranks.  The
-  tree-constrained combination demotes the greedy set behind one tree
-  edge (and every subset of edges currently inducing that same set) and
-  re-runs the free-root arborescence search, one solve each.  Emission
+  tree-constrained combination is a Lawler partition search: a
+  subproblem is a root plus, per node, one forced parent set or a set of
+  banned ones, and its representative is one arborescence solve over the
+  first unbanned set of each edge's greedy list.  Popping a
+  representative splits the rest of its subproblem into disjoint
+  children, so every class member is reachable exactly once.  Emission
   follows pool order, which here is not guaranteed globally sorted.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
-from itertools import combinations
+from collections.abc import Sequence
+from dataclasses import dataclass
+from itertools import count
 from math import comb
 
 import numpy as np
@@ -52,6 +55,7 @@ from .structures import (
     DirectedInfoCache,
     ParentAssignment,
     ScoredApproximation,
+    all_parent_sets,
     parent_set_index,
     _has_spanning_tree,
 )
@@ -59,15 +63,9 @@ from .structures import (
 
 @dataclass(frozen=True)
 class TopR:
-    """An ordered batch of enumerated solutions.
-
-    ``truncated`` flags that a completeness cap (the bound on how many
-    equal-weight edges are demoted together in the connected search) was
-    hit, so ranks beyond the first may be incomplete.
-    """
+    """An ordered batch of enumerated solutions."""
 
     solutions: tuple[ScoredApproximation, ...]
-    truncated: bool = False
 
     def __iter__(self):
         return iter(self.solutions)
@@ -77,6 +75,19 @@ class TopR:
 
     def __getitem__(self, idx):
         return self.solutions[idx]
+
+
+def _check_r(m: int, K: int, r: int, empty_root: bool = False) -> None:
+    """Reject ``r`` outside ``1 ..`` the class size bound.
+
+    Every node has ``C(m-1, K)`` candidate sets.  In a class whose tree
+    root keeps the empty set, one of ``m`` roots does so while the other
+    ``m - 1`` nodes choose, which can exceed ``C(m-1, K)**m``.
+    """
+    radix = comb(m - 1, K)
+    space = m * radix ** (m - 1) if empty_root else radix**m
+    if not 1 <= r <= space:
+        raise ValidationError(f"r={r} out of range 1..{space}")
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +103,7 @@ def _node_candidate_lists(
     """Per node: all size-K sets sorted best-first, plus position maps.
 
     Each candidate carries its set rank, its position in the
-    ``combinations`` walk, which is :func:`parent_set_index` order.
+    :func:`all_parent_sets` walk, which is :func:`parent_set_index` order.
     Sorting is by value descending with the smaller set index first among
     equal values, the same total order used everywhere else.
     """
@@ -100,10 +111,9 @@ def _node_candidate_lists(
     lists = []
     positions = []
     for i in range(1, m + 1):
-        others = [j for j in range(1, m + 1) if j != i]
         cands = [
             (ms, cache.get(i, ms), rank)
-            for rank, ms in enumerate(combinations(others, K))
+            for rank, ms in enumerate(all_parent_sets(m, i, K))
         ]
         cands.sort(key=lambda c: (-c[1], c[2]))
         lists.append(cands)
@@ -130,9 +140,7 @@ def top_r_general(cache: DirectedInfoCache, K: int, r: int) -> TopR:
     m = cache.m
     if K < 0 or K >= m:
         raise ValidationError(f"degree too large: K={K} with m={m}")
-    space = comb(m - 1, K) ** m
-    if not 1 <= r <= space:
-        raise ValidationError(f"r={r} out of range 1..{space}")
+    _check_r(m, K, r)
 
     lists, _ = _node_candidate_lists(cache, K)
     # the tie key is approximation_index, kept as an int and updated in
@@ -306,153 +314,117 @@ class _GreedyEdgeList:
 
 
 # ---------------------------------------------------------------------------
-# tree-constrained demotion engine (greedy edge lists)
+# tree-constrained partition search over greedy edge lists
 
 
-@dataclass
-class _ConnectedEntry:
-    assignment: ParentAssignment
-    score: float
-    root: int
-    tree: tuple[tuple[int, int], ...]  # real (parent, child) edges
-    levels: dict[tuple[int, int], int] = field(repr=False)
+_Entry = tuple[tuple[int, ...], float]  # (members, value) of one parent set
 
 
-class _ConnectedEngine:
-    """Pool-and-branch over demotion levels of edge-constrained sets."""
+def _top_r_greedy_connected(
+    evaluator: DIEvaluator, L: int, r: int, root_has_parents: bool
+) -> TopR:
+    """Lawler's partition search over per-node parent-set choices.
 
-    def __init__(
-        self,
-        m: int,
-        edge_lists: dict[tuple[int, int], object],
-        root_set_fn: Callable[[int], tuple[tuple[int, ...], float]] | None,
-        demote_cap: int,
-    ):
-        self.m = m
-        self.edge_lists = edge_lists
-        self.root_set_fn = root_set_fn  # None means roots keep empty sets
-        self.demote_cap = demote_cap
-        self.truncated = False
-        self._root_sets: dict[int, tuple[tuple[int, ...], float]] = {}
+    A subproblem is a root plus, per node, either one forced set or a set
+    of banned sets.  Its representative is one arborescence solve: arc
+    ``j -> i`` weighs the first set of edge list ``(i, j)`` not banned for
+    ``i``, and a node forced to ``S`` only takes arcs from ``S``, each
+    weighing ``S``.  Popping a representative pushes one child per free
+    non-root node ``i_t`` in node order: the earlier free nodes are forced
+    to their current sets and ``i_t``'s current set is banned.  The
+    children and the representative partition the subproblem, so nothing
+    is reached twice within a root.  The first subproblem leaves the root
+    free; once it is popped, every other root starts a subproblem of its
+    own.  The root keeps its empty (or greedy) set and is never branched,
+    so with ``root_has_parents`` one structure can represent several
+    roots and only its first pop is emitted.
+    """
+    m = evaluator.m
+    nodes = range(1, m + 1)
+    edge_lists = {
+        (i, j): _GreedyEdgeList(evaluator, i, j, L)
+        for i in nodes
+        for j in nodes
+        if j != i
+    }
+    root_sets: dict[int, _Entry] = {}
 
-    def _root_set(self, root: int) -> tuple[tuple[int, ...], float]:
-        if self.root_set_fn is None:
+    def root_entry(root: int) -> _Entry:
+        if not root_has_parents:
             return (), 0.0
-        if root not in self._root_sets:
-            self._root_sets[root] = self.root_set_fn(root)
-        return self._root_sets[root]
+        if root not in root_sets:
+            choices, _ = _initial_state(evaluator, root, L, ())
+            members = tuple(sorted(choices))
+            root_sets[root] = members, evaluator.set_value(root, members)
+        return root_sets[root]
 
-    def solve(self, levels: dict[tuple[int, int], int]) -> _ConnectedEntry:
-        m = self.m
+    def arc_entry(i: int, j: int, forced: _Entry | None, banned) -> _Entry | None:
+        if forced is not None:
+            return forced if j in forced[0] else None
+        edges = edge_lists[(i, j)]
+        level = 0
+        while (entry := edges.get(level)) is not None and entry[0] in banned:
+            level += 1
+        return entry
+
+    heap: list[tuple] = []
+    tiebreak = count()
+
+    def push(root: int | None, forced: tuple, banned: tuple) -> None:
         w = np.zeros((m, m))
         allowed = np.zeros((m, m), dtype=bool)
-        current: dict[tuple[int, int], tuple[tuple[int, ...], float]] = {}
-        for (i, j), level in levels.items():
-            entry = self.edge_lists[(i, j)].get(level)
-            if entry is None:
+        arcs: dict[tuple[int, int], _Entry] = {}
+        for i in nodes:
+            if i == root:
                 continue
-            current[(i, j)] = entry
-            w[j - 1, i - 1] = entry[1]
-            allowed[j - 1, i - 1] = True
-        tree = max_weight_arborescence(EdgeWeights(w, allowed))
-
-        lists = []
-        score = 0.0
-        for i in range(1, m + 1):
-            if i == tree.root:
-                members, value = self._root_set(i)
-            else:
-                members, value = current[(i, tree.parent[i])]
-            lists.append(members)
-            score += value
-        return _ConnectedEntry(
-            ParentAssignment.from_lists(lists),
-            score,
-            tree.root,
-            tuple(tree.edges()),
-            dict(levels),
+            for j in nodes:
+                if j != i:
+                    entry = arc_entry(i, j, forced[i - 1], banned[i - 1])
+                    if entry is not None:
+                        arcs[(i, j)] = entry
+                        w[j - 1, i - 1] = entry[1]
+                        allowed[j - 1, i - 1] = True
+        try:
+            tree = max_weight_arborescence(EdgeWeights(w, allowed), root)
+        except InfeasibleArborescenceError:
+            return  # the subproblem holds no class member
+        entries = tuple(
+            root_entry(i) if i == tree.root else arcs[(i, tree.parent[i])]
+            for i in nodes
+        )
+        score = sum(value for _, value in entries)
+        key = tuple(members for members, _ in entries)
+        heapq.heappush(
+            heap,
+            (-score, key, next(tiebreak), tree.root, root is None,
+             entries, forced, banned),
         )
 
-    def branches(self, entry: _ConnectedEntry):
-        """Candidate entries one demotion step away from ``entry``."""
-        for p, child in entry.tree:
-            target_set = entry.assignment.members_of(child)
-            same = [
-                j
-                for j in range(1, self.m + 1)
-                if j != child
-                and (got := self.edge_lists[(child, j)].get(
-                    entry.levels[(child, j)]
-                ))
-                is not None
-                and got[0] == target_set
-            ]
-            if len(same) > self.demote_cap:
-                keep = [p] + [j for j in same if j != p][: self.demote_cap - 1]
-                same = sorted(keep)
-                self.truncated = True
-            others = [j for j in same if j != p]
-            for mask in range(1 << len(others)):
-                subset = [p] + [
-                    others[b] for b in range(len(others)) if mask >> b & 1
-                ]
-                levels = dict(entry.levels)
-                for j in subset:
-                    levels[(child, j)] += 1
-                # demote further while the result collapses back onto the
-                # popped assignment (weight ties can hide one level down)
-                while True:
-                    try:
-                        candidate = self.solve(levels)
-                    except InfeasibleArborescenceError:
-                        candidate = None
-                    if candidate is None:
-                        break
-                    if candidate.assignment != entry.assignment:
-                        break
-                    exhausted = True
-                    levels = dict(levels)
-                    for j in subset:
-                        if self.edge_lists[(child, j)].get(
-                            levels[(child, j)] + 1
-                        ) is not None:
-                            exhausted = False
-                        levels[(child, j)] += 1
-                    if exhausted:
-                        candidate = None
-                        break
-                if candidate is not None:
-                    yield candidate
-
-    def run(self, r: int) -> TopR:
-        base = {
-            (i, j): 0
-            for i in range(1, self.m + 1)
-            for j in range(1, self.m + 1)
-            if j != i
-        }
-        seed = self.solve(base)
-        heap: list[tuple[float, tuple, int]] = []
-        store: dict[int, _ConnectedEntry] = {}
-        seen = {seed.assignment.canonical_key()}
-        counter = 0
-        store[counter] = seed
-        heapq.heappush(heap, (-seed.score, seed.assignment.canonical_key(), counter))
-        counter += 1
-        emitted: list[ScoredApproximation] = []
-        while heap and len(emitted) < r:
-            neg_score, _, idx = heapq.heappop(heap)
-            entry = store.pop(idx)
-            emitted.append(ScoredApproximation(entry.assignment, -neg_score))
-            for cand in self.branches(entry):
-                key = cand.assignment.canonical_key()
-                if key in seen:
-                    continue
-                seen.add(key)
-                store[counter] = cand
-                heapq.heappush(heap, (-cand.score, key, counter))
-                counter += 1
-        return TopR(tuple(emitted), truncated=self.truncated)
+    unconstrained = (None,) * m, (frozenset(),) * m
+    push(None, *unconstrained)
+    seen: set[tuple[tuple[int, ...], ...]] = set()
+    emitted: list[ScoredApproximation] = []
+    while heap and len(emitted) < r:
+        popped = heapq.heappop(heap)
+        neg_score, key, _, root, free_root, entries, forced, banned = popped
+        if key not in seen:
+            seen.add(key)
+            emitted.append(
+                ScoredApproximation(ParentAssignment.from_lists(key), -neg_score)
+            )
+        fixed = list(forced)
+        for i in nodes:
+            if i == root or forced[i - 1] is not None:
+                continue
+            child_banned = list(banned)
+            child_banned[i - 1] = banned[i - 1] | {key[i - 1]}
+            push(root, tuple(fixed), tuple(child_banned))
+            fixed[i - 1] = entries[i - 1]
+        if free_root:
+            for other in nodes:
+                if other != root:
+                    push(other, *unconstrained)
+    return TopR(tuple(emitted))
 
 
 def top_r_connected(
@@ -475,9 +447,7 @@ def top_r_connected(
     m = cache.m
     if K < 1 or K >= m:
         raise ValidationError(f"degree too large: K={K} with m={m}")
-    space = comb(m - 1, K) ** m
-    if not 1 <= r <= space:
-        raise ValidationError(f"r={r} out of range 1..{space}")
+    _check_r(m, K, r, empty_root=not root_has_parents)
 
     lists, _ = _node_candidate_lists(cache, K)
 
@@ -549,40 +519,31 @@ def top_r_greedy(
     r: int,
     connected: bool = False,
     root_has_parents: bool = False,
-    demote_cap: int = 12,
 ) -> TopR:
     """r structures enumerated through greedy choice sequences.
 
-    The first solution is the greedy one; later solutions come from
-    depth-first alternatives (change the last greedy pick first).  The
-    pool still emits by score among generated candidates, so the score
-    sequence may jump non-monotonically; output is pool order, not a
-    certified global ranking.  With ``connected`` the same walk drives
-    the edge-demotion search of :func:`top_r_connected`.
+    The first solution is the greedy one:
+    :func:`dinet.approximation.greedy_general`, or with ``connected``
+    :func:`dinet.approximation.greedy_connected` down to the bits of its
+    score.  Without ``connected``
+    later solutions come from depth-first alternatives (change the last
+    greedy pick first).  With ``connected`` they come from a partition
+    search over per-node parent-set choices: each subproblem's
+    representative is one arborescence solve over the greedy sets grown
+    from each tree edge, and popping it splits the rest of its
+    subproblem into disjoint children, so with ``r`` at least the class
+    size every member of the class is emitted exactly once (with
+    ``root_has_parents`` the root keeps its greedy set).  The pool emits
+    by score among generated candidates, so the score sequence may jump
+    non-monotonically; output is pool order, not a certified global
+    ranking, and may be shorter than ``r`` when the class is exhausted.
     """
     m = evaluator.m
     if L < 1 or L >= m:
         raise ValidationError(f"degree too large: L={L} with m={m}")
-    space = comb(m - 1, L) ** m
-    if not 1 <= r <= space:
-        raise ValidationError(f"r={r} out of range 1..{space}")
-
+    _check_r(m, L, r, empty_root=connected and not root_has_parents)
     if connected:
-        edge_lists = {
-            (i, j): _GreedyEdgeList(evaluator, i, j, L)
-            for i in range(1, m + 1)
-            for j in range(1, m + 1)
-            if j != i
-        }
-        root_set_fn = None
-        if root_has_parents:
-            def root_set_fn(root: int) -> tuple[tuple[int, ...], float]:
-                choices, _ = _initial_state(evaluator, root, L, ())
-                members = tuple(sorted(choices))
-                return members, evaluator.set_value(root, members)
-
-        engine = _ConnectedEngine(m, edge_lists, root_set_fn, demote_cap)
-        return engine.run(r)
+        return _top_r_greedy_connected(evaluator, L, r, root_has_parents)
 
     # tie key: approximation_index from per-node set ranks
     weight = [comb(m - 1, L) ** i for i in range(m)]

@@ -13,7 +13,7 @@ from dinet.estimation import (
     read_panel_csv,
     write_panel_csv,
 )
-from dinet.simulate import simulate_panel
+from dinet.simulate import generate_ar_network, simulate_panel
 from dinet.structures import DirectedInfoCache
 
 NINE_DECIMALS = re.compile(r"^-?\d+\.\d{9}$")
@@ -235,6 +235,29 @@ def test_topr_connected_class(capsys, cache_path):
     ranked = json.loads(out)
     assert len(ranked) == 2
     assert ranked[0]["score"] >= ranked[1]["score"]
+
+
+def test_topr_greedy_connected_rank_one_matches_approximate(capsys, tmp_path):
+    path = tmp_path / "panel5.csv"
+    network = generate_ar_network(5, np.random.default_rng(17))
+    write_panel_csv(simulate_panel(network, 500, 17), str(path))
+    flags = ["--panel", str(path), "--search", "greedy", "--class", "connected", "--L", "2"]
+    code, single, err = run(capsys, "approximate", *flags)
+    assert code == 0
+    assert err == ""
+    outputs = []
+    for _ in range(2):
+        code, out, err = run(capsys, "topr", *flags, "--r", "5")
+        assert code == 0
+        assert err == ""
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    ranked = json.loads(outputs[0])
+    assert [entry["rank"] for entry in ranked] == [1, 2, 3, 4, 5]
+    assert len({json.dumps(entry["assignment"]) for entry in ranked}) == 5
+    best = json.loads(single)
+    assert ranked[0]["score"] == best["score"]
+    assert ranked[0]["assignment"] == best["assignment"]
 
 
 def test_bounds_table_output(capsys):

@@ -22,6 +22,7 @@ from dinet.topr import TopR, get_new_solutions, top_r_connected, top_r_general, 
 
 from _oracles import (
     all_assignments,
+    connected_class_members,
     exhaustive_connected,
     exhaustive_sorted_general,
     per_point_top_r_connected,
@@ -37,7 +38,6 @@ def test_topr_container_protocol():
     assert isinstance(out, TopR)
     assert len(out) == 3
     assert list(out) == [out[0], out[1], out[2]]
-    assert out.truncated is False
 
 
 def test_top_r_general_full_enumeration_matches_sorted_oracle():
@@ -187,7 +187,6 @@ def test_top_r_connected_matches_exhaustive_first_ranks():
         cache = random_cache(4, 2, rng, tie_rich=bool(trial % 2))
         ranked = exhaustive_connected(cache, 2)
         got = top_r_connected(cache, 2, 10)
-        assert not got.truncated
         assert len(got) == min(10, len(ranked))
         for rank, sol in enumerate(got):
             want_assignment, want_score = ranked[rank]
@@ -273,11 +272,38 @@ def test_top_r_connected_validation():
     with pytest.raises(ValidationError):
         top_r_connected(cache, 1, 0)
     with pytest.raises(ValidationError):
-        top_r_connected(cache, 1, 9)
+        top_r_connected(cache, 1, 13)  # 3 roots times 2^2 choices
     with pytest.raises(ValidationError):
         top_r_connected(cache, 0, 1)
     with pytest.raises(ValidationError):
         top_r_connected(cache, 3, 1)
+
+
+def _with_smaller_sets(cache, L, rng, tie_rich=False):
+    """``cache`` plus random values for every set smaller than L."""
+    for k in range(1, L):
+        for target, members, value in random_cache(cache.m, k, rng, tie_rich).items():
+            cache.put(target, members, value)
+    return cache
+
+
+def test_r_range_covers_the_empty_root_class():
+    # one of m roots keeps the empty set, so the class can outgrow
+    # C(m-1, K)**m = 81: here it has 104 members
+    cache = random_cache(4, 2, np.random.default_rng(5))
+    ranked = exhaustive_connected(cache, 2)
+    assert len(ranked) == 104
+    got = top_r_connected(cache, 2, 104)
+    assert [(sol.assignment, sol.score) for sol in got] == ranked
+    with pytest.raises(ValidationError, match=r"out of range 1\.\.108"):
+        top_r_connected(cache, 2, 109)
+    # the rooted class gives every node K parents, so C(m-1, K)**m holds
+    with pytest.raises(ValidationError, match=r"out of range 1\.\.81"):
+        top_r_connected(cache, 2, 82, root_has_parents=True)
+    ev = evaluator_from_cache(_with_smaller_sets(cache, 2, np.random.default_rng(6)), 2)
+    assert len(top_r_greedy(ev, 2, 108, connected=True)) == 104
+    with pytest.raises(ValidationError, match=r"out of range 1\.\.81"):
+        top_r_greedy(ev, 2, 82, connected=True, root_has_parents=True)
 
 
 def test_top_r_connected_deterministic():
@@ -387,6 +413,49 @@ def test_top_r_greedy_rooted_connected_variant():
     for s in got:
         assert s.assignment.uniform_degree() == 2
         assert contains_spanning_arborescence(s.assignment)
+
+
+@pytest.mark.parametrize("tie_rich", [False, True])
+@pytest.mark.parametrize("m, L", [(4, 1), (4, 2), (4, 3), (5, 1), (5, 2), (5, 3)])
+def test_top_r_greedy_connected_enumerates_the_whole_class(m, L, tie_rich):
+    rng = np.random.default_rng([443, m, L, tie_rich])
+    cache = _with_smaller_sets(random_cache(m, L, rng, tie_rich), L, rng, tie_rich)
+    ev = evaluator_from_cache(cache, L)
+    got = top_r_greedy(ev, L, m * comb(m - 1, L) ** (m - 1), connected=True)
+    keys = [sol.assignment.canonical_key() for sol in got]
+    want = {a.canonical_key() for a in connected_class_members(m, L, False)}
+    assert len(keys) == len(set(keys)) == len(want)
+    assert set(keys) == want
+    single = greedy_connected(ev, L)
+    assert got[0].assignment == single.assignment
+    assert got[0].score == single.score
+    for sol, key in zip(got, keys):
+        assert sol.score == sum(ev.set_value(i, ms) for i, ms in enumerate(key, 1) if ms)
+
+
+def test_top_r_greedy_rooted_connected_reaches_every_tree_around_greedy_roots():
+    # the root keeps its greedy set and the other nodes range over the
+    # class, so the emitted set is every structure containing a spanning
+    # tree from some root r whose set is r's greedy set
+    for seed in range(4):
+        rng = np.random.default_rng([seed, 4, 2])
+        cache = _with_smaller_sets(random_cache(4, 2, rng), 2, rng)
+        ev = evaluator_from_cache(cache, 2)
+        greedy = greedy_general(ev, 2).assignment
+        want = {
+            a.canonical_key()
+            for a in connected_class_members(4, 2, True)
+            if any(
+                a.members_of(rt) == greedy.members_of(rt)
+                and contains_spanning_arborescence(a, rt)
+                for rt in range(1, 5)
+            )
+        }
+        got = top_r_greedy(ev, 2, 81, connected=True, root_has_parents=True)
+        keys = [sol.assignment.canonical_key() for sol in got]
+        assert len(keys) == len(set(keys))
+        assert set(keys) == want
+        assert got[0].assignment == greedy_connected(ev, 2, root_has_parents=True).assignment
 
 
 def test_top_r_greedy_validation():
