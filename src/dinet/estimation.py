@@ -27,7 +27,13 @@ Moments are computed once per :class:`DIEvaluator`, and
 :func:`build_cache` asks it for one target's sets at a time.
 
 :func:`estimate_di_discrete`, the plug-in conditional mutual information
-over lagged windows for finite-alphabet data, stays one query per call.
+over lagged windows for finite-alphabet data, has a batched kernel of its
+own.  Each process's lag windows are encoded as integers once per
+evaluator; per set, the joint (context, addition, target symbol) codes
+are counted with one ``np.bincount`` over the dense cell range, which the
+state space cap bounds, and the marginal counts are its axis sums.  The
+nonzero cells are summed in ascending code order, so here too a batch
+gives each set bit for bit its single-query value.
 
 The estimators and the exact oracle share a conventions contract: order-1
 models, least squares fits without intercepts (processes are zero mean),
@@ -124,7 +130,8 @@ class EstimatorConfig:
     ``markov_order`` is the number of lags included per process.  Values
     are in nats; the command line layer divides by ``ln 2`` for display
     with ``--units bits``.  ``state_space_cap`` bounds the joint cell
-    count the discrete estimator will attempt.
+    count the discrete estimator will attempt; since the cells are
+    counted densely, it also bounds that count array, at 8 bytes a cell.
     """
 
     markov_order: int = 1
@@ -389,6 +396,11 @@ def exact_di_gaussian(
     conditioning), then of (target + conditioning + addition), against
     the stationary covariance, and returns half the log ratio of the two
     prediction error variances.
+
+    A one-shot convenience: every call rebuilds the model's moments,
+    including a Lyapunov solve for the stationary covariance.  Repeated
+    queries belong on ``DIEvaluator.from_model``, which solves it once and
+    gives the same bits.
     """
     add, cond = _check_query(model.m, target, addition, conditioning)
     if not add:
@@ -411,6 +423,10 @@ def estimate_di_gaussian(
     of residual standard deviations.  Adding regressors can never raise
     the in-sample residual sum of squares, so the estimate is nonnegative
     by construction.
+
+    A one-shot convenience: every call rebuilds the panel's second
+    moments.  Repeated queries belong on ``DIEvaluator.from_panel``, which
+    builds them once and gives the same bits.
     """
     config = config or EstimatorConfig()
     add, cond = _check_query(panel.m, target, addition, conditioning)
@@ -420,20 +436,102 @@ def estimate_di_gaussian(
     return _projection_di(moments, target, [add], cond)[0]
 
 
-def _encode_windows(
-    panel: TimeSeriesPanel, processes: Sequence[int], order: int
-) -> tuple[np.ndarray, int]:
-    """Integer codes of the lagged windows of the given processes."""
+class _LagCodes(NamedTuple):
+    """Lag-window codes of a finite-alphabet panel, encoded once.
+
+    ``codes[s - 1]`` holds process ``s``'s order-``l`` window at each of
+    the ``rows = n - order`` one-step rows as one integer, lag 1 the most
+    significant digit in base ``size``.  A set of processes in ascending
+    order is coded by appending each one's window, ``span = size**order``
+    values apart.  ``symbols[s - 1]`` is process ``s`` at the same rows.
+    """
+
+    codes: np.ndarray
+    symbols: np.ndarray
+    size: int
+    order: int
+    steps: int
+    cap: int
+
+
+def _lag_codes(panel: TimeSeriesPanel, config: EstimatorConfig) -> _LagCodes:
+    if panel.kind != "discrete":
+        raise ValidationError("discrete estimator requires a finite-alphabet panel")
+    order, n = config.markov_order, panel.n
     size = panel.alphabet_size or 1
-    n = panel.n
-    codes = np.zeros(n - order, dtype=np.int64)
-    span = 1
-    for s in processes:
-        series = panel.data[s - 1].astype(np.int64)
-        for lag in range(1, order + 1):
-            codes = codes * size + series[order - lag: n - lag]
-            span *= size
-    return codes, span
+    rows = max(n - order, 0)
+    codes = np.zeros((panel.m, rows), dtype=np.int64)
+    for lag in range(1, order + 1):
+        codes = codes * size + panel.data[:, order - lag: order - lag + rows]
+    return _LagCodes(
+        codes, panel.data[:, order:], size, order, n, config.state_space_cap
+    )
+
+
+def _plugin_di(
+    lags: _LagCodes,
+    target: int,
+    additions: Sequence[tuple[int, ...]],
+    cond: tuple[int, ...],
+) -> list[float]:
+    """Plug-in directed information of each addition set, by dense counts.
+
+    All additions have one size.  The joint code of (context window,
+    addition window, target symbol) indexes a C-ordered ``(w, a, y)``
+    array of ``span_w * span_a * size`` cells, bounded by the state space
+    cap, and one ``np.bincount`` per set fills it.  Its axis sums are the
+    marginal counts ``n_wa``, ``n_wy`` and ``n_w``, and the value sums
+    ``cnt * (log cnt + log n_w - log n_wa - log n_wy)`` over the nonzero
+    cells in C order, which is ascending joint code, so a set's value does
+    not depend on the batch it is computed in.
+    """
+    if not additions[0]:
+        return [0.0] * len(additions)
+    order, size = lags.order, lags.size
+    rows = lags.codes.shape[1]
+    if rows == 0:
+        raise _query_error(
+            f"insufficient samples: need more than {order} steps, have {lags.steps}",
+            target, additions[0], cond,
+        )
+    span = size**order
+    context = sorted({target, *cond})
+    span_w = span ** len(context)
+    span_a = span ** len(additions[0])
+    cells = span_w * span_a * size
+    if cells > lags.cap:
+        raise _query_error(
+            f"state space too large: {cells} cells exceed cap {lags.cap}",
+            target, additions[0], cond,
+        )
+    codes = lags.codes
+    w = codes[context[0] - 1]
+    for s in context[1:]:
+        w = w * span + codes[s - 1]
+    # joint code (w * span_a + a) * size + y, less the addition's share
+    base = w * (span_a * size) + lags.symbols[target - 1]
+    values = []
+    for add in additions:
+        a = codes[add[0] - 1]
+        for s in add[1:]:
+            a = a * span + codes[s - 1]
+        counts = np.bincount(base + a * size, minlength=cells)
+        n_wa = counts.reshape(-1, size).sum(axis=1)
+        n_wy = counts.reshape(span_w, span_a, size).sum(axis=1).ravel()
+        n_w = n_wa.reshape(span_w, span_a).sum(axis=1)
+        cell = np.flatnonzero(counts)
+        cnt = counts[cell]
+        cell_wa, cell_y = np.divmod(cell, size)
+        cell_w = cell_wa // span_a
+        terms = (
+            np.log(cnt)
+            + np.log(n_w[cell_w])
+            - np.log(n_wa[cell_wa])
+            - np.log(n_wy[cell_w * size + cell_y])
+        )
+        total = float(np.sum(cnt * terms))
+        values.append(max(0.0, total / rows))
+    return values
 
 
 def estimate_di_discrete(
@@ -449,55 +547,15 @@ def estimate_di_discrete(
     conditional mutual information between the addition windows and the
     target's next symbol given the (target + conditioning) windows, with
     maximum likelihood (unsmoothed) probabilities.
+
+    A one-shot convenience: every call encodes the panel's lag windows
+    afresh.  Repeated queries belong on ``DIEvaluator.from_panel``, which
+    encodes them once and gives the same bits.
     """
     config = config or EstimatorConfig()
-    if panel.kind != "discrete":
-        raise ValidationError("discrete estimator requires a finite-alphabet panel")
+    lags = _lag_codes(panel, config)
     add, cond = _check_query(panel.m, target, addition, conditioning)
-    if not add:
-        return 0.0
-    order = config.markov_order
-    if panel.n <= order:
-        raise EstimationError(
-            f"insufficient samples: need more than {order} steps, have {panel.n}"
-        )
-    size = panel.alphabet_size or 1
-    dims = order * (1 + len(cond) + len(add)) + 1
-    cells = size**dims
-    if cells > config.state_space_cap:
-        raise EstimationError(
-            f"state space too large: {cells} cells exceed cap "
-            f"{config.state_space_cap}"
-        )
-
-    context = sorted({target, *cond})
-    w, _ = _encode_windows(panel, context, order)
-    a, span_a = _encode_windows(panel, sorted(add), order)
-    y = panel.data[target - 1].astype(np.int64)[order:]
-
-    n_rows = len(y)
-    wa = w * span_a + a
-    wy = w * size + y
-    way = wa * size + y
-
-    w_vals, w_cnt = np.unique(w, return_counts=True)
-    wa_vals, wa_cnt = np.unique(wa, return_counts=True)
-    wy_vals, wy_cnt = np.unique(wy, return_counts=True)
-    vals, cnt = np.unique(way, return_counts=True)
-
-    # decompose each observed joint cell back into its marginal codes;
-    # every marginal code is present by construction, so searchsorted is
-    # an exact lookup
-    cell_wa, cell_y = np.divmod(vals, size)
-    cell_w = cell_wa // span_a
-    cell_wy = cell_w * size + cell_y
-    n_w = w_cnt[np.searchsorted(w_vals, cell_w)]
-    n_wa = wa_cnt[np.searchsorted(wa_vals, cell_wa)]
-    n_wy = wy_cnt[np.searchsorted(wy_vals, cell_wy)]
-    total = float(
-        np.sum(cnt * (np.log(cnt) + np.log(n_w) - np.log(n_wa) - np.log(n_wy)))
-    )
-    return max(0.0, total / n_rows)
+    return _plugin_di(lags, target, [add], cond)[0]
 
 
 def estimate_di(
@@ -519,9 +577,10 @@ class DIEvaluator:
     Wraps a raw ``(target, addition, conditioning) -> value`` function and
     caches every result, so repeated queries (common in greedy searches
     and bound measurements) are free.  Construct via :meth:`from_model`
-    for exact values or :meth:`from_panel` for estimates.  Gaussian
-    evaluators built that way answer from second moments computed once,
-    and :func:`build_cache` fills their memo one batch per target.
+    for exact values or :meth:`from_panel` for estimates.  Evaluators
+    built that way answer from state computed once (second moments, or
+    the plug-in estimator's lag-window codes), and :func:`build_cache`
+    fills their memo one batch per target.
     """
 
     def __init__(
@@ -560,9 +619,9 @@ class DIEvaluator:
     ) -> list[float]:
         """:meth:`increment` for several additions under one conditioning set.
 
-        Moment-backed evaluators compute the values not yet memoized in
-        one batch per addition size; each equals the single query's value
-        bit for bit.
+        Evaluators from :meth:`from_model` and :meth:`from_panel` compute
+        the values not yet memoized in one batch per addition size; each
+        equals the single query's value bit for bit.
         """
         cond = _check_query(self.m, target, (), conditioning)[1]
         free = set(range(1, self.m + 1)) - {target, *cond}
@@ -597,15 +656,14 @@ class DIEvaluator:
         return [memo[(target, a, cond)] for a in adds]
 
     @classmethod
-    def _from_moments(cls, moments: _Moments, m: int) -> "DIEvaluator":
-        batch = partial(_projection_di, moments)
+    def _from_batch(cls, batch: Callable[..., list[float]], m: int) -> "DIEvaluator":
         evaluator = cls(lambda target, add, cond: batch(target, [add], cond)[0], m)
         evaluator._batch = batch
         return evaluator
 
     @classmethod
     def from_model(cls, model: LinearNetworkModel) -> "DIEvaluator":
-        return cls._from_moments(_model_moments(model), model.m)
+        return cls._from_batch(partial(_projection_di, _model_moments(model)), model.m)
 
     @classmethod
     def from_panel(
@@ -613,14 +671,9 @@ class DIEvaluator:
     ) -> "DIEvaluator":
         config = config or EstimatorConfig()
         if config.estimator == "gaussian":
-            return cls._from_moments(
-                _panel_moments(panel, config.markov_order), panel.m
-            )
-
-        def fn(target: int, add: tuple[int, ...], cond: tuple[int, ...]) -> float:
-            return estimate_di_discrete(panel, target, add, cond, config)
-
-        return cls(fn, panel.m)
+            moments = _panel_moments(panel, config.markov_order)
+            return cls._from_batch(partial(_projection_di, moments), panel.m)
+        return cls._from_batch(partial(_plugin_di, _lag_codes(panel, config)), panel.m)
 
 
 def build_cache(evaluator: DIEvaluator, m: int, K: int) -> DirectedInfoCache:
@@ -628,7 +681,8 @@ def build_cache(evaluator: DIEvaluator, m: int, K: int) -> DirectedInfoCache:
 
     Populates all ``m * C(m-1, K)`` entries deterministically in
     (target, set) order, asking the evaluator for one target's sets at a
-    time (a single batch for moment-backed evaluators).
+    time (a single batch for evaluators from ``from_model`` and
+    ``from_panel``).
     """
     if m != evaluator.m:
         raise ValidationError(f"evaluator has m={evaluator.m}, asked for m={m}")
@@ -647,6 +701,10 @@ def read_panel_csv(
 
     A single leading header row is tolerated and skipped.  Any later parse
     failure raises :class:`PanelFormatError` naming the 1-based file row.
+    A file from :func:`write_panel_csv` reads back data-exact for discrete
+    panels and within its 12 significant digits for real ones.  A discrete
+    panel's alphabet size is not stored: pass it back as
+    ``alphabet_size``, or it is inferred as the largest symbol plus one.
     """
     import csv
 
@@ -682,7 +740,13 @@ def read_panel_csv(
 
 
 def write_panel_csv(panel: TimeSeriesPanel, path: str, header: bool = True) -> None:
-    """Write a panel as CSV, one row per time step."""
+    """Write a panel as CSV, one row per time step.
+
+    A header row ``x1,...,xm`` comes first unless ``header`` is false.
+    Discrete symbols are written as integers, exactly; real values with
+    12 significant digits (``.12g``), so they read back within a relative
+    error of ``1e-11``.  The alphabet size is not written.
+    """
     with open(path, "w", newline="") as fh:
         if header:
             fh.write(",".join(f"x{i}" for i in range(1, panel.m + 1)) + "\n")

@@ -1,13 +1,13 @@
 """Independent reference implementations used to validate the library.
 
 Everything here favors obviousness over speed: exhaustive enumeration,
-naive counting, generic LP solvers, per-query least squares fits and
-scipy's Lyapunov solver.  Nothing imports from the package's
-algorithm internals beyond plain data containers, so agreement between
-these oracles and the library is meaningful evidence.  The one exception
-is :func:`per_root_arborescence`, which loops the package's fixed-root
-solver (checked against :func:`brute_force_arborescence` on its own)
-over every root.
+naive counting, generic LP solvers, per-query least squares fits,
+per-query ``np.unique`` counts and scipy's Lyapunov solver.  Nothing
+imports from the package's algorithm internals beyond plain data
+containers, so agreement between these oracles and the library is
+meaningful evidence.  The one exception is :func:`per_root_arborescence`,
+which loops the package's fixed-root solver (checked against
+:func:`brute_force_arborescence` on its own) over every root.
 """
 
 from __future__ import annotations
@@ -441,6 +441,69 @@ def naive_discrete_di(
         total += cnt * (
             np.log(cnt) + np.log(c_w[w]) - np.log(c_wa[(w, a)]) - np.log(c_wy[(w, y)])
         )
+    return max(0.0, total / n_rows)
+
+
+def _encode_windows(
+    data: np.ndarray, size: int, processes, order: int
+) -> tuple[np.ndarray, int]:
+    """Integer codes of the lagged windows of the given processes."""
+    n = data.shape[1]
+    codes = np.zeros(n - order, dtype=np.int64)
+    span = 1
+    for s in processes:
+        series = data[s - 1].astype(np.int64)
+        for lag in range(1, order + 1):
+            codes = codes * size + series[order - lag: n - lag]
+            span *= size
+    return codes, span
+
+
+def unique_count_di(
+    data: np.ndarray,
+    alphabet: int,
+    target: int,
+    addition: tuple[int, ...],
+    conditioning: tuple[int, ...],
+    order: int,
+) -> float:
+    """Plug-in DI by four ``np.unique`` counts per query, on fresh codes.
+
+    The package's former per-query path, kept as the bit-for-bit oracle
+    of the batched counting kernel: the observed joint cells come out of
+    ``np.unique`` in ascending code order, each is decomposed into its
+    marginal codes, and the same terms are summed in that order.
+    """
+    if not addition:
+        return 0.0
+    size = alphabet
+    context = sorted({target, *conditioning})
+    w, _ = _encode_windows(data, size, context, order)
+    a, span_a = _encode_windows(data, size, sorted(addition), order)
+    y = data[target - 1].astype(np.int64)[order:]
+
+    n_rows = len(y)
+    wa = w * span_a + a
+    wy = w * size + y
+    way = wa * size + y
+
+    w_vals, w_cnt = np.unique(w, return_counts=True)
+    wa_vals, wa_cnt = np.unique(wa, return_counts=True)
+    wy_vals, wy_cnt = np.unique(wy, return_counts=True)
+    vals, cnt = np.unique(way, return_counts=True)
+
+    # decompose each observed joint cell back into its marginal codes;
+    # every marginal code is present by construction, so searchsorted is
+    # an exact lookup
+    cell_wa, cell_y = np.divmod(vals, size)
+    cell_w = cell_wa // span_a
+    cell_wy = cell_w * size + cell_y
+    n_w = w_cnt[np.searchsorted(w_vals, cell_w)]
+    n_wa = wa_cnt[np.searchsorted(wa_vals, cell_wa)]
+    n_wy = wy_cnt[np.searchsorted(wy_vals, cell_wy)]
+    total = float(
+        np.sum(cnt * (np.log(cnt) + np.log(n_w) - np.log(n_wa) - np.log(n_wy)))
+    )
     return max(0.0, total / n_rows)
 
 

@@ -11,7 +11,7 @@ from dinet.approximation import (
     optimal_general,
 )
 from dinet.errors import ValidationError
-from dinet.estimation import DIEvaluator
+from dinet.estimation import DIEvaluator, EstimatorConfig, TimeSeriesPanel
 from dinet.structures import (
     ParentAssignment,
     approximation_index,
@@ -24,6 +24,7 @@ from _oracles import (
     exhaustive_connected,
     exhaustive_optimal_general,
     random_cache,
+    unique_count_di,
 )
 
 
@@ -265,6 +266,36 @@ def test_greedy_connected_rooted_variant():
     got = greedy_connected(ev, 2, root_has_parents=True)
     assert got.assignment.uniform_degree() == 2
     assert contains_spanning_arborescence(got.assignment, got.root)
+
+
+def test_greedy_on_discrete_data_matches_per_query_counting():
+    # batched plug-in scans through increments pick the same structures,
+    # to the bit, as one np.unique query per candidate
+    rng = np.random.default_rng(271)
+    m, n, order = 5, 400, 2
+    data = rng.integers(0, 2, size=(m, n))
+    for i in range(1, m):
+        copy = rng.random(n - 1) < 0.7
+        data[i, 1:] = np.where(copy, data[i - 1, :-1], data[i, 1:])
+    panel = TimeSeriesPanel(data, kind="discrete", alphabet_size=2)
+    config = EstimatorConfig(markov_order=order, estimator="discrete")
+
+    def counted(target, add, cond):
+        return unique_count_di(data, 2, target, add, cond, order)
+
+    for L in (1, 2, 3):
+        batched = DIEvaluator.from_panel(panel, config)
+        plain = DIEvaluator(counted, m)
+        got, want = greedy_general(batched, L), greedy_general(plain, L)
+        assert (got.assignment, got.score, got.orders) == (
+            want.assignment, want.score, want.orders
+        )
+        for rooted in (False, True):
+            got = greedy_connected(batched, L, root_has_parents=rooted)
+            want = greedy_connected(plain, L, root_has_parents=rooted)
+            assert (got.assignment, got.score, got.root, got.tree) == (
+                want.assignment, want.score, want.root, want.tree
+            )
 
 
 def test_connected_searches_are_deterministic_under_ties():

@@ -198,6 +198,22 @@ def test_cache_build_names_a_singular_query(capsys, tmp_path):
     assert "target 2, addition [3], conditioning []" in err
 
 
+def test_cache_build_names_a_plugin_query_over_the_cap(capsys, tmp_path):
+    rng = np.random.default_rng(31)
+    path = tmp_path / "symbols.csv"
+    write_panel_csv(
+        TimeSeriesPanel(rng.integers(0, 3, size=(3, 60)), kind="discrete"), str(path)
+    )
+    code, out, err = run(
+        capsys, "cache", "build", str(path), "--K", "1", "--estimator", "discrete",
+        "--markov-order", "2", "--state-space-cap", "200",
+    )
+    assert code == 3
+    assert out == ""
+    assert "state space too large: 243 cells exceed cap 200" in err
+    assert "(target 1, addition [2], conditioning [])" in err
+
+
 def test_topr_rank_one_matches_approximate(capsys, cache_path):
     code, single, _ = run(capsys, "approximate", "--cache", cache_path, "--K", "1")
     assert code == 0

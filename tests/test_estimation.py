@@ -370,6 +370,28 @@ def test_discrete_estimator_state_space_cap():
     assert "state space too large" in str(err.value)
 
 
+def test_discrete_cache_errors_name_the_query():
+    rng = np.random.default_rng(47)
+    panel = TimeSeriesPanel(rng.integers(0, 4, size=(3, 100)), kind="discrete")
+    config = EstimatorConfig(markov_order=2, estimator="discrete", state_space_cap=100)
+    ev = DIEvaluator.from_panel(panel, config)
+    with pytest.raises(EstimationError) as err:
+        build_cache(ev, 3, 1)
+    assert str(err.value) == (
+        "state space too large: 1024 cells exceed cap 100 "
+        "(target 1, addition [2], conditioning [])"
+    )
+    short = TimeSeriesPanel([[0, 1], [1, 0]], kind="discrete")
+    ev = DIEvaluator.from_panel(short, EstimatorConfig(markov_order=2, estimator="discrete"))
+    assert ev.increment(1, ()) == 0.0
+    with pytest.raises(EstimationError) as err:
+        ev.increment(2, (1,))
+    assert str(err.value) == (
+        "insufficient samples: need more than 2 steps, have 2 "
+        "(target 2, addition [1], conditioning [])"
+    )
+
+
 def test_discrete_estimator_requires_discrete_panel():
     panel = TimeSeriesPanel(np.random.default_rng(0).standard_normal((2, 30)))
     with pytest.raises(ValidationError):

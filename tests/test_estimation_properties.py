@@ -1,15 +1,21 @@
-"""Property tests of the Gaussian DI kernel against per-query oracles.
+"""Property tests of the DI kernels against per-query oracles.
 
 Hypothesis draws seeds, sizes and query roles; the panels and models
 themselves come from numpy's generator, so every example is a well-posed
-least squares or projection problem rather than a degenerate float
-pattern.
+least squares, projection or counting problem rather than a degenerate
+float pattern.  The plug-in kernel's panels may hold constant rows.  The
+panel CSV round trip is checked on drawn values directly.
 """
+
+import os
+import tempfile
+from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from dinet.estimation import (
     DIEvaluator,
@@ -17,11 +23,14 @@ from dinet.estimation import (
     LinearNetworkModel,
     TimeSeriesPanel,
     build_cache,
+    estimate_di_discrete,
     estimate_di_gaussian,
     exact_di_gaussian,
+    read_panel_csv,
+    write_panel_csv,
 )
 
-from _oracles import lstsq_di, lyapunov_exact_di
+from _oracles import lstsq_di, lyapunov_exact_di, naive_discrete_di, unique_count_di
 
 # lstsq itself carries relative errors near 1e-13 on these panels (and
 # far larger on small increments), so the bounds leave a wide margin
@@ -140,3 +149,142 @@ def test_cache_fills_the_memo_once():
     # repeated queries and a second build read the memo
     build_cache(ev, 4, 2)
     assert ev.calls == 4 * 3
+
+
+# ---------------------------------------------------------------------------
+# plug-in counting kernel
+
+
+@st.composite
+def discrete_queries(draw):
+    """A finite-alphabet panel, a Markov order and one (target, add, cond) query.
+
+    Processes are lag-coupled copies of their predecessor with noise, and
+    any of them may be a constant row.  Joint state spaces over the default
+    cap are redrawn.
+    """
+    seed = draw(st.integers(0, 2**32 - 1))
+    alphabet = draw(st.integers(2, 4))
+    order = draw(st.integers(1, 2))
+    n_cond = draw(st.integers(0, 2))
+    n_add = draw(st.integers(1, 2))
+    assume(alphabet ** (order * (1 + n_cond + n_add) + 1) <= 1_000_000)
+    m = 1 + n_cond + n_add + draw(st.integers(0, 1))
+    n = draw(st.integers(order + 1, 200))
+    constant = draw(st.lists(st.booleans(), min_size=m, max_size=m))
+    rng = np.random.default_rng(seed)
+    data = rng.integers(0, alphabet, size=(m, n))
+    for i in range(1, m):
+        copy = rng.random(n - 1) < 0.6
+        data[i, 1:] = np.where(copy, data[i - 1, :-1], data[i, 1:])
+    for i in np.flatnonzero(constant):
+        data[i] = rng.integers(0, alphabet)
+    roles = [int(j) for j in rng.permutation(m) + 1]
+    target = roles[0]
+    conditioning = tuple(sorted(roles[1: 1 + n_cond]))
+    addition = tuple(sorted(roles[1 + n_cond: 1 + n_cond + n_add]))
+    return data, alphabet, order, target, addition, conditioning
+
+
+def _discrete(data, alphabet, order):
+    panel = TimeSeriesPanel(data, kind="discrete", alphabet_size=alphabet)
+    return panel, EstimatorConfig(markov_order=order, estimator="discrete")
+
+
+@SETTINGS
+@given(discrete_queries())
+def test_plugin_kernel_matches_unique_counts_bitwise(query):
+    data, alphabet, order, target, addition, conditioning = query
+    panel, config = _discrete(data, alphabet, order)
+    want = unique_count_di(data, alphabet, target, addition, conditioning, order)
+    got = estimate_di_discrete(panel, target, addition, conditioning, config)
+    assert got == want
+    ev = DIEvaluator.from_panel(panel, config)
+    assert ev.increment(target, addition, conditioning) == got
+
+
+@SETTINGS
+@given(discrete_queries())
+def test_plugin_batch_equals_single_queries_bitwise(query):
+    data, alphabet, order, target, addition, conditioning = query
+    panel, config = _discrete(data, alphabet, order)
+    free = [j for j in range(1, len(data) + 1) if j != target and j not in conditioning]
+    adds = list(combinations(free, len(addition)))
+    batch = DIEvaluator.from_panel(panel, config).increments(target, adds, conditioning)
+    singles = [
+        DIEvaluator.from_panel(panel, config).increment(target, add, conditioning)
+        for add in adds
+    ]
+    assert batch == singles
+
+
+@SETTINGS
+@given(discrete_queries(), st.integers(0, 2))
+def test_plugin_cache_equals_fresh_estimates_bitwise(query, K):
+    data, alphabet, order, *_ = query
+    m = len(data)
+    K = min(K, m - 1)
+    panel, config = _discrete(data, alphabet, order)
+    cache = build_cache(DIEvaluator.from_panel(panel, config), m, K)
+    for target, members, value in cache.items():
+        assert value == estimate_di_discrete(panel, target, members, (), config)
+
+
+@SETTINGS
+@given(discrete_queries())
+def test_plugin_kernel_matches_dictionary_counting(query):
+    data, alphabet, order, target, addition, conditioning = query
+    panel, config = _discrete(data, alphabet, order)
+    want = naive_discrete_di(data, alphabet, target, addition, conditioning, order)
+    got = estimate_di_discrete(panel, target, addition, conditioning, config)
+    # exact zeros come out of both as rounding residue of (a + b) - b - a
+    assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# panel CSV round trip
+
+
+def _round_trip(panel, header, **read):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "panel.csv")
+        write_panel_csv(panel, path, header=header)
+        return read_panel_csv(path, kind=panel.kind, **read)
+
+
+@SETTINGS
+@given(
+    st.integers(1, 4),
+    st.integers(2, 30),
+    st.integers(1, 6),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_discrete_csv_round_trip_is_exact(m, n, alphabet, header, seed):
+    rng = np.random.default_rng(seed)
+    data = rng.integers(0, rng.integers(1, alphabet + 1), size=(m, n))
+    panel = TimeSeriesPanel(data, kind="discrete", alphabet_size=alphabet)
+    back = _round_trip(panel, header, alphabet_size=alphabet)
+    assert back.kind == "discrete" and back.alphabet_size == alphabet
+    assert np.array_equal(back.data, panel.data)
+    inferred = _round_trip(panel, header)
+    assert inferred.alphabet_size == int(data.max()) + 1
+    assert np.array_equal(inferred.data, panel.data)
+
+
+@SETTINGS
+@given(
+    st.integers(1, 4).flatmap(
+        lambda m: hnp.arrays(
+            np.float64,
+            st.tuples(st.just(m), st.integers(2, 20)),
+            elements=st.floats(allow_nan=False, allow_infinity=False),
+        )
+    ),
+    st.booleans(),
+)
+def test_real_csv_round_trip_keeps_twelve_digits(data, header):
+    panel = TimeSeriesPanel(data)
+    back = _round_trip(panel, header)
+    assert back.kind == "real" and back.data.shape == data.shape
+    np.testing.assert_allclose(back.data, data, rtol=1e-11, atol=0.0)
