@@ -5,7 +5,9 @@ Monte Carlo selection study
 Run a small seeded experiment: random sparse networks, panels simulated
 from them, structures selected from estimated scores, and selection
 quality reported as exact-score ratios against the generating structure.
-Per-trial and aggregate tables land in CSV files next to this script.
+Per-trial and aggregate tables are written as CSV files to a temporary
+directory, which is removed when the script ends; only their names are
+printed, so the output is the same on every run.
 """
 
 import os
@@ -38,11 +40,12 @@ for row in aggregate_rows(result):
     print(",".join(str(v) for v in row))
 
 # the same tables as files, named {name}_{m}_{K}.csv
-out_dir = tempfile.mkdtemp(prefix="dinet_study_")
-trial_path, agg_path = write_experiment_csv(result, out_dir, name="demo")
-print("wrote", trial_path)
-print("wrote", agg_path)
-print("per-trial rows:", sum(1 for _ in open(trial_path)) - 1)
+with tempfile.TemporaryDirectory() as out_dir:
+    trial_path, agg_path = write_experiment_csv(result, out_dir, name="demo")
+    print("wrote", os.path.basename(trial_path))
+    print("wrote", os.path.basename(agg_path))
+    with open(trial_path) as fh:
+        print("per-trial rows:", sum(1 for _ in fh) - 1)
 
 # rerunning the same config reproduces the files byte for byte
 again = run_experiment(config)

@@ -12,6 +12,17 @@ one of two structural regimes:
   is weighted by the best parent set for ``i`` that includes ``j``, and a
   maximum weight arborescence picks the tree.
 
+Two private helpers carry every greedy and tree search in the package.
+The greedy kernel orders the members of a pool after a prefix, one
+batched increment query per step; the general and connected greedy
+searches, the curvature measurements in :mod:`dinet.bounds` and the
+greedy rankings in :mod:`dinet.topr` all call it.  The tree helper takes
+the parent set each arc ``j -> i`` stands for (a set of ``i`` containing
+``j``) and the set the root keeps, makes the one arborescence solve and
+reads off the structure the tree induces; both connected searches and
+the greedy connected ranking use it, so that ranking's first tree is
+:func:`greedy_connected` by construction.
+
 Ties are always resolved deterministically: candidate parent sets by
 ascending set index, greedy picks by ascending process index, and tree
 roots by ascending node index.
@@ -19,7 +30,7 @@ roots by ascending node index.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +45,6 @@ from .estimation import DIEvaluator
 from .structures import (
     DirectedInfoCache,
     ParentAssignment,
-    ParentSet,
     ScoredApproximation,
     all_parent_sets,
 )
@@ -108,37 +118,41 @@ def _best_parent_set(
     return best, best_v
 
 
-def _greedy_grow(
+def _greedy_order(
     evaluator: DIEvaluator,
     target: int,
-    length: int,
-    seed: tuple[int, ...] = (),
+    pool: Iterable[int],
+    prefix: Sequence[int] = (),
+    length: int | None = None,
 ) -> tuple[tuple[int, ...], list[float]]:
-    """Greedy forward selection from ``seed`` up to ``length`` parents.
+    """The greedy kernel: order up to ``length`` members of ``pool``.
 
-    Returns the picks in selection order (seed first) and the increment of
-    each pick.  Ties go to the smaller process index.
+    Each step adds the pool member with the largest increment conditioned
+    on ``prefix`` and the picks so far, one :meth:`DIEvaluator.increments`
+    batch per step; ties go to the smaller process index.  Returns the
+    picks (without the prefix) and their increments; without ``length``
+    the whole pool is ordered.
     """
-    m = evaluator.m
-    picks = list(seed)
-    increments = [
-        evaluator.increment(target, (j,), tuple(picks[:k]))
-        for k, j in enumerate(picks)
-    ]
-    while len(picks) < length:
-        candidates = [j for j in range(1, m + 1) if j != target and j not in picks]
-        values = evaluator.increments(target, [(j,) for j in candidates], picks)
-        best_j, best_v = None, -np.inf
-        for j, v in zip(candidates, values):
-            if v > best_v:
-                best_j, best_v = j, v
-        if best_j is None:
-            raise ValidationError(
-                f"degree too large: cannot grow {length} parents with m={m}"
-            )
-        picks.append(best_j)
-        increments.append(best_v)
-    return tuple(picks), increments
+    chosen = list(prefix)
+    remaining = sorted(set(pool))
+    steps = len(remaining) if length is None else min(length, len(remaining))
+    gains: list[float] = []
+    for _ in range(steps):
+        values = evaluator.increments(target, [(j,) for j in remaining], chosen)
+        best = max(range(len(remaining)), key=values.__getitem__)  # first max
+        chosen.append(remaining.pop(best))
+        gains.append(values[best])
+    return tuple(chosen[len(prefix):]), gains
+
+
+def _greedy_entry(
+    evaluator: DIEvaluator, target: int, length: int, seed: tuple[int, ...] = ()
+) -> tuple[tuple[int, ...], float]:
+    """The greedy set of ``length`` grown from ``seed``, with its value."""
+    others = set(range(1, evaluator.m + 1)) - {target, *seed}
+    picks, _ = _greedy_order(evaluator, target, others, seed, length - len(seed))
+    members = tuple(sorted(seed + picks))
+    return members, evaluator.set_value(target, members)
 
 
 def greedy_general(
@@ -152,14 +166,14 @@ def greedy_general(
     """
     m = evaluator.m
     lengths = _degree_vector(L, m, "L")
-    members: list[tuple[int, ...]] = []
     orders: list[tuple[int, ...]] = []
     score = 0.0
     for i in range(1, m + 1):
-        picks, increments = _greedy_grow(evaluator, i, lengths[i - 1])
+        others = [j for j in range(1, m + 1) if j != i]
+        picks, increments = _greedy_order(evaluator, i, others, (), lengths[i - 1])
         orders.append(picks)
-        members.append(tuple(sorted(picks)))
         score += sum(increments)
+    members = [tuple(sorted(picks)) for picks in orders]
     return GreedyApproximation(
         ParentAssignment.from_lists(members), score, tuple(orders)
     )
@@ -185,32 +199,63 @@ def constrained_best_sets(
     return best
 
 
-def _assemble_connected(
-    tree: Arborescence,
-    weights: EdgeWeights,
-    edge_sets: dict[tuple[int, int], tuple[int, ...]],
+_Entry = tuple[tuple[int, ...], float]  # (members, value) of one parent set
+
+
+def _entry_tree(
     m: int,
-    root_set: tuple[int, ...],
-    node_values: dict[tuple[int, tuple[int, ...]], float],
-) -> ConnectedApproximation:
-    """Build the assignment induced by a tree over edge-constrained sets."""
-    root = tree.root
-    lists: list[tuple[int, ...]] = []
+    arc_entry: Callable[[int, int], _Entry | None],
+    root_entry: Callable[[int], _Entry],
+    root: int | None = None,
+) -> tuple[Arborescence, EdgeWeights, tuple[_Entry, ...]]:
+    """The best tree over arcs that stand for parent sets.
+
+    ``arc_entry(i, j)`` is the parent set of ``i`` containing ``j`` that
+    arc ``j -> i`` stands for, weighing its value, or None when the arc
+    is barred; ``root_entry(r)`` is the set the tree root ``r`` keeps.
+    Builds the weight table (no arcs into a given ``root``), makes one
+    :func:`max_weight_arborescence` call and returns the tree, the table
+    and every node's induced entry in node order.  Raises
+    :class:`InfeasibleArborescenceError` when no tree exists.
+    """
+    w = np.zeros((m, m))
+    allowed = np.zeros((m, m), dtype=bool)
+    arcs: dict[tuple[int, int], _Entry] = {}
     for i in range(1, m + 1):
         if i == root:
-            lists.append(root_set)
-        else:
-            parent = tree.parent[i]
-            lists.append(edge_sets[(i, parent)])
-    assignment = ParentAssignment.from_lists(lists)
-    score = 0.0
-    for i in range(1, m + 1):
-        ms = assignment.members_of(i)
-        if ms:
-            score += node_values[(i, ms)]
-    return ConnectedApproximation(
-        assignment, score, root=root, tree=tuple(tree.edges()), weights=weights
+            continue
+        for j in range(1, m + 1):
+            if j != i and (entry := arc_entry(i, j)) is not None:
+                arcs[(i, j)] = entry
+                w[j - 1, i - 1] = entry[1]
+                allowed[j - 1, i - 1] = True
+    weights = EdgeWeights(w, allowed)
+    tree = max_weight_arborescence(weights, root)
+    entries = tuple(
+        root_entry(i) if i == tree.root else arcs[(i, tree.parent[i])]
+        for i in range(1, m + 1)
     )
+    return tree, weights, entries
+
+
+def _connected(
+    m: int,
+    arc_entry: Callable[[int, int], _Entry],
+    root_entry: Callable[[int], _Entry],
+) -> ConnectedApproximation:
+    """The free-root tree over ``arc_entry`` and the structure it induces."""
+    tree, weights, entries = _entry_tree(m, arc_entry, root_entry)
+    return ConnectedApproximation(
+        ParentAssignment.from_lists([members for members, _ in entries]),
+        sum(value for _, value in entries),
+        root=tree.root,
+        tree=tuple(tree.edges()),
+        weights=weights,
+    )
+
+
+def _empty_set(root: int) -> _Entry:
+    return (), 0.0
 
 
 def optimal_connected(
@@ -229,23 +274,10 @@ def optimal_connected(
     if K < 1 or K >= m:
         raise ValidationError(f"degree too large: K={K} with m={m}")
     best = constrained_best_sets(cache, K)
-    w = np.zeros((m, m))
-    allowed = np.zeros((m, m), dtype=bool)
-    edge_sets: dict[tuple[int, int], tuple[int, ...]] = {}
-    node_values: dict[tuple[int, tuple[int, ...]], float] = {}
-    for (i, j), (members, value) in best.items():
-        w[j - 1, i - 1] = value
-        allowed[j - 1, i - 1] = True
-        edge_sets[(i, j)] = members
-        node_values[(i, members)] = value
-    weights = EdgeWeights(w, allowed)
-
-    tree = max_weight_arborescence(weights)
-    root_set: tuple[int, ...] = ()
-    if root_has_parents:
-        root_set, root_value = _best_parent_set(cache, tree.root, K)
-        node_values[(tree.root, root_set)] = root_value
-    return _assemble_connected(tree, weights, edge_sets, m, root_set, node_values)
+    root_entry = (
+        (lambda r: _best_parent_set(cache, r, K)) if root_has_parents else _empty_set
+    )
+    return _connected(m, lambda i, j: best[(i, j)], root_entry)
 
 
 def greedy_connected(
@@ -257,33 +289,16 @@ def greedy_connected(
     from the seed ``{j}`` to size ``L`` and weighed by the evaluator's
     value of the whole set (the chain rule sum of its increments, up to
     rounding); a maximum weight arborescence over those weights picks the
-    tree.  :func:`dinet.topr.top_r_greedy` weighs its edges the same way,
-    so its rank 1 is this structure.
+    tree.  :func:`dinet.topr.top_r_greedy` builds its first tree from the
+    same greedy sets through the same solve, so its rank 1 is this
+    structure.
     """
     m = evaluator.m
     if L < 1 or L >= m:
         raise ValidationError(f"degree too large: L={L} with m={m}")
-    w = np.zeros((m, m))
-    allowed = np.zeros((m, m), dtype=bool)
-    edge_sets: dict[tuple[int, int], tuple[int, ...]] = {}
-    node_values: dict[tuple[int, tuple[int, ...]], float] = {}
-    for i in range(1, m + 1):
-        for j in range(1, m + 1):
-            if j == i:
-                continue
-            picks, _ = _greedy_grow(evaluator, i, L, seed=(j,))
-            members = tuple(sorted(picks))
-            value = evaluator.set_value(i, members)
-            w[j - 1, i - 1] = value
-            allowed[j - 1, i - 1] = True
-            edge_sets[(i, j)] = members
-            node_values[(i, members)] = value
-    weights = EdgeWeights(w, allowed)
-
-    tree = max_weight_arborescence(weights)
-    root_set: tuple[int, ...] = ()
-    if root_has_parents:
-        picks, _ = _greedy_grow(evaluator, tree.root, L)
-        root_set = tuple(sorted(picks))
-        node_values[(tree.root, root_set)] = evaluator.set_value(tree.root, root_set)
-    return _assemble_connected(tree, weights, edge_sets, m, root_set, node_values)
+    root_entry = (
+        (lambda r: _greedy_entry(evaluator, r, L)) if root_has_parents else _empty_set
+    )
+    return _connected(
+        m, lambda i, j: _greedy_entry(evaluator, i, L, (j,)), root_entry
+    )

@@ -10,12 +10,13 @@ inputs always reproduce the same tree.
 Internally an arc's weight is an element of the ordered group
 ``Z x R x Z``, compared lexicographically; contraction subtracts weights
 elementwise, and the algorithm is correct over any totally ordered
-group.  A real arc of weight ``w`` is ``(0, w, 0)``.  A free-root query
-is one solve over the graph plus a dummy node with an arc ``(-1, 0.0,
--r)`` into every real node ``r``: the optimum uses as few dummy arcs as
-possible (exactly one when a spanning tree of real arcs exists), then
-maximizes the real weight, then takes the smallest root.  Removing the
-dummy arc leaves the best tree over all roots.
+group.  A real arc of weight ``w`` is ``(0, w, 0)``.  Nodes are ``1 ..
+m``.  A free-root query is one solve over the graph plus a dummy node 0
+with an arc ``(-1, 0.0, -r)`` into every real node ``r``: the optimum
+uses as few dummy arcs as possible (exactly one when a spanning tree of
+real arcs exists), then maximizes the real weight, then takes the
+smallest root.  Removing the dummy arc leaves the best tree over all
+roots.
 
 Weights live in an :class:`EdgeWeights` table.  Forbidden edges are an
 explicit mask, never a large negative float, so they can never be chosen
@@ -32,7 +33,7 @@ from .errors import InfeasibleArborescenceError, ValidationError
 
 
 class EdgeWeights:
-    """Dense edge weight table over nodes ``first_node .. first_node+m-1``.
+    """Dense edge weight table over nodes ``1 .. m``.
 
     ``weight(j, i)`` is the value of edge ``j -> i``.  Self-loops are always
     forbidden.  The table is immutable after construction.
@@ -42,13 +43,10 @@ class EdgeWeights:
         self,
         weights: np.ndarray,
         allowed: np.ndarray | None = None,
-        first_node: int = 1,
     ) -> None:
         w = np.array(weights, dtype=float)
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise ValidationError(f"weights must be square, got shape {w.shape}")
-        if first_node not in (0, 1):
-            raise ValidationError("first_node must be 0 or 1")
         m = w.shape[0]
         if allowed is None:
             mask = np.ones((m, m), dtype=bool)
@@ -63,7 +61,6 @@ class EdgeWeights:
         mask.flags.writeable = False
         self._w = w
         self._allowed = mask
-        self.first_node = first_node
 
     @property
     def m(self) -> int:
@@ -71,12 +68,12 @@ class EdgeWeights:
 
     @property
     def nodes(self) -> range:
-        return range(self.first_node, self.first_node + self.m)
+        return range(1, self.m + 1)
 
     def _pos(self, node: int) -> int:
         if node not in self.nodes:
             raise ValidationError(f"node {node} out of range {self.nodes}")
-        return node - self.first_node
+        return node - 1
 
     def weight(self, src: int, dst: int) -> float:
         return float(self._w[self._pos(src), self._pos(dst)])
@@ -86,31 +83,11 @@ class EdgeWeights:
 
     def arcs(self) -> list[tuple[int, int, float]]:
         """All allowed arcs as ``(src, dst, weight)``, sorted by (src, dst)."""
-        base = self.first_node
         src, dst = np.nonzero(self._allowed)  # row-major: sorted by (src, dst)
         return [
-            (a + base, b + base, w)
+            (a + 1, b + 1, w)
             for a, b, w in zip(src.tolist(), dst.tolist(), self._w[src, dst].tolist())
         ]
-
-
-def augment_with_dummy_root(weights: EdgeWeights) -> EdgeWeights:
-    """Add node 0 with weight -1 edges to every real node and no in-edges.
-
-    With nonnegative real weights an optimal arborescence rooted at 0 then
-    uses exactly one dummy edge: swapping a second -1 edge for any real
-    edge can only improve the total.
-    """
-    if weights.first_node != 1:
-        raise ValidationError("weights already carry a dummy root")
-    m = weights.m
-    w = np.zeros((m + 1, m + 1))
-    allowed = np.zeros((m + 1, m + 1), dtype=bool)
-    w[1:, 1:] = weights._w
-    allowed[1:, 1:] = weights._allowed
-    w[0, 1:] = -1.0
-    allowed[0, 1:] = True
-    return EdgeWeights(w, allowed, first_node=0)
 
 
 @dataclass(frozen=True)
@@ -249,7 +226,7 @@ def max_weight_arborescence(
     if root is not None:
         chosen = _solve(nodes, arcs, root)
     else:
-        dummy = weights.first_node - 1
+        dummy = 0
         arcs += [_Arc(dummy, r, (-1, 0.0, -r), (dummy, r), None, None) for r in nodes]
         chosen = _solve([dummy, *nodes], arcs, dummy)
         # the dummy graph always has a tree; it is a real one only when

@@ -20,6 +20,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
+from .approximation import _greedy_order
 from .errors import ValidationError
 from .estimation import DIEvaluator
 from .structures import ParentAssignment, _check_process
@@ -172,30 +173,6 @@ class _AlphaTracker:
         return AlphaEstimate(self.alpha, self.target, self.path, self.increments)
 
 
-def _greedy_chain(
-    evaluator: DIEvaluator,
-    target: int,
-    pool: Sequence[int],
-    prefix: Sequence[int],
-) -> tuple[list[int], list[float]]:
-    """Order ``pool`` greedily after ``prefix``; return picks and gains."""
-    chosen = list(prefix)
-    remaining = sorted(set(pool))
-    picks: list[int] = []
-    gains: list[float] = []
-    while remaining:
-        best_j, best_v = None, -math.inf
-        values = evaluator.increments(target, [(j,) for j in remaining], chosen)
-        for j, v in zip(remaining, values):
-            if v > best_v:
-                best_j, best_v = j, v
-        picks.append(best_j)
-        gains.append(best_v)
-        chosen.append(best_j)
-        remaining.remove(best_j)
-    return picks, gains
-
-
 def empirical_alpha(
     evaluator: DIEvaluator, target: int, pool: Sequence[int]
 ) -> AlphaEstimate:
@@ -215,7 +192,7 @@ def empirical_alpha(
         if j == target:
             raise ValidationError(f"pool must not contain the target {target}")
     tracker = _AlphaTracker()
-    picks, gains = _greedy_chain(evaluator, target, members, ())
+    picks, gains = _greedy_order(evaluator, target, members)
     tracker.offer(target, picks, gains)
     return tracker.estimate()
 
@@ -228,7 +205,7 @@ def network_empirical_alpha(evaluator: DIEvaluator) -> AlphaEstimate:
     tracker = _AlphaTracker()
     for target in range(1, m + 1):
         pool = [j for j in range(1, m + 1) if j != target]
-        picks, gains = _greedy_chain(evaluator, target, pool, ())
+        picks, gains = _greedy_order(evaluator, target, pool)
         tracker.offer(target, picks, gains)
     return tracker.estimate()
 
@@ -259,9 +236,9 @@ def bound_witness_alpha(
         opt = set(optimal.members_of(target))
         for l in range(len(order)):
             prefix = order[:l]
-            pool = sorted(opt - set(prefix))
+            pool = opt - set(prefix)
             if len(pool) < 2:
                 continue
-            picks, gains = _greedy_chain(evaluator, target, pool, prefix)
-            tracker.offer(target, list(prefix) + picks, gains)
+            picks, gains = _greedy_order(evaluator, target, pool, prefix)
+            tracker.offer(target, (*prefix, *picks), gains)
     return tracker.estimate()

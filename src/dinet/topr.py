@@ -13,10 +13,11 @@ order, so equal scores compare bit for bit.
 Branching rules differ per variant:
 
 * unconstrained exact (:func:`top_r_general`): replace one node's parent
-  set with its next-best candidate.  Every solution one step below an
-  emitted one is generated, which makes the enumeration exact: the
-  (l+1)-th best always differs from some better solution in exactly one
-  parent set.  Ties go to the smaller :func:`approximation_index`, kept
+  set with its next-best candidate, the one successor step that
+  :func:`top_r_connected` also branches by and :func:`get_new_solutions`
+  exposes on its own.  Every solution one step below an emitted one is
+  generated, which makes the enumeration exact: the (l+1)-th best always
+  differs from some better solution in exactly one parent set.  Ties go to the smaller :func:`approximation_index`, kept
   as a Python int: a one-node step changes it by the difference of two
   set ranks times that node's radix power.
 * tree-constrained exact (:func:`top_r_connected`): the same
@@ -28,11 +29,14 @@ Branching rules differ per variant:
 * greedy (:func:`top_r_greedy`): walk each node's greedy choice sequence
   depth-first, changing the most recently added parent first and backing
   up to earlier picks when alternatives run out; ties go to the smaller
-  approximation index, summed from memoised per-node set ranks.  The
-  tree-constrained combination is a Lawler partition search: a
-  subproblem is a root plus, per node, one forced parent set or a set of
-  banned ones, and its representative is one arborescence solve over the
-  first unbanned set of each edge's greedy list.  Popping a
+  approximation index, summed from memoised per-node set ranks.  Every
+  greedy pick, first or restarted, comes from the greedy kernel of
+  :mod:`dinet.approximation`.  The tree-constrained combination is a
+  Lawler partition search: a subproblem is a root plus, per node, one
+  forced parent set or a set of banned ones, and its representative is
+  one solve of that module's tree helper over the first unbanned set of
+  each edge's greedy list, so the first representative is
+  :func:`dinet.approximation.greedy_connected` by construction.  Popping a
   representative splits the rest of its subproblem into disjoint
   children, so every class member is reachable exactly once.  Emission
   follows pool order, which here is not guaranteed globally sorted.
@@ -40,15 +44,20 @@ Branching rules differ per variant:
 
 from __future__ import annotations
 
+import functools
 import heapq
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import count
 from math import comb
 
-import numpy as np
-
-from .arborescence import EdgeWeights, max_weight_arborescence
+from .approximation import (
+    _Entry,
+    _empty_set,
+    _entry_tree,
+    _greedy_entry,
+    _greedy_order,
+)
 from .errors import InfeasibleArborescenceError, ValidationError
 from .estimation import DIEvaluator
 from .structures import (
@@ -131,6 +140,18 @@ def _score_at(columns: Sequence[list[float]], pos: tuple[int, ...]) -> float:
     return sum(map(list.__getitem__, columns, pos))
 
 
+def _successors(pos: tuple[int, ...], size: int):
+    """Each one-coordinate step below ``pos``, in coordinate order.
+
+    Yields ``(c, pos with coordinate c bumped to its next candidate)`` for
+    every coordinate not yet at its last candidate; every node has
+    ``size`` candidates.
+    """
+    for c, p in enumerate(pos):
+        if p + 1 < size:
+            yield c, pos[:c] + (p + 1,) + pos[c + 1:]
+
+
 def top_r_general(cache: DirectedInfoCache, K: int, r: int) -> TopR:
     """The exact r best unconstrained structures, best first.
 
@@ -145,7 +166,8 @@ def top_r_general(cache: DirectedInfoCache, K: int, r: int) -> TopR:
     lists, _ = _node_candidate_lists(cache, K)
     # the tie key is approximation_index, kept as an int and updated in
     # O(1) when one node's set changes: node i weighs its rank by radix**i
-    weight = [comb(m - 1, K) ** i for i in range(m)]
+    radix = comb(m - 1, K)
+    weight = [radix**i for i in range(m)]
     seed = tuple(0 for _ in range(m))
     seed_index = 1 + sum(w * lists[i][0][2] for i, w in enumerate(weight))
     columns = _value_columns(lists)
@@ -159,14 +181,10 @@ def top_r_general(cache: DirectedInfoCache, K: int, r: int) -> TopR:
             [lists[i][p][0] for i, p in enumerate(pos)]
         )
         emitted.append(ScoredApproximation(assignment, -neg_score))
-        for i in range(m):
-            p = pos[i]
-            if p + 1 < len(lists[i]):
-                nxt = pos[:i] + (p + 1,) + pos[i + 1:]
-                if nxt in seen:
-                    continue
+        for i, nxt in _successors(pos, radix):
+            if nxt not in seen:
                 seen.add(nxt)
-                step = (lists[i][p + 1][2] - lists[i][p][2]) * weight[i]
+                step = (lists[i][nxt[i]][2] - lists[i][pos[i]][2]) * weight[i]
                 heapq.heappush(heap, (-_score_at(columns, nxt), index + step, nxt))
     return TopR(tuple(emitted))
 
@@ -179,62 +197,46 @@ def get_new_solutions(
     For each node in turn the seed's set is replaced by the best strictly
     worse candidate (worse meaning lower value, or equal value with a
     larger set index).  Nodes already at their worst candidate contribute
-    nothing.  Results come back in node order.
+    nothing.  Results come back in node order.  This is the step
+    :func:`top_r_general` branches by.
     """
     m = cache.m
     if seed.m != m:
         raise ValidationError(f"seed has m={seed.m} but cache has m={m}")
     lists, positions = _node_candidate_lists(cache, K)
-    columns = _value_columns(lists)
-    out: list[ScoredApproximation] = []
-    for i in range(m):
-        ms = seed.members_of(i + 1)
+    pos = []
+    for i in range(1, m + 1):
+        ms = seed.members_of(i)
         if len(ms) != K:
             raise ValidationError(
-                f"seed parent set for node {i + 1} has size {len(ms)}, expected {K}"
+                f"seed parent set for node {i} has size {len(ms)}, expected {K}"
             )
-        p = positions[i].get(ms)
-        if p is None:
-            raise ValidationError(f"seed set {ms} unknown for node {i + 1}")
-        if p + 1 >= len(lists[i]):
-            continue
-        members = [seed.members_of(k + 1) for k in range(m)]
-        members[i] = lists[i][p + 1][0]
-        assignment = ParentAssignment.from_lists(members)
-        pos = tuple(
-            positions[k][assignment.members_of(k + 1)] for k in range(m)
+        if ms not in positions[i - 1]:
+            raise ValidationError(f"seed set {ms} unknown for node {i}")
+        pos.append(positions[i - 1][ms])
+    columns = _value_columns(lists)
+    return tuple(
+        ScoredApproximation(
+            ParentAssignment.from_lists(
+                [lists[k][p][0] for k, p in enumerate(nxt)]
+            ),
+            _score_at(columns, nxt),
         )
-        out.append(ScoredApproximation(assignment, _score_at(columns, pos)))
-    return tuple(out)
+        for _, nxt in _successors(tuple(pos), comb(m - 1, K))
+    )
 
 
 # ---------------------------------------------------------------------------
 # greedy choice sequences walked depth-first
 
 
-def _ranked_candidates(
-    evaluator: DIEvaluator, target: int, avail: set[int], prefix: Sequence[int]
-) -> list[int]:
-    candidates = sorted(avail)
-    values = evaluator.increments(target, [(j,) for j in candidates], prefix)
-    scored = sorted((-v, j) for v, j in zip(values, candidates))
-    return [j for _, j in scored]
-
-
 def _initial_state(
     evaluator: DIEvaluator, target: int, length: int, pinned: tuple[int, ...]
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """All-greedy state: pinned picks first, then rank-0 choices."""
-    m = evaluator.m
-    if length > m - 1:
-        raise ValidationError(f"degree too large: L={length} with m={m}")
-    choices = list(pinned)
-    avail = set(range(1, m + 1)) - {target} - set(pinned)
-    while len(choices) < length:
-        ranked = _ranked_candidates(evaluator, target, avail, choices)
-        choices.append(ranked[0])
-        avail.discard(ranked[0])
-    return tuple(choices), tuple([0] * length)
+    pool = set(range(1, evaluator.m + 1)) - {target, *pinned}
+    picks, _ = _greedy_order(evaluator, target, pool, pinned, length - len(pinned))
+    return pinned + picks, (0,) * length
 
 
 def _dfs_successor(
@@ -253,35 +255,28 @@ def _dfs_successor(
     walk visit every parent set exactly once.
     """
     length = len(choices)
-    m = evaluator.m
-    # forward pass: the available pool entering each slot
-    avails: list[set[int]] = []
-    avail = set(range(1, m + 1)) - {target}
-    for k in range(length):
-        avails.append(set(avail))
-        if k < n_pinned:
-            avail.discard(choices[k])
-        else:
-            ranked = _ranked_candidates(evaluator, target, avail, choices[:k])
-            avail -= set(ranked[: ranks[k] + 1])
+    # forward pass: each free slot's candidates, ranked by increment
+    # (ties to the smaller index), and the pool they came from
+    avail = set(range(1, evaluator.m + 1)) - {target, *choices[:n_pinned]}
+    slots: list[tuple[set[int], list[int]]] = []
+    for k in range(n_pinned, length):
+        candidates = sorted(avail)
+        values = evaluator.increments(
+            target, [(j,) for j in candidates], choices[:k]
+        )
+        ranked = [j for _, j in sorted(zip([-v for v in values], candidates))]
+        slots.append((avail, ranked))
+        avail = avail - set(ranked[: ranks[k] + 1])
 
     for k in reversed(range(n_pinned, length)):
-        ranked = _ranked_candidates(evaluator, target, avails[k], choices[:k])
+        avail, ranked = slots[k - n_pinned]
         nr = ranks[k] + 1
-        while nr < len(ranked):
-            if len(avails[k]) - (nr + 1) >= length - k - 1:
-                new_choices = list(choices[:k]) + [ranked[nr]]
-                new_ranks = list(ranks[:k]) + [nr]
-                pool = avails[k] - set(ranked[: nr + 1])
-                for _ in range(k + 1, length):
-                    deeper = _ranked_candidates(
-                        evaluator, target, pool, new_choices
-                    )
-                    new_choices.append(deeper[0])
-                    new_ranks.append(0)
-                    pool.discard(deeper[0])
-                return tuple(new_choices), tuple(new_ranks)
-            nr += 1
+        # the deeper slots need length - k - 1 candidates left over
+        if len(ranked) - nr - 1 >= length - k - 1:
+            prefix = choices[:k] + (ranked[nr],)
+            pool = avail - set(ranked[: nr + 1])
+            picks, _ = _greedy_order(evaluator, target, pool, prefix, length - k - 1)
+            return prefix + picks, ranks[:k] + (nr,) + (0,) * len(picks)
     return None
 
 
@@ -296,11 +291,11 @@ class _GreedyEdgeList:
         self._entries = [self._entry(state)]
         self._exhausted = False
 
-    def _entry(self, state) -> tuple[tuple[int, ...], float]:
+    def _entry(self, state) -> _Entry:
         members = tuple(sorted(state[0]))
         return members, self._evaluator.set_value(self._target, members)
 
-    def get(self, level: int) -> tuple[tuple[int, ...], float] | None:
+    def get(self, level: int) -> _Entry | None:
         while len(self._entries) <= level and not self._exhausted:
             nxt = _dfs_successor(
                 self._evaluator, self._target, *self._states[-1], n_pinned=1
@@ -315,9 +310,6 @@ class _GreedyEdgeList:
 
 # ---------------------------------------------------------------------------
 # tree-constrained partition search over greedy edge lists
-
-
-_Entry = tuple[tuple[int, ...], float]  # (members, value) of one parent set
 
 
 def _top_r_greedy_connected(
@@ -347,51 +339,28 @@ def _top_r_greedy_connected(
         for j in nodes
         if j != i
     }
-    root_sets: dict[int, _Entry] = {}
-
-    def root_entry(root: int) -> _Entry:
-        if not root_has_parents:
-            return (), 0.0
-        if root not in root_sets:
-            choices, _ = _initial_state(evaluator, root, L, ())
-            members = tuple(sorted(choices))
-            root_sets[root] = members, evaluator.set_value(root, members)
-        return root_sets[root]
-
-    def arc_entry(i: int, j: int, forced: _Entry | None, banned) -> _Entry | None:
-        if forced is not None:
-            return forced if j in forced[0] else None
-        edges = edge_lists[(i, j)]
-        level = 0
-        while (entry := edges.get(level)) is not None and entry[0] in banned:
-            level += 1
-        return entry
+    root_entry = (
+        functools.cache(lambda root: _greedy_entry(evaluator, root, L))
+        if root_has_parents
+        else _empty_set
+    )
 
     heap: list[tuple] = []
     tiebreak = count()
 
     def push(root: int | None, forced: tuple, banned: tuple) -> None:
-        w = np.zeros((m, m))
-        allowed = np.zeros((m, m), dtype=bool)
-        arcs: dict[tuple[int, int], _Entry] = {}
-        for i in nodes:
-            if i == root:
-                continue
-            for j in nodes:
-                if j != i:
-                    entry = arc_entry(i, j, forced[i - 1], banned[i - 1])
-                    if entry is not None:
-                        arcs[(i, j)] = entry
-                        w[j - 1, i - 1] = entry[1]
-                        allowed[j - 1, i - 1] = True
+        def arc_entry(i: int, j: int) -> _Entry | None:
+            if forced[i - 1] is not None:
+                return forced[i - 1] if j in forced[i - 1][0] else None
+            edges, ban, level = edge_lists[(i, j)], banned[i - 1], 0
+            while (entry := edges.get(level)) is not None and entry[0] in ban:
+                level += 1
+            return entry
+
         try:
-            tree = max_weight_arborescence(EdgeWeights(w, allowed), root)
+            tree, _, entries = _entry_tree(m, arc_entry, root_entry, root)
         except InfeasibleArborescenceError:
             return  # the subproblem holds no class member
-        entries = tuple(
-            root_entry(i) if i == tree.root else arcs[(i, tree.parent[i])]
-            for i in nodes
-        )
         score = sum(value for _, value in entries)
         key = tuple(members for members, _ in entries)
         heapq.heappush(
@@ -450,6 +419,7 @@ def top_r_connected(
     _check_r(m, K, r, empty_root=not root_has_parents)
 
     lists, _ = _node_candidate_lists(cache, K)
+    radix = comb(m - 1, K)
 
     # pseudo-root 0 means every node keeps K parents and any spanning
     # tree qualifies; otherwise the root node itself takes the empty set
@@ -498,12 +468,10 @@ def top_r_connected(
         key = members_at(rt, pos)
         if _has_spanning_tree(key, None if root_has_parents else rt):
             block.append((key, score))
-        for c, node in enumerate(others[rt]):
-            if pos[c] + 1 < len(lists[node - 1]):
-                nxt = pos[:c] + (pos[c] + 1,) + pos[c + 1:]
-                if nxt not in seen[rt]:
-                    seen[rt].add(nxt)
-                    heapq.heappush(heap, (-_score_at(columns[rt], nxt), rt, nxt))
+        for _, nxt in _successors(pos, radix):
+            if nxt not in seen[rt]:
+                seen[rt].add(nxt)
+                heapq.heappush(heap, (-_score_at(columns[rt], nxt), rt, nxt))
     if block:
         flush()
     return TopR(tuple(emitted))

@@ -261,6 +261,35 @@ def exhaustive_sorted_general(cache, K: int):
 
 
 # ---------------------------------------------------------------------------
+# greedy forward selection, one query per candidate
+
+
+def slow_greedy_order(evaluator, target: int, pool, prefix=(), length=None):
+    """Order up to ``length`` members of ``pool`` greedily after ``prefix``.
+
+    Each step asks ``evaluator.increment`` once per remaining candidate,
+    conditioned on the prefix and the picks so far, scanning candidates
+    in ascending index and keeping the first strictly largest value.
+    Without ``length`` the whole pool is ordered.  Returns (picks,
+    increments), the picks without the prefix.
+    """
+    chosen = list(prefix)
+    remaining = sorted(set(pool))
+    picks, gains = [], []
+    while remaining and (length is None or len(picks) < length):
+        best_j, best_v = None, None
+        for j in remaining:
+            v = evaluator.increment(target, (j,), tuple(chosen))
+            if best_v is None or v > best_v:
+                best_j, best_v = j, v
+        picks.append(best_j)
+        gains.append(best_v)
+        chosen.append(best_j)
+        remaining.remove(best_j)
+    return tuple(picks), gains
+
+
+# ---------------------------------------------------------------------------
 # numeric oracles
 
 

@@ -313,15 +313,23 @@ def test_acceptance_11_more_parents_capture_more():
         assert means[1] < means[2] < means[4], means
 
 
-def run_cli(argv, cwd):
-    # The child must import the same ``dinet`` as this process from any cwd,
-    # so a relative PYTHONPATH (e.g. ``src``) is led by the package's
-    # absolute parent directory.
+def child_env():
+    """This process's environment for a child that imports ``dinet``.
+
+    The child must import the same ``dinet`` as this process from any cwd,
+    so a relative PYTHONPATH (e.g. ``src``) is led by the package's
+    absolute parent directory.
+    """
     env = dict(os.environ)
     package_root = str(Path(dinet.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (package_root, env.get("PYTHONPATH")) if p
     )
+    return env
+
+
+def run_cli(argv, cwd):
+    env = child_env()
     proc = subprocess.run(
         [sys.executable, "-m", "dinet.cli", *argv],
         capture_output=True,

@@ -4,7 +4,6 @@ import pytest
 from dinet.arborescence import (
     Arborescence,
     EdgeWeights,
-    augment_with_dummy_root,
     max_weight_arborescence,
 )
 from dinet.errors import InfeasibleArborescenceError, ValidationError
@@ -36,8 +35,6 @@ def check_tree(result: Arborescence, weights: EdgeWeights, root: int | None):
 def test_edge_weights_validation():
     with pytest.raises(ValidationError):
         EdgeWeights(np.zeros((2, 3)))
-    with pytest.raises(ValidationError):
-        EdgeWeights(np.zeros((2, 2)), first_node=2)
     with pytest.raises(ValidationError):
         EdgeWeights(np.zeros((2, 2)), allowed=np.ones((3, 3), dtype=bool))
     bad = np.zeros((2, 2))
@@ -163,37 +160,3 @@ def test_infeasible_fixed_root_raises():
         max_weight_arborescence(ew, 2)
     with pytest.raises(ValidationError):
         max_weight_arborescence(ew, 4)
-
-
-def test_dummy_root_augmentation_shape():
-    rng = np.random.default_rng(113)
-    base = EdgeWeights(rng.uniform(0, 1, size=(3, 3)))
-    aug = augment_with_dummy_root(base)
-    assert aug.first_node == 0
-    assert list(aug.nodes) == [0, 1, 2, 3]
-    for j in (1, 2, 3):
-        assert aug.weight(0, j) == -1.0
-        assert aug.is_allowed(0, j)
-        assert not aug.is_allowed(j, 0)
-    assert aug.weight(1, 2) == base.weight(1, 2)
-    with pytest.raises(ValidationError):
-        augment_with_dummy_root(aug)
-
-
-def test_dummy_root_uses_exactly_one_dummy_edge_on_nonnegative_weights():
-    rng = np.random.default_rng(127)
-    for _ in range(100):
-        m = int(rng.integers(2, 6))
-        base = EdgeWeights(rng.uniform(0, 1, size=(m, m)))
-        aug = augment_with_dummy_root(base)
-        got = max_weight_arborescence(aug, 0)
-        dummy_children = [c for c, p in got.parent.items() if p == 0]
-        assert len(dummy_children) == 1
-        # dropping the dummy edge leaves the best free-root real tree
-        free = max_weight_arborescence(base)
-        assert got.total_weight + 1.0 == pytest.approx(
-            free.total_weight, abs=1e-9
-        )
-        assert free.root == dummy_children[0] or free.total_weight == pytest.approx(
-            max_weight_arborescence(base, dummy_children[0]).total_weight, abs=1e-9
-        )
