@@ -110,8 +110,8 @@ def cmd_cache_build(args) -> int:
     return 0
 
 
-def _selection_inputs(args):
-    """The cache and/or evaluator a structure search needs."""
+def _search_inputs(args):
+    """What the chosen search runs on: (cache, K), or (evaluator, L) for greedy."""
     cache = evaluator = None
     if args.cache is not None:
         with open(args.cache) as fh:
@@ -121,19 +121,15 @@ def _selection_inputs(args):
         evaluator = DIEvaluator.from_panel(panel, _estimator_config(args))
     if cache is None and evaluator is None:
         raise ValidationError("provide --panel or --cache")
-    return cache, evaluator
-
-
-def _search_structure(args, cache, evaluator):
     if args.search == "optimal":
         if cache is None:
-            cache = build_cache(evaluator, evaluator.m, _require_K(args))
+            if args.K is None:
+                raise ValidationError("optimal search requires --K")
+            cache = build_cache(evaluator, evaluator.m, args.K)
         K = args.K if args.K is not None else cache.K
         if K != cache.K:
             raise ValidationError(f"cache holds K={cache.K}, asked for K={K}")
-        if args.graph_class == "general":
-            return optimal_general(cache, K)
-        return optimal_connected(cache, K, root_has_parents=args.root_has_parents)
+        return cache, K
     # greedy search scores growing prefixes, which a fixed-K cache cannot
     # answer; it needs panel data
     if evaluator is None:
@@ -141,15 +137,18 @@ def _search_structure(args, cache, evaluator):
     L = args.L if args.L is not None else args.K
     if L is None:
         raise ValidationError("greedy search requires --L (or --K)")
+    return evaluator, L
+
+
+def _search_structure(args):
+    source, degree = _search_inputs(args)
+    if args.search == "optimal":
+        if args.graph_class == "general":
+            return optimal_general(source, degree)
+        return optimal_connected(source, degree, root_has_parents=args.root_has_parents)
     if args.graph_class == "general":
-        return greedy_general(evaluator, L)
-    return greedy_connected(evaluator, L, root_has_parents=args.root_has_parents)
-
-
-def _require_K(args) -> int:
-    if args.K is None:
-        raise ValidationError("optimal search requires --K")
-    return args.K
+        return greedy_general(source, degree)
+    return greedy_connected(source, degree, root_has_parents=args.root_has_parents)
 
 
 def _structure_json(result, args) -> dict:
@@ -162,8 +161,7 @@ def _structure_json(result, args) -> dict:
 
 
 def cmd_approximate(args) -> int:
-    cache, evaluator = _selection_inputs(args)
-    result = _search_structure(args, cache, evaluator)
+    result = _search_structure(args)
     text = json.dumps(_structure_json(result, args), indent=2, sort_keys=True)
     if args.out is not None:
         _write_text(args.out, text)
@@ -177,34 +175,20 @@ def cmd_approximate(args) -> int:
 
 
 def cmd_topr(args) -> int:
-    cache, evaluator = _selection_inputs(args)
-    if args.search == "optimal":
-        if cache is None:
-            cache = build_cache(evaluator, evaluator.m, _require_K(args))
-        K = args.K if args.K is not None else cache.K
-        if K != cache.K:
-            raise ValidationError(f"cache holds K={cache.K}, asked for K={K}")
-        if args.graph_class == "general":
-            ranked = top_r_general(cache, K, args.r)
-        else:
-            ranked = top_r_connected(
-                cache,
-                K,
-                args.r,
-                root_has_parents=args.root_has_parents,
-            )
-    else:
-        if evaluator is None:
-            raise ValidationError("greedy search requires --panel")
-        L = args.L if args.L is not None else args.K
-        if L is None:
-            raise ValidationError("greedy search requires --L (or --K)")
+    source, degree = _search_inputs(args)
+    if args.search == "greedy":
         ranked = top_r_greedy(
-            evaluator,
-            L,
+            source,
+            degree,
             args.r,
             connected=args.graph_class == "connected",
             root_has_parents=args.root_has_parents,
+        )
+    elif args.graph_class == "general":
+        ranked = top_r_general(source, degree, args.r)
+    else:
+        ranked = top_r_connected(
+            source, degree, args.r, root_has_parents=args.root_has_parents
         )
     payload = [
         {

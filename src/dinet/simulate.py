@@ -66,7 +66,7 @@ class ExperimentConfig:
             raise ValidationError(f"m must be >= 2, got {self.m}")
         if not 1 <= self.K < self.m:
             raise ValidationError(f"degree too large: K={self.K} with m={self.m}")
-        L = self.K if self.L is None else self.L
+        L = self.greedy_length
         if not 1 <= L < self.m:
             raise ValidationError(f"degree too large: L={L} with m={self.m}")
         if self.n < 2:

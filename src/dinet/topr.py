@@ -1,41 +1,39 @@
 """Ranked enumeration of the r best structures.
 
-All variants share one pooling scheme: a seed solution enters a priority
-queue; whenever a solution is emitted, a branching rule generates nearby
-candidates that re-enter the queue, with a seen-set suppressing duplicate
-assignments across the queue and the emitted list.  The queue orders by
-score descending with deterministic tie keys, so runs are reproducible.
-Queue entries hold lattice positions or member tuples, never
+Every ranking is built from one step: a node swaps its parent set for
+the next one in its own candidate order.  Each node's candidates sit in
+one list type, best first, with two sources: the exact source sorts all
+of a node's size-K sets by value (ties to the smaller set rank, its
+:func:`parent_set_index`), and the greedy source walks the node's greedy
+choice sequences depth-first, built lazily as the rankings reach them.
+
+A lattice is one candidate list per node; a point picks a position in
+each.  One walk pops the points of one or more lattices in order of
+(score descending, approximation index, lattice, position) and pushes
+the one-step successors of every popped point, so each point is reached
+once and never before a better one.  Heap entries hold positions, never
 :class:`ParentAssignment` objects, which are built only for emitted
 solutions.  A score is always the full sum of node values in node
 order, so equal scores compare bit for bit.
 
-Branching rules differ per variant:
-
-* unconstrained exact (:func:`top_r_general`): replace one node's parent
-  set with its next-best candidate, the one successor step that
-  :func:`top_r_connected` also branches by and :func:`get_new_solutions`
-  exposes on its own.  Every solution one step below an emitted one is
-  generated, which makes the enumeration exact: the (l+1)-th best always
-  differs from some better solution in exactly one parent set.  Ties go to the smaller :func:`approximation_index`, kept
-  as a Python int: a one-node step changes it by the difference of two
-  set ranks times that node's radix power.
-* tree-constrained exact (:func:`top_r_connected`): the same
-  one-coordinate branching, run per candidate root over per-node
-  candidate lists, with assignments filtered to those containing a
-  spanning tree (checked on the raw member tuples).  A score plateau is
-  fully drained before anything below it is emitted, so the ranking
-  stays exact under the tree constraint.
-* greedy (:func:`top_r_greedy`): walk each node's greedy choice sequence
-  depth-first, changing the most recently added parent first and backing
-  up to earlier picks when alternatives run out; ties go to the smaller
-  approximation index, summed from memoised per-node set ranks.  Every
-  greedy pick, first or restarted, comes from the greedy kernel of
-  :mod:`dinet.approximation`.  The tree-constrained combination is a
-  Lawler partition search: a subproblem is a root plus, per node, one
-  forced parent set or a set of banned ones, and its representative is
-  one solve of that module's tree helper over the first unbanned set of
-  each edge's greedy list, so the first representative is
+* unconstrained (:func:`top_r_general`, and :func:`top_r_greedy` without
+  ``connected``): the first r points of one lattice.  Over the exact
+  lists this is the exact ranking, since the (l+1)-th best always
+  differs from some better solution in exactly one parent set
+  (:func:`get_new_solutions` exposes that one step); ties go to the
+  smaller :func:`approximation_index`, kept as a Python int.
+* tree-constrained exact (:func:`top_r_connected`): one lattice per
+  candidate root, whose own list holds only the empty set, or a single
+  lattice with ``root_has_parents``; points are filtered to those
+  containing a spanning tree.  A score plateau is fully drained before
+  anything below it is emitted, and equal scores order by the canonical
+  assignment key, so the ranking stays exact under the tree constraint.
+* greedy tree-constrained (:func:`top_r_greedy` with ``connected``): a
+  Lawler partition search over greedy lists pinned to each tree edge.
+  A subproblem is a root plus, per node, one forced parent set or a set
+  of banned ones; its representative is one solve of
+  :mod:`dinet.approximation`'s tree helper over the first unbanned set of
+  each edge's list, so the first representative is
   :func:`dinet.approximation.greedy_connected` by construction.  Popping a
   representative splits the rest of its subproblem into disjoint
   children, so every class member is reachable exactly once.  Emission
@@ -100,134 +98,91 @@ def _check_r(m: int, K: int, r: int, empty_root: bool = False) -> None:
 
 
 # ---------------------------------------------------------------------------
-# unconstrained exact enumeration
+# per-node candidate lists
 
 
-_Candidate = tuple[tuple[int, ...], float, int]  # (members, value, set rank)
+class _Candidates:
+    """One node's parent-set candidates, best first.
 
-
-def _node_candidate_lists(
-    cache: DirectedInfoCache, K: int
-) -> tuple[list[list[_Candidate]], list[dict[tuple[int, ...], int]]]:
-    """Per node: all size-K sets sorted best-first, plus position maps.
-
-    Each candidate carries its set rank, its position in the
-    :func:`all_parent_sets` walk, which is :func:`parent_set_index` order.
-    Sorting is by value descending with the smaller set index first among
-    equal values, the same total order used everywhere else.
+    ``members``, ``values`` and ``ranks`` are parallel: position ``p``
+    holds a set, its value and its :func:`parent_set_index`.  A greedy
+    list grows as :meth:`has` asks for positions past its end.
     """
-    m = cache.m
-    lists = []
-    positions = []
-    for i in range(1, m + 1):
-        cands = [
-            (ms, cache.get(i, ms), rank)
-            for rank, ms in enumerate(all_parent_sets(m, i, K))
-        ]
-        cands.sort(key=lambda c: (-c[1], c[2]))
-        lists.append(cands)
-        positions.append({ms: p for p, (ms, _, _) in enumerate(cands)})
-    return lists, positions
 
+    def __init__(
+        self,
+        target: int,
+        members: list[tuple[int, ...]],
+        values: list[float],
+        ranks: list[int] | None,
+    ) -> None:
+        self.target = target
+        self.members = members
+        self.values = values
+        self.ranks = ranks
+        self._evaluator: DIEvaluator | None = None
+        # the depth-first state of the last entry, None once complete
+        self._state: tuple[tuple[int, ...], tuple[int, ...]] | None = None
+        self._n_pinned = 0
 
-def _value_columns(lists: list[list[_Candidate]]) -> list[list[float]]:
-    """Per node, the candidate values alone, in candidate order."""
-    return [[v for _, v, _ in cands] for cands in lists]
+    @classmethod
+    def exact(cls, cache: DirectedInfoCache, target: int, K: int) -> "_Candidates":
+        """All size-``K`` sets of ``target``, by value, ties to the smaller rank.
 
-
-def _score_at(columns: Sequence[list[float]], pos: tuple[int, ...]) -> float:
-    """The summed values at ``pos``, one value column per node, in node order."""
-    return sum(map(list.__getitem__, columns, pos))
-
-
-def _successors(pos: tuple[int, ...], size: int):
-    """Each one-coordinate step below ``pos``, in coordinate order.
-
-    Yields ``(c, pos with coordinate c bumped to its next candidate)`` for
-    every coordinate not yet at its last candidate; every node has
-    ``size`` candidates.
-    """
-    for c, p in enumerate(pos):
-        if p + 1 < size:
-            yield c, pos[:c] + (p + 1,) + pos[c + 1:]
-
-
-def top_r_general(cache: DirectedInfoCache, K: int, r: int) -> TopR:
-    """The exact r best unconstrained structures, best first.
-
-    Output order is score descending, ties by ascending assignment index;
-    it matches a full enumeration sort exactly.
-    """
-    m = cache.m
-    if K < 0 or K >= m:
-        raise ValidationError(f"degree too large: K={K} with m={m}")
-    _check_r(m, K, r)
-
-    lists, _ = _node_candidate_lists(cache, K)
-    # the tie key is approximation_index, kept as an int and updated in
-    # O(1) when one node's set changes: node i weighs its rank by radix**i
-    radix = comb(m - 1, K)
-    weight = [radix**i for i in range(m)]
-    seed = tuple(0 for _ in range(m))
-    seed_index = 1 + sum(w * lists[i][0][2] for i, w in enumerate(weight))
-    columns = _value_columns(lists)
-
-    heap = [(-_score_at(columns, seed), seed_index, seed)]
-    seen = {seed}
-    emitted: list[ScoredApproximation] = []
-    while heap and len(emitted) < r:
-        neg_score, index, pos = heapq.heappop(heap)
-        assignment = ParentAssignment.from_lists(
-            [lists[i][p][0] for i, p in enumerate(pos)]
+        The empty set is worth 0.0 without a cache lookup.
+        """
+        rows = sorted(
+            ((cache.get(target, ms) if ms else 0.0, rank, ms)
+             for rank, ms in enumerate(all_parent_sets(cache.m, target, K))),
+            key=lambda row: (-row[0], row[1]),
         )
-        emitted.append(ScoredApproximation(assignment, -neg_score))
-        for i, nxt in _successors(pos, radix):
-            if nxt not in seen:
-                seen.add(nxt)
-                step = (lists[i][nxt[i]][2] - lists[i][pos[i]][2]) * weight[i]
-                heapq.heappush(heap, (-_score_at(columns, nxt), index + step, nxt))
-    return TopR(tuple(emitted))
+        return cls(
+            target,
+            [ms for _, _, ms in rows],
+            [v for v, _, _ in rows],
+            [rank for _, rank, _ in rows],
+        )
 
+    @classmethod
+    def greedy(
+        cls,
+        evaluator: DIEvaluator,
+        target: int,
+        length: int,
+        pinned: tuple[int, ...] = (),
+    ) -> "_Candidates":
+        """``target``'s greedy choice sequences after ``pinned``, depth-first.
 
-def get_new_solutions(
-    cache: DirectedInfoCache, K: int, seed: ParentAssignment
-) -> tuple[ScoredApproximation, ...]:
-    """One branch step: per node, swap in the next-best parent set.
+        The first entry is the greedy set; each later one is the next
+        state of :func:`_dfs_successor`, which visits every size-``length``
+        set containing ``pinned`` exactly once.  A pinned list serves the
+        partition search, which never reads ranks, so it has none.
+        """
+        lst = cls(target, [], [], None if pinned else [])
+        lst._evaluator = evaluator
+        lst._n_pinned = len(pinned)
+        lst._add(_initial_state(evaluator, target, length, pinned))
+        return lst
 
-    For each node in turn the seed's set is replaced by the best strictly
-    worse candidate (worse meaning lower value, or equal value with a
-    larger set index).  Nodes already at their worst candidate contribute
-    nothing.  Results come back in node order.  This is the step
-    :func:`top_r_general` branches by.
-    """
-    m = cache.m
-    if seed.m != m:
-        raise ValidationError(f"seed has m={seed.m} but cache has m={m}")
-    lists, positions = _node_candidate_lists(cache, K)
-    pos = []
-    for i in range(1, m + 1):
-        ms = seed.members_of(i)
-        if len(ms) != K:
-            raise ValidationError(
-                f"seed parent set for node {i} has size {len(ms)}, expected {K}"
+    def _add(self, state: tuple[tuple[int, ...], tuple[int, ...]]) -> None:
+        self._state = state
+        members = tuple(sorted(state[0]))
+        self.members.append(members)
+        self.values.append(self._evaluator.set_value(self.target, members))
+        if self.ranks is not None:
+            self.ranks.append(parent_set_index(self._evaluator.m, self.target, members))
+
+    def has(self, p: int) -> bool:
+        """Whether position ``p`` exists, growing a greedy list up to it."""
+        while p >= len(self.members) and self._state is not None:
+            state = _dfs_successor(
+                self._evaluator, self.target, *self._state, self._n_pinned
             )
-        if ms not in positions[i - 1]:
-            raise ValidationError(f"seed set {ms} unknown for node {i}")
-        pos.append(positions[i - 1][ms])
-    columns = _value_columns(lists)
-    return tuple(
-        ScoredApproximation(
-            ParentAssignment.from_lists(
-                [lists[k][p][0] for k, p in enumerate(nxt)]
-            ),
-            _score_at(columns, nxt),
-        )
-        for _, nxt in _successors(tuple(pos), comb(m - 1, K))
-    )
-
-
-# ---------------------------------------------------------------------------
-# greedy choice sequences walked depth-first
+            if state is None:
+                self._state = None
+            else:
+                self._add(state)
+        return p < len(self.members)
 
 
 def _initial_state(
@@ -280,36 +235,194 @@ def _dfs_successor(
     return None
 
 
-class _GreedyEdgeList:
-    """Lazily materialized alternatives for one pinned-first-parent edge."""
+# ---------------------------------------------------------------------------
+# the lattice walk
 
-    def __init__(self, evaluator: DIEvaluator, target: int, pin: int, length: int):
-        self._evaluator = evaluator
-        self._target = target
-        state = _initial_state(evaluator, target, length, (pin,))
-        self._states = [state]
-        self._entries = [self._entry(state)]
-        self._exhausted = False
 
-    def _entry(self, state) -> _Entry:
-        members = tuple(sorted(state[0]))
-        return members, self._evaluator.set_value(self._target, members)
+_Lattice = Sequence[_Candidates]  # one candidate list per node, in node order
+_Point = tuple[int, ...]  # one position per node
 
-    def get(self, level: int) -> _Entry | None:
-        while len(self._entries) <= level and not self._exhausted:
-            nxt = _dfs_successor(
-                self._evaluator, self._target, *self._states[-1], n_pinned=1
-            )
-            if nxt is None:
-                self._exhausted = True
-                break
-            self._states.append(nxt)
-            self._entries.append(self._entry(nxt))
-        return self._entries[level] if level < len(self._entries) else None
+
+def _score_at(columns: Sequence[list[float]], pos: _Point) -> float:
+    """The summed values at ``pos``, one value column per node, in node order."""
+    return sum(map(list.__getitem__, columns, pos))
+
+
+def _successors(lattice: _Lattice, pos: _Point):
+    """Each one-coordinate step below ``pos``, in coordinate order.
+
+    Yields ``(c, pos with coordinate c bumped to its next candidate)`` for
+    every coordinate whose list has a next candidate.
+    """
+    for c, p in enumerate(pos):
+        if lattice[c].has(p + 1):
+            yield c, pos[:c] + (p + 1,) + pos[c + 1:]
+
+
+def _walk(lattices: Sequence[_Lattice], radix: int | None = None):
+    """Every point of ``lattices``, yielded as (score, lattice, position).
+
+    Points come by score descending; with ``radix`` (every list's full
+    length) equal scores go to the smaller approximation index, updated
+    in O(1) per step as node ``i`` weighs its set rank by ``radix**i``.
+    Without it the index stays 0 and ties go by lattice and position.
+    """
+    weight = [radix**i for i in range(len(lattices[0]))] if radix else None
+    columns = [[lst.values for lst in lattice] for lattice in lattices]
+    ranks = [[lst.ranks for lst in lattice] for lattice in lattices]
+    seen = []
+    heap = []
+    for n, lattice in enumerate(lattices):
+        pos = (0,) * len(lattice)
+        seen.append({pos})
+        index = 1 + sum(col[0] * w for col, w in zip(ranks[n], weight)) if weight else 0
+        heap.append((-_score_at(columns[n], pos), index, n, pos))
+    heapq.heapify(heap)
+    while heap:
+        neg_score, index, n, pos = heapq.heappop(heap)
+        yield -neg_score, n, pos
+        for c, nxt in _successors(lattices[n], pos):
+            if nxt not in seen[n]:
+                seen[n].add(nxt)
+                if weight:
+                    col = ranks[n][c]
+                    step = (col[nxt[c]] - col[pos[c]]) * weight[c]
+                else:
+                    step = 0
+                heapq.heappush(
+                    heap, (-_score_at(columns[n], nxt), index + step, n, nxt)
+                )
+
+
+def _key(lattice: _Lattice, pos: _Point) -> tuple[tuple[int, ...], ...]:
+    """The canonical assignment key at ``pos``: one member tuple per node."""
+    return tuple(lst.members[p] for lst, p in zip(lattice, pos))
+
+
+def _top_points(lattice: _Lattice, radix: int, r: int) -> TopR:
+    """The first ``r`` points of the walk over one lattice."""
+    emitted: list[ScoredApproximation] = []
+    for score, _, pos in _walk([lattice], radix):
+        emitted.append(
+            ScoredApproximation(ParentAssignment.from_lists(_key(lattice, pos)), score)
+        )
+        if len(emitted) == r:
+            break
+    return TopR(tuple(emitted))
 
 
 # ---------------------------------------------------------------------------
-# tree-constrained partition search over greedy edge lists
+# exact rankings
+
+
+def _exact_lists(cache: DirectedInfoCache, K: int) -> list[_Candidates]:
+    return [_Candidates.exact(cache, i, K) for i in range(1, cache.m + 1)]
+
+
+def top_r_general(cache: DirectedInfoCache, K: int, r: int) -> TopR:
+    """The exact r best unconstrained structures, best first.
+
+    Output order is score descending, ties by ascending assignment index;
+    it matches a full enumeration sort exactly.
+    """
+    m = cache.m
+    if K < 0 or K >= m:
+        raise ValidationError(f"degree too large: K={K} with m={m}")
+    _check_r(m, K, r)
+    return _top_points(_exact_lists(cache, K), comb(m - 1, K), r)
+
+
+def get_new_solutions(
+    cache: DirectedInfoCache, K: int, seed: ParentAssignment
+) -> tuple[ScoredApproximation, ...]:
+    """One branch step: per node, swap in the next-best parent set.
+
+    For each node in turn the seed's set is replaced by the best strictly
+    worse candidate (worse meaning lower value, or equal value with a
+    larger set index).  Nodes already at their worst candidate contribute
+    nothing.  Results come back in node order.  This is the step
+    :func:`top_r_general` branches by.
+    """
+    m = cache.m
+    if seed.m != m:
+        raise ValidationError(f"seed has m={seed.m} but cache has m={m}")
+    lists = _exact_lists(cache, K)
+    pos = []
+    for i, lst in enumerate(lists, 1):
+        ms = seed.members_of(i)
+        if len(ms) != K:
+            raise ValidationError(
+                f"seed parent set for node {i} has size {len(ms)}, expected {K}"
+            )
+        if ms not in lst.members:
+            raise ValidationError(f"seed set {ms} unknown for node {i}")
+        pos.append(lst.members.index(ms))
+    columns = [lst.values for lst in lists]
+    return tuple(
+        ScoredApproximation(
+            ParentAssignment.from_lists(_key(lists, nxt)), _score_at(columns, nxt)
+        )
+        for _, nxt in _successors(lists, tuple(pos))
+    )
+
+
+def top_r_connected(
+    cache: DirectedInfoCache,
+    K: int,
+    r: int,
+    root_has_parents: bool = False,
+) -> TopR:
+    """The r best tree-constrained structures, best first.
+
+    The walk runs over one lattice per candidate root, the root's own
+    list holding only the empty set (with ``root_has_parents``, over one
+    lattice where every node keeps K parents), and keeps the points that
+    contain a spanning tree.  Walking every point at or above a score
+    before moving below it makes the ranking exact; equal scores order by
+    the canonical assignment key.  The output may be shorter than ``r``
+    when the class is exhausted.  Worst case (members sparse among high
+    scores) the walk degrades to full enumeration of the lattices.
+    """
+    m = cache.m
+    if K < 1 or K >= m:
+        raise ValidationError(f"degree too large: K={K} with m={m}")
+    _check_r(m, K, r, empty_root=not root_has_parents)
+
+    lists = _exact_lists(cache, K)
+    if root_has_parents:
+        lattices, roots = [lists], [None]
+    else:
+        roots = list(range(1, m + 1))
+        lattices = [
+            [*lists[: rt - 1], _Candidates.exact(cache, rt, 0), *lists[rt:]]
+            for rt in roots
+        ]
+
+    emitted: list[tuple[tuple[tuple[int, ...], ...], float]] = []
+    block: list[tuple[tuple[tuple[int, ...], ...], float]] = []
+    block_score: float | None = None
+    for score, n, pos in _walk(lattices):
+        # children never beat their parent, so once the popped score drops
+        # the finished plateau holds every solution at that score
+        if score != block_score:
+            emitted += sorted(block)
+            block = []
+            if len(emitted) >= r:
+                break
+            block_score = score
+        key = _key(lattices[n], pos)
+        if _has_spanning_tree(key, roots[n]):
+            block.append((key, score))
+    else:
+        emitted += sorted(block)
+    return TopR(tuple(
+        ScoredApproximation(ParentAssignment.from_lists(key), score)
+        for key, score in emitted[:r]
+    ))
+
+
+# ---------------------------------------------------------------------------
+# greedy rankings
 
 
 def _top_r_greedy_connected(
@@ -319,22 +432,22 @@ def _top_r_greedy_connected(
 
     A subproblem is a root plus, per node, either one forced set or a set
     of banned sets.  Its representative is one arborescence solve: arc
-    ``j -> i`` weighs the first set of edge list ``(i, j)`` not banned for
-    ``i``, and a node forced to ``S`` only takes arcs from ``S``, each
-    weighing ``S``.  Popping a representative pushes one child per free
-    non-root node ``i_t`` in node order: the earlier free nodes are forced
-    to their current sets and ``i_t``'s current set is banned.  The
-    children and the representative partition the subproblem, so nothing
-    is reached twice within a root.  The first subproblem leaves the root
-    free; once it is popped, every other root starts a subproblem of its
-    own.  The root keeps its empty (or greedy) set and is never branched,
-    so with ``root_has_parents`` one structure can represent several
-    roots and only its first pop is emitted.
+    ``j -> i`` weighs the first set of the greedy list ``(i, j)``, pinned
+    to ``j``, not banned for ``i``, and a node forced to ``S`` only takes
+    arcs from ``S``, each weighing ``S``.  Popping a representative pushes
+    one child per free non-root node ``i_t`` in node order: the earlier
+    free nodes are forced to their current sets and ``i_t``'s current set
+    is banned.  The children and the representative partition the
+    subproblem, so nothing is reached twice within a root.  The first
+    subproblem leaves the root free; once it is popped, every other root
+    starts a subproblem of its own.  The root keeps its empty (or greedy)
+    set and is never branched, so with ``root_has_parents`` one structure
+    can represent several roots and only its first pop is emitted.
     """
     m = evaluator.m
     nodes = range(1, m + 1)
     edge_lists = {
-        (i, j): _GreedyEdgeList(evaluator, i, j, L)
+        (i, j): _Candidates.greedy(evaluator, i, L, (j,))
         for i in nodes
         for j in nodes
         if j != i
@@ -352,10 +465,12 @@ def _top_r_greedy_connected(
         def arc_entry(i: int, j: int) -> _Entry | None:
             if forced[i - 1] is not None:
                 return forced[i - 1] if j in forced[i - 1][0] else None
-            edges, ban, level = edge_lists[(i, j)], banned[i - 1], 0
-            while (entry := edges.get(level)) is not None and entry[0] in ban:
+            edges, level = edge_lists[(i, j)], 0
+            while edges.has(level):
+                if edges.members[level] not in banned[i - 1]:
+                    return edges.members[level], edges.values[level]
                 level += 1
-            return entry
+            return None
 
         try:
             tree, _, entries = _entry_tree(m, arc_entry, root_entry, root)
@@ -396,91 +511,6 @@ def _top_r_greedy_connected(
     return TopR(tuple(emitted))
 
 
-def top_r_connected(
-    cache: DirectedInfoCache,
-    K: int,
-    r: int,
-    root_has_parents: bool = False,
-) -> TopR:
-    """The r best tree-constrained structures, best first.
-
-    For each candidate root the product lattice of per-node candidate
-    sets is walked in score order with the same one-coordinate branching
-    the unconstrained enumeration uses, keeping assignments that contain
-    a spanning tree.  Walking every lattice point at or above a score
-    before moving below it makes the ranking exact; equal scores order by
-    the canonical assignment key.  The output may be shorter than ``r``
-    when the class is exhausted.  Worst case (members sparse among high
-    scores) the walk degrades to full enumeration of the lattice.
-    """
-    m = cache.m
-    if K < 1 or K >= m:
-        raise ValidationError(f"degree too large: K={K} with m={m}")
-    _check_r(m, K, r, empty_root=not root_has_parents)
-
-    lists, _ = _node_candidate_lists(cache, K)
-    radix = comb(m - 1, K)
-
-    # pseudo-root 0 means every node keeps K parents and any spanning
-    # tree qualifies; otherwise the root node itself takes the empty set
-    roots = [0] if root_has_parents else list(range(1, m + 1))
-    others = {rt: [i for i in range(1, m + 1) if i != rt] for rt in roots}
-
-    values = _value_columns(lists)
-    columns = {rt: [values[i - 1] for i in others[rt]] for rt in roots}
-
-    def members_at(rt: int, pos: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-        """The assignment's canonical key: one member tuple per node."""
-        key = [lists[i - 1][p][0] for i, p in zip(others[rt], pos)]
-        if rt:
-            key.insert(rt - 1, ())
-        return tuple(key)
-
-    heap: list[tuple[float, int, tuple[int, ...]]] = []
-    seen: dict[int, set[tuple[int, ...]]] = {rt: set() for rt in roots}
-    for rt in roots:
-        pos0 = tuple(0 for _ in others[rt])
-        seen[rt].add(pos0)
-        heapq.heappush(heap, (-_score_at(columns[rt], pos0), rt, pos0))
-
-    emitted: list[ScoredApproximation] = []
-    block: list[tuple[tuple[tuple[int, ...], ...], float]] = []
-    block_score: float | None = None
-
-    def flush() -> None:
-        block.sort()
-        for key, score in block[: r - len(emitted)]:
-            emitted.append(
-                ScoredApproximation(ParentAssignment.from_lists(key), score)
-            )
-        block.clear()
-
-    while heap:
-        neg, rt, pos = heapq.heappop(heap)
-        score = -neg
-        # children never beat their parent, so once the popped score drops
-        # the finished plateau holds every solution at that score
-        if block and score != block_score:
-            flush()
-            if len(emitted) >= r:
-                break
-        block_score = score
-        key = members_at(rt, pos)
-        if _has_spanning_tree(key, None if root_has_parents else rt):
-            block.append((key, score))
-        for _, nxt in _successors(pos, radix):
-            if nxt not in seen[rt]:
-                seen[rt].add(nxt)
-                heapq.heappush(heap, (-_score_at(columns[rt], nxt), rt, nxt))
-    if block:
-        flush()
-    return TopR(tuple(emitted))
-
-
-# ---------------------------------------------------------------------------
-# greedy enumeration
-
-
 def top_r_greedy(
     evaluator: DIEvaluator,
     L: int,
@@ -493,12 +523,12 @@ def top_r_greedy(
     The first solution is the greedy one:
     :func:`dinet.approximation.greedy_general`, or with ``connected``
     :func:`dinet.approximation.greedy_connected` down to the bits of its
-    score.  Without ``connected``
-    later solutions come from depth-first alternatives (change the last
-    greedy pick first).  With ``connected`` they come from a partition
-    search over per-node parent-set choices: each subproblem's
-    representative is one arborescence solve over the greedy sets grown
-    from each tree edge, and popping it splits the rest of its
+    score.  Without ``connected`` the walk runs over each node's greedy
+    list, whose depth-first order changes the last greedy pick first;
+    ties go to the smaller approximation index.  With ``connected`` they
+    come from a partition search over per-node parent-set choices: each
+    subproblem's representative is one arborescence solve over the greedy
+    sets grown from each tree edge, and popping it splits the rest of its
     subproblem into disjoint children, so with ``r`` at least the class
     size every member of the class is emitted exactly once (with
     ``root_has_parents`` the root keeps its greedy set).  The pool emits
@@ -512,39 +542,5 @@ def top_r_greedy(
     _check_r(m, L, r, empty_root=connected and not root_has_parents)
     if connected:
         return _top_r_greedy_connected(evaluator, L, r, root_has_parents)
-
-    # tie key: approximation_index from per-node set ranks
-    weight = [comb(m - 1, L) ** i for i in range(m)]
-    set_ranks: dict[tuple[int, tuple[int, ...]], int] = {}
-
-    def set_rank(i: int, members: tuple[int, ...]) -> int:
-        if (i, members) not in set_ranks:
-            set_ranks[(i, members)] = parent_set_index(m, i, members)
-        return set_ranks[(i, members)]
-
-    def push(sts) -> None:
-        key = tuple(tuple(sorted(st[0])) for st in sts)
-        if key in seen:
-            return
-        seen.add(key)
-        score = sum(evaluator.set_value(i, ms) for i, ms in enumerate(key, 1))
-        index = 1 + sum(
-            set_rank(i, ms) * w for i, (ms, w) in enumerate(zip(key, weight), 1)
-        )
-        # indices are unique, so the entries never compare beyond them
-        heapq.heappush(heap, (-score, index, key, sts))
-
-    heap: list[tuple] = []
-    seen: set[tuple[tuple[int, ...], ...]] = set()
-    push(tuple(_initial_state(evaluator, i, L, ()) for i in range(1, m + 1)))
-    emitted: list[ScoredApproximation] = []
-    while heap and len(emitted) < r:
-        neg_score, _, key, sts = heapq.heappop(heap)
-        emitted.append(
-            ScoredApproximation(ParentAssignment.from_lists(key), -neg_score)
-        )
-        for i in range(m):
-            nxt = _dfs_successor(evaluator, i + 1, *sts[i], n_pinned=0)
-            if nxt is not None:
-                push(sts[:i] + (nxt,) + sts[i + 1:])
-    return TopR(tuple(emitted))
+    lists = [_Candidates.greedy(evaluator, i, L) for i in range(1, m + 1)]
+    return _top_points(lists, comb(m - 1, L), r)

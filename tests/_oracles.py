@@ -289,6 +289,83 @@ def slow_greedy_order(evaluator, target: int, pool, prefix=(), length=None):
     return tuple(picks), gains
 
 
+def _slow_ranked(evaluator, target: int, pool, prefix) -> list[int]:
+    """``pool`` by increment after ``prefix``, largest first, ties to smaller index."""
+    value = {j: evaluator.increment(target, (j,), tuple(prefix)) for j in pool}
+    return sorted(pool, key=lambda j: (-value[j], j))
+
+
+def _slow_dfs_step(evaluator, target: int, state):
+    """The next depth-first greedy choice state of ``target``, or None.
+
+    A state is (choices, ranks): the picks in order and each pick's rank
+    among its slot's candidates, which are the processes ranked by
+    increment after the earlier picks, minus every candidate that
+    outranked an earlier slot's pick.  The step advances the deepest slot
+    that has a next candidate with enough left over for the slots after
+    it, and refills those slots greedily.
+    """
+    choices, ranks = state
+    length = len(choices)
+    avail = [j for j in range(1, evaluator.m + 1) if j != target]
+    slots = []
+    for k in range(length):
+        ranked = _slow_ranked(evaluator, target, avail, choices[:k])
+        slots.append((avail, ranked))
+        avail = [j for j in avail if j not in ranked[: ranks[k] + 1]]
+    for k in reversed(range(length)):
+        avail, ranked = slots[k]
+        nxt = ranks[k] + 1
+        if len(ranked) - nxt - 1 >= length - k - 1:
+            prefix = choices[:k] + (ranked[nxt],)
+            pool = [j for j in avail if j not in ranked[: nxt + 1]]
+            rest = length - k - 1
+            picks, _ = slow_greedy_order(evaluator, target, pool, prefix, rest)
+            return prefix + picks, ranks[:k] + (nxt,) + (0,) * len(picks)
+    return None
+
+
+def greedy_state_ranking(evaluator, L: int, r: int):
+    """The unconstrained greedy ranking as a heap of per-node states.
+
+    Every heap entry carries one depth-first greedy choice state per node
+    (see :func:`_slow_dfs_step`), starting from each node's greedy
+    sequence.  Popping an entry emits its structure and pushes, for every
+    node, the entry with that node's state stepped once; a structure seen
+    before is not pushed again.  Entries order by score (the evaluator's
+    set values summed in node order) descending, then by
+    ``approximation_index``.  Returns up to r (member key, score) rows.
+    """
+    import heapq
+
+    m = evaluator.m
+
+    def push(states):
+        key = tuple(tuple(sorted(choices)) for choices, _ in states)
+        if key in seen:
+            return
+        seen.add(key)
+        score = sum(evaluator.set_value(i, ms) for i, ms in enumerate(key, 1))
+        index = approximation_index(ParentAssignment.from_lists(key))
+        heapq.heappush(heap, (-score, index, key, states))
+
+    heap, seen, rows = [], set(), []
+    first = []
+    for i in range(1, m + 1):
+        others = [j for j in range(1, m + 1) if j != i]
+        picks, _ = slow_greedy_order(evaluator, i, others, (), L)
+        first.append((picks, (0,) * L))
+    push(tuple(first))
+    while heap and len(rows) < r:
+        neg_score, _, key, states = heapq.heappop(heap)
+        rows.append((key, -neg_score))
+        for i in range(m):
+            nxt = _slow_dfs_step(evaluator, i + 1, states[i])
+            if nxt is not None:
+                push(states[:i] + (nxt,) + states[i + 1:])
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # numeric oracles
 

@@ -6,6 +6,8 @@ candidate and keeps the first maximum in ascending index.  It runs on
 its own evaluator built from the same source, so the package's batched
 values are compared bit for bit with single queries.  Sources are exact
 linear models and tie-rich caches, where equal increments are the rule.
+The unconstrained greedy ranking is compared with a heap whose entries
+carry every node's depth-first state, stepped one query at a time.
 """
 
 import math
@@ -20,8 +22,9 @@ from dinet.bounds import network_empirical_alpha
 from dinet.estimation import DIEvaluator
 from dinet.simulate import generate_ar_network
 from dinet.structures import DirectedInfoCache
+from dinet.topr import top_r_greedy
 
-from _oracles import slow_greedy_order
+from _oracles import greedy_state_ranking, slow_greedy_order
 from test_approximation import evaluator_from_cache
 
 
@@ -109,3 +112,16 @@ def test_network_alpha_witness_matches_the_oracle(source):
     assert got.witness_path == chains[target][0]
     assert got.witness_increments == tuple(chains[target][1])
     assert got.alpha == _max_ratio(chains[target][1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(sources(), st.data())
+def test_greedy_general_ranking_matches_the_state_heap(source, data):
+    make, L = source
+    oracle = make()
+    m = oracle.m
+    L = min(L, 3)
+    r = data.draw(st.integers(1, math.comb(m - 1, L) ** m), label="r")
+    want = [(key, score.hex()) for key, score in greedy_state_ranking(oracle, L, r)]
+    got = top_r_greedy(make(), L, r)
+    assert [(s.assignment.canonical_key(), s.score.hex()) for s in got] == want

@@ -4,6 +4,8 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dinet.errors import UncachedParentSetError, ValidationError
 from dinet.structures import (
@@ -229,6 +231,39 @@ def test_approximation_index_bijection_exhaustive():
                 seen.add(idx)
                 assert assignment_from_index(m, K, idx) == a
             assert len(seen) == space
+
+
+@st.composite
+def uniform_assignments(draw):
+    """An m <= 7 assignment whose nodes all have K parents, 0 <= K < m."""
+    m = draw(st.integers(2, 7))
+    K = draw(st.integers(0, m - 1))
+    lists = [
+        draw(st.lists(st.sampled_from([j for j in range(1, m + 1) if j != i]),
+                      min_size=K, max_size=K, unique=True))
+        for i in range(1, m + 1)
+    ]
+    return m, K, ParentAssignment.from_lists(lists)
+
+
+@settings(max_examples=200, deadline=None)
+@given(uniform_assignments())
+def test_approximation_index_round_trip(drawn):
+    m, K, a = drawn
+    assert assignment_from_index(m, K, approximation_index(a)) == a
+
+
+@settings(max_examples=200, deadline=None)
+@given(uniform_assignments(), st.data())
+def test_parent_set_index_is_the_enumeration_position(drawn, data):
+    # every ranking's tie key rests on this: a candidate's rank is where
+    # all_parent_sets puts it
+    m, K, a = drawn
+    target = data.draw(st.integers(1, m), label="target")
+    members = a.members_of(target)
+    assert parent_set_index(m, target, members) == list(
+        all_parent_sets(m, target, K)
+    ).index(members)
 
 
 def test_approximation_index_requires_uniform_degree():

@@ -4,6 +4,7 @@ from math import comb
 import numpy as np
 import pytest
 
+from dinet import topr
 from dinet.approximation import (
     greedy_connected,
     greedy_general,
@@ -14,6 +15,7 @@ from dinet.errors import ValidationError
 from dinet.estimation import DIEvaluator, build_cache
 from dinet.simulate import generate_ar_network
 from dinet.structures import (
+    DirectedInfoCache,
     approximation_index,
     contains_spanning_arborescence,
     parent_set_index,
@@ -354,17 +356,52 @@ def test_top_r_greedy_rank_one_is_greedy_connected_under_exact_ties(root_has_par
     assert single.score == sum(ev.set_value(i, ms) for i, ms in enumerate(parents, 1) if ms)
 
 
-def test_top_r_greedy_enumerates_the_whole_space_at_length_one():
-    rng = np.random.default_rng(401)
-    cache = random_cache(4, 1, rng)
-    ev = evaluator_from_cache(cache, 1)
-    space = comb(3, 1) ** 4
-    got = top_r_greedy(ev, 1, space)
-    assert len(got) == space
-    emitted = {tuple(s.assignment.members_of(i) for i in range(1, 5)) for s in got}
-    assert emitted == set(all_assignments(4, 1))
-    # at L=1 the first solution is the exact optimum
-    assert got[0].score == pytest.approx(optimal_general(cache, 1).score, abs=1e-12)
+@pytest.mark.parametrize("L", [1, 2, 3])
+def test_top_r_greedy_enumerates_the_whole_space(L):
+    rng = np.random.default_rng([401, L])
+    cache = _with_smaller_sets(random_cache(5, L, rng), L, rng)
+    ev = evaluator_from_cache(cache, L)
+    space = comb(4, L) ** 5
+    got = top_r_greedy(ev, L, space)
+    keys = [sol.assignment.canonical_key() for sol in got]
+    assert len(keys) == len(set(keys)) == space
+    assert set(keys) == set(all_assignments(5, L))
+    assert got[0].assignment == greedy_general(ev, L).assignment
+    if L == 1:
+        # at L=1 the first solution is the exact optimum
+        assert got[0].score == pytest.approx(optimal_general(cache, 1).score, abs=1e-12)
+
+
+def test_top_r_greedy_expands_each_depth_first_state_once(monkeypatch):
+    m = 10
+    model = generate_ar_network(m, np.random.default_rng([7, 0, 11]))
+    ev = DIEvaluator.from_model(model)
+    expanded = []
+    built = m  # each node's list starts with its greedy state
+    step = topr._dfs_successor
+
+    def counting_step(evaluator, target, choices, ranks, n_pinned):
+        nonlocal built
+        expanded.append((target, choices, ranks))
+        nxt = step(evaluator, target, choices, ranks, n_pinned)
+        built += nxt is not None
+        return nxt
+
+    monkeypatch.setattr(topr, "_dfs_successor", counting_step)
+    assert len(top_r_greedy(ev, 2, 50)) == 50
+    assert len(set(expanded)) == len(expanded)
+    assert len(expanded) <= built
+
+
+def test_zero_degree_ranking_needs_no_cache_entries():
+    # the empty set is worth 0.0 without a lookup, as in optimal_general
+    cache = DirectedInfoCache(4, 0)
+    got = top_r_general(cache, 0, 1)
+    best = optimal_general(cache, 0)
+    assert len(got) == 1
+    assert got[0].assignment == best.assignment
+    assert got[0].score == best.score == 0.0
+    assert get_new_solutions(cache, 0, best.assignment) == ()
 
 
 def test_top_r_greedy_general_properties():
