@@ -13,10 +13,14 @@ one of two structural regimes:
   maximum weight arborescence picks the tree.
 
 Two private helpers carry every greedy and tree search in the package.
-The greedy kernel orders the members of a pool after a prefix, one
-batched increment query per step; the general and connected greedy
-searches, the curvature measurements in :mod:`dinet.bounds` and the
-greedy rankings in :mod:`dinet.topr` all call it.  The tree helper takes
+The greedy kernel, ``_greedy_orders``, runs many greedy chains at once,
+each ordering the members of a pool after a prefix for one target.  The
+chains advance in lockstep, and each step asks the evaluator for every
+live chain's candidates in one batch of mixed targets and conditioning
+sets.  The general and connected greedy searches (all nodes, or all
+seeded edges, at once), the curvature measurements in
+:mod:`dinet.bounds` (all chains at once) and the greedy rankings in
+:mod:`dinet.topr` (one chain at a time) all call it.  The tree helper takes
 the parent set each arc ``j -> i`` stands for (a set of ``i`` containing
 ``j``) and the set the root keeps, makes the one arborescence solve and
 reads off the structure the tree induces; both connected searches and
@@ -41,7 +45,7 @@ from .arborescence import (
     max_weight_arborescence,
 )
 from .errors import ValidationError
-from .estimation import DIEvaluator
+from .estimation import DIEvaluator, _check_query
 from .structures import (
     DirectedInfoCache,
     ParentAssignment,
@@ -118,41 +122,75 @@ def _best_parent_set(
     return best, best_v
 
 
-def _greedy_order(
-    evaluator: DIEvaluator,
-    target: int,
-    pool: Iterable[int],
-    prefix: Sequence[int] = (),
-    length: int | None = None,
-) -> tuple[tuple[int, ...], list[float]]:
-    """The greedy kernel: order up to ``length`` members of ``pool``.
+_Entry = tuple[tuple[int, ...], float]  # (members, value) of one parent set
+_Chain = tuple[int, Iterable[int], Sequence[int], "int | None"]
 
-    Each step adds the pool member with the largest increment conditioned
-    on ``prefix`` and the picks so far, one :meth:`DIEvaluator.increments`
-    batch per step; ties go to the smaller process index.  Returns the
-    picks (without the prefix) and their increments; without ``length``
-    the whole pool is ordered.
+
+def _greedy_orders(
+    evaluator: DIEvaluator, chains: Sequence[_Chain]
+) -> list[tuple[tuple[int, ...], list[float]]]:
+    """The greedy kernel: order members of a pool, for many chains at once.
+
+    A chain ``(target, pool, prefix, length)`` orders up to ``length``
+    members of ``pool`` (the whole pool when ``length`` is None).  Each
+    step adds the pool member with the largest increment conditioned on
+    ``prefix`` and the chain's picks so far; ties go to the smaller
+    process index.  The chains advance in lockstep: one step asks the
+    evaluator for every live chain's candidates in a single batch, so a
+    chain picks as it would alone.  Returns each chain's picks (without
+    the prefix) and their increments, in chain order.
     """
-    chosen = list(prefix)
-    remaining = sorted(set(pool))
-    steps = len(remaining) if length is None else min(length, len(remaining))
-    gains: list[float] = []
-    for _ in range(steps):
-        values = evaluator.increments(target, [(j,) for j in remaining], chosen)
-        best = max(range(len(remaining)), key=values.__getitem__)  # first max
-        chosen.append(remaining.pop(best))
-        gains.append(values[best])
-    return tuple(chosen[len(prefix):]), gains
+    m = evaluator.m
+    runs = []  # per chain: target, prefix + picks, candidates left, steps, gains
+    for target, pool, prefix, length in chains:
+        remaining = sorted(set(pool))
+        steps = len(remaining) if length is None else min(length, len(remaining))
+        if steps:
+            _check_query(m, target, remaining, prefix)
+        runs.append((target, list(prefix), remaining, steps, []))
+    live = [run for run in runs if run[3]]
+    while live:
+        queries = []
+        for target, chosen, remaining, _, _ in live:
+            cond = tuple(sorted(chosen))
+            queries.extend((target, (j,), cond) for j in remaining)
+        values = evaluator._fill(queries)
+        start = 0
+        for _, chosen, remaining, _, gains in live:
+            step = values[start: start + len(remaining)]
+            start += len(remaining)
+            best = max(range(len(remaining)), key=step.__getitem__)  # first max
+            chosen.append(remaining.pop(best))
+            gains.append(step[best])
+        live = [run for run in live if len(run[4]) < run[3]]
+    # the picks are the last len(gains) entries of prefix + picks
+    return [
+        (tuple(chosen[len(chosen) - len(gains):]), gains)
+        for _, chosen, _, _, gains in runs
+    ]
 
 
-def _greedy_entry(
-    evaluator: DIEvaluator, target: int, length: int, seed: tuple[int, ...] = ()
-) -> tuple[tuple[int, ...], float]:
-    """The greedy set of ``length`` grown from ``seed``, with its value."""
-    others = set(range(1, evaluator.m + 1)) - {target, *seed}
-    picks, _ = _greedy_order(evaluator, target, others, seed, length - len(seed))
-    members = tuple(sorted(seed + picks))
-    return members, evaluator.set_value(target, members)
+def _greedy_entries(
+    evaluator: DIEvaluator, length: int, seeds: Sequence[tuple[int, tuple[int, ...]]]
+) -> list[_Entry]:
+    """Per ``(target, seed)``: the greedy set of ``length`` grown from ``seed``.
+
+    Each set comes with its value; all chains and all values take one
+    batch per greedy step and one more for the values.
+    """
+    nodes = range(1, evaluator.m + 1)
+    chains = []
+    for target, seed in seeds:
+        pool = [j for j in nodes if j != target and j not in seed]
+        chains.append((target, pool, seed, length - len(seed)))
+    orders = _greedy_orders(evaluator, chains)
+    members = [
+        tuple(sorted(seed + picks)) for (_, seed), (picks, _) in zip(seeds, orders)
+    ]
+    values = evaluator._fill(
+        [(target, ms, ()) for (target, _), ms in zip(seeds, members)]
+    )
+    return list(zip(members, values))
 
 
 def greedy_general(
@@ -163,14 +201,15 @@ def greedy_general(
     Each step adds the process with the largest directed information
     increment conditioned on the picks so far; the node's score is the
     chain rule sum of its increments.  ``L`` may be one length per node.
+    All nodes' passes advance together, one batched query per step.
     """
     m = evaluator.m
     lengths = _degree_vector(L, m, "L")
+    nodes = range(1, m + 1)
+    chains = [(i, [j for j in nodes if j != i], (), lengths[i - 1]) for i in nodes]
     orders: list[tuple[int, ...]] = []
     score = 0.0
-    for i in range(1, m + 1):
-        others = [j for j in range(1, m + 1) if j != i]
-        picks, increments = _greedy_order(evaluator, i, others, (), lengths[i - 1])
+    for picks, increments in _greedy_orders(evaluator, chains):
         orders.append(picks)
         score += sum(increments)
     members = [tuple(sorted(picks)) for picks in orders]
@@ -197,9 +236,6 @@ def constrained_best_sets(
                 if cur is None or v > cur[1]:
                     best[(i, j)] = (members, v)
     return best
-
-
-_Entry = tuple[tuple[int, ...], float]  # (members, value) of one parent set
 
 
 def _entry_tree(
@@ -296,9 +332,11 @@ def greedy_connected(
     m = evaluator.m
     if L < 1 or L >= m:
         raise ValidationError(f"degree too large: L={L} with m={m}")
+    edges = [(i, (j,)) for i in range(1, m + 1) for j in range(1, m + 1) if j != i]
+    arcs = dict(zip(edges, _greedy_entries(evaluator, L, edges)))
     root_entry = (
-        (lambda r: _greedy_entry(evaluator, r, L)) if root_has_parents else _empty_set
+        (lambda r: _greedy_entries(evaluator, L, [(r, ())])[0])
+        if root_has_parents
+        else _empty_set
     )
-    return _connected(
-        m, lambda i, j: _greedy_entry(evaluator, i, L, (j,)), root_entry
-    )
+    return _connected(m, lambda i, j: arcs[(i, (j,))], root_entry)

@@ -20,7 +20,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .approximation import _greedy_order
+from .approximation import _greedy_orders
 from .errors import ValidationError
 from .estimation import DIEvaluator
 from .structures import ParentAssignment, _check_process
@@ -192,7 +192,7 @@ def empirical_alpha(
         if j == target:
             raise ValidationError(f"pool must not contain the target {target}")
     tracker = _AlphaTracker()
-    picks, gains = _greedy_order(evaluator, target, members)
+    [(picks, gains)] = _greedy_orders(evaluator, [(target, members, (), None)])
     tracker.offer(target, picks, gains)
     return tracker.estimate()
 
@@ -202,10 +202,10 @@ def network_empirical_alpha(evaluator: DIEvaluator) -> AlphaEstimate:
     m = evaluator.m
     if m < 3:
         raise ValidationError(f"need m >= 3 for a ratio, got m={m}")
+    nodes = range(1, m + 1)
+    chains = [(target, [j for j in nodes if j != target], (), None) for target in nodes]
     tracker = _AlphaTracker()
-    for target in range(1, m + 1):
-        pool = [j for j in range(1, m + 1) if j != target]
-        picks, gains = _greedy_order(evaluator, target, pool)
+    for target, (picks, gains) in zip(nodes, _greedy_orders(evaluator, chains)):
         tracker.offer(target, picks, gains)
     return tracker.estimate()
 
@@ -230,15 +230,17 @@ def bound_witness_alpha(
         raise ValidationError(f"assignment has m={optimal.m} but evaluator has m={m}")
     if len(greedy_orders) != m:
         raise ValidationError(f"expected {m} greedy orders, got {len(greedy_orders)}")
-    tracker = _AlphaTracker()
+    chains = []
     for target in range(1, m + 1):
-        order = list(greedy_orders[target - 1])
+        order = tuple(greedy_orders[target - 1])
         opt = set(optimal.members_of(target))
         for l in range(len(order)):
-            prefix = order[:l]
-            pool = opt - set(prefix)
-            if len(pool) < 2:
-                continue
-            picks, gains = _greedy_order(evaluator, target, pool, prefix)
-            tracker.offer(target, (*prefix, *picks), gains)
+            pool = opt - set(order[:l])
+            if len(pool) >= 2:
+                chains.append((target, pool, order[:l], None))
+    tracker = _AlphaTracker()
+    for (target, _, prefix, _), (picks, gains) in zip(
+        chains, _greedy_orders(evaluator, chains)
+    ):
+        tracker.offer(target, (*prefix, *picks), gains)
     return tracker.estimate()

@@ -10,25 +10,33 @@ Both Gaussian routes reduce to one computation on second moments:
 
 * :func:`estimate_di_gaussian` (least squares, no intercepts) uses the
   sample moments of the panel's lag design: ``G = Z Z'`` over the
-  ``m * order`` lagged rows, ``C = Y Z'`` and ``diag(Y Y')`` for the
+  ``p = m * order`` lagged rows, ``C = Y Z'`` and ``diag(Y Y')`` for the
   one-step targets ``Y``, all over the same rows.
 * :func:`exact_di_gaussian` uses a known linear network's population
   moments ``(S, A S, diag S)``, ``S`` being the stationary covariance.
 
-For a target, a conditioning set and a stack of equal-size addition
-sets, the kernel gathers each augmented block ``[[G_SS, c_S], [c_S', y'y]]``
-(regressors ordered as the target and conditioning lags, then the
-addition's lags) and factors the whole stack with one Cholesky call.  The
-factor's last row holds the full residual sum of squares as ``L_yy**2``
-and its drop from the reduced fit as ``|L_y,add|**2``, so the value,
-``log1p(|L_y,add|**2 / L_yy**2) / 2``, never subtracts two residual sums.
-A single query is a batch of one and gives bit for bit the same value.
-Moments are computed once per :class:`DIEvaluator`, and
-:func:`build_cache` asks it for one target's sets at a time.
+An evaluator stacks them once into one ``(p + m) x (p + m)`` matrix
+``[[G, C'], [C, diag(total)]]``.  A query (target, addition,
+conditioning set) is then a principal submatrix: the reduced regressors
+(the lags of the target and the conditioning set), the addition's lags,
+and last the target's own row, which is the augmented block
+``[[G_SS, c_S], [c_S', y'y]]``.  The kernel takes queries of any targets
+and conditioning sets at once, groups them by (conditioning size,
+addition size), gathers each group's blocks and factors the stack with
+one Cholesky call.  The factor's last row holds the full residual sum of
+squares as ``L_yy**2`` and its drop from the reduced fit as
+``|L_y,add|**2``, so the value, ``log1p(|L_y,add|**2 / L_yy**2) / 2``,
+never subtracts two residual sums.  Each block is factored on its own,
+so a query gives bit for bit the same value alone or in any batch.  A
+failure still names its query: a group that fails to factor is
+refactored one query at a time.  :func:`build_cache` asks for one
+target's sets at a time; the greedy searches ask for every live chain's
+candidates at once.
 
 :func:`estimate_di_discrete`, the plug-in conditional mutual information
 over lagged windows for finite-alphabet data, has a batched kernel of its
-own.  Each process's lag windows are encoded as integers once per
+own, which groups a batch by (target, conditioning set, addition size).
+Each process's lag windows are encoded as integers once per
 evaluator; per set, the joint (context, addition, target symbol) codes
 are counted with one ``np.bincount`` over the dense cell range, which the
 state space cap bounds, and the marginal counts are its axis sums.  The
@@ -239,20 +247,35 @@ def _check_query(
 
 
 class _Moments(NamedTuple):
-    """Second moments of lagged regressors and one-step targets.
+    """Second moments of lagged regressors and one-step targets, stacked.
 
-    Regressor ``(s - 1) * order + lag - 1`` is process ``s`` at lag
-    ``lag``.  ``gram`` holds regressor against regressor, ``cross[i]``
-    target ``i + 1`` against every regressor and ``total[i]`` target
-    ``i + 1`` against itself.  ``rows`` is the sample count of a panel's
+    ``stacked`` is the ``(p + m) x (p + m)`` matrix ``[[G, C'], [C, T]]``
+    over ``p = m * order`` regressors and ``m`` targets.  Regressor
+    ``(s - 1) * order + lag - 1`` is process ``s`` at lag ``lag``; row
+    ``p + i - 1`` is target ``i``.  ``G`` holds regressor against
+    regressor and ``C`` target against regressor.  Only the diagonal of
+    the target block ``T`` is ever read, so it holds each target's sum of
+    squares and zeros elsewhere.  Every query's augmented block is then a
+    principal submatrix.  ``rows`` is the sample count of a panel's
     moments and None for a model's population moments.
     """
 
-    gram: np.ndarray
-    cross: np.ndarray
-    total: np.ndarray
+    stacked: np.ndarray
     order: int
     rows: int | None
+
+
+def _stack_moments(
+    gram: np.ndarray, cross: np.ndarray, total: np.ndarray, order: int, rows
+) -> _Moments:
+    p, m = gram.shape[0], total.shape[0]
+    stacked = np.zeros((p + m, p + m))
+    stacked[:p, :p] = gram
+    stacked[p:, :p] = cross
+    stacked[:p, p:] = cross.T
+    targets = np.arange(p, p + m)
+    stacked[targets, targets] = total
+    return _Moments(stacked, order, rows)
 
 
 def _panel_moments(panel: TimeSeriesPanel, order: int) -> _Moments:
@@ -263,15 +286,18 @@ def _panel_moments(panel: TimeSeriesPanel, order: int) -> _Moments:
     for lag in range(1, order + 1):
         z[lag - 1::order] = data[:, order - lag: order - lag + rows]
     y = data[:, order: order + rows]
-    return _Moments(z @ z.T, y @ z.T, np.einsum("ij,ij->i", y, y), order, rows)
+    return _stack_moments(z @ z.T, y @ z.T, np.einsum("ij,ij->i", y, y), order, rows)
 
 
 def _model_moments(model: LinearNetworkModel) -> _Moments:
     """Population moments: ``(S, A S, diag S)`` for stationary covariance S."""
     sigma = stationary_covariance(model)
-    return _Moments(
-        sigma, model.dynamics_matrix() @ sigma, np.diag(sigma).copy(), 1, None
+    return _stack_moments(
+        sigma, model.dynamics_matrix() @ sigma, np.diag(sigma), 1, None
     )
+
+
+_Query = tuple[int, tuple[int, ...], tuple[int, ...]]  # (target, addition, cond)
 
 
 def _query_error(
@@ -282,71 +308,72 @@ def _query_error(
     )
 
 
-def _projection_di(
-    moments: _Moments,
-    target: int,
-    additions: Sequence[tuple[int, ...]],
-    cond: tuple[int, ...],
-) -> list[float]:
-    """Directed information of each addition set, by Cholesky projection.
+def _groups(queries: Sequence[_Query], key: Callable[[_Query], tuple]) -> dict:
+    """Positions of the queries with a nonempty addition, grouped by ``key``."""
+    groups: dict[tuple, list[int]] = {}
+    for q, query in enumerate(queries):
+        if query[1]:
+            groups.setdefault(key(query), []).append(q)
+    return groups
 
-    All additions have one size.  Each value factors the augmented block
-    ``[[G_SS, c_S], [c_S', y'y]]`` whose regressors ``S`` are the lags of
-    the target and ``cond`` (the reduced set), then the addition's lags.
-    The last row of the factor ``L`` gives ``ss_full = L_yy**2`` and
-    ``ss_reduced - ss_full = |L_y,add|**2``, so the value is
-    ``log1p(|L_y,add|**2 / L_yy**2) / 2`` with no difference of two
-    residual sums.  Every block of the batch goes through one stacked
-    factorization and the same element-wise steps, so a batch of one
-    gives bit for bit the value the same set gets in a larger batch.
+
+def _projection_di(moments: _Moments, queries: Sequence[_Query]) -> list[float]:
+    """Directed information of each checked query, by Cholesky projection.
+
+    A query's augmented block is the principal submatrix of the stacked
+    moments over its reduced regressors (the lags of the target and the
+    conditioning set), then the addition's lags, then the target: the
+    block ``[[G_SS, c_S], [c_S', y'y]]``.  The last row of its factor
+    ``L`` gives ``ss_full = L_yy**2`` and ``ss_reduced - ss_full =
+    |L_y,add|**2``, so the value is ``log1p(|L_y,add|**2 / L_yy**2) / 2``
+    with no difference of two residual sums.  Queries of any targets and
+    conditioning sets are grouped by (conditioning size, addition size),
+    and each group's blocks go through one stacked factorization and the
+    same element-wise steps, so a query gives bit for bit the same value
+    in any batch.  An empty addition is worth 0.
     """
-    sets = np.array(additions, dtype=np.intp).reshape(len(additions), -1)
-    n_sets, k = sets.shape
-    if k == 0:
-        return [0.0] * n_sets
+    values = [0.0] * len(queries)
     order = moments.order
-    reduced = [
-        (s - 1) * order + lag for s in sorted({target, *cond}) for lag in range(order)
-    ]
-    r = len(reduced)
-    d = r + k * order
-    if moments.rows is not None and moments.rows <= d:
-        raise _query_error(
-            f"insufficient samples: {moments.rows} rows for {d} regressors",
-            target, additions[0], cond,
-        )
-    p = moments.gram.shape[0]
-    aug = np.empty((p + 1, p + 1))
-    aug[:p, :p] = moments.gram
-    aug[p, :p] = aug[:p, p] = moments.cross[target - 1]
-    aug[p, p] = moments.total[target - 1]
-    idx = np.empty((n_sets, d + 1), dtype=np.intp)
-    idx[:, :r] = reduced
-    idx[:, r:d] = (((sets - 1) * order)[:, :, None] + np.arange(order)).reshape(
-        n_sets, -1
-    )
-    idx[:, d] = p
-    blocks = aug[idx[:, :, None], idx[:, None, :]]
-    try:
-        chol = np.linalg.cholesky(blocks)
-    except np.linalg.LinAlgError:
-        if n_sets > 1:
-            # factor the sets one by one, so the failing one is named
-            return [
-                _projection_di(moments, target, [add], cond)[0] for add in additions
-            ]
-        return [_degenerate_value(blocks[0], r, d, target, additions[0], cond)]
-    pivots = np.diagonal(chol, axis1=1, axis2=2)[:, :d] ** 2
-    scale = np.diagonal(blocks, axis1=1, axis2=2)[:, :d]
-    singular = np.flatnonzero((pivots < SINGULAR_PIVOT * scale).any(axis=1))
-    if singular.size:
-        raise _query_error(SINGULAR_DESIGN, target, additions[singular[0]], cond)
-    tail = chol[:, d, r:d]
-    gain = tail[:, 0] ** 2
-    for j in range(1, d - r):
-        gain = gain + tail[:, j] ** 2
-    ss_full = chol[:, d, d] ** 2
-    return [0.5 * math.log1p(g / s) for g, s in zip(gain.tolist(), ss_full.tolist())]
+    p = moments.stacked.shape[0] // (order + 1) * order
+    lag = np.arange(order)
+    for group in _groups(queries, lambda q: (len(q[2]), len(q[1]))).values():
+        members = [queries[q] for q in group]
+        target, add, cond = members[0]
+        r = (len(cond) + 1) * order
+        d = r + len(add) * order
+        if moments.rows is not None and moments.rows <= d:
+            raise _query_error(
+                f"insufficient samples: {moments.rows} rows for {d} regressors",
+                target, add, cond,
+            )
+        procs = np.array([(*sorted((t, *c)), *a) for t, a, c in members], dtype=np.intp)
+        idx = np.empty((len(group), d + 1), dtype=np.intp)
+        idx[:, :d] = (((procs - 1) * order)[:, :, None] + lag).reshape(len(group), d)
+        idx[:, d] = [p + t - 1 for t, _, _ in members]
+        blocks = moments.stacked[idx[:, :, None], idx[:, None, :]]
+        try:
+            chol = np.linalg.cholesky(blocks)
+        except np.linalg.LinAlgError:
+            if len(group) == 1:
+                values[group[0]] = _degenerate_value(blocks[0], r, d, *members[0])
+            else:
+                # factor the queries one by one, so the failing one is named
+                for q in group:
+                    values[q] = _projection_di(moments, [queries[q]])[0]
+            continue
+        pivots = np.diagonal(chol, axis1=1, axis2=2)[:, :d] ** 2
+        scale = np.diagonal(blocks, axis1=1, axis2=2)[:, :d]
+        singular = np.flatnonzero((pivots < SINGULAR_PIVOT * scale).any(axis=1))
+        if singular.size:
+            raise _query_error(SINGULAR_DESIGN, *members[singular[0]])
+        tail = chol[:, d, r:d]
+        gain = tail[:, 0] ** 2
+        for j in range(1, d - r):
+            gain = gain + tail[:, j] ** 2
+        ss_full = chol[:, d, d] ** 2
+        for q, g, s in zip(group, gain.tolist(), ss_full.tolist()):
+            values[q] = 0.5 * math.log1p(g / s)
+    return values
 
 
 def _degenerate_value(
@@ -405,7 +432,7 @@ def exact_di_gaussian(
     add, cond = _check_query(model.m, target, addition, conditioning)
     if not add:
         return 0.0
-    return _projection_di(_model_moments(model), target, [add], cond)[0]
+    return _projection_di(_model_moments(model), [(target, add, cond)])[0]
 
 
 def estimate_di_gaussian(
@@ -433,7 +460,7 @@ def estimate_di_gaussian(
     if not add:
         return 0.0
     moments = _panel_moments(panel, config.markov_order)
-    return _projection_di(moments, target, [add], cond)[0]
+    return _projection_di(moments, [(target, add, cond)])[0]
 
 
 class _LagCodes(NamedTuple):
@@ -468,69 +495,68 @@ def _lag_codes(panel: TimeSeriesPanel, config: EstimatorConfig) -> _LagCodes:
     )
 
 
-def _plugin_di(
-    lags: _LagCodes,
-    target: int,
-    additions: Sequence[tuple[int, ...]],
-    cond: tuple[int, ...],
-) -> list[float]:
-    """Plug-in directed information of each addition set, by dense counts.
+def _plugin_di(lags: _LagCodes, queries: Sequence[_Query]) -> list[float]:
+    """Plug-in directed information of each checked query, by dense counts.
 
-    All additions have one size.  The joint code of (context window,
-    addition window, target symbol) indexes a C-ordered ``(w, a, y)``
-    array of ``span_w * span_a * size`` cells, bounded by the state space
-    cap, and one ``np.bincount`` per set fills it.  Its axis sums are the
-    marginal counts ``n_wa``, ``n_wy`` and ``n_w``, and the value sums
+    Queries are grouped by (target, conditioning set, addition size).  The
+    joint code of (context window, addition window, target symbol)
+    indexes a C-ordered ``(w, a, y)`` array of ``span_w * span_a * size``
+    cells, bounded by the state space cap, and one ``np.bincount`` per
+    query fills it.  Its axis sums are the marginal counts ``n_wa``,
+    ``n_wy`` and ``n_w``, and the value sums
     ``cnt * (log cnt + log n_w - log n_wa - log n_wy)`` over the nonzero
-    cells in C order, which is ascending joint code, so a set's value does
-    not depend on the batch it is computed in.
+    cells in C order, which is ascending joint code, so a query's value
+    does not depend on the batch it is computed in.  An empty addition is
+    worth 0.
     """
-    if not additions[0]:
-        return [0.0] * len(additions)
+    values = [0.0] * len(queries)
     order, size = lags.order, lags.size
     rows = lags.codes.shape[1]
-    if rows == 0:
-        raise _query_error(
-            f"insufficient samples: need more than {order} steps, have {lags.steps}",
-            target, additions[0], cond,
-        )
     span = size**order
-    context = sorted({target, *cond})
-    span_w = span ** len(context)
-    span_a = span ** len(additions[0])
-    cells = span_w * span_a * size
-    if cells > lags.cap:
-        raise _query_error(
-            f"state space too large: {cells} cells exceed cap {lags.cap}",
-            target, additions[0], cond,
-        )
     codes = lags.codes
-    w = codes[context[0] - 1]
-    for s in context[1:]:
-        w = w * span + codes[s - 1]
-    # joint code (w * span_a + a) * size + y, less the addition's share
-    base = w * (span_a * size) + lags.symbols[target - 1]
-    values = []
-    for add in additions:
-        a = codes[add[0] - 1]
-        for s in add[1:]:
-            a = a * span + codes[s - 1]
-        counts = np.bincount(base + a * size, minlength=cells)
-        n_wa = counts.reshape(-1, size).sum(axis=1)
-        n_wy = counts.reshape(span_w, span_a, size).sum(axis=1).ravel()
-        n_w = n_wa.reshape(span_w, span_a).sum(axis=1)
-        cell = np.flatnonzero(counts)
-        cnt = counts[cell]
-        cell_wa, cell_y = np.divmod(cell, size)
-        cell_w = cell_wa // span_a
-        terms = (
-            np.log(cnt)
-            + np.log(n_w[cell_w])
-            - np.log(n_wa[cell_wa])
-            - np.log(n_wy[cell_w * size + cell_y])
-        )
-        total = float(np.sum(cnt * terms))
-        values.append(max(0.0, total / rows))
+    groups = _groups(queries, lambda q: (q[0], q[2], len(q[1])))
+    for (target, cond, k), group in groups.items():
+        if rows == 0:
+            raise _query_error(
+                f"insufficient samples: need more than {order} steps,"
+                f" have {lags.steps}",
+                target, queries[group[0]][1], cond,
+            )
+        context = sorted({target, *cond})
+        span_w = span ** len(context)
+        span_a = span**k
+        cells = span_w * span_a * size
+        if cells > lags.cap:
+            raise _query_error(
+                f"state space too large: {cells} cells exceed cap {lags.cap}",
+                target, queries[group[0]][1], cond,
+            )
+        w = codes[context[0] - 1]
+        for s in context[1:]:
+            w = w * span + codes[s - 1]
+        # joint code (w * span_a + a) * size + y, less the addition's share
+        base = w * (span_a * size) + lags.symbols[target - 1]
+        for q in group:
+            add = queries[q][1]
+            a = codes[add[0] - 1]
+            for s in add[1:]:
+                a = a * span + codes[s - 1]
+            counts = np.bincount(base + a * size, minlength=cells)
+            n_wa = counts.reshape(-1, size).sum(axis=1)
+            n_wy = counts.reshape(span_w, span_a, size).sum(axis=1).ravel()
+            n_w = n_wa.reshape(span_w, span_a).sum(axis=1)
+            cell = np.flatnonzero(counts)
+            cnt = counts[cell]
+            cell_wa, cell_y = np.divmod(cell, size)
+            cell_w = cell_wa // span_a
+            terms = (
+                np.log(cnt)
+                + np.log(n_w[cell_w])
+                - np.log(n_wa[cell_wa])
+                - np.log(n_wy[cell_w * size + cell_y])
+            )
+            total = float(np.sum(cnt * terms))
+            values[q] = max(0.0, total / rows)
     return values
 
 
@@ -555,7 +581,7 @@ def estimate_di_discrete(
     config = config or EstimatorConfig()
     lags = _lag_codes(panel, config)
     add, cond = _check_query(panel.m, target, addition, conditioning)
-    return _plugin_di(lags, target, [add], cond)[0]
+    return _plugin_di(lags, [(target, add, cond)])[0]
 
 
 def estimate_di(
@@ -578,9 +604,11 @@ class DIEvaluator:
     caches every result, so repeated queries (common in greedy searches
     and bound measurements) are free.  Construct via :meth:`from_model`
     for exact values or :meth:`from_panel` for estimates.  Evaluators
-    built that way answer from state computed once (second moments, or
-    the plug-in estimator's lag-window codes), and :func:`build_cache`
-    fills their memo one batch per target.
+    built that way answer from state computed once (stacked second
+    moments, or the plug-in estimator's lag-window codes) and compute
+    every value a call needs in one batch, whatever its targets and
+    conditioning sets.  ``calls`` counts the values computed, never the
+    memo hits.
     """
 
     def __init__(
@@ -591,12 +619,12 @@ class DIEvaluator:
         if m < 1:
             raise ValidationError("m must be >= 1")
         self.m = m
-        self._memo: dict[tuple[int, tuple[int, ...], tuple[int, ...]], float] = {}
+        self._memo: dict[_Query, float] = {}
         self.calls = 0
-        # (target, additions of one size, conditioning) -> values; the
-        # moment-backed constructors replace it with the batched kernel
-        self._batch: Callable[..., list[float]] = lambda target, adds, cond: [
-            fn(target, add, cond) for add in adds
+        # checked queries -> values; the moment-backed constructors
+        # replace it with the batched kernel
+        self._batch: Callable[[Sequence[_Query]], list[float]] = lambda queries: [
+            fn(*query) for query in queries
         ]
 
     def increment(
@@ -608,7 +636,7 @@ class DIEvaluator:
         add, cond = _check_query(self.m, target, addition, conditioning)
         key = (target, add, cond)
         if key not in self._memo:
-            self._fill(target, [add], cond)
+            self._fill([key])
         return self._memo[key]
 
     def increments(
@@ -620,44 +648,44 @@ class DIEvaluator:
         """:meth:`increment` for several additions under one conditioning set.
 
         Evaluators from :meth:`from_model` and :meth:`from_panel` compute
-        the values not yet memoized in one batch per addition size; each
-        equals the single query's value bit for bit.
+        the values not yet memoized in one batch; each equals the single
+        query's value bit for bit.
         """
         cond = _check_query(self.m, target, (), conditioning)[1]
         free = set(range(1, self.m + 1)) - {target, *cond}
-        adds = []
+        queries = []
         for a in additions:
             add = tuple(sorted(a))
             if len(free.intersection(add)) != len(add) or any(
                 type(j) is not int for j in add
             ):
                 _check_query(self.m, target, add, cond)  # raises naming the fault
-            adds.append(add)
-        return self._fill(target, adds, cond)
+            queries.append((target, add, cond))
+        return self._fill(queries)
 
     def set_value(self, target: int, members: Iterable[int]) -> float:
         """Directed information from a whole parent set to the target."""
         return self.increment(target, members, ())
 
-    def _fill(
-        self, target: int, adds: Sequence[tuple[int, ...]], cond: tuple[int, ...]
-    ) -> list[float]:
-        """Values of checked, sorted queries; computes those not memoized."""
+    def _fill(self, queries: Sequence[_Query]) -> list[float]:
+        """Values of checked, sorted queries; computes those not memoized.
+
+        The queries may mix targets and conditioning sets; the missing
+        ones go to the kernel in one batch, in first-seen order.
+        """
         memo = self._memo
-        missing = list(dict.fromkeys(a for a in adds if (target, a, cond) not in memo))
+        missing = list(dict.fromkeys(q for q in queries if q not in memo))
         if missing:
-            fresh = {}
-            for size in sorted({len(a) for a in missing}):
-                group = [a for a in missing if len(a) == size]
-                fresh.update(zip(group, self._batch(target, group, cond)))
+            fresh = self._batch(missing)
             self.calls += len(missing)
-            for add in missing:
-                memo[(target, add, cond)] = float(fresh[add])
-        return [memo[(target, a, cond)] for a in adds]
+            memo.update(zip(missing, map(float, fresh)))
+        return [memo[q] for q in queries]
 
     @classmethod
-    def _from_batch(cls, batch: Callable[..., list[float]], m: int) -> "DIEvaluator":
-        evaluator = cls(lambda target, add, cond: batch(target, [add], cond)[0], m)
+    def _from_batch(
+        cls, batch: Callable[[Sequence[_Query]], list[float]], m: int
+    ) -> "DIEvaluator":
+        evaluator = cls(lambda *query: batch([query])[0], m)
         evaluator._batch = batch
         return evaluator
 
@@ -689,7 +717,8 @@ def build_cache(evaluator: DIEvaluator, m: int, K: int) -> DirectedInfoCache:
     cache = DirectedInfoCache(m, K)
     for target in range(1, m + 1):
         sets = list(all_parent_sets(m, target, K))
-        for members, value in zip(sets, evaluator._fill(target, sets, ())):
+        values = evaluator._fill([(target, members, ()) for members in sets])
+        for members, value in zip(sets, values):
             cache.put(target, members, value)
     return cache
 

@@ -53,8 +53,8 @@ from .approximation import (
     _Entry,
     _empty_set,
     _entry_tree,
-    _greedy_entry,
-    _greedy_order,
+    _greedy_entries,
+    _greedy_orders,
 )
 from .errors import InfeasibleArborescenceError, ValidationError
 from .estimation import DIEvaluator
@@ -190,7 +190,9 @@ def _initial_state(
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """All-greedy state: pinned picks first, then rank-0 choices."""
     pool = set(range(1, evaluator.m + 1)) - {target, *pinned}
-    picks, _ = _greedy_order(evaluator, target, pool, pinned, length - len(pinned))
+    [(picks, _)] = _greedy_orders(
+        evaluator, [(target, pool, pinned, length - len(pinned))]
+    )
     return pinned + picks, (0,) * length
 
 
@@ -230,7 +232,9 @@ def _dfs_successor(
         if len(ranked) - nr - 1 >= length - k - 1:
             prefix = choices[:k] + (ranked[nr],)
             pool = avail - set(ranked[: nr + 1])
-            picks, _ = _greedy_order(evaluator, target, pool, prefix, length - k - 1)
+            [(picks, _)] = _greedy_orders(
+                evaluator, [(target, pool, prefix, length - k - 1)]
+            )
             return prefix + picks, ranks[:k] + (nr,) + (0,) * len(picks)
     return None
 
@@ -344,6 +348,8 @@ def get_new_solutions(
     :func:`top_r_general` branches by.
     """
     m = cache.m
+    if K < 0 or K >= m:
+        raise ValidationError(f"degree too large: K={K} with m={m}")
     if seed.m != m:
         raise ValidationError(f"seed has m={seed.m} but cache has m={m}")
     lists = _exact_lists(cache, K)
@@ -453,7 +459,7 @@ def _top_r_greedy_connected(
         if j != i
     }
     root_entry = (
-        functools.cache(lambda root: _greedy_entry(evaluator, root, L))
+        functools.cache(lambda root: _greedy_entries(evaluator, L, [(root, ())])[0])
         if root_has_parents
         else _empty_set
     )

@@ -5,9 +5,11 @@ naive counting, generic LP solvers, per-query least squares fits,
 per-query ``np.unique`` counts and scipy's Lyapunov solver.  Nothing
 imports from the package's algorithm internals beyond plain data
 containers, so agreement between these oracles and the library is
-meaningful evidence.  The one exception is :func:`per_root_arborescence`,
-which loops the package's fixed-root solver (checked against
-:func:`brute_force_arborescence` on its own) over every root.
+meaningful evidence.  Two exceptions: :func:`per_root_arborescence`
+loops the package's fixed-root solver (checked against
+:func:`brute_force_arborescence` on its own) over every root, and
+:func:`per_row_trial_reports` runs the package's public searches and
+checks only how a Monte Carlo trial scores what they select.
 """
 
 from __future__ import annotations
@@ -627,3 +629,110 @@ def random_cache(m: int, K: int, rng: np.random.Generator, tie_rich: bool = Fals
                 value = float(rng.random())
             cache.put(i, members, value)
     return cache
+
+
+# ---------------------------------------------------------------------------
+# Monte Carlo trials, one step and one query at a time
+
+
+def loop_simulate_panel(model, n: int, seed, burn_in=None) -> np.ndarray:
+    """The network recursion with one noise draw per step, as an m x n array."""
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    m = model.m
+    if burn_in is None:
+        burn_in = 10 * m
+    dyn = model.coefficients.T
+    scale = np.sqrt(model.noise_variances)
+    x = np.zeros(m)
+    out = np.empty((m, n))
+    for t in range(burn_in + n):
+        x = dyn @ x + scale * rng.standard_normal(m)
+        if t >= burn_in:
+            out[:, t - burn_in] = x
+    return out
+
+
+def per_row_trial_reports(config):
+    """The reports of ``run_experiment(config)``, each row scored on its own.
+
+    Trials draw their networks and panels as the package does (the panel
+    by :func:`loop_simulate_panel`) and select with the package's public
+    searches.  Each report row's exact score then sums single
+    ``set_value`` queries in node order, and its ratio comes from
+    ``ratio_to_true`` on that row alone.  Degenerate and failing trials
+    are left out.
+    """
+    from math import comb
+
+    from dinet import (
+        DIEvaluator,
+        TimeSeriesPanel,
+        build_cache,
+        generate_ar_network,
+        greedy_connected,
+        greedy_general,
+        network_empirical_alpha,
+        optimal_connected,
+        optimal_general,
+        ratio_to_true,
+        top_r_general,
+        true_parent_assignment,
+    )
+    from dinet.errors import DinetError
+    from dinet.simulate import TrialReport
+
+    K, L, m = config.K, config.greedy_length, config.m
+    reports = []
+    for trial in range(config.trials):
+        model_seed, panel_seed = np.random.SeedSequence(config.seed + trial).spawn(2)
+        try:
+            model = generate_ar_network(
+                m,
+                np.random.default_rng(model_seed),
+                edge_probability=config.edge_probability,
+                spectral_target=config.spectral_target,
+                noise_variance=config.noise_variance,
+                include_diagonal=config.include_diagonal,
+            )
+            exact = DIEvaluator.from_model(model)
+
+            def score(assignment):
+                return sum(
+                    exact.set_value(i, assignment.members_of(i))
+                    for i in range(1, m + 1)
+                )
+
+            if score(true_parent_assignment(model)) == 0.0:
+                continue
+            if config.selection == "exact":
+                selector = exact
+            else:
+                data = loop_simulate_panel(
+                    model, config.n, np.random.default_rng(panel_seed)
+                )
+                selector = DIEvaluator.from_panel(TimeSeriesPanel(data))
+            cache = build_cache(selector, m, K)
+            alpha = network_empirical_alpha(selector).alpha if m >= 3 else None
+            rows = [
+                ("optimal", "general", optimal_general(cache, K).assignment, None),
+                ("greedy", "general", greedy_general(selector, L).assignment, alpha),
+                ("optimal", "connected", optimal_connected(cache, K).assignment, None),
+                ("greedy", "connected", greedy_connected(selector, L).assignment,
+                 alpha),
+            ]
+            if config.r:
+                ranked = top_r_general(cache, K, min(config.r, comb(m - 1, K) ** m))
+                rows += [
+                    (f"topr-{rank}", "general", sol.assignment, None)
+                    for rank, sol in enumerate(ranked, start=1)
+                ]
+            reports += [
+                TrialReport(
+                    trial, algorithm, graph_class, K, L, score(assignment),
+                    ratio_to_true(assignment, model, exact), alpha_hat, 0.0,
+                )
+                for algorithm, graph_class, assignment, alpha_hat in rows
+            ]
+        except DinetError:
+            continue
+    return reports

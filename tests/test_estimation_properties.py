@@ -17,6 +17,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from dinet.errors import EstimationError
 from dinet.estimation import (
     DIEvaluator,
     EstimatorConfig,
@@ -136,6 +137,91 @@ def test_chain_rule_telescopes(query, rnd):
     ]
     total = ev.set_value(target, members)
     assert sum(increments) == pytest.approx(total, rel=1e-9, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# batches that mix targets and conditioning sets
+
+
+def _queries(draw, m, count):
+    """``count`` checked queries over ``m`` processes, any roles each."""
+    queries = []
+    for _ in range(count):
+        target = draw(st.integers(1, m))
+        others = [j for j in range(1, m + 1) if j != target]
+        roles = draw(st.lists(st.sampled_from("acn"), min_size=m - 1, max_size=m - 1))
+        addition = tuple(j for j, role in zip(others, roles) if role == "a")
+        conditioning = tuple(j for j, role in zip(others, roles) if role == "c")
+        queries.append((target, addition, conditioning))
+    return queries
+
+
+@SETTINGS
+@given(panel_queries(), st.data())
+def test_mixed_panel_batch_equals_single_queries(query, data):
+    panel_data, order, *_ = query
+    m = panel_data.shape[0]
+    queries = _queries(data.draw, m, data.draw(st.integers(1, 12)))
+    panel = TimeSeriesPanel(panel_data)
+    config = EstimatorConfig(markov_order=order)
+    batch = DIEvaluator.from_panel(panel, config)._fill(queries)
+    for (target, addition, conditioning), value in zip(queries, batch):
+        single = DIEvaluator.from_panel(panel, config)
+        assert value == single.increment(target, addition, conditioning)
+        want = lstsq_di(panel_data, target, addition, conditioning, order)
+        assert value == pytest.approx(want, rel=REL, abs=ABS)
+
+
+@SETTINGS
+@given(stable_models(), st.data())
+def test_mixed_model_batch_equals_single_queries(model, data):
+    queries = _queries(data.draw, model.m, data.draw(st.integers(1, 12)))
+    batch = DIEvaluator.from_model(model)._fill(queries)
+    for (target, addition, conditioning), value in zip(queries, batch):
+        assert value == exact_di_gaussian(model, target, addition, conditioning)
+        want = lyapunov_exact_di(
+            model.coefficients, model.noise_variances, target, addition, conditioning
+        )
+        assert value == pytest.approx(want, rel=1e-7, abs=1e-10)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(3, 5), st.data())
+def test_mixed_batch_names_the_query_that_fails_to_factor(seed, m, data):
+    # a zero process has an all-zero lag column, so any block holding it
+    # fails to factor and its group is refactored one query at a time
+    rng = np.random.default_rng(seed)
+    panel_data = rng.standard_normal((m, 80))
+    dead = data.draw(st.integers(1, m), label="dead")
+    panel_data[dead - 1] = 0.0
+    live = [j for j in range(1, m + 1) if j != dead]
+    good = [
+        (t, a, c)
+        for t, a, c in _queries(data.draw, m, data.draw(st.integers(0, 8)))
+        if dead not in (t, *a, *c)
+    ]
+    target = data.draw(st.sampled_from(live), label="target")
+    rest = [j for j in live if j != target]
+    if data.draw(st.booleans(), label="dead in addition"):
+        bad = (target, (dead,), tuple(rest[:1]))
+    else:
+        bad = (target, tuple(rest[:1]), (dead,))
+    at = data.draw(st.integers(0, len(good)), label="position")
+    queries = good[:at] + [bad] + good[at:]
+    evaluator = DIEvaluator.from_panel(TimeSeriesPanel(panel_data))
+    with pytest.raises(EstimationError) as err:
+        evaluator._fill(queries)
+    target, addition, conditioning = bad
+    assert str(err.value) == (
+        "singular design: regressor columns are linearly dependent (target "
+        f"{target}, addition {list(addition)}, conditioning {list(conditioning)})"
+    )
+    assert evaluator.calls == 0
+    # without the failing query the same batch factors, as single queries do
+    values = evaluator._fill(good)
+    assert values == [
+        DIEvaluator.from_panel(TimeSeriesPanel(panel_data)).increment(*q) for q in good
+    ]
 
 
 def test_cache_fills_the_memo_once():

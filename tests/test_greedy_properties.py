@@ -18,10 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dinet.approximation import greedy_connected, greedy_general
-from dinet.bounds import network_empirical_alpha
+from dinet.bounds import bound_witness_alpha, network_empirical_alpha
 from dinet.estimation import DIEvaluator
 from dinet.simulate import generate_ar_network
-from dinet.structures import DirectedInfoCache
+from dinet.structures import DirectedInfoCache, ParentAssignment
 from dinet.topr import top_r_greedy
 
 from _oracles import greedy_state_ranking, slow_greedy_order
@@ -58,10 +58,15 @@ def test_greedy_general_orders_match_the_oracle(source):
     make, L = source
     oracle = make()
     m = oracle.m
-    want = tuple(
-        slow_greedy_order(oracle, i, _others(m, i), (), L)[0] for i in range(1, m + 1)
-    )
-    assert greedy_general(make(), L).orders == want
+    chains = [
+        slow_greedy_order(oracle, i, _others(m, i), (), L) for i in range(1, m + 1)
+    ]
+    got = greedy_general(make(), L)
+    assert got.orders == tuple(picks for picks, _ in chains)
+    score = 0.0
+    for _, gains in chains:
+        score += sum(gains)
+    assert got.score.hex() == score.hex()
 
 
 @settings(max_examples=150, deadline=None)
@@ -112,6 +117,39 @@ def test_network_alpha_witness_matches_the_oracle(source):
     assert got.witness_path == chains[target][0]
     assert got.witness_increments == tuple(chains[target][1])
     assert got.alpha == _max_ratio(chains[target][1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(sources(), st.data())
+def test_bound_witness_alpha_matches_the_oracle(source, data):
+    make, L = source
+    oracle = make()
+    m = oracle.m
+    K = data.draw(st.integers(1, m - 1), label="K")
+    optimal = ParentAssignment.from_lists(
+        [
+            data.draw(st.sampled_from(list(combinations(_others(m, i), K))))
+            for i in range(1, m + 1)
+        ]
+    )
+    orders = greedy_general(make(), L).orders
+    # every (node, prefix length) chain in order; the first strictly
+    # largest ratio is the witness
+    best = (-math.inf, 0, (), ())
+    for i in range(1, m + 1):
+        for l in range(len(orders[i - 1])):
+            prefix = orders[i - 1][:l]
+            pool = set(optimal.members_of(i)) - set(prefix)
+            if len(pool) < 2:
+                continue
+            picks, gains = slow_greedy_order(oracle, i, pool, prefix)
+            if _max_ratio(gains) > best[0]:
+                best = (_max_ratio(gains), i, prefix + picks, tuple(gains))
+    got = bound_witness_alpha(make(), optimal, orders)
+    if best[1] == 0:
+        best = (1.0, 0, (), ())
+    witness = (got.witness_target, got.witness_path, got.witness_increments)
+    assert (got.alpha, *witness) == best
 
 
 @settings(max_examples=60, deadline=None)

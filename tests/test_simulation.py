@@ -24,9 +24,11 @@ from dinet.simulate import (
     true_parent_assignment,
     write_experiment_csv,
 )
+from dinet import cli
+from dinet.simulate import _run_trial
 from dinet.structures import ParentAssignment
 
-from _oracles import power_iteration_radius
+from _oracles import loop_simulate_panel, per_row_trial_reports, power_iteration_radius
 
 
 def two_drivers_model():
@@ -92,6 +94,20 @@ def test_simulate_panel_determinism():
         simulate_panel(model, 1, 0)
 
 
+@pytest.mark.parametrize("m", [3, 8, 16])
+def test_simulate_panel_equals_the_stepwise_loop(m):
+    # one noise draw for the whole path gives the stream of per-step draws
+    for seed in range(20):
+        model = generate_ar_network(m, np.random.default_rng([seed, m]))
+        got = simulate_panel(model, 150, seed).data
+        assert np.array_equal(got, loop_simulate_panel(model, 150, seed))
+    for burn_in in (0, 1, 7):
+        got = simulate_panel(model, 40, 3, burn_in=burn_in).data
+        assert np.array_equal(got, loop_simulate_panel(model, 40, 3, burn_in))
+    with pytest.raises(ValidationError, match="burn_in"):
+        simulate_panel(model, 40, 3, burn_in=-1)
+
+
 def test_simulate_panel_moments():
     # memoryless single process: samples are iid with the noise variance
     flat = LinearNetworkModel(np.zeros((1, 1)), np.array([0.25]))
@@ -120,6 +136,10 @@ def test_ratio_helpers():
     assert ratio_greedy_optimal(partial, truth, exact) == r
     with pytest.raises(ValidationError):
         ratio_greedy_optimal(partial, ParentAssignment.from_lists([(), (1,)]), exact)
+    # an assignment of another size is refused, not summed over its own nodes
+    for other in ([(), (1,)], [(), (), (1,), ()]):
+        with pytest.raises(ValidationError, match="evaluator has m=3"):
+            assignment_exact_score(ParentAssignment.from_lists(other), exact)
     # a silent network has no score to compare against
     silent = LinearNetworkModel(np.zeros((2, 2)), np.ones(2))
     silent_exact = DIEvaluator.from_model(silent)
@@ -163,6 +183,77 @@ def test_run_experiment_exact_selection():
         assert ranked == sorted(ranked, reverse=True)
         assert rows[("greedy", "general")].score <= rows[("optimal", "general")].score + 1e-9
         assert rows[("optimal", "connected")].score <= rows[("optimal", "general")].score + 1e-9
+
+
+@pytest.mark.parametrize("selection", ["estimated", "exact"])
+@pytest.mark.parametrize("seed", [0, 3, 11])
+def test_batched_row_scores_equal_per_row_scoring(selection, seed):
+    config = ExperimentConfig(
+        m=6, K=2, n=300, trials=4, r=5, seed=seed, selection=selection
+    )
+    got = run_experiment(config).reports
+    want = per_row_trial_reports(config)
+    assert got and [repr(rep) for rep in got] == [repr(rep) for rep in want]
+
+
+@pytest.mark.parametrize("selection", ["estimated", "exact"])
+def test_simulate_runs_write_identical_bytes(tmp_path, capsys, selection):
+    outputs = []
+    for run in ("first", "second"):
+        out = tmp_path / run
+        out.mkdir()
+        argv = [
+            "simulate", "--m", "6", "--K", "2", "--trials", "4", "--r", "5",
+            "--seed", "2", "--selection", selection, "--out", str(out),
+        ]
+        assert cli.main(argv) == 0
+        outputs.append(
+            {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+        )
+    capsys.readouterr()
+    assert len(outputs[0]) == 2 and outputs[0] == outputs[1]
+
+
+# the calls each evaluator of a trial made at m=8, K=2, r=10: exact then
+# panel evaluator for estimated selection, the one exact evaluator for
+# exact selection; counted before greedy chains were batched together
+TRIAL_CALLS = {
+    ("estimated", 0): [(23, 680), (27, 680), (25, 680)],
+    ("estimated", 5): [(26, 680), (24, 680), (20, 680)],
+    ("exact", 0): [(687,), (689,), (689,)],
+    ("exact", 5): [(689,), (687,), (686,)],
+}
+
+
+@pytest.mark.parametrize("selection, seed", sorted(TRIAL_CALLS))
+def test_trial_calls_count_each_distinct_query_once(monkeypatch, selection, seed):
+    made, asked = [], {}
+    fill = DIEvaluator._fill
+    for name in ("from_model", "from_panel"):
+        build = getattr(DIEvaluator, name).__func__
+
+        def recorded(cls, *args, _build=build, **kwargs):
+            made.append(_build(cls, *args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(DIEvaluator, name, classmethod(recorded))
+
+    def recorded_fill(self, queries):
+        asked.setdefault(id(self), set()).update(queries)
+        return fill(self, queries)
+
+    monkeypatch.setattr(DIEvaluator, "_fill", recorded_fill)
+    config = ExperimentConfig(m=8, K=2, trials=3, r=10, seed=seed, selection=selection)
+    calls = []
+    for trial in range(config.trials):
+        made.clear()
+        asked.clear()
+        model_seed, panel_seed = np.random.SeedSequence(seed + trial).spawn(2)
+        assert _run_trial(config, trial, model_seed, panel_seed, 2, 2)
+        for ev in made:
+            assert ev.calls == len(asked[id(ev)])
+        calls.append(tuple(ev.calls for ev in made))
+    assert calls == TRIAL_CALLS[(selection, seed)]
 
 
 def test_run_experiment_degenerate_trials_excluded():

@@ -162,6 +162,17 @@ def test_get_new_solutions_validation():
         get_new_solutions(cache, 1, wrong_size)
 
 
+@pytest.mark.parametrize("K", [-1, 3])
+def test_get_new_solutions_rejects_an_out_of_range_degree(K):
+    rng = np.random.default_rng(348)
+    cache = random_cache(3, 1, rng)
+    seed = optimal_general(cache, 1).assignment
+    with pytest.raises(ValidationError, match=f"degree too large: K={K} with m=3"):
+        get_new_solutions(cache, K, seed)
+    with pytest.raises(ValidationError, match=f"degree too large: K={K} with m=3"):
+        top_r_general(cache, K, 1)
+
+
 def test_branching_reaches_every_next_best():
     # the (l+1)-th best always appears among the branches of a better
     # solution, which is the lemma the exact enumeration rests on
