@@ -4,27 +4,38 @@ Given per-node directed information values, these searches pick a parent
 set for every process so the summed value is as large as possible, under
 one of two structural regimes:
 
-* unconstrained ("general"): each node independently gets the best size-K
-  set, found exactly by scanning all candidates or approximately by greedy
-  forward selection;
+* unconstrained ("general"): each node independently gets its best
+  size-K set, exactly or by greedy forward selection;
 * spanning-tree constrained ("connected"): the chosen structure must
   contain a directed spanning tree.  Each potential tree edge ``j -> i``
-  is weighted by the best parent set for ``i`` that includes ``j``, and a
-  maximum weight arborescence picks the tree.
+  is weighted by a parent set for ``i`` that includes ``j``, and a
+  maximum weight arborescence picks the tree.  The root keeps the empty
+  set or, with ``root_has_parents``, a set of its own whose value weighs
+  that root in the same solve.
 
-Two private helpers carry every greedy and tree search in the package.
-The greedy kernel, ``_greedy_orders``, runs many greedy chains at once,
-each ordering the members of a pool after a prefix for one target.  The
-chains advance in lockstep, and each step asks the evaluator for every
-live chain's candidates in one batch of mixed targets and conditioning
-sets.  The general and connected greedy searches (all nodes, or all
-seeded edges, at once), the curvature measurements in
-:mod:`dinet.bounds` (all chains at once) and the greedy rankings in
-:mod:`dinet.topr` (one chain at a time) all call it.  The tree helper takes
-the parent set each arc ``j -> i`` stands for (a set of ``i`` containing
-``j``) and the set the root keeps, makes the one arborescence solve and
-reads off the structure the tree induces; both connected searches and
-the greedy connected ranking use it, so that ranking's first tree is
+Every search, here and in :mod:`dinet.topr`, reads its parent sets from
+one source: per node, a candidate list, best first.  An exact list sorts
+all of a node's size-K sets by value, ties to the smaller set index;
+:func:`optimal_general` takes each node's first entry and
+:func:`optimal_connected` weighs arc ``j -> i`` by the first entry of
+``i``'s list that contains ``j``.  A greedy list starts with the greedy
+set grown after a pinned prefix (nothing, or a tree edge's parent) and
+goes on through the node's greedy choice sequences depth-first, built
+lazily as a ranking reaches them; :func:`greedy_connected` reads the
+first entry of each arc's pinned list, and the greedy rankings read on.
+
+Two private helpers carry the rest.  The greedy kernel,
+``_greedy_orders``, runs many greedy chains at once, each ordering the
+members of a pool after a prefix for one target.  The chains advance in
+lockstep, and each step asks the evaluator for every live chain's
+candidates in one batch of mixed targets and conditioning sets.
+:func:`greedy_general`, the first entries of all greedy lists and the
+curvature measurements in :mod:`dinet.bounds` each take one call; the
+depth-first successor of a greedy list takes one chain at a time.  The
+tree helper takes the parent set each arc ``j -> i`` stands for and the
+set each root would keep, makes the one arborescence solve and reads off
+the structure the tree induces; both connected searches and the greedy
+connected ranking use it, so that ranking's first tree is
 :func:`greedy_connected` by construction.
 
 Ties are always resolved deterministically: candidate parent sets by
@@ -50,7 +61,9 @@ from .structures import (
     DirectedInfoCache,
     ParentAssignment,
     ScoredApproximation,
+    _check_degree,
     all_parent_sets,
+    parent_set_index,
 )
 
 
@@ -83,43 +96,8 @@ def _degree_vector(degree: int | Sequence[int], m: int, name: str) -> list[int]:
         if len(degrees) != m:
             raise ValidationError(f"{name} vector must have one entry per process")
     for k in degrees:
-        if k < 0 or k >= m:
-            raise ValidationError(f"degree too large: {name}={k} with m={m}")
+        _check_degree(k, m, name)
     return degrees
-
-
-def optimal_general(
-    cache: DirectedInfoCache, K: int | Sequence[int]
-) -> ScoredApproximation:
-    """Exact unconstrained selection: per-node best size-``K`` parent set.
-
-    Scans every candidate set per node in ascending index order, keeping
-    the first maximum, so equal-value candidates resolve to the smallest
-    set index.  ``K`` may be a single size or one size per node.
-    """
-    m = cache.m
-    degrees = _degree_vector(K, m, "K")
-    chosen: list[tuple[int, ...]] = []
-    score = 0.0
-    for i in range(1, m + 1):
-        best, best_v = _best_parent_set(cache, i, degrees[i - 1])
-        chosen.append(best)
-        score += best_v
-    return ScoredApproximation(ParentAssignment.from_lists(chosen), score)
-
-
-def _best_parent_set(
-    cache: DirectedInfoCache, target: int, K: int
-) -> tuple[tuple[int, ...], float]:
-    """The first maximum over ``target``'s size-``K`` sets in index order."""
-    best: tuple[int, ...] | None = None
-    best_v = -np.inf
-    for members in all_parent_sets(cache.m, target, K):
-        v = cache.get(target, members) if members else 0.0
-        if v > best_v:
-            best, best_v = members, v
-    assert best is not None
-    return best, best_v
 
 
 _Entry = tuple[tuple[int, ...], float]  # (members, value) of one parent set
@@ -170,27 +148,205 @@ def _greedy_orders(
     ]
 
 
-def _greedy_entries(
-    evaluator: DIEvaluator, length: int, seeds: Sequence[tuple[int, tuple[int, ...]]]
-) -> list[_Entry]:
-    """Per ``(target, seed)``: the greedy set of ``length`` grown from ``seed``.
+# ---------------------------------------------------------------------------
+# per-node candidate lists
 
-    Each set comes with its value; all chains and all values take one
-    batch per greedy step and one more for the values.
+
+class _Candidates:
+    """One node's parent-set candidates, best first.
+
+    ``members``, ``values`` and ``ranks`` are parallel: position ``p``
+    holds a set, its value and its :func:`parent_set_index`.  A greedy
+    list grows from ``state``, the depth-first state of its last entry
+    (None once complete), as :meth:`has` asks for positions past its end.
+    """
+
+    def __init__(
+        self,
+        target: int,
+        members: list[tuple[int, ...]],
+        values: list[float],
+        ranks: list[int] | None,
+        evaluator: DIEvaluator | None = None,
+        state: tuple[tuple[int, ...], tuple[int, ...]] | None = None,
+        n_pinned: int = 0,
+    ) -> None:
+        self.target = target
+        self.members = members
+        self.values = values
+        self.ranks = ranks
+        self._evaluator = evaluator
+        self._state = state
+        self._n_pinned = n_pinned
+
+    @classmethod
+    def exact(cls, cache: DirectedInfoCache, target: int, K: int) -> "_Candidates":
+        """All size-``K`` sets of ``target``, by value, ties to the smaller rank.
+
+        The empty set is worth 0.0 without a cache lookup.
+        """
+        sets = list(all_parent_sets(cache.m, target, K))
+        values = [cache.get(target, ms) if ms else 0.0 for ms in sets]
+        # a stable sort keeps equal values in rank order
+        ranks = sorted(range(len(sets)), key=values.__getitem__, reverse=True)
+        return cls(
+            target, [sets[p] for p in ranks], [values[p] for p in ranks], ranks
+        )
+
+    @classmethod
+    def greedy(
+        cls,
+        evaluator: DIEvaluator,
+        length: int,
+        seeds: Sequence[tuple[int, tuple[int, ...]]],
+    ) -> list["_Candidates"]:
+        """Per ``(target, pinned)``: the greedy choice sequences after ``pinned``.
+
+        A list's first entry is the greedy set of ``length`` grown from
+        ``pinned``; each later one is the next state of
+        :func:`_dfs_successor`, which visits every size-``length`` set
+        containing ``pinned`` exactly once.  Every list's first entry takes
+        one lockstep :func:`_greedy_orders` call, and their values one
+        more batch.  A pinned list serves the partition search, which
+        never reads ranks, so it has none.
+        """
+        m = evaluator.m
+        chains = [
+            (target, set(range(1, m + 1)) - {target, *pinned}, pinned,
+             length - len(pinned))
+            for target, pinned in seeds
+        ]
+        orders = _greedy_orders(evaluator, chains)
+        members = [
+            tuple(sorted(pinned + picks))
+            for (_, pinned), (picks, _) in zip(seeds, orders)
+        ]
+        values = evaluator._fill(
+            [(target, ms, ()) for (target, _), ms in zip(seeds, members)]
+        )
+        return [
+            cls(
+                target,
+                [ms],
+                [v],
+                None if pinned else [parent_set_index(m, target, ms)],
+                evaluator,
+                (pinned + picks, (0,) * length),
+                len(pinned),
+            )
+            for (target, pinned), (picks, _), ms, v
+            in zip(seeds, orders, members, values)
+        ]
+
+    def entry(self, p: int = 0) -> _Entry:
+        """The set at position ``p`` with its value."""
+        return self.members[p], self.values[p]
+
+    def has(self, p: int) -> bool:
+        """Whether position ``p`` exists, growing a greedy list up to it."""
+        while p >= len(self.members) and self._state is not None:
+            self._state = _dfs_successor(
+                self._evaluator, self.target, *self._state, self._n_pinned
+            )
+            if self._state is not None:
+                members = tuple(sorted(self._state[0]))
+                self.members.append(members)
+                self.values.append(self._evaluator.set_value(self.target, members))
+                if self.ranks is not None:
+                    self.ranks.append(
+                        parent_set_index(self._evaluator.m, self.target, members)
+                    )
+        return p < len(self.members)
+
+
+def _dfs_successor(
+    evaluator: DIEvaluator,
+    target: int,
+    choices: tuple[int, ...],
+    ranks: tuple[int, ...],
+    n_pinned: int,
+) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """The next state in depth-first order over greedy choice sequences.
+
+    Advancing a slot moves it to the next-ranked candidate; deeper slots
+    restart greedily over what remains.  Candidates outranking an earlier
+    slot's choice are excluded from deeper slots, since sets containing
+    them were already enumerated under that earlier branch; this makes the
+    walk visit every parent set exactly once.
+    """
+    length = len(choices)
+    # forward pass: each free slot's candidates, ranked by increment
+    # (ties to the smaller index), and the pool they came from
+    avail = set(range(1, evaluator.m + 1)) - {target, *choices[:n_pinned]}
+    slots: list[tuple[set[int], list[int]]] = []
+    for k in range(n_pinned, length):
+        candidates = sorted(avail)
+        values = evaluator.increments(
+            target, [(j,) for j in candidates], choices[:k]
+        )
+        ranked = [j for _, j in sorted(zip([-v for v in values], candidates))]
+        slots.append((avail, ranked))
+        avail = avail - set(ranked[: ranks[k] + 1])
+
+    for k in reversed(range(n_pinned, length)):
+        avail, ranked = slots[k - n_pinned]
+        nr = ranks[k] + 1
+        # the deeper slots need length - k - 1 candidates left over
+        if len(ranked) - nr - 1 >= length - k - 1:
+            prefix = choices[:k] + (ranked[nr],)
+            pool = avail - set(ranked[: nr + 1])
+            [(picks, _)] = _greedy_orders(
+                evaluator, [(target, pool, prefix, length - k - 1)]
+            )
+            return prefix + picks, ranks[:k] + (nr,) + (0,) * len(picks)
+    return None
+
+
+def _empty_set(root: int) -> _Entry:
+    return (), 0.0
+
+
+def _exact_lists(cache: DirectedInfoCache, K: int) -> list[_Candidates]:
+    return [_Candidates.exact(cache, i, K) for i in range(1, cache.m + 1)]
+
+
+def _greedy_lists(
+    evaluator: DIEvaluator, L: int, root_has_parents: bool
+) -> tuple[dict[tuple[int, tuple[int, ...]], _Candidates], Callable[[int], _Entry]]:
+    """Every arc ``j -> i``'s greedy list pinned to ``j``, and the root sets.
+
+    The lists are keyed ``(i, (j,))``.  The root keeps the empty set, or
+    with ``root_has_parents`` the first entry of its unpinned list, keyed
+    ``(r, ())`` and built in the same batch.
     """
     nodes = range(1, evaluator.m + 1)
-    chains = []
-    for target, seed in seeds:
-        pool = [j for j in nodes if j != target and j not in seed]
-        chains.append((target, pool, seed, length - len(seed)))
-    orders = _greedy_orders(evaluator, chains)
-    members = [
-        tuple(sorted(seed + picks)) for (_, seed), (picks, _) in zip(seeds, orders)
+    seeds = [(i, (j,)) for i in nodes for j in nodes if j != i]
+    if root_has_parents:
+        seeds += [(i, ()) for i in nodes]
+    lists = dict(zip(seeds, _Candidates.greedy(evaluator, L, seeds)))
+    if root_has_parents:
+        return lists, lambda r: lists[(r, ())].entry()
+    return lists, _empty_set
+
+
+def optimal_general(
+    cache: DirectedInfoCache, K: int | Sequence[int]
+) -> ScoredApproximation:
+    """Exact unconstrained selection: per-node best size-``K`` parent set.
+
+    Each node takes the first entry of its exact candidate list, the
+    largest value with ties to the smallest set index.  ``K`` may be a
+    single size or one size per node.
+    """
+    m = cache.m
+    degrees = _degree_vector(K, m, "K")
+    firsts = [
+        _Candidates.exact(cache, i, k).entry() for i, k in enumerate(degrees, 1)
     ]
-    values = evaluator._fill(
-        [(target, ms, ()) for (target, _), ms in zip(seeds, members)]
+    return ScoredApproximation(
+        ParentAssignment.from_lists([members for members, _ in firsts]),
+        sum(value for _, value in firsts),
     )
-    return list(zip(members, values))
 
 
 def greedy_general(
@@ -218,26 +374,6 @@ def greedy_general(
     )
 
 
-def constrained_best_sets(
-    cache: DirectedInfoCache, K: int
-) -> dict[tuple[int, int], tuple[tuple[int, ...], float]]:
-    """For each (target, required parent): the best set containing it.
-
-    Scans each target's candidate sets once in index order; ties keep the
-    first, i.e. the smallest set index.
-    """
-    m = cache.m
-    best: dict[tuple[int, int], tuple[tuple[int, ...], float]] = {}
-    for i in range(1, m + 1):
-        for members in all_parent_sets(m, i, K):
-            v = cache.get(i, members)
-            for j in members:
-                cur = best.get((i, j))
-                if cur is None or v > cur[1]:
-                    best[(i, j)] = (members, v)
-    return best
-
-
 def _entry_tree(
     m: int,
     arc_entry: Callable[[int, int], _Entry | None],
@@ -250,8 +386,9 @@ def _entry_tree(
     arc ``j -> i`` stands for, weighing its value, or None when the arc
     is barred; ``root_entry(r)`` is the set the tree root ``r`` keeps.
     Builds the weight table (no arcs into a given ``root``), makes one
-    :func:`max_weight_arborescence` call and returns the tree, the table
-    and every node's induced entry in node order.  Raises
+    :func:`max_weight_arborescence` call, with each root set's value as
+    its root weight when the root is free, and returns the tree, the
+    table and every node's induced entry in node order.  Raises
     :class:`InfeasibleArborescenceError` when no tree exists.
     """
     w = np.zeros((m, m))
@@ -266,7 +403,8 @@ def _entry_tree(
                 w[j - 1, i - 1] = entry[1]
                 allowed[j - 1, i - 1] = True
     weights = EdgeWeights(w, allowed)
-    tree = max_weight_arborescence(weights, root)
+    root_weights = None if root else [root_entry(r)[1] for r in range(1, m + 1)]
+    tree = max_weight_arborescence(weights, root, root_weights)
     entries = tuple(
         root_entry(i) if i == tree.root else arcs[(i, tree.parent[i])]
         for i in range(1, m + 1)
@@ -290,30 +428,35 @@ def _connected(
     )
 
 
-def _empty_set(root: int) -> _Entry:
-    return (), 0.0
-
-
 def optimal_connected(
     cache: DirectedInfoCache, K: int, root_has_parents: bool = False
 ) -> ConnectedApproximation:
     """Exact selection within the spanning-tree constrained class.
 
-    Weights edge ``j -> i`` by the best size-``K`` parent set for ``i``
-    containing ``j``, then takes a maximum weight arborescence over all
-    roots.  By default the tree root keeps an empty parent set; with
-    ``root_has_parents`` the same tree is kept and its root then takes
-    its best size-``K`` set, so the root's own set does not influence
-    the choice of tree.
+    Weights edge ``j -> i`` by the first entry of ``i``'s exact candidate
+    list that contains ``j`` (its best size-``K`` set containing ``j``,
+    ties to the smallest set index), then takes a maximum weight
+    arborescence over all roots.  By default the tree root keeps an empty
+    parent set; with ``root_has_parents`` it keeps its best size-``K``
+    set, whose value weighs that root in the same solve, so the result
+    is the optimum of that class too.
     """
     m = cache.m
-    if K < 1 or K >= m:
-        raise ValidationError(f"degree too large: K={K} with m={m}")
-    best = constrained_best_sets(cache, K)
-    root_entry = (
-        (lambda r: _best_parent_set(cache, r, K)) if root_has_parents else _empty_set
-    )
-    return _connected(m, lambda i, j: best[(i, j)], root_entry)
+    _check_degree(K, m, least=1)
+    arcs: dict[tuple[int, int], _Entry] = {}
+    best: list[_Entry] = []
+    for i in range(1, m + 1):
+        lst = _Candidates.exact(cache, i, K)
+        best.append(lst.entry())
+        # the first entry holding j is i's best set containing j
+        for p, members in enumerate(lst.members):
+            for j in members:
+                if (i, j) not in arcs:
+                    arcs[(i, j)] = lst.entry(p)
+            if len(arcs) == i * (m - 1):
+                break
+    root_entry = (lambda r: best[r - 1]) if root_has_parents else _empty_set
+    return _connected(m, lambda i, j: arcs[(i, j)], root_entry)
 
 
 def greedy_connected(
@@ -325,18 +468,12 @@ def greedy_connected(
     from the seed ``{j}`` to size ``L`` and weighed by the evaluator's
     value of the whole set (the chain rule sum of its increments, up to
     rounding); a maximum weight arborescence over those weights picks the
-    tree.  :func:`dinet.topr.top_r_greedy` builds its first tree from the
-    same greedy sets through the same solve, so its rank 1 is this
-    structure.
+    tree.  With ``root_has_parents`` the root keeps its unseeded greedy
+    set, whose value weighs that root in the same solve.
+    :func:`dinet.topr.top_r_greedy` builds its first tree from the same
+    greedy lists through the same solve, so its rank 1 is this structure.
     """
     m = evaluator.m
-    if L < 1 or L >= m:
-        raise ValidationError(f"degree too large: L={L} with m={m}")
-    edges = [(i, (j,)) for i in range(1, m + 1) for j in range(1, m + 1) if j != i]
-    arcs = dict(zip(edges, _greedy_entries(evaluator, L, edges)))
-    root_entry = (
-        (lambda r: _greedy_entries(evaluator, L, [(r, ())])[0])
-        if root_has_parents
-        else _empty_set
-    )
-    return _connected(m, lambda i, j: arcs[(i, (j,))], root_entry)
+    _check_degree(L, m, "L", 1)
+    lists, root_entry = _greedy_lists(evaluator, L, root_has_parents)
+    return _connected(m, lambda i, j: lists[(i, (j,))].entry(), root_entry)

@@ -12,9 +12,10 @@ Internally an arc's weight is an element of the ordered group
 elementwise, and the algorithm is correct over any totally ordered
 group.  A real arc of weight ``w`` is ``(0, w, 0)``.  Nodes are ``1 ..
 m``.  A free-root query is one solve over the graph plus a dummy node 0
-with an arc ``(-1, 0.0, -r)`` into every real node ``r``: the optimum
-uses as few dummy arcs as possible (exactly one when a spanning tree of
-real arcs exists), then maximizes the real weight, then takes the
+with an arc ``(-1, b_r, -r)`` into every real node ``r``, where ``b_r``
+is ``r``'s root weight (0.0 unless given): the optimum uses as few dummy
+arcs as possible (exactly one when a spanning tree of real arcs exists),
+then maximizes the real weight plus its root's weight, then takes the
 smallest root.  Removing the dummy arc leaves the best tree over all
 roots.
 
@@ -25,6 +26,7 @@ no matter how the finite weights scale.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -208,26 +210,42 @@ def _solve(nodes: list[int], arcs: list[_Arc], root: int) -> list[_Arc] | None:
 
 
 def max_weight_arborescence(
-    weights: EdgeWeights, root: int | None = None
+    weights: EdgeWeights,
+    root: int | None = None,
+    root_weights: Sequence[float] | None = None,
 ) -> Arborescence:
     """Maximum total weight spanning arborescence.
 
     With ``root`` given the tree is rooted there.  Otherwise one solve
     over the graph plus a dummy root (see the module notes) returns the
     best tree over all roots, exact ties going to the smallest root
-    index.  ``total_weight`` sums the chosen edges' weights in ascending
-    child order.  Raises :class:`InfeasibleArborescenceError` when no
-    spanning tree of allowed edges exists.
+    index.  ``root_weights[r-1]``, one finite value per node and only for
+    a free root, is added to the weight of every tree rooted at ``r``, so
+    the solve maximizes tree plus root weight.  ``total_weight`` sums the
+    chosen edges' weights in ascending child order, without the root
+    weight.  Raises :class:`InfeasibleArborescenceError` when no spanning
+    tree of allowed edges exists.
     """
     nodes = list(weights.nodes)
     if root is not None and root not in weights.nodes:
         raise ValidationError(f"root {root} out of range {weights.nodes}")
+    if root_weights is None:
+        root_weights = [0.0] * len(nodes)
+    elif root is not None:
+        raise ValidationError("root_weights apply only to a free root")
+    else:
+        root_weights = [float(b) for b in root_weights]
+        if len(root_weights) != len(nodes) or not all(map(np.isfinite, root_weights)):
+            raise ValidationError("root_weights must be one finite value per node")
     arcs = [_Arc(s, d, (0, w, 0), (s, d), None, None) for s, d, w in weights.arcs()]
     if root is not None:
         chosen = _solve(nodes, arcs, root)
     else:
         dummy = 0
-        arcs += [_Arc(dummy, r, (-1, 0.0, -r), (dummy, r), None, None) for r in nodes]
+        arcs += [
+            _Arc(dummy, r, (-1, b, -r), (dummy, r), None, None)
+            for r, b in zip(nodes, root_weights)
+        ]
         chosen = _solve([dummy, *nodes], arcs, dummy)
         # the dummy graph always has a tree; it is a real one only when
         # that tree needs a single dummy arc

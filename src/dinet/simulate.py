@@ -35,7 +35,7 @@ from .estimation import (
     TimeSeriesPanel,
     build_cache,
 )
-from .structures import ParentAssignment
+from .structures import ParentAssignment, _check_degree
 from .topr import top_r_general
 
 logger = logging.getLogger(__name__)
@@ -64,11 +64,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.m < 2:
             raise ValidationError(f"m must be >= 2, got {self.m}")
-        if not 1 <= self.K < self.m:
-            raise ValidationError(f"degree too large: K={self.K} with m={self.m}")
-        L = self.greedy_length
-        if not 1 <= L < self.m:
-            raise ValidationError(f"degree too large: L={L} with m={self.m}")
+        _check_degree(self.K, self.m, least=1)
+        _check_degree(self.greedy_length, self.m, "L", 1)
         if self.n < 2:
             raise ValidationError(f"n must be >= 2, got {self.n}")
         if self.trials < 1:

@@ -31,6 +31,12 @@ def _check_process(i: int, m: int, what: str = "process index") -> None:
         raise ValidationError(f"{what} {i} out of range 1..{m}")
 
 
+def _check_degree(k: int, m: int, name: str = "K", least: int = 0) -> None:
+    """Reject a parent set size ``name=k`` outside ``least .. m - 1``."""
+    if not least <= k < m:
+        raise ValidationError(f"degree too large: {name}={k} with m={m}")
+
+
 @dataclass(frozen=True)
 class ParentSet:
     """A target process together with its chosen set of parent processes.
@@ -199,8 +205,7 @@ class DirectedInfoCache:
     def __init__(self, m: int, K: int) -> None:
         if m < 1:
             raise ValidationError(f"m must be >= 1, got {m}")
-        if K < 0 or K >= m:
-            raise ValidationError(f"degree too large: K={K} with m={m}")
+        _check_degree(K, m)
         self.m = m
         self.K = K
         self._entries: dict[tuple[int, tuple[int, ...]], float] = {}

@@ -1,10 +1,11 @@
 """Ranked enumeration of the r best structures.
 
 Every ranking is built from one step: a node swaps its parent set for
-the next one in its own candidate order.  Each node's candidates sit in
-one list type, best first, with two sources: the exact source sorts all
-of a node's size-K sets by value (ties to the smaller set rank, its
-:func:`parent_set_index`), and the greedy source walks the node's greedy
+the next one in its own candidate order.  The candidates are the
+per-node lists of :mod:`dinet.approximation`, best first, the same lists
+its single searches read: an exact list sorts all of a node's size-K
+sets by value (ties to the smaller set rank, its
+:func:`parent_set_index`), and a greedy list walks the node's greedy
 choice sequences depth-first, built lazily as the rankings reach them.
 
 A lattice is one candidate list per node; a point picks a position in
@@ -29,7 +30,8 @@ order, so equal scores compare bit for bit.
   anything below it is emitted, and equal scores order by the canonical
   assignment key, so the ranking stays exact under the tree constraint.
 * greedy tree-constrained (:func:`top_r_greedy` with ``connected``): a
-  Lawler partition search over greedy lists pinned to each tree edge.
+  Lawler partition search over the greedy lists pinned to each tree
+  edge, the lists :func:`dinet.approximation.greedy_connected` reads.
   A subproblem is a root plus, per node, one forced parent set or a set
   of banned ones; its representative is one solve of
   :mod:`dinet.approximation`'s tree helper over the first unbanned set of
@@ -42,19 +44,17 @@ order, so equal scores compare bit for bit.
 
 from __future__ import annotations
 
-import functools
 import heapq
 from collections.abc import Sequence
-from dataclasses import dataclass
 from itertools import count
 from math import comb
 
 from .approximation import (
+    _Candidates,
     _Entry,
-    _empty_set,
     _entry_tree,
-    _greedy_entries,
-    _greedy_orders,
+    _exact_lists,
+    _greedy_lists,
 )
 from .errors import InfeasibleArborescenceError, ValidationError
 from .estimation import DIEvaluator
@@ -62,26 +62,9 @@ from .structures import (
     DirectedInfoCache,
     ParentAssignment,
     ScoredApproximation,
-    all_parent_sets,
-    parent_set_index,
+    _check_degree,
     _has_spanning_tree,
 )
-
-
-@dataclass(frozen=True)
-class TopR:
-    """An ordered batch of enumerated solutions."""
-
-    solutions: tuple[ScoredApproximation, ...]
-
-    def __iter__(self):
-        return iter(self.solutions)
-
-    def __len__(self) -> int:
-        return len(self.solutions)
-
-    def __getitem__(self, idx):
-        return self.solutions[idx]
 
 
 def _check_r(m: int, K: int, r: int, empty_root: bool = False) -> None:
@@ -95,148 +78,6 @@ def _check_r(m: int, K: int, r: int, empty_root: bool = False) -> None:
     space = m * radix ** (m - 1) if empty_root else radix**m
     if not 1 <= r <= space:
         raise ValidationError(f"r={r} out of range 1..{space}")
-
-
-# ---------------------------------------------------------------------------
-# per-node candidate lists
-
-
-class _Candidates:
-    """One node's parent-set candidates, best first.
-
-    ``members``, ``values`` and ``ranks`` are parallel: position ``p``
-    holds a set, its value and its :func:`parent_set_index`.  A greedy
-    list grows as :meth:`has` asks for positions past its end.
-    """
-
-    def __init__(
-        self,
-        target: int,
-        members: list[tuple[int, ...]],
-        values: list[float],
-        ranks: list[int] | None,
-    ) -> None:
-        self.target = target
-        self.members = members
-        self.values = values
-        self.ranks = ranks
-        self._evaluator: DIEvaluator | None = None
-        # the depth-first state of the last entry, None once complete
-        self._state: tuple[tuple[int, ...], tuple[int, ...]] | None = None
-        self._n_pinned = 0
-
-    @classmethod
-    def exact(cls, cache: DirectedInfoCache, target: int, K: int) -> "_Candidates":
-        """All size-``K`` sets of ``target``, by value, ties to the smaller rank.
-
-        The empty set is worth 0.0 without a cache lookup.
-        """
-        rows = sorted(
-            ((cache.get(target, ms) if ms else 0.0, rank, ms)
-             for rank, ms in enumerate(all_parent_sets(cache.m, target, K))),
-            key=lambda row: (-row[0], row[1]),
-        )
-        return cls(
-            target,
-            [ms for _, _, ms in rows],
-            [v for v, _, _ in rows],
-            [rank for _, rank, _ in rows],
-        )
-
-    @classmethod
-    def greedy(
-        cls,
-        evaluator: DIEvaluator,
-        target: int,
-        length: int,
-        pinned: tuple[int, ...] = (),
-    ) -> "_Candidates":
-        """``target``'s greedy choice sequences after ``pinned``, depth-first.
-
-        The first entry is the greedy set; each later one is the next
-        state of :func:`_dfs_successor`, which visits every size-``length``
-        set containing ``pinned`` exactly once.  A pinned list serves the
-        partition search, which never reads ranks, so it has none.
-        """
-        lst = cls(target, [], [], None if pinned else [])
-        lst._evaluator = evaluator
-        lst._n_pinned = len(pinned)
-        lst._add(_initial_state(evaluator, target, length, pinned))
-        return lst
-
-    def _add(self, state: tuple[tuple[int, ...], tuple[int, ...]]) -> None:
-        self._state = state
-        members = tuple(sorted(state[0]))
-        self.members.append(members)
-        self.values.append(self._evaluator.set_value(self.target, members))
-        if self.ranks is not None:
-            self.ranks.append(parent_set_index(self._evaluator.m, self.target, members))
-
-    def has(self, p: int) -> bool:
-        """Whether position ``p`` exists, growing a greedy list up to it."""
-        while p >= len(self.members) and self._state is not None:
-            state = _dfs_successor(
-                self._evaluator, self.target, *self._state, self._n_pinned
-            )
-            if state is None:
-                self._state = None
-            else:
-                self._add(state)
-        return p < len(self.members)
-
-
-def _initial_state(
-    evaluator: DIEvaluator, target: int, length: int, pinned: tuple[int, ...]
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """All-greedy state: pinned picks first, then rank-0 choices."""
-    pool = set(range(1, evaluator.m + 1)) - {target, *pinned}
-    [(picks, _)] = _greedy_orders(
-        evaluator, [(target, pool, pinned, length - len(pinned))]
-    )
-    return pinned + picks, (0,) * length
-
-
-def _dfs_successor(
-    evaluator: DIEvaluator,
-    target: int,
-    choices: tuple[int, ...],
-    ranks: tuple[int, ...],
-    n_pinned: int,
-) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    """The next state in depth-first order over greedy choice sequences.
-
-    Advancing a slot moves it to the next-ranked candidate; deeper slots
-    restart greedily over what remains.  Candidates outranking an earlier
-    slot's choice are excluded from deeper slots, since sets containing
-    them were already enumerated under that earlier branch; this makes the
-    walk visit every parent set exactly once.
-    """
-    length = len(choices)
-    # forward pass: each free slot's candidates, ranked by increment
-    # (ties to the smaller index), and the pool they came from
-    avail = set(range(1, evaluator.m + 1)) - {target, *choices[:n_pinned]}
-    slots: list[tuple[set[int], list[int]]] = []
-    for k in range(n_pinned, length):
-        candidates = sorted(avail)
-        values = evaluator.increments(
-            target, [(j,) for j in candidates], choices[:k]
-        )
-        ranked = [j for _, j in sorted(zip([-v for v in values], candidates))]
-        slots.append((avail, ranked))
-        avail = avail - set(ranked[: ranks[k] + 1])
-
-    for k in reversed(range(n_pinned, length)):
-        avail, ranked = slots[k - n_pinned]
-        nr = ranks[k] + 1
-        # the deeper slots need length - k - 1 candidates left over
-        if len(ranked) - nr - 1 >= length - k - 1:
-            prefix = choices[:k] + (ranked[nr],)
-            pool = avail - set(ranked[: nr + 1])
-            [(picks, _)] = _greedy_orders(
-                evaluator, [(target, pool, prefix, length - k - 1)]
-            )
-            return prefix + picks, ranks[:k] + (nr,) + (0,) * len(picks)
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +144,9 @@ def _key(lattice: _Lattice, pos: _Point) -> tuple[tuple[int, ...], ...]:
     return tuple(lst.members[p] for lst, p in zip(lattice, pos))
 
 
-def _top_points(lattice: _Lattice, radix: int, r: int) -> TopR:
+def _top_points(
+    lattice: _Lattice, radix: int, r: int
+) -> tuple[ScoredApproximation, ...]:
     """The first ``r`` points of the walk over one lattice."""
     emitted: list[ScoredApproximation] = []
     for score, _, pos in _walk([lattice], radix):
@@ -312,26 +155,23 @@ def _top_points(lattice: _Lattice, radix: int, r: int) -> TopR:
         )
         if len(emitted) == r:
             break
-    return TopR(tuple(emitted))
+    return tuple(emitted)
 
 
 # ---------------------------------------------------------------------------
 # exact rankings
 
 
-def _exact_lists(cache: DirectedInfoCache, K: int) -> list[_Candidates]:
-    return [_Candidates.exact(cache, i, K) for i in range(1, cache.m + 1)]
-
-
-def top_r_general(cache: DirectedInfoCache, K: int, r: int) -> TopR:
+def top_r_general(
+    cache: DirectedInfoCache, K: int, r: int
+) -> tuple[ScoredApproximation, ...]:
     """The exact r best unconstrained structures, best first.
 
     Output order is score descending, ties by ascending assignment index;
     it matches a full enumeration sort exactly.
     """
     m = cache.m
-    if K < 0 or K >= m:
-        raise ValidationError(f"degree too large: K={K} with m={m}")
+    _check_degree(K, m)
     _check_r(m, K, r)
     return _top_points(_exact_lists(cache, K), comb(m - 1, K), r)
 
@@ -348,8 +188,7 @@ def get_new_solutions(
     :func:`top_r_general` branches by.
     """
     m = cache.m
-    if K < 0 or K >= m:
-        raise ValidationError(f"degree too large: K={K} with m={m}")
+    _check_degree(K, m)
     if seed.m != m:
         raise ValidationError(f"seed has m={seed.m} but cache has m={m}")
     lists = _exact_lists(cache, K)
@@ -377,7 +216,7 @@ def top_r_connected(
     K: int,
     r: int,
     root_has_parents: bool = False,
-) -> TopR:
+) -> tuple[ScoredApproximation, ...]:
     """The r best tree-constrained structures, best first.
 
     The walk runs over one lattice per candidate root, the root's own
@@ -390,8 +229,7 @@ def top_r_connected(
     scores) the walk degrades to full enumeration of the lattices.
     """
     m = cache.m
-    if K < 1 or K >= m:
-        raise ValidationError(f"degree too large: K={K} with m={m}")
+    _check_degree(K, m, least=1)
     _check_r(m, K, r, empty_root=not root_has_parents)
 
     lists = _exact_lists(cache, K)
@@ -421,10 +259,10 @@ def top_r_connected(
             block.append((key, score))
     else:
         emitted += sorted(block)
-    return TopR(tuple(
+    return tuple(
         ScoredApproximation(ParentAssignment.from_lists(key), score)
         for key, score in emitted[:r]
-    ))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +271,7 @@ def top_r_connected(
 
 def _top_r_greedy_connected(
     evaluator: DIEvaluator, L: int, r: int, root_has_parents: bool
-) -> TopR:
+) -> tuple[ScoredApproximation, ...]:
     """Lawler's partition search over per-node parent-set choices.
 
     A subproblem is a root plus, per node, either one forced set or a set
@@ -447,22 +285,13 @@ def _top_r_greedy_connected(
     subproblem, so nothing is reached twice within a root.  The first
     subproblem leaves the root free; once it is popped, every other root
     starts a subproblem of its own.  The root keeps its empty (or greedy)
-    set and is never branched, so with ``root_has_parents`` one structure
-    can represent several roots and only its first pop is emitted.
+    set and is never branched; with ``root_has_parents`` that set's value
+    weighs each root in the first solve, one structure can represent
+    several roots, and only its first pop is emitted.
     """
     m = evaluator.m
     nodes = range(1, m + 1)
-    edge_lists = {
-        (i, j): _Candidates.greedy(evaluator, i, L, (j,))
-        for i in nodes
-        for j in nodes
-        if j != i
-    }
-    root_entry = (
-        functools.cache(lambda root: _greedy_entries(evaluator, L, [(root, ())])[0])
-        if root_has_parents
-        else _empty_set
-    )
+    lists, root_entry = _greedy_lists(evaluator, L, root_has_parents)
 
     heap: list[tuple] = []
     tiebreak = count()
@@ -471,10 +300,10 @@ def _top_r_greedy_connected(
         def arc_entry(i: int, j: int) -> _Entry | None:
             if forced[i - 1] is not None:
                 return forced[i - 1] if j in forced[i - 1][0] else None
-            edges, level = edge_lists[(i, j)], 0
+            edges, level = lists[(i, (j,))], 0
             while edges.has(level):
                 if edges.members[level] not in banned[i - 1]:
-                    return edges.members[level], edges.values[level]
+                    return edges.entry(level)
                 level += 1
             return None
 
@@ -514,7 +343,7 @@ def _top_r_greedy_connected(
             for other in nodes:
                 if other != root:
                     push(other, *unconstrained)
-    return TopR(tuple(emitted))
+    return tuple(emitted)
 
 
 def top_r_greedy(
@@ -523,7 +352,7 @@ def top_r_greedy(
     r: int,
     connected: bool = False,
     root_has_parents: bool = False,
-) -> TopR:
+) -> tuple[ScoredApproximation, ...]:
     """r structures enumerated through greedy choice sequences.
 
     The first solution is the greedy one:
@@ -543,10 +372,9 @@ def top_r_greedy(
     ranking, and may be shorter than ``r`` when the class is exhausted.
     """
     m = evaluator.m
-    if L < 1 or L >= m:
-        raise ValidationError(f"degree too large: L={L} with m={m}")
+    _check_degree(L, m, "L", 1)
     _check_r(m, L, r, empty_root=connected and not root_has_parents)
     if connected:
         return _top_r_greedy_connected(evaluator, L, r, root_has_parents)
-    lists = [_Candidates.greedy(evaluator, i, L) for i in range(1, m + 1)]
+    lists = _Candidates.greedy(evaluator, L, [(i, ()) for i in range(1, m + 1)])
     return _top_points(lists, comb(m - 1, L), r)

@@ -85,26 +85,29 @@ def brute_force_arborescence(
     return best
 
 
-def per_root_arborescence(weights):
+def per_root_arborescence(weights, root_weights=None):
     """Best free-root arborescence by one fixed-root solve per root.
 
-    Takes an ``EdgeWeights`` table.  Each root's tree comes from the
-    package's fixed-root solver (checked against
-    :func:`brute_force_arborescence` on its own); the first root with the
+    Takes an ``EdgeWeights`` table and optionally one weight per root.
+    Each root's tree comes from the package's fixed-root solver (checked
+    against :func:`brute_force_arborescence` on its own) and totals its
+    edge weights plus ``root_weights[r-1]``; the first root with the
     strictly largest total wins, so exact ties go to the smallest root.
     Raises ``InfeasibleArborescenceError`` when no root has a tree.
     """
     from dinet.arborescence import max_weight_arborescence
     from dinet.errors import InfeasibleArborescenceError
 
-    best = None
+    bonus = [0.0] * weights.m if root_weights is None else root_weights
+    best, best_total = None, None
     for r in weights.nodes:
         try:
             tree = max_weight_arborescence(weights, r)
         except InfeasibleArborescenceError:
             continue
-        if best is None or tree.total_weight > best.total_weight:
-            best = tree
+        total = tree.total_weight + bonus[r - 1]
+        if best is None or total > best_total:
+            best, best_total = tree, total
     if best is None:
         raise InfeasibleArborescenceError(
             "infeasible: no spanning arborescence with allowed edges"

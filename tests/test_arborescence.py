@@ -160,3 +160,18 @@ def test_infeasible_fixed_root_raises():
         max_weight_arborescence(ew, 2)
     with pytest.raises(ValidationError):
         max_weight_arborescence(ew, 4)
+
+
+def test_root_weights_pick_the_root_and_are_validated():
+    ew = EdgeWeights(np.ones((3, 3)))
+    # every tree weighs 2.0, so the root weights alone decide the root
+    got = max_weight_arborescence(ew, root_weights=[0.0, 0.5, 0.5])
+    assert got.root == 2 and got.total_weight == 2.0
+    plain = max_weight_arborescence(ew)
+    assert max_weight_arborescence(ew, root_weights=[0.0] * 3) == plain
+    with pytest.raises(ValidationError, match="one finite value per node"):
+        max_weight_arborescence(ew, root_weights=[0.0, 1.0])
+    with pytest.raises(ValidationError, match="one finite value per node"):
+        max_weight_arborescence(ew, root_weights=[0.0, np.nan, 1.0])
+    with pytest.raises(ValidationError, match="only to a free root"):
+        max_weight_arborescence(ew, 1, root_weights=[0.0] * 3)

@@ -271,6 +271,18 @@ def test_run_experiment_degenerate_trials_excluded():
     assert result.excluded_trials == 2
 
 
+def test_excluded_trial_warning_names_the_trial_and_the_query(caplog):
+    # three samples leave two rows for three regressors at the first query
+    config = ExperimentConfig(m=4, K=2, n=3, trials=2, seed=0)
+    with caplog.at_level("WARNING", logger="dinet.simulate"):
+        result = run_experiment(config)
+    assert result.excluded_trials == 2
+    assert caplog.messages[0] == (
+        "trial 0 excluded: insufficient samples: 2 rows for 3 regressors "
+        "(target 1, addition [2, 3], conditioning [])"
+    )
+
+
 def test_experiment_config_validation():
     with pytest.raises(ValidationError):
         ExperimentConfig(m=1, K=1)
