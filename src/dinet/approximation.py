@@ -56,14 +56,14 @@ from .arborescence import (
     max_weight_arborescence,
 )
 from .errors import ValidationError
-from .estimation import DIEvaluator, _check_query
+from .estimation import DIEvaluator
 from .structures import (
     DirectedInfoCache,
     ParentAssignment,
     ScoredApproximation,
     _check_degree,
+    _set_rank,
     all_parent_sets,
-    parent_set_index,
 )
 
 
@@ -116,15 +116,14 @@ def _greedy_orders(
     process index.  The chains advance in lockstep: one step asks the
     evaluator for every live chain's candidates in a single batch, so a
     chain picks as it would alone.  Returns each chain's picks (without
-    the prefix) and their increments, in chain order.
+    the prefix) and their increments, in chain order.  Nothing is
+    checked: a prefix and its pool are disjoint sets of processes other
+    than the target, which callers build or check at their boundary.
     """
-    m = evaluator.m
     runs = []  # per chain: target, prefix + picks, candidates left, steps, gains
     for target, pool, prefix, length in chains:
         remaining = sorted(set(pool))
         steps = len(remaining) if length is None else min(length, len(remaining))
-        if steps:
-            _check_query(m, target, remaining, prefix)
         runs.append((target, list(prefix), remaining, steps, []))
     live = [run for run in runs if run[3]]
     while live:
@@ -229,7 +228,7 @@ class _Candidates:
                 target,
                 [ms],
                 [v],
-                None if pinned else [parent_set_index(m, target, ms)],
+                None if pinned else [_set_rank(m, target, ms)],
                 evaluator,
                 (pinned + picks, (0,) * length),
                 len(pinned),
@@ -251,11 +250,9 @@ class _Candidates:
             if self._state is not None:
                 members = tuple(sorted(self._state[0]))
                 self.members.append(members)
-                self.values.append(self._evaluator.set_value(self.target, members))
+                self.values.append(self._evaluator._fill([(self.target, members, ())])[0])
                 if self.ranks is not None:
-                    self.ranks.append(
-                        parent_set_index(self._evaluator.m, self.target, members)
-                    )
+                    self.ranks.append(_set_rank(self._evaluator.m, self.target, members))
         return p < len(self.members)
 
 
@@ -281,9 +278,8 @@ def _dfs_successor(
     slots: list[tuple[set[int], list[int]]] = []
     for k in range(n_pinned, length):
         candidates = sorted(avail)
-        values = evaluator.increments(
-            target, [(j,) for j in candidates], choices[:k]
-        )
+        cond = tuple(sorted(choices[:k]))
+        values = evaluator._fill([(target, (j,), cond) for j in candidates])
         ranked = [j for _, j in sorted(zip([-v for v in values], candidates))]
         slots.append((avail, ranked))
         avail = avail - set(ranked[: ranks[k] + 1])

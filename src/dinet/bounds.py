@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from .approximation import _greedy_orders
 from .errors import ValidationError
 from .estimation import DIEvaluator
-from .structures import ParentAssignment, _check_process
+from .structures import ParentAssignment, _check_set
 
 
 def _check_alpha(alpha: float) -> float:
@@ -182,15 +182,11 @@ def empirical_alpha(
     ordered greedily for the target; the estimate is the maximum
     consecutive-gain ratio along that single chain.
     """
-    m = evaluator.m
-    _check_process(target, m, "target")
-    members = sorted(set(pool))
+    # a pool is a set, but True and np.int64(2) must not merge into 1 and 2
+    unique = {(type(j), j): j for j in pool}.values()
+    members = _check_set(evaluator.m, target, unique, "pool")
     if len(members) < 2:
         raise ValidationError(f"pool must contain at least 2 processes, got {pool!r}")
-    for j in members:
-        _check_process(j, m, "pool entry")
-        if j == target:
-            raise ValidationError(f"pool must not contain the target {target}")
     tracker = _AlphaTracker()
     [(picks, gains)] = _greedy_orders(evaluator, [(target, members, (), None)])
     tracker.offer(target, picks, gains)
@@ -223,7 +219,8 @@ def bound_witness_alpha(
     consecutive-gain ratios are recorded.  The maximum over all chains is
     the smallest alpha making every inequality in the guarantee's proof
     hold, so a coefficient computed from this estimate never overshoots
-    the realized greedy-to-optimal ratio.
+    the realized greedy-to-optimal ratio.  Each greedy order must pick
+    distinct processes other than its node.
     """
     m = evaluator.m
     if optimal.m != m:
@@ -233,6 +230,7 @@ def bound_witness_alpha(
     chains = []
     for target in range(1, m + 1):
         order = tuple(greedy_orders[target - 1])
+        _check_set(m, target, order, "greedy order")
         opt = set(optimal.members_of(target))
         for l in range(len(order)):
             pool = opt - set(order[:l])

@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import NamedTuple
 
@@ -65,7 +65,7 @@ from .errors import (
     PanelFormatError,
     ValidationError,
 )
-from .structures import DirectedInfoCache, _check_process, all_parent_sets
+from .structures import DirectedInfoCache, _check_process, _check_set, all_parent_sets
 
 # relative size of the last doubling update of the stationary covariance
 LYAPUNOV_TOL = 1e-12
@@ -230,19 +230,13 @@ def stationary_covariance(model: LinearNetworkModel) -> np.ndarray:
 def _check_query(
     m: int, target: int, addition: Iterable[int], conditioning: Iterable[int]
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    _check_process(target, m, "target")
-    add = tuple(sorted(addition))
-    cond = tuple(sorted(conditioning))
-    for j in add:
-        _check_process(j, m, "addition process")
-    for j in cond:
-        _check_process(j, m, "conditioning process")
-    if len(set(add)) != len(add) or len(set(cond)) != len(cond):
-        raise ValidationError("addition and conditioning must not repeat processes")
-    if set(add) & set(cond):
-        raise ValidationError("addition and conditioning sets must be disjoint")
-    if target in add or target in cond:
-        raise ValidationError("target cannot appear in addition or conditioning")
+    add = _check_set(m, target, addition, "addition")
+    cond = _check_set(m, target, conditioning, "conditioning set")
+    if both := set(add).intersection(cond):
+        raise ValidationError(
+            f"target {target}: process {min(both)} is in both the addition"
+            f" {list(add)} and the conditioning set {list(cond)}"
+        )
     return add, cond
 
 
@@ -429,10 +423,9 @@ def exact_di_gaussian(
     queries belong on ``DIEvaluator.from_model``, which solves it once and
     gives the same bits.
     """
+    # checked before the Lyapunov solve, so a bad query is named first
     add, cond = _check_query(model.m, target, addition, conditioning)
-    if not add:
-        return 0.0
-    return _projection_di(_model_moments(model), [(target, add, cond)])[0]
+    return DIEvaluator.from_model(model).increment(target, add, cond)
 
 
 def estimate_di_gaussian(
@@ -455,12 +448,8 @@ def estimate_di_gaussian(
     moments.  Repeated queries belong on ``DIEvaluator.from_panel``, which
     builds them once and gives the same bits.
     """
-    config = config or EstimatorConfig()
-    add, cond = _check_query(panel.m, target, addition, conditioning)
-    if not add:
-        return 0.0
-    moments = _panel_moments(panel, config.markov_order)
-    return _projection_di(moments, [(target, add, cond)])[0]
+    config = replace(config or EstimatorConfig(), estimator="gaussian")
+    return estimate_di(panel, target, addition, conditioning, config)
 
 
 class _LagCodes(NamedTuple):
@@ -578,10 +567,8 @@ def estimate_di_discrete(
     afresh.  Repeated queries belong on ``DIEvaluator.from_panel``, which
     encodes them once and gives the same bits.
     """
-    config = config or EstimatorConfig()
-    lags = _lag_codes(panel, config)
-    add, cond = _check_query(panel.m, target, addition, conditioning)
-    return _plugin_di(lags, [(target, add, cond)])[0]
+    config = replace(config or EstimatorConfig(), estimator="discrete")
+    return estimate_di(panel, target, addition, conditioning, config)
 
 
 def estimate_di(
@@ -591,10 +578,9 @@ def estimate_di(
     conditioning: Iterable[int] = (),
     config: EstimatorConfig | None = None,
 ) -> float:
-    """Dispatch to the estimator named in the config."""
-    config = config or EstimatorConfig()
-    fn = estimate_di_gaussian if config.estimator == "gaussian" else estimate_di_discrete
-    return fn(panel, target, addition, conditioning, config)
+    """One-shot value from the estimator named in the config."""
+    evaluator = DIEvaluator.from_panel(panel, config)
+    return evaluator.increment(target, addition, conditioning)
 
 
 class DIEvaluator:
@@ -634,10 +620,7 @@ class DIEvaluator:
         conditioning: Iterable[int] = (),
     ) -> float:
         add, cond = _check_query(self.m, target, addition, conditioning)
-        key = (target, add, cond)
-        if key not in self._memo:
-            self._fill([key])
-        return self._memo[key]
+        return self._fill([(target, add, cond)])[0]
 
     def increments(
         self,
@@ -651,17 +634,10 @@ class DIEvaluator:
         the values not yet memoized in one batch; each equals the single
         query's value bit for bit.
         """
-        cond = _check_query(self.m, target, (), conditioning)[1]
-        free = set(range(1, self.m + 1)) - {target, *cond}
-        queries = []
-        for a in additions:
-            add = tuple(sorted(a))
-            if len(free.intersection(add)) != len(add) or any(
-                type(j) is not int for j in add
-            ):
-                _check_query(self.m, target, add, cond)  # raises naming the fault
-            queries.append((target, add, cond))
-        return self._fill(queries)
+        cond = _check_set(self.m, target, conditioning, "conditioning set")
+        return self._fill(
+            [(target, *_check_query(self.m, target, a, cond)) for a in additions]
+        )
 
     def set_value(self, target: int, members: Iterable[int]) -> float:
         """Directed information from a whole parent set to the target."""

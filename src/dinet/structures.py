@@ -14,6 +14,7 @@ threads.
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -29,6 +30,38 @@ def _check_process(i: int, m: int, what: str = "process index") -> None:
         raise ValidationError(f"{what} must be an integer, got {i!r}")
     if not 1 <= i <= m:
         raise ValidationError(f"{what} {i} out of range 1..{m}")
+
+
+def _check_set(
+    m: float, target: int, members: Iterable[int], what: str = "parent set"
+) -> tuple[int, ...]:
+    """The sorted members of a valid set of processes for ``target``.
+
+    The one rule for every parent set, DI query set, pool and greedy order:
+    the target and the members are integers (never bools) in ``1..m``, no
+    member repeats and none is the target.  Types are checked before
+    sorting, so a bad member raises :class:`ValidationError`, not
+    ``TypeError``, naming the target and the offending process.
+    """
+    key = tuple(members)
+    if type(target) is int and all(type(j) is int for j in key):
+        key = tuple(sorted(key))
+        if 1 <= target <= m and (not key or (
+            1 <= key[0] and key[-1] <= m
+            and len(set(key)) == len(key) and target not in key
+        )):
+            return key
+    # the slow path names the first fault, and passes int subclasses
+    _check_process(target, m, "target")
+    for j in key:
+        _check_process(j, m, f"target {target}: {what} member")
+    key = tuple(sorted(key))
+    for a, b in zip(key, key[1:]):
+        if a == b:
+            raise ValidationError(f"target {target}: {what} {list(key)} repeats {a}")
+    if target in key:
+        raise ValidationError(f"target {target}: {what} {list(key)} contains the target")
+    return key
 
 
 def _check_degree(k: int, m: int, name: str = "K", least: int = 0) -> None:
@@ -49,16 +82,8 @@ class ParentSet:
     members: tuple[ProcessIndex, ...]
 
     def __post_init__(self) -> None:
-        members = tuple(sorted(self.members))
-        if any(not isinstance(j, int) or isinstance(j, bool) for j in members):
-            raise ValidationError(f"parent set members must be integers: {members!r}")
-        for a, b in zip(members, members[1:]):
-            if a == b:
-                raise ValidationError(f"duplicate parent {a} for target {self.target}")
-        if self.target in members:
-            raise ValidationError(f"target {self.target} cannot be its own parent")
-        if members and members[0] < 1:
-            raise ValidationError(f"parent indices must be >= 1: {members!r}")
+        # the number of processes is unknown here; an assignment bounds it
+        members = _check_set(math.inf, self.target, self.members)
         object.__setattr__(self, "members", members)
 
     @property
@@ -94,8 +119,8 @@ class ParentAssignment:
                 raise ValidationError(
                     f"parents[{i - 1}] has target {ps.target}, expected {i}"
                 )
-            for j in ps.members:
-                _check_process(j, m, f"parent of {i}")
+            if ps.members and ps.members[-1] > m:
+                _check_process(ps.members[-1], m, f"target {i}: parent set member")
         object.__setattr__(self, "parents", parents)
 
     @classmethod
@@ -195,11 +220,11 @@ class ScoredApproximation:
 class DirectedInfoCache:
     """Directed information values keyed by (target, parent set members).
 
-    Values are per-time-step rates in nats.  The cache is append-only;
-    reads of missing keys raise :class:`UncachedParentSetError` naming the
-    target and set.  ``K`` records the nominal parent set size the cache
-    was built for, but entries of other sizes may be stored to support
-    per-node degree vectors.
+    Values are finite per-time-step rates in nats.  The cache is
+    append-only; reads of missing keys raise
+    :class:`UncachedParentSetError` naming the target and set.  ``K``
+    records the nominal parent set size the cache was built for, but
+    entries of other sizes may be stored to support per-node degree vectors.
     """
 
     def __init__(self, m: int, K: int) -> None:
@@ -211,13 +236,17 @@ class DirectedInfoCache:
         self._entries: dict[tuple[int, tuple[int, ...]], float] = {}
 
     def put(self, target: int, members: Iterable[int], value: float) -> None:
-        _check_process(target, self.m, "target")
-        key = tuple(sorted(members))
-        for j in key:
-            _check_process(j, self.m, f"parent of {target}")
-        if target in key:
-            raise ValidationError(f"target {target} cannot be its own parent")
-        self._entries[(target, key)] = float(value)
+        key = _check_set(self.m, target, members)
+        try:
+            number = float(value)
+        except (TypeError, ValueError):
+            number = math.nan
+        if not math.isfinite(number):
+            raise ValidationError(
+                f"target {target}: parent set {list(key)} has value {value!r},"
+                " not a finite number"
+            )
+        self._entries[(target, key)] = number
 
     def get(self, target: int, members: Iterable[int]) -> float:
         key = tuple(sorted(members))
@@ -340,12 +369,12 @@ def parent_set_index(m: int, target: int, members: Iterable[int]) -> int:
     computed recursively: count the sets with a smaller minimum, then rank
     the remainder within the reduced universe.
     """
-    _check_process(target, m, "target")
-    ps = ParentSet(target, tuple(members))
-    for j in ps.members:
-        _check_process(j, m, f"parent of {target}")
-    remapped = [j - 1 if j > target else j for j in ps.members]
-    return _subset_rank(m, remapped)
+    return _set_rank(m, target, _check_set(m, target, members))
+
+
+def _set_rank(m: int, target: int, key: Sequence[int]) -> int:
+    """:func:`parent_set_index` of a valid, sorted ``key``, unchecked."""
+    return _subset_rank(m, [j - 1 if j > target else j for j in key])
 
 
 def _subset_rank(m: int, idx: list[int]) -> int:
@@ -405,7 +434,7 @@ def approximation_index(assignment: ParentAssignment) -> int:
     index = 1
     weight = 1
     for ps in assignment.parents:
-        index += parent_set_index(m, ps.target, ps.members) * weight
+        index += _set_rank(m, ps.target, ps.members) * weight
         weight *= radix
     return index
 

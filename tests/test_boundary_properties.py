@@ -1,0 +1,122 @@
+"""Property test of the one parent-set rule at every public entry that takes a set.
+
+A set for a target is valid when its members are integers (never bools)
+in ``1..m``, none repeated and none the target.  Each malformed set must
+raise ``ValidationError`` (never ``TypeError``) at every entry, and a
+valid set, in any order, must reach every entry as the same sorted key.
+"""
+
+from functools import cache
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dinet.bounds import bound_witness_alpha, empirical_alpha
+from dinet.errors import ValidationError
+from dinet.estimation import (
+    DIEvaluator,
+    TimeSeriesPanel,
+    estimate_di,
+    estimate_di_discrete,
+    estimate_di_gaussian,
+    exact_di_gaussian,
+)
+from dinet.simulate import generate_ar_network, simulate_panel
+from dinet.structures import (
+    DirectedInfoCache,
+    ParentAssignment,
+    all_parent_sets,
+    parent_set_index,
+)
+
+FAULTS = ("repeat", "target", "zero", "above m", "bool", "numpy int", "str")
+
+
+@cache
+def sources(m):
+    """A model, a real panel and a binary panel with m processes."""
+    model = generate_ar_network(m, np.random.default_rng(m))
+    discrete = np.random.default_rng(m).integers(0, 2, size=(m, 60))
+    return model, simulate_panel(model, 60, m), TimeSeriesPanel(discrete, "discrete")
+
+
+@st.composite
+def cases(draw):
+    """(m, target, members, fault): a shuffled set, malformed unless fault is None."""
+    m = draw(st.integers(3, 5))
+    target = draw(st.integers(1, m))
+    others = [j for j in range(1, m + 1) if j != target]
+    valid = draw(st.lists(st.sampled_from(others), min_size=1, max_size=m - 1, unique=True))
+    fault = draw(st.sampled_from((None, *FAULTS)))
+    # the bad member may equal a valid one, as True equals 1
+    value = draw(st.sampled_from(valid))
+    bad = {
+        "repeat": value, "target": target, "zero": 0, "above m": m + 1,
+        "bool": True, "numpy int": np.int64(value), "str": str(value),
+    }.get(fault)
+    members = valid if fault is None else [*valid, bad]
+    return m, target, draw(st.permutations(members)), fault
+
+
+def entries(m, target, members):
+    """Each public entry that takes a set, fed ``members`` for ``target``."""
+    model, panel, discrete = sources(m)
+    ev = DIEvaluator.from_model(model)
+    lists = [()] * m
+    lists[target - 1] = members
+    orders = [()] * m
+    orders[target - 1] = members
+    empty = ParentAssignment.from_lists([()] * m)
+    return {
+        "ParentAssignment.from_lists": lambda: ParentAssignment.from_lists(lists),
+        "DirectedInfoCache.put": lambda: DirectedInfoCache(m, 1).put(target, members, 0.5),
+        "parent_set_index": lambda: parent_set_index(m, target, members),
+        "DIEvaluator.increment": lambda: ev.increment(target, members),
+        "DIEvaluator.increment conditioning": lambda: ev.increment(target, (), members),
+        "DIEvaluator.increments": lambda: ev.increments(target, [members]),
+        "DIEvaluator.set_value": lambda: ev.set_value(target, members),
+        "estimate_di": lambda: estimate_di(panel, target, members),
+        "estimate_di_gaussian": lambda: estimate_di_gaussian(panel, target, members),
+        "estimate_di_discrete": lambda: estimate_di_discrete(discrete, target, members),
+        "exact_di_gaussian": lambda: exact_di_gaussian(model, target, members),
+        "empirical_alpha": lambda: empirical_alpha(ev, target, members),
+        "bound_witness_alpha": lambda: bound_witness_alpha(ev, empty, orders),
+    }
+
+
+@settings(max_examples=120, deadline=None)
+@given(cases())
+def test_every_set_entry_applies_one_rule(case):
+    m, target, members, fault = case
+    key = tuple(sorted(members)) if fault is None else None
+    for name, call in entries(m, target, members).items():
+        if fault is not None:
+            if fault == "repeat" and name == "empirical_alpha":
+                continue  # a pool is a set: a repeat only de-duplicates
+            with pytest.raises(ValidationError):
+                call()
+            continue
+        if name == "empirical_alpha" and len(key) < 2:
+            with pytest.raises(ValidationError, match="at least 2"):
+                call()
+            continue
+        result = call()
+        if name == "ParentAssignment.from_lists":
+            assert result.members_of(target) == key
+        elif name == "parent_set_index":
+            assert result == list(all_parent_sets(m, target, len(key))).index(key)
+        elif name == "empirical_alpha":
+            assert tuple(sorted(result.witness_path)) == key
+    # the evaluator memoizes one sorted key: the sorted set computes nothing new
+    if fault is None:
+        model, _, _ = sources(m)
+        ev = DIEvaluator.from_model(model)
+        value = ev.increment(target, members)
+        assert ev.set_value(target, key) == value == exact_di_gaussian(model, target, key)
+        assert ev.increments(target, [key, members]) == [value, value]
+        assert ev.calls == 1
+        store = DirectedInfoCache(m, 1)
+        store.put(target, members, value)
+        assert store.items() == [(target, key, value)]

@@ -17,6 +17,7 @@ from dinet.bounds import (
 )
 from dinet.errors import ValidationError
 from dinet.estimation import DIEvaluator, LinearNetworkModel, build_cache
+from dinet.simulate import generate_ar_network
 
 from _oracles import lp_budget_maximum, sample_budget_feasible
 
@@ -277,6 +278,18 @@ def test_bound_witness_validation_and_fallback():
     # singleton optimal sets never yield a ratio; the estimate asserts nothing
     est = bound_witness_alpha(ev, good.assignment, ((2,), (1,), (1,)))
     assert est == AlphaEstimate(1.0, 0, (), ())
+
+
+@pytest.mark.parametrize("last", [99, 1, "repeat", True], ids=str)
+def test_bound_witness_rejects_malformed_greedy_orders(last):
+    # every pick is checked, also the last one, which no chain prefix holds
+    ev = DIEvaluator.from_model(generate_ar_network(4, np.random.default_rng(3)))
+    optimal = optimal_general(build_cache(ev, 4, 2), 2).assignment
+    orders = [list(order) for order in greedy_general(ev, 2).orders]
+    assert bound_witness_alpha(ev, optimal, orders).alpha > 0
+    orders[0][-1] = orders[0][0] if last == "repeat" else last
+    with pytest.raises(ValidationError, match="target 1: greedy order"):
+        bound_witness_alpha(ev, optimal, orders)
 
 
 def test_greedy_guarantee_never_violated():

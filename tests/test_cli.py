@@ -186,6 +186,29 @@ def test_incomplete_cache_is_internal_error(capsys, tmp_path, cache_path):
     assert "target" in err
 
 
+@pytest.mark.parametrize(
+    "fault, entry",
+    [
+        ("repeat", {"set": [2, 2]}),
+        ("text", {"value": "abc"}),
+        ("nan", {"value": math.nan}),
+    ],
+)
+def test_malformed_cache_entry_is_a_validation_error(
+    capsys, tmp_path, cache_path, fault, entry
+):
+    obj = json.loads(open(cache_path).read())
+    obj["entries"][0].update(entry)
+    path = tmp_path / f"{fault}.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "topr", "--cache", str(path), "--K", "1", "--r", "3")
+    assert code == 1
+    assert out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: target 1: parent set [2")
+
+
 def test_cache_build_names_a_singular_query(capsys, tmp_path):
     rng = np.random.default_rng(29)
     x = rng.standard_normal(80)
