@@ -15,7 +15,8 @@ one of two structural regimes:
 
 Every search, here and in :mod:`dinet.topr`, reads its parent sets from
 one source: per node, a candidate list, best first.  An exact list sorts
-all of a node's size-K sets by value, ties to the smaller set index;
+all of a node's size-K sets by value, ties to the smaller set index, with
+one stable argsort of the node's cache row;
 :func:`optimal_general` takes each node's first entry and
 :func:`optimal_connected` weighs arc ``j -> i`` by the first entry of
 ``i``'s list that contains ``j``.  A greedy list starts with the greedy
@@ -37,6 +38,9 @@ set each root would keep, makes the one arborescence solve and reads off
 the structure the tree induces; both connected searches and the greedy
 connected ranking use it, so that ranking's first tree is
 :func:`greedy_connected` by construction.
+
+Every set in a candidate list is valid and sorted, so the structures
+built from them skip the public constructor's checks.
 
 Ties are always resolved deterministically: candidate parent sets by
 ascending set index, greedy picks by ascending process index, and tree
@@ -182,15 +186,18 @@ class _Candidates:
     def exact(cls, cache: DirectedInfoCache, target: int, K: int) -> "_Candidates":
         """All size-``K`` sets of ``target``, by value, ties to the smaller rank.
 
-        The empty set is worth 0.0 without a cache lookup.
+        The empty set is worth 0.0 without a cache lookup.  Otherwise one
+        stable argsort orders the target's cache row; a gap in the row
+        raises :class:`UncachedParentSetError` for the first missing set.
         """
-        sets = list(all_parent_sets(cache.m, target, K))
-        values = [cache.get(target, ms) if ms else 0.0 for ms in sets]
+        if K == 0:
+            return cls(target, [()], [0.0], [0])
+        row = cache._row(target, K)
         # a stable sort keeps equal values in rank order
-        ranks = sorted(range(len(sets)), key=values.__getitem__, reverse=True)
-        return cls(
-            target, [sets[p] for p in ranks], [values[p] for p in ranks], ranks
-        )
+        order = np.argsort(-row, kind="stable")
+        sets = list(all_parent_sets(cache.m, target, K))
+        ranks = order.tolist()
+        return cls(target, [sets[p] for p in ranks], row[order].tolist(), ranks)
 
     @classmethod
     def greedy(
@@ -340,7 +347,7 @@ def optimal_general(
         _Candidates.exact(cache, i, k).entry() for i, k in enumerate(degrees, 1)
     ]
     return ScoredApproximation(
-        ParentAssignment.from_lists([members for members, _ in firsts]),
+        ParentAssignment._from_keys([members for members, _ in firsts]),
         sum(value for _, value in firsts),
     )
 
@@ -366,7 +373,7 @@ def greedy_general(
         score += sum(increments)
     members = [tuple(sorted(picks)) for picks in orders]
     return GreedyApproximation(
-        ParentAssignment.from_lists(members), score, tuple(orders)
+        ParentAssignment._from_keys(members), score, tuple(orders)
     )
 
 
@@ -416,7 +423,7 @@ def _connected(
     """The free-root tree over ``arc_entry`` and the structure it induces."""
     tree, weights, entries = _entry_tree(m, arc_entry, root_entry)
     return ConnectedApproximation(
-        ParentAssignment.from_lists([members for members, _ in entries]),
+        ParentAssignment._from_keys([members for members, _ in entries]),
         sum(value for _, value in entries),
         root=tree.root,
         tree=tuple(tree.edges()),

@@ -686,16 +686,17 @@ def build_cache(evaluator: DIEvaluator, m: int, K: int) -> DirectedInfoCache:
     Populates all ``m * C(m-1, K)`` entries deterministically in
     (target, set) order, asking the evaluator for one target's sets at a
     time (a single batch for evaluators from ``from_model`` and
-    ``from_panel``).
+    ``from_panel``) and storing each batch as the target's row.  A count
+    above :data:`dinet.structures.MAX_CACHE_VALUES` raises
+    :class:`ValidationError` before any value is computed.
     """
     if m != evaluator.m:
         raise ValidationError(f"evaluator has m={evaluator.m}, asked for m={m}")
     cache = DirectedInfoCache(m, K)
+    cache._block(K)  # checks the size before any value is computed
     for target in range(1, m + 1):
-        sets = list(all_parent_sets(m, target, K))
-        values = evaluator._fill([(target, members, ()) for members in sets])
-        for members, value in zip(sets, values):
-            cache.put(target, members, value)
+        queries = [(target, members, ()) for members in all_parent_sets(m, target, K)]
+        cache._put_row(target, K, evaluator._fill(queries))
     return cache
 
 

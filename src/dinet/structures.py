@@ -7,8 +7,16 @@ this module is pure bookkeeping: validation, scoring, combinatorial
 indexing of parent sets and whole assignments, and serialization to JSON
 and GraphViz DOT.
 
-All public types are immutable after construction and safe to share across
-threads.
+Sets are checked once, at the public boundary: every public entry that
+takes a set of processes goes through ``_check_set``, which returns the
+sorted key.  Past it, a set is its sorted member tuple and its
+:func:`parent_set_index`.  :class:`DirectedInfoCache` stores its values
+densely, one float64 row per (target, set size) in that index order, so
+the searches read a whole row at once; structures the searches build
+from such rows skip the constructor's checks.
+
+:class:`ParentSet` and :class:`ParentAssignment` are immutable after
+construction and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -17,12 +25,24 @@ import json
 import math
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, compress, repeat
 from math import comb
+
+import numpy as np
 
 from .errors import UncachedParentSetError, ValidationError
 
 ProcessIndex = int
+
+MAX_CACHE_VALUES = 10_000_000
+"""The most values a :class:`DirectedInfoCache` holds for one set size.
+
+A cache stores the sets of one size as a dense block of ``m * C(m-1,
+size)`` values, a float64 and a filled flag each (about 9 bytes), however
+few of them are filled, so this caps one block near 90 MB.  A block above
+it, and :func:`dinet.build_cache` for such a size, raise
+:class:`ValidationError` before anything is allocated or computed.
+"""
 
 
 def _check_process(i: int, m: int, what: str = "process index") -> None:
@@ -133,6 +153,25 @@ class ParentAssignment:
             )
         )
 
+    @classmethod
+    def _from_keys(cls, keys: Iterable[tuple[int, ...]]) -> "ParentAssignment":
+        """:meth:`from_lists` of valid, sorted member tuples, unchecked.
+
+        For structures built from candidate lists, whose sets were checked
+        or generated in sorted form already; equal and hash-equal to the
+        checked construction.
+        """
+        new, assign = object.__new__, object.__setattr__
+        parents = []
+        for i, members in enumerate(keys, start=1):
+            ps = new(ParentSet)
+            assign(ps, "target", i)
+            assign(ps, "members", members)
+            parents.append(ps)
+        assignment = new(cls)
+        assign(assignment, "parents", tuple(parents))
+        return assignment
+
     @property
     def m(self) -> int:
         return len(self.parents)
@@ -217,14 +256,26 @@ class ScoredApproximation:
     score: float
 
 
+def _not_finite(target: int, key: Sequence[int], value: object) -> ValidationError:
+    return ValidationError(
+        f"target {target}: parent set {list(key)} has value {value!r},"
+        " not a finite number"
+    )
+
+
 class DirectedInfoCache:
     """Directed information values keyed by (target, parent set members).
 
-    Values are finite per-time-step rates in nats.  The cache is
-    append-only; reads of missing keys raise
-    :class:`UncachedParentSetError` naming the target and set.  ``K``
+    Values are finite per-time-step rates in nats.  Reads of missing keys
+    raise :class:`UncachedParentSetError` naming the target and set.  ``K``
     records the nominal parent set size the cache was built for, but
     entries of other sizes may be stored to support per-node degree vectors.
+
+    Storage is dense: each set size the cache holds is one block of one
+    float64 row per target, in :func:`parent_set_index` order, plus a
+    filled mask, allocated on the first value of that size and capped by
+    :data:`MAX_CACHE_VALUES`.  The public methods check every set by the
+    one set rule; the searches read a target's whole row at once.
     """
 
     def __init__(self, m: int, K: int) -> None:
@@ -233,7 +284,31 @@ class DirectedInfoCache:
         _check_degree(K, m)
         self.m = m
         self.K = K
-        self._entries: dict[tuple[int, tuple[int, ...]], float] = {}
+        # set size -> (values, filled), each m x C(m-1, size)
+        self._blocks: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    def _block(self, size: int) -> tuple[np.ndarray, np.ndarray]:
+        """The block of ``size``-sets, allocated on first use within the cap."""
+        block = self._blocks.get(size)
+        if block is None:
+            width = comb(self.m - 1, size)
+            if self.m * width > MAX_CACHE_VALUES:
+                raise ValidationError(
+                    f"a cache with m={self.m} and parent sets of size {size} holds"
+                    f" {self.m * width:,} values, above the limit of {MAX_CACHE_VALUES:,}"
+                )
+            shape = (self.m, width)
+            block = self._blocks[size] = (np.zeros(shape), np.zeros(shape, dtype=bool))
+        return block
+
+    def _slot(self, target: int, members: Iterable[int]) -> tuple[tuple[int, ...], bool, float]:
+        """A checked set's sorted key, whether it is filled, and its value."""
+        key = _check_set(self.m, target, members)
+        block = self._blocks.get(len(key))
+        if block is None:
+            return key, False, 0.0
+        rank = _set_rank(self.m, target, key)
+        return key, bool(block[1][target - 1, rank]), float(block[0][target - 1, rank])
 
     def put(self, target: int, members: Iterable[int], value: float) -> None:
         key = _check_set(self.m, target, members)
@@ -242,31 +317,61 @@ class DirectedInfoCache:
         except (TypeError, ValueError):
             number = math.nan
         if not math.isfinite(number):
-            raise ValidationError(
-                f"target {target}: parent set {list(key)} has value {value!r},"
-                " not a finite number"
-            )
-        self._entries[(target, key)] = number
+            raise _not_finite(target, key, value)
+        values, filled = self._block(len(key))
+        rank = _set_rank(self.m, target, key)
+        values[target - 1, rank] = number
+        filled[target - 1, rank] = True
 
     def get(self, target: int, members: Iterable[int]) -> float:
-        key = tuple(sorted(members))
-        try:
-            return self._entries[(target, key)]
-        except KeyError:
-            raise UncachedParentSetError(target, key) from None
+        key, filled, value = self._slot(target, members)
+        if not filled:
+            raise UncachedParentSetError(target, key)
+        return value
 
     def __contains__(self, key: tuple[int, Iterable[int]]) -> bool:
-        target, members = key
-        return (target, tuple(sorted(members))) in self._entries
+        return self._slot(*key)[1]
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return sum(int(np.count_nonzero(filled)) for _, filled in self._blocks.values())
+
+    def _put_row(self, target: int, size: int, values: Sequence[float]) -> None:
+        """Store ``target``'s values of every ``size``-set, in rank order."""
+        row = np.array(values, dtype=np.float64)
+        finite = np.isfinite(row)
+        if not finite.all():
+            p = int(np.argmin(finite))
+            raise _not_finite(target, parent_set_from_index(self.m, target, size, p), values[p])
+        block, filled = self._block(size)
+        block[target - 1] = row
+        filled[target - 1] = True
+
+    def _row(self, target: int, size: int) -> np.ndarray:
+        """``target``'s values of every ``size``-set, in rank order.
+
+        A gap raises :class:`UncachedParentSetError` naming the first
+        missing set.  The row is the cache's own storage: do not write it.
+        """
+        values, filled = self._blocks.get(size, (None, None))
+        if filled is None or not filled[target - 1].all():
+            p = 0 if filled is None else int(np.argmin(filled[target - 1]))
+            raise UncachedParentSetError(
+                target, parent_set_from_index(self.m, target, size, p)
+            )
+        return values[target - 1]
 
     def items(self) -> list[tuple[int, tuple[int, ...], float]]:
         """All entries as (target, members, value), deterministically sorted."""
-        return sorted(
-            (t, ms, v) for (t, ms), v in self._entries.items()
-        )
+        out = []
+        for size, (values, filled) in self._blocks.items():
+            for target, (row, mask) in enumerate(zip(values, filled), start=1):
+                if mask.any():
+                    sets = all_parent_sets(self.m, target, size)
+                    out += zip(
+                        repeat(target), compress(sets, mask.tolist()), row[mask].tolist()
+                    )
+        out.sort()
+        return out
 
     def to_json_dict(self) -> dict:
         return {
@@ -365,29 +470,21 @@ def parent_set_index(m: int, target: int, members: Iterable[int]) -> int:
     """Zero-based lexicographic rank of a parent set among same-size sets.
 
     The target is removed from the universe by sliding indices above it
-    down one, then the rank of the resulting subset of ``{1..m-1}`` is
-    computed recursively: count the sets with a smaller minimum, then rank
-    the remainder within the reduced universe.
+    down one, leaving a subset ``c_1 < ... < c_K`` of ``{1..n}``,
+    ``n = m - 1``.  Reversing the order of ``1..n`` maps lexicographic
+    order onto colexicographic order, whose rank is a sum of binomials,
+    so the rank is ``C(n, K) - 1 - sum_i C(n - c_i, K - i + 1)``.
     """
     return _set_rank(m, target, _check_set(m, target, members))
 
 
 def _set_rank(m: int, target: int, key: Sequence[int]) -> int:
     """:func:`parent_set_index` of a valid, sorted ``key``, unchecked."""
-    return _subset_rank(m, [j - 1 if j > target else j for j in key])
-
-
-def _subset_rank(m: int, idx: list[int]) -> int:
-    """Rank of the strictly ascending subset ``idx`` of ``{1..m-1}``."""
-    K = len(idx)
-    if K == 0:
-        return 0
-    if K == 1:
-        return idx[0] - 1
-    first = idx[0]
-    cnt = sum(comb(m - l, K - 1) for l in range(2, first + 1))
-    shifted = [j - first for j in idx[1:]]
-    return cnt + _subset_rank(m - first, shifted)
+    n, K = m - 1, len(key)
+    rank = comb(n, K) - 1
+    for i, j in enumerate(key):
+        rank -= comb(n - (j - 1 if j > target else j), K - i)
+    return rank
 
 
 def parent_set_from_index(m: int, target: int, K: int, rank: int) -> tuple[int, ...]:

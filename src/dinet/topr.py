@@ -151,7 +151,7 @@ def _top_points(
     emitted: list[ScoredApproximation] = []
     for score, _, pos in _walk([lattice], radix):
         emitted.append(
-            ScoredApproximation(ParentAssignment.from_lists(_key(lattice, pos)), score)
+            ScoredApproximation(ParentAssignment._from_keys(_key(lattice, pos)), score)
         )
         if len(emitted) == r:
             break
@@ -205,7 +205,7 @@ def get_new_solutions(
     columns = [lst.values for lst in lists]
     return tuple(
         ScoredApproximation(
-            ParentAssignment.from_lists(_key(lists, nxt)), _score_at(columns, nxt)
+            ParentAssignment._from_keys(_key(lists, nxt)), _score_at(columns, nxt)
         )
         for _, nxt in _successors(lists, tuple(pos))
     )
@@ -260,7 +260,7 @@ def top_r_connected(
     else:
         emitted += sorted(block)
     return tuple(
-        ScoredApproximation(ParentAssignment.from_lists(key), score)
+        ScoredApproximation(ParentAssignment._from_keys(key), score)
         for key, score in emitted[:r]
     )
 
@@ -329,7 +329,7 @@ def _top_r_greedy_connected(
         if key not in seen:
             seen.add(key)
             emitted.append(
-                ScoredApproximation(ParentAssignment.from_lists(key), -neg_score)
+                ScoredApproximation(ParentAssignment._from_keys(key), -neg_score)
             )
         fixed = list(forced)
         for i in nodes:

@@ -14,10 +14,12 @@ checks only how a Monte Carlo trial scores what they select.
 
 from __future__ import annotations
 
+import json
 from itertools import combinations, product
 
 import numpy as np
 
+from dinet.errors import UncachedParentSetError
 from dinet.structures import (
     ParentAssignment,
     approximation_index,
@@ -616,6 +618,48 @@ def unique_count_di(
         np.sum(cnt * (np.log(cnt) + np.log(n_w) - np.log(n_wa) - np.log(n_wy)))
     )
     return max(0.0, total / n_rows)
+
+
+class DictCache:
+    """The directed information cache as one dict keyed (target, sorted members).
+
+    Takes valid sets only and checks nothing.  It answers ``put``,
+    ``get``, ``in``, ``len``, ``items`` and ``to_json`` the way the
+    package's cache documents them: a missing key raises
+    :class:`UncachedParentSetError`, items sort by (target, members).
+    """
+
+    def __init__(self, m: int, K: int) -> None:
+        self.m, self.K = m, K
+        self.entries: dict[tuple[int, tuple[int, ...]], float] = {}
+
+    def put(self, target, members, value) -> None:
+        self.entries[(target, tuple(sorted(members)))] = float(value)
+
+    def get(self, target, members) -> float:
+        key = tuple(sorted(members))
+        if (target, key) not in self.entries:
+            raise UncachedParentSetError(target, key)
+        return self.entries[(target, key)]
+
+    def __contains__(self, key) -> bool:
+        target, members = key
+        return (target, tuple(sorted(members))) in self.entries
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    def items(self):
+        return sorted((t, ms, v) for (t, ms), v in self.entries.items())
+
+    def to_json(self) -> str:
+        entries = [{"target": t, "set": list(ms), "value": v} for t, ms, v in self.items()]
+        return json.dumps({"m": self.m, "K": self.K, "entries": entries}, indent=2) + "\n"
+
+
+def best_first_positions(values) -> list[int]:
+    """Positions of ``values`` by value descending, equal values in position order."""
+    return sorted(range(len(values)), key=values.__getitem__, reverse=True)
 
 
 def random_cache(m: int, K: int, rng: np.random.Generator, tie_rich: bool = False):

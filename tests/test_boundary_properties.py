@@ -60,6 +60,17 @@ def cases(draw):
     return m, target, draw(st.permutations(members)), fault
 
 
+@cache
+def full_store(m):
+    """A cache holding every set of every size for every target, worth its rank + 1."""
+    store = DirectedInfoCache(m, 1)
+    for target in range(1, m + 1):
+        for k in range(m):
+            for rank, members in enumerate(all_parent_sets(m, target, k)):
+                store.put(target, members, rank + 1.0)
+    return store
+
+
 def entries(m, target, members):
     """Each public entry that takes a set, fed ``members`` for ``target``."""
     model, panel, discrete = sources(m)
@@ -72,6 +83,8 @@ def entries(m, target, members):
     return {
         "ParentAssignment.from_lists": lambda: ParentAssignment.from_lists(lists),
         "DirectedInfoCache.put": lambda: DirectedInfoCache(m, 1).put(target, members, 0.5),
+        "DirectedInfoCache.get": lambda: full_store(m).get(target, members),
+        "DirectedInfoCache.__contains__": lambda: (target, members) in full_store(m),
         "parent_set_index": lambda: parent_set_index(m, target, members),
         "DIEvaluator.increment": lambda: ev.increment(target, members),
         "DIEvaluator.increment conditioning": lambda: ev.increment(target, (), members),
@@ -109,6 +122,10 @@ def test_every_set_entry_applies_one_rule(case):
             assert result == list(all_parent_sets(m, target, len(key))).index(key)
         elif name == "empirical_alpha":
             assert tuple(sorted(result.witness_path)) == key
+        elif name == "DirectedInfoCache.get":
+            assert result == parent_set_index(m, target, key) + 1.0
+        elif name == "DirectedInfoCache.__contains__":
+            assert result is True
     # the evaluator memoizes one sorted key: the sorted set computes nothing new
     if fault is None:
         model, _, _ = sources(m)

@@ -1,0 +1,138 @@
+"""Property tests of the dense directed information cache against a dict oracle.
+
+The cache stores one float64 row per (target, set size) in parent set
+index order, with a filled mask.  ``_oracles.DictCache`` is the plain
+dict keyed by (target, sorted members) that the rows replace: the two
+must agree on every read, on ``len``, on ``items`` across mixed set
+sizes, and byte for byte on JSON.  A candidate list is one stable
+argsort of a row; it must order sets exactly as a stable reverse sort of
+the values in rank order does.
+"""
+
+import math
+from itertools import combinations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dinet.approximation import _Candidates
+from dinet.errors import UncachedParentSetError
+from dinet.structures import DirectedInfoCache
+
+from _oracles import DictCache, best_first_positions
+
+# equal values, signed zeros and values that differ below rounding
+TIE_VALUES = st.sampled_from([0.0, -0.0, 0.25, 0.5, 1e-17, 2e-17])
+VALUES = TIE_VALUES | st.floats(-1e3, 1e3, allow_nan=False)
+
+
+def others(m, target):
+    return [j for j in range(1, m + 1) if j != target]
+
+
+def every_set(m, target):
+    """Every set for ``target``, of every size, in rank order within a size."""
+    pool = others(m, target)
+    return [ms for k in range(m) for ms in combinations(pool, k)]
+
+
+def bits(value):
+    """A float's value with its sign, so that -0.0 and 0.0 differ."""
+    return (value, math.copysign(1.0, value))
+
+
+def same_read(read, oracle_read):
+    """Both calls return the same bits, or both raise the same uncached error."""
+    try:
+        expected = oracle_read()
+    except UncachedParentSetError as exc:
+        with pytest.raises(UncachedParentSetError) as got:
+            read()
+        assert str(got.value) == str(exc)
+        return
+    assert bits(read()) == bits(expected)
+
+
+@st.composite
+def puts(draw):
+    """(m, K, puts): shuffled sets of every size, the empty set too, with overwrites."""
+    m = draw(st.integers(1, 6))
+    K = draw(st.integers(0, m - 1))
+    out = []
+    for _ in range(draw(st.integers(0, 40))):
+        target = draw(st.integers(1, m))
+        pool = others(m, target)
+        members = draw(st.lists(st.sampled_from(pool), unique=True) if pool else st.just([]))
+        out.append((target, members, draw(VALUES)))
+    if out and draw(st.booleans()):
+        target, members, _ = draw(st.sampled_from(out))
+        out.append((target, members[::-1], draw(VALUES)))
+    return m, K, out
+
+
+@settings(max_examples=200, deadline=None)
+@given(puts())
+def test_cache_matches_the_dict_oracle(drawn):
+    m, K, entries = drawn
+    cache, oracle = DirectedInfoCache(m, K), DictCache(m, K)
+    for target, members, value in entries:
+        cache.put(target, members, value)
+        oracle.put(target, members, value)
+    assert len(cache) == len(oracle)
+    assert [(t, ms, bits(v)) for t, ms, v in cache.items()] == [
+        (t, ms, bits(v)) for t, ms, v in oracle.items()
+    ]
+    text = cache.to_json()
+    assert text == oracle.to_json()
+    assert DirectedInfoCache.from_json(text).to_json() == text
+    for target in range(1, m + 1):
+        for members in every_set(m, target):
+            shuffled = members[::-1]
+            assert ((target, shuffled) in cache) == ((target, members) in oracle)
+            same_read(
+                lambda: cache.get(target, shuffled), lambda: oracle.get(target, members)
+            )
+
+
+@st.composite
+def rows(draw):
+    """(m, K, values per target): tie-rich rows, some with one gap."""
+    m = draw(st.integers(2, 7))
+    K = draw(st.integers(0, m - 1))
+    filled = {}
+    for target in range(1, m + 1):
+        sets = list(combinations(others(m, target), K))
+        values = draw(st.lists(TIE_VALUES, min_size=len(sets), max_size=len(sets)))
+        gap = draw(st.none() | st.integers(0, len(sets) - 1)) if K else None
+        filled[target] = [
+            (ms, v) for p, (ms, v) in enumerate(zip(sets, values)) if p != gap
+        ]
+    return m, K, filled
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows())
+def test_exact_candidates_match_a_stable_reverse_sort(drawn):
+    m, K, filled = drawn
+    cache, oracle = DirectedInfoCache(m, K), DictCache(m, K)
+    for target, entries in filled.items():
+        for ms, v in entries:
+            cache.put(target, ms, v)
+            oracle.put(target, ms, v)
+    for target in range(1, m + 1):
+        sets = list(combinations(others(m, target), K))
+        try:
+            values = [oracle.get(target, ms) if ms else 0.0 for ms in sets]
+        except UncachedParentSetError as exc:
+            with pytest.raises(UncachedParentSetError) as got:
+                _Candidates.exact(cache, target, K)
+            assert str(got.value) == str(exc)
+            continue
+        ranks = best_first_positions(values)
+        lst = _Candidates.exact(cache, target, K)
+        assert lst.ranks == ranks
+        assert lst.members == [sets[p] for p in ranks]
+        assert [bits(v) for v in lst.values] == [bits(values[p]) for p in ranks]
+        assert all(type(v) is float for v in lst.values)
+        assert all(type(p) is int for p in lst.ranks)

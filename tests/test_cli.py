@@ -237,6 +237,19 @@ def test_cache_build_names_a_plugin_query_over_the_cap(capsys, tmp_path):
     assert "(target 1, addition [2], conditioning [])" in err
 
 
+def test_cache_build_over_the_size_cap_fails_early(capsys, tmp_path):
+    # 40 * C(39, 5) values is above the cap; nothing is computed
+    path = tmp_path / "wide.csv"
+    write_panel_csv(TimeSeriesPanel(np.random.default_rng(37).standard_normal((40, 50))), str(path))
+    code, out, err = run(capsys, "cache", "build", str(path), "--K", "5")
+    assert code == 1
+    assert out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ")
+    assert "m=40 and parent sets of size 5 holds 23,030,280 values" in lines[0]
+
+
 def test_topr_rank_one_matches_approximate(capsys, cache_path):
     code, single, _ = run(capsys, "approximate", "--cache", cache_path, "--K", "1")
     assert code == 0

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from itertools import combinations
 from math import comb
 
@@ -7,8 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dinet.structures
 from dinet.errors import UncachedParentSetError, ValidationError
+from dinet.estimation import DIEvaluator, build_cache
 from dinet.structures import (
+    MAX_CACHE_VALUES,
     DirectedInfoCache,
     ParentAssignment,
     ParentSet,
@@ -144,6 +148,33 @@ def test_cache_json_round_trip_and_sorted_items():
     items = cache.items()
     assert items == sorted(items, key=lambda row: (row[0], row[1]))
     assert len(cache) == 6
+
+
+def test_cache_size_cap_fails_before_allocating():
+    # m=40 with sets of size 5 is 40 * C(39, 5) = 23,030,280 values; size 4 fits
+    assert 40 * comb(39, 4) <= MAX_CACHE_VALUES < 40 * comb(39, 5) == 23_030_280
+    ev = DIEvaluator(lambda *query: 0.0, 40)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match=r"m=40 .* size 5 holds 23,030,280 values"):
+            build_cache(ev, 40, 5)
+        with pytest.raises(ValidationError, match=r"m=40 .* size 5 holds 23,030,280 values"):
+            DirectedInfoCache(40, 1).put(1, (2, 3, 4, 5, 6), 0.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert ev.calls == 0  # nothing computed before the check
+
+
+def test_cache_size_cap_is_inclusive(monkeypatch):
+    monkeypatch.setattr(dinet.structures, "MAX_CACHE_VALUES", 40 * 39)
+    ev = DIEvaluator(lambda *query: 0.5, 40)
+    cache = build_cache(ev, 40, 1)  # exactly at the cap
+    assert len(cache) == 40 * 39 and cache.get(40, (1,)) == 0.5
+    with pytest.raises(ValidationError, match="size 2 holds 29,640 values"):
+        cache.put(1, (2, 3), 0.5)
+    assert len(cache) == 40 * 39
 
 
 def test_total_score_sums_and_skips_empty_sets():
