@@ -25,19 +25,21 @@ goes on through the node's greedy choice sequences depth-first, built
 lazily as a ranking reaches them; :func:`greedy_connected` reads the
 first entry of each arc's pinned list, and the greedy rankings read on.
 
-Two private helpers carry the rest.  The greedy kernel,
+Three private helpers carry the rest.  The greedy kernel,
 ``_greedy_orders``, runs many greedy chains at once, each ordering the
 members of a pool after a prefix for one target.  The chains advance in
 lockstep, and each step asks the evaluator for every live chain's
 candidates in one batch of mixed targets and conditioning sets.
 :func:`greedy_general`, the first entries of all greedy lists and the
-curvature measurements in :mod:`dinet.bounds` each take one call; the
-depth-first successor of a greedy list takes one chain at a time.  The
-tree helper takes the parent set each arc ``j -> i`` stands for and the
-set each root would keep, makes the one arborescence solve and reads off
-the structure the tree induces; both connected searches and the greedy
-connected ranking use it, so that ranking's first tree is
-:func:`greedy_connected` by construction.
+curvature measurements in :mod:`dinet.bounds` each take one call.  A
+greedy list's later entries come from ``_greedy_sets``, a recursive
+generator that ranks each slot's candidates once, when it first enters
+the slot, and is started only when a ranking first reads past the
+list's first entry.  The tree helper takes the parent set each arc
+``j -> i`` stands for and the set each root would keep, makes the one
+arborescence solve and reads off the structure the tree induces; both
+connected searches and the greedy connected ranking use it, so that
+ranking's first tree is :func:`greedy_connected` by construction.
 
 Every set in a candidate list is valid and sorted, so the structures
 built from them skip the public constructor's checks.
@@ -49,8 +51,9 @@ roots by ascending node index.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -93,12 +96,13 @@ class ConnectedApproximation(ScoredApproximation):
 
 
 def _degree_vector(degree: int | Sequence[int], m: int, name: str) -> list[int]:
-    if isinstance(degree, int) and not isinstance(degree, bool):
-        degrees = [degree] * m
-    else:
-        degrees = [int(k) for k in degree]  # type: ignore[union-attr]
+    """One size per node: ``degree`` itself, or a list or tuple of sizes."""
+    if isinstance(degree, (list, tuple)):
+        degrees = list(degree)
         if len(degrees) != m:
             raise ValidationError(f"{name} vector must have one entry per process")
+    else:
+        degrees = [degree] * m
     for k in degrees:
         _check_degree(k, m, name)
     return degrees
@@ -160,8 +164,8 @@ class _Candidates:
 
     ``members``, ``values`` and ``ranks`` are parallel: position ``p``
     holds a set, its value and its :func:`parent_set_index`.  A greedy
-    list grows from ``state``, the depth-first state of its last entry
-    (None once complete), as :meth:`has` asks for positions past its end.
+    list keeps its pinned prefix and, once :meth:`has` first asks past
+    its first entry, draws its later entries from :func:`_greedy_sets`.
     """
 
     def __init__(
@@ -171,16 +175,15 @@ class _Candidates:
         values: list[float],
         ranks: list[int] | None,
         evaluator: DIEvaluator | None = None,
-        state: tuple[tuple[int, ...], tuple[int, ...]] | None = None,
-        n_pinned: int = 0,
+        pinned: tuple[int, ...] = (),
     ) -> None:
         self.target = target
         self.members = members
         self.values = values
         self.ranks = ranks
-        self._evaluator = evaluator
-        self._state = state
-        self._n_pinned = n_pinned
+        self._evaluator = evaluator  # None for an exact or exhausted list
+        self._pinned = pinned
+        self._later: Iterator[tuple[int, ...]] | None = None
 
     @classmethod
     def exact(cls, cache: DirectedInfoCache, target: int, K: int) -> "_Candidates":
@@ -208,13 +211,12 @@ class _Candidates:
     ) -> list["_Candidates"]:
         """Per ``(target, pinned)``: the greedy choice sequences after ``pinned``.
 
-        A list's first entry is the greedy set of ``length`` grown from
-        ``pinned``; each later one is the next state of
-        :func:`_dfs_successor`, which visits every size-``length`` set
-        containing ``pinned`` exactly once.  Every list's first entry takes
-        one lockstep :func:`_greedy_orders` call, and their values one
-        more batch.  A pinned list serves the partition search, which
-        never reads ranks, so it has none.
+        A list's entries are the sets :func:`_greedy_sets` yields after
+        ``pinned``, every size-``length`` set containing ``pinned`` once.
+        The first, the greedy set, is built here for every list in one
+        lockstep :func:`_greedy_orders` call, and their values in one more
+        batch.  A pinned list serves the partition search, which never
+        reads ranks, so it has none.
         """
         m = evaluator.m
         chains = [
@@ -237,11 +239,9 @@ class _Candidates:
                 [v],
                 None if pinned else [_set_rank(m, target, ms)],
                 evaluator,
-                (pinned + picks, (0,) * length),
-                len(pinned),
+                pinned,
             )
-            for (target, pinned), (picks, _), ms, v
-            in zip(seeds, orders, members, values)
+            for (target, pinned), ms, v in zip(seeds, members, values)
         ]
 
     def entry(self, p: int = 0) -> _Entry:
@@ -250,63 +250,53 @@ class _Candidates:
 
     def has(self, p: int) -> bool:
         """Whether position ``p`` exists, growing a greedy list up to it."""
-        while p >= len(self.members) and self._state is not None:
-            self._state = _dfs_successor(
-                self._evaluator, self.target, *self._state, self._n_pinned
-            )
-            if self._state is not None:
-                members = tuple(sorted(self._state[0]))
+        evaluator = self._evaluator
+        if p >= len(self.members) and evaluator is not None:
+            if self._later is None:
+                pool = set(range(1, evaluator.m + 1)) - {self.target, *self._pinned}
+                self._later = _greedy_sets(
+                    evaluator, self.target, pool, self._pinned,
+                    len(self.members[0]) - len(self._pinned),
+                )
+                next(self._later)  # the greedy set, already at position 0
+            for members in islice(self._later, p + 1 - len(self.members)):
                 self.members.append(members)
-                self.values.append(self._evaluator._fill([(self.target, members, ())])[0])
+                self.values.append(evaluator._fill([(self.target, members, ())])[0])
                 if self.ranks is not None:
-                    self.ranks.append(_set_rank(self._evaluator.m, self.target, members))
+                    self.ranks.append(_set_rank(evaluator.m, self.target, members))
+            if p >= len(self.members):
+                self._evaluator = self._later = None
         return p < len(self.members)
 
 
-def _dfs_successor(
+def _greedy_sets(
     evaluator: DIEvaluator,
     target: int,
-    choices: tuple[int, ...],
-    ranks: tuple[int, ...],
-    n_pinned: int,
-) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    """The next state in depth-first order over greedy choice sequences.
+    pool: set[int],
+    prefix: tuple[int, ...],
+    length: int,
+) -> Iterator[tuple[int, ...]]:
+    """Every ``length``-subset of ``pool`` added to ``prefix``, sorted, once.
 
-    Advancing a slot moves it to the next-ranked candidate; deeper slots
-    restart greedily over what remains.  Candidates outranking an earlier
-    slot's choice are excluded from deeper slots, since sets containing
-    them were already enumerated under that earlier branch; this makes the
-    walk visit every parent set exactly once.
+    Depth first over greedy choice sequences: the pool is ranked by
+    increment conditioned on ``prefix`` (ties to the smaller index), and
+    the ``n``-th ranked candidate, while ``length`` candidates remain from
+    it on, is appended to the prefix with the candidates ranked below it
+    as the next pool.  A candidate ranked above a choice is left out of
+    the deeper pools, since the sets holding it came under its own
+    branch.  The first set is the greedy one; the last pick changes first.
     """
-    length = len(choices)
-    # forward pass: each free slot's candidates, ranked by increment
-    # (ties to the smaller index), and the pool they came from
-    avail = set(range(1, evaluator.m + 1)) - {target, *choices[:n_pinned]}
-    slots: list[tuple[set[int], list[int]]] = []
-    for k in range(n_pinned, length):
-        candidates = sorted(avail)
-        cond = tuple(sorted(choices[:k]))
-        values = evaluator._fill([(target, (j,), cond) for j in candidates])
-        ranked = [j for _, j in sorted(zip([-v for v in values], candidates))]
-        slots.append((avail, ranked))
-        avail = avail - set(ranked[: ranks[k] + 1])
-
-    for k in reversed(range(n_pinned, length)):
-        avail, ranked = slots[k - n_pinned]
-        nr = ranks[k] + 1
-        # the deeper slots need length - k - 1 candidates left over
-        if len(ranked) - nr - 1 >= length - k - 1:
-            prefix = choices[:k] + (ranked[nr],)
-            pool = avail - set(ranked[: nr + 1])
-            [(picks, _)] = _greedy_orders(
-                evaluator, [(target, pool, prefix, length - k - 1)]
-            )
-            return prefix + picks, ranks[:k] + (nr,) + (0,) * len(picks)
-    return None
-
-
-def _empty_set(root: int) -> _Entry:
-    return (), 0.0
+    if length == 0:
+        yield tuple(sorted(prefix))
+        return
+    candidates = sorted(pool)
+    cond = tuple(sorted(prefix))
+    values = evaluator._fill([(target, (j,), cond) for j in candidates])
+    ranked = [j for _, j in sorted(zip([-v for v in values], candidates))]
+    for n in range(len(ranked) - length + 1):
+        yield from _greedy_sets(
+            evaluator, target, set(ranked[n + 1:]), prefix + (ranked[n],), length - 1
+        )
 
 
 def _exact_lists(cache: DirectedInfoCache, K: int) -> list[_Candidates]:
@@ -315,21 +305,24 @@ def _exact_lists(cache: DirectedInfoCache, K: int) -> list[_Candidates]:
 
 def _greedy_lists(
     evaluator: DIEvaluator, L: int, root_has_parents: bool
-) -> tuple[dict[tuple[int, tuple[int, ...]], _Candidates], Callable[[int], _Entry]]:
+) -> tuple[dict[tuple[int, tuple[int, ...]], _Candidates], list[_Entry]]:
     """Every arc ``j -> i``'s greedy list pinned to ``j``, and the root sets.
 
-    The lists are keyed ``(i, (j,))``.  The root keeps the empty set, or
-    with ``root_has_parents`` the first entry of its unpinned list, keyed
-    ``(r, ())`` and built in the same batch.
+    The lists are keyed ``(i, (j,))``.  ``roots[r-1]`` is the set a tree
+    root ``r`` keeps: the empty set, or with ``root_has_parents`` the
+    first entry of its unpinned list, built in the same batch.
     """
-    nodes = range(1, evaluator.m + 1)
+    m = evaluator.m
+    nodes = range(1, m + 1)
     seeds = [(i, (j,)) for i in nodes for j in nodes if j != i]
     if root_has_parents:
         seeds += [(i, ()) for i in nodes]
-    lists = dict(zip(seeds, _Candidates.greedy(evaluator, L, seeds)))
+    lists = _Candidates.greedy(evaluator, L, seeds)
     if root_has_parents:
-        return lists, lambda r: lists[(r, ())].entry()
-    return lists, _empty_set
+        roots = [lst.entry() for lst in lists[m * (m - 1):]]
+    else:
+        roots = [((), 0.0)] * m
+    return dict(zip(seeds, lists)), roots
 
 
 def optimal_general(
@@ -380,14 +373,14 @@ def greedy_general(
 def _entry_tree(
     m: int,
     arc_entry: Callable[[int, int], _Entry | None],
-    root_entry: Callable[[int], _Entry],
+    roots: Sequence[_Entry],
     root: int | None = None,
 ) -> tuple[Arborescence, EdgeWeights, tuple[_Entry, ...]]:
     """The best tree over arcs that stand for parent sets.
 
     ``arc_entry(i, j)`` is the parent set of ``i`` containing ``j`` that
     arc ``j -> i`` stands for, weighing its value, or None when the arc
-    is barred; ``root_entry(r)`` is the set the tree root ``r`` keeps.
+    is barred; ``roots[r-1]`` is the set the tree root ``r`` keeps.
     Builds the weight table (no arcs into a given ``root``), makes one
     :func:`max_weight_arborescence` call, with each root set's value as
     its root weight when the root is free, and returns the tree, the
@@ -406,22 +399,20 @@ def _entry_tree(
                 w[j - 1, i - 1] = entry[1]
                 allowed[j - 1, i - 1] = True
     weights = EdgeWeights(w, allowed)
-    root_weights = None if root else [root_entry(r)[1] for r in range(1, m + 1)]
+    root_weights = None if root else [value for _, value in roots]
     tree = max_weight_arborescence(weights, root, root_weights)
     entries = tuple(
-        root_entry(i) if i == tree.root else arcs[(i, tree.parent[i])]
+        roots[i - 1] if i == tree.root else arcs[(i, tree.parent[i])]
         for i in range(1, m + 1)
     )
     return tree, weights, entries
 
 
 def _connected(
-    m: int,
-    arc_entry: Callable[[int, int], _Entry],
-    root_entry: Callable[[int], _Entry],
+    m: int, arc_entry: Callable[[int, int], _Entry], roots: Sequence[_Entry]
 ) -> ConnectedApproximation:
     """The free-root tree over ``arc_entry`` and the structure it induces."""
-    tree, weights, entries = _entry_tree(m, arc_entry, root_entry)
+    tree, weights, entries = _entry_tree(m, arc_entry, roots)
     return ConnectedApproximation(
         ParentAssignment._from_keys([members for members, _ in entries]),
         sum(value for _, value in entries),
@@ -458,8 +449,8 @@ def optimal_connected(
                     arcs[(i, j)] = lst.entry(p)
             if len(arcs) == i * (m - 1):
                 break
-    root_entry = (lambda r: best[r - 1]) if root_has_parents else _empty_set
-    return _connected(m, lambda i, j: arcs[(i, j)], root_entry)
+    roots = best if root_has_parents else [((), 0.0)] * m
+    return _connected(m, lambda i, j: arcs[(i, j)], roots)
 
 
 def greedy_connected(
@@ -478,5 +469,5 @@ def greedy_connected(
     """
     m = evaluator.m
     _check_degree(L, m, "L", 1)
-    lists, root_entry = _greedy_lists(evaluator, L, root_has_parents)
-    return _connected(m, lambda i, j: lists[(i, (j,))].entry(), root_entry)
+    lists, roots = _greedy_lists(evaluator, L, root_has_parents)
+    return _connected(m, lambda i, j: lists[(i, (j,))].entry(), roots)

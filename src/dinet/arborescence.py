@@ -11,13 +11,15 @@ Internally an arc's weight is an element of the ordered group
 ``Z x R x Z``, compared lexicographically; contraction subtracts weights
 elementwise, and the algorithm is correct over any totally ordered
 group.  A real arc of weight ``w`` is ``(0, w, 0)``.  Nodes are ``1 ..
-m``.  A free-root query is one solve over the graph plus a dummy node 0
-with an arc ``(-1, b_r, -r)`` into every real node ``r``, where ``b_r``
-is ``r``'s root weight (0.0 unless given): the optimum uses as few dummy
-arcs as possible (exactly one when a spanning tree of real arcs exists),
-then maximizes the real weight plus its root's weight, then takes the
-smallest root.  Removing the dummy arc leaves the best tree over all
-roots.
+m``.  Every query, fixed or free root, is one solve from a dummy node 0
+with an arc ``(-1, b_r, -r)`` into each candidate root ``r``, where
+``b_r`` is ``r``'s root weight (0.0 unless given): the optimum uses as
+few dummy arcs as possible (exactly one when a spanning tree of real
+arcs exists), then maximizes the real weight plus its root's weight,
+then takes the smallest root.  Removing the dummy arc leaves the best
+tree.  A free root has a dummy arc into every node.  A fixed root has
+the only one and no real arcs into it, so it never joins a cycle and
+the solve is the rooted one.
 
 Weights live in an :class:`EdgeWeights` table.  Forbidden edges are an
 explicit mask, never a large negative float, so they can never be chosen
@@ -32,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleArborescenceError, ValidationError
+from .structures import _check_process
 
 
 class EdgeWeights:
@@ -73,8 +76,7 @@ class EdgeWeights:
         return range(1, self.m + 1)
 
     def _pos(self, node: int) -> int:
-        if node not in self.nodes:
-            raise ValidationError(f"node {node} out of range {self.nodes}")
+        _check_process(node, self.m, "node")
         return node - 1
 
     def weight(self, src: int, dst: int) -> float:
@@ -191,8 +193,8 @@ def _solve(nodes: list[int], arcs: list[_Arc], root: int) -> list[_Arc] | None:
     if sub is None:
         return None
 
+    # the super node is never the root, so one arc of ``sub`` enters it
     chosen: list[_Arc] = []
-    entered_at: int | None = None
     for arc in sub:
         if arc.dst == super_node:
             entered_at = arc.enters_at
@@ -201,8 +203,6 @@ def _solve(nodes: list[int], arcs: list[_Arc], root: int) -> list[_Arc] | None:
             chosen.append(arc.orig)  # type: ignore[arg-type]
         else:
             chosen.append(arc)
-    if entered_at is None:
-        return None
     for v in cycle:
         if v != entered_at:
             chosen.append(best_in[v])
@@ -216,50 +216,48 @@ def max_weight_arborescence(
 ) -> Arborescence:
     """Maximum total weight spanning arborescence.
 
-    With ``root`` given the tree is rooted there.  Otherwise one solve
-    over the graph plus a dummy root (see the module notes) returns the
-    best tree over all roots, exact ties going to the smallest root
-    index.  ``root_weights[r-1]``, one finite value per node and only for
-    a free root, is added to the weight of every tree rooted at ``r``, so
-    the solve maximizes tree plus root weight.  ``total_weight`` sums the
+    One solve from a dummy root (see the module notes).  With ``root``
+    given the tree is rooted there; otherwise it is the best tree over
+    all roots, exact ties going to the smallest root index.
+    ``root_weights[r-1]``, one finite value per node and only for a free
+    root, is added to the weight of every tree rooted at ``r``, so the
+    solve maximizes tree plus root weight.  ``total_weight`` sums the
     chosen edges' weights in ascending child order, without the root
     weight.  Raises :class:`InfeasibleArborescenceError` when no spanning
     tree of allowed edges exists.
     """
     nodes = list(weights.nodes)
-    if root is not None and root not in weights.nodes:
-        raise ValidationError(f"root {root} out of range {weights.nodes}")
-    if root_weights is None:
-        root_weights = [0.0] * len(nodes)
-    elif root is not None:
-        raise ValidationError("root_weights apply only to a free root")
+    if root is not None:
+        _check_process(root, len(nodes), "root")
+        if root_weights is not None:
+            raise ValidationError("root_weights apply only to a free root")
+        dummy_arcs = [(root, 0.0)]
     else:
+        if root_weights is None:
+            root_weights = [0.0] * len(nodes)
         root_weights = [float(b) for b in root_weights]
         if len(root_weights) != len(nodes) or not all(map(np.isfinite, root_weights)):
             raise ValidationError("root_weights must be one finite value per node")
-    arcs = [_Arc(s, d, (0, w, 0), (s, d), None, None) for s, d, w in weights.arcs()]
-    if root is not None:
-        chosen = _solve(nodes, arcs, root)
-    else:
-        dummy = 0
-        arcs += [
-            _Arc(dummy, r, (-1, b, -r), (dummy, r), None, None)
-            for r, b in zip(nodes, root_weights)
-        ]
-        chosen = _solve([dummy, *nodes], arcs, dummy)
-        # the dummy graph always has a tree; it is a real one only when
-        # that tree needs a single dummy arc
-        tops = [a.dst for a in chosen if a.src == dummy]  # type: ignore[union-attr]
-        if len(tops) == 1:
-            root = tops[0]
-            chosen = [a for a in chosen if a.src != dummy]  # type: ignore[union-attr]
-        else:
-            chosen = None
-    if chosen is None:
+        dummy_arcs = list(zip(nodes, root_weights))
+    dummy = 0
+    arcs = [
+        _Arc(s, d, (0, w, 0), (s, d), None, None)
+        for s, d, w in weights.arcs()
+        if d != root
+    ]
+    arcs += [
+        _Arc(dummy, r, (-1, b, -r), (dummy, r), None, None) for r, b in dummy_arcs
+    ]
+    chosen = _solve([dummy, *nodes], arcs, dummy) or []
+    # a tree of real arcs is one that needs a single dummy arc
+    tops = [a.dst for a in chosen if a.src == dummy]
+    if len(tops) != 1:
         raise InfeasibleArborescenceError(
             "infeasible: no spanning arborescence with allowed edges"
             + (f" rooted at {root}" if root is not None else "")
         )
+    root = tops[0]
+    chosen = [a for a in chosen if a.src != dummy]
     total = sum(a.w[1] for a in sorted(chosen, key=lambda a: a.dst))
     return Arborescence(
         root=root, parent={a.dst: a.src for a in chosen}, total_weight=total

@@ -17,7 +17,7 @@ in.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from .approximation import _greedy_orders
@@ -151,26 +151,22 @@ def _chain_ratios(increments: Sequence[float]) -> list[float]:
     return out
 
 
-class _AlphaTracker:
-    def __init__(self) -> None:
-        self.alpha = -math.inf
-        self.target = 0
-        self.path: tuple[int, ...] = ()
-        self.increments: tuple[float, ...] = ()
+def _steepest_chain(
+    chains: Iterable[tuple[int, Sequence[int], Sequence[float]]],
+) -> AlphaEstimate:
+    """The first ``(target, path, increments)`` chain with the largest ratio.
 
-    def offer(self, target: int, path: Sequence[int], increments: Sequence[float]):
+    When no chain is long enough to yield a ratio the estimate is 1,
+    which asserts nothing.
+    """
+    best = AlphaEstimate(1.0, 0, (), ())
+    alpha = -math.inf
+    for target, path, increments in chains:
         ratios = _chain_ratios(increments)
-        if ratios and max(ratios) > self.alpha:
-            self.alpha = max(ratios)
-            self.target = target
-            self.path = tuple(path)
-            self.increments = tuple(increments)
-
-    def estimate(self) -> AlphaEstimate:
-        if self.alpha == -math.inf:
-            # no chain long enough to yield a ratio; 1 asserts nothing
-            return AlphaEstimate(1.0, 0, (), ())
-        return AlphaEstimate(self.alpha, self.target, self.path, self.increments)
+        if ratios and max(ratios) > alpha:
+            alpha = max(ratios)
+            best = AlphaEstimate(alpha, target, tuple(path), tuple(increments))
+    return best
 
 
 def empirical_alpha(
@@ -187,10 +183,8 @@ def empirical_alpha(
     members = _check_set(evaluator.m, target, unique, "pool")
     if len(members) < 2:
         raise ValidationError(f"pool must contain at least 2 processes, got {pool!r}")
-    tracker = _AlphaTracker()
     [(picks, gains)] = _greedy_orders(evaluator, [(target, members, (), None)])
-    tracker.offer(target, picks, gains)
-    return tracker.estimate()
+    return _steepest_chain([(target, picks, gains)])
 
 
 def network_empirical_alpha(evaluator: DIEvaluator) -> AlphaEstimate:
@@ -200,10 +194,10 @@ def network_empirical_alpha(evaluator: DIEvaluator) -> AlphaEstimate:
         raise ValidationError(f"need m >= 3 for a ratio, got m={m}")
     nodes = range(1, m + 1)
     chains = [(target, [j for j in nodes if j != target], (), None) for target in nodes]
-    tracker = _AlphaTracker()
-    for target, (picks, gains) in zip(nodes, _greedy_orders(evaluator, chains)):
-        tracker.offer(target, picks, gains)
-    return tracker.estimate()
+    return _steepest_chain(
+        (target, picks, gains)
+        for target, (picks, gains) in zip(nodes, _greedy_orders(evaluator, chains))
+    )
 
 
 def bound_witness_alpha(
@@ -236,9 +230,8 @@ def bound_witness_alpha(
             pool = opt - set(order[:l])
             if len(pool) >= 2:
                 chains.append((target, pool, order[:l], None))
-    tracker = _AlphaTracker()
-    for (target, _, prefix, _), (picks, gains) in zip(
-        chains, _greedy_orders(evaluator, chains)
-    ):
-        tracker.offer(target, (*prefix, *picks), gains)
-    return tracker.estimate()
+    return _steepest_chain(
+        (target, (*prefix, *picks), gains)
+        for (target, _, prefix, _), (picks, gains)
+        in zip(chains, _greedy_orders(evaluator, chains))
+    )

@@ -35,7 +35,7 @@ from .estimation import (
     TimeSeriesPanel,
     build_cache,
 )
-from .structures import ParentAssignment, _check_degree
+from .structures import ParentAssignment, _check_degree, _check_int
 from .topr import top_r_general
 
 logger = logging.getLogger(__name__)
@@ -62,6 +62,8 @@ class ExperimentConfig:
     timing: bool = False
 
     def __post_init__(self):
+        for name in ("m", "n", "trials", "r"):
+            _check_int(getattr(self, name), name)
         if self.m < 2:
             raise ValidationError(f"m must be >= 2, got {self.m}")
         _check_degree(self.K, self.m, least=1)

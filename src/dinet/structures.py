@@ -45,9 +45,18 @@ it, and :func:`dinet.build_cache` for such a size, raise
 """
 
 
+def _check_int(value: int, what: str) -> None:
+    """Reject anything but an ``int`` that is not a ``bool``.
+
+    The one type rule for a process index, a set size and a count, so
+    ``True``, ``1.0``, ``"2"`` and ``np.int64(2)`` are all refused.
+    """
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+
+
 def _check_process(i: int, m: int, what: str = "process index") -> None:
-    if not isinstance(i, int) or isinstance(i, bool):
-        raise ValidationError(f"{what} must be an integer, got {i!r}")
+    _check_int(i, what)
     if not 1 <= i <= m:
         raise ValidationError(f"{what} {i} out of range 1..{m}")
 
@@ -86,6 +95,7 @@ def _check_set(
 
 def _check_degree(k: int, m: int, name: str = "K", least: int = 0) -> None:
     """Reject a parent set size ``name=k`` outside ``least .. m - 1``."""
+    _check_int(k, name)
     if not least <= k < m:
         raise ValidationError(f"degree too large: {name}={k} with m={m}")
 
@@ -489,6 +499,7 @@ def _set_rank(m: int, target: int, key: Sequence[int]) -> int:
 
 def parent_set_from_index(m: int, target: int, K: int, rank: int) -> tuple[int, ...]:
     """Inverse of :func:`parent_set_index` for size-``K`` sets."""
+    _check_degree(K, m)
     total = comb(m - 1, K)
     if not 0 <= rank < total:
         raise ValidationError(f"rank {rank} out of range for C({m - 1},{K})={total}")
@@ -509,6 +520,7 @@ def parent_set_from_index(m: int, target: int, K: int, rank: int) -> tuple[int, 
 
 def all_parent_sets(m: int, target: int, K: int) -> Iterator[tuple[int, ...]]:
     """All size-``K`` parent sets for ``target``, in index order."""
+    _check_degree(K, m)
     universe = [j for j in range(1, m + 1) if j != target]
     return iter(combinations(universe, K))
 
@@ -538,6 +550,7 @@ def approximation_index(assignment: ParentAssignment) -> int:
 
 def assignment_from_index(m: int, K: int, index: int) -> ParentAssignment:
     """Inverse of :func:`approximation_index`."""
+    _check_degree(K, m)
     radix = comb(m - 1, K)
     total = radix**m
     if not 1 <= index <= total:

@@ -9,13 +9,14 @@ sets by value (ties to the smaller set rank, its
 choice sequences depth-first, built lazily as the rankings reach them.
 
 A lattice is one candidate list per node; a point picks a position in
-each.  One walk pops the points of one or more lattices in order of
-(score descending, approximation index, lattice, position) and pushes
-the one-step successors of every popped point, so each point is reached
-once and never before a better one.  Heap entries hold positions, never
-:class:`ParentAssignment` objects, which are built only for emitted
-solutions.  A score is always the full sum of node values in node
-order, so equal scores compare bit for bit.
+each.  One walk, with one tie rule for every ranking, pops the points
+of one or more lattices in order of (score descending, approximation
+index, lattice, position) and pushes the one-step successors of every
+popped point, so each point is reached once and never before a better
+one.  Heap entries hold positions, never :class:`ParentAssignment`
+objects, which are built only for emitted solutions.  A score is always
+the full sum of node values in node order, so equal scores compare bit
+for bit.
 
 * unconstrained (:func:`top_r_general`, and :func:`top_r_greedy` without
   ``connected``): the first r points of one lattice.  Over the exact
@@ -24,11 +25,12 @@ order, so equal scores compare bit for bit.
   (:func:`get_new_solutions` exposes that one step); ties go to the
   smaller :func:`approximation_index`, kept as a Python int.
 * tree-constrained exact (:func:`top_r_connected`): one lattice per
-  candidate root, whose own list holds only the empty set, or a single
-  lattice with ``root_has_parents``; points are filtered to those
-  containing a spanning tree.  A score plateau is fully drained before
-  anything below it is emitted, and equal scores order by the canonical
-  assignment key, so the ranking stays exact under the tree constraint.
+  candidate root, whose own list holds only the empty set (set rank 0),
+  or a single lattice with ``root_has_parents``; points are filtered to
+  those containing a spanning tree.  A score plateau is fully drained
+  before anything below it is emitted, and equal scores order by the
+  canonical assignment key, so the ranking stays exact under the tree
+  constraint whatever order the walk pops a plateau in.
 * greedy tree-constrained (:func:`top_r_greedy` with ``connected``): a
   Lawler partition search over the greedy lists pinned to each tree
   edge, the lists :func:`dinet.approximation.greedy_connected` reads.
@@ -63,17 +65,19 @@ from .structures import (
     ParentAssignment,
     ScoredApproximation,
     _check_degree,
+    _check_int,
     _has_spanning_tree,
 )
 
 
 def _check_r(m: int, K: int, r: int, empty_root: bool = False) -> None:
-    """Reject ``r`` outside ``1 ..`` the class size bound.
+    """Reject an ``r`` that is not an integer in ``1 ..`` the class size bound.
 
     Every node has ``C(m-1, K)`` candidate sets.  In a class whose tree
     root keeps the empty set, one of ``m`` roots does so while the other
     ``m - 1`` nodes choose, which can exceed ``C(m-1, K)**m``.
     """
+    _check_int(r, "r")
     radix = comb(m - 1, K)
     space = m * radix ** (m - 1) if empty_root else radix**m
     if not 1 <= r <= space:
@@ -104,15 +108,15 @@ def _successors(lattice: _Lattice, pos: _Point):
             yield c, pos[:c] + (p + 1,) + pos[c + 1:]
 
 
-def _walk(lattices: Sequence[_Lattice], radix: int | None = None):
+def _walk(lattices: Sequence[_Lattice], radix: int):
     """Every point of ``lattices``, yielded as (score, lattice, position).
 
-    Points come by score descending; with ``radix`` (every list's full
-    length) equal scores go to the smaller approximation index, updated
-    in O(1) per step as node ``i`` weighs its set rank by ``radix**i``.
-    Without it the index stays 0 and ties go by lattice and position.
+    Points come by score descending, equal scores to the smaller
+    approximation index, then by lattice and position.  The index is
+    updated in O(1) per step as node ``i`` weighs its set rank by
+    ``radix**i``, ``radix`` being the full length of a node's list.
     """
-    weight = [radix**i for i in range(len(lattices[0]))] if radix else None
+    weight = [radix**i for i in range(len(lattices[0]))]
     columns = [[lst.values for lst in lattice] for lattice in lattices]
     ranks = [[lst.ranks for lst in lattice] for lattice in lattices]
     seen = []
@@ -120,7 +124,7 @@ def _walk(lattices: Sequence[_Lattice], radix: int | None = None):
     for n, lattice in enumerate(lattices):
         pos = (0,) * len(lattice)
         seen.append({pos})
-        index = 1 + sum(col[0] * w for col, w in zip(ranks[n], weight)) if weight else 0
+        index = 1 + sum(col[0] * w for col, w in zip(ranks[n], weight))
         heap.append((-_score_at(columns[n], pos), index, n, pos))
     heapq.heapify(heap)
     while heap:
@@ -129,11 +133,8 @@ def _walk(lattices: Sequence[_Lattice], radix: int | None = None):
         for c, nxt in _successors(lattices[n], pos):
             if nxt not in seen[n]:
                 seen[n].add(nxt)
-                if weight:
-                    col = ranks[n][c]
-                    step = (col[nxt[c]] - col[pos[c]]) * weight[c]
-                else:
-                    step = 0
+                col = ranks[n][c]
+                step = (col[nxt[c]] - col[pos[c]]) * weight[c]
                 heapq.heappush(
                     heap, (-_score_at(columns[n], nxt), index + step, n, nxt)
                 )
@@ -199,8 +200,6 @@ def get_new_solutions(
             raise ValidationError(
                 f"seed parent set for node {i} has size {len(ms)}, expected {K}"
             )
-        if ms not in lst.members:
-            raise ValidationError(f"seed set {ms} unknown for node {i}")
         pos.append(lst.members.index(ms))
     columns = [lst.values for lst in lists]
     return tuple(
@@ -245,7 +244,7 @@ def top_r_connected(
     emitted: list[tuple[tuple[tuple[int, ...], ...], float]] = []
     block: list[tuple[tuple[tuple[int, ...], ...], float]] = []
     block_score: float | None = None
-    for score, n, pos in _walk(lattices):
+    for score, n, pos in _walk(lattices, comb(m - 1, K)):
         # children never beat their parent, so once the popped score drops
         # the finished plateau holds every solution at that score
         if score != block_score:
@@ -291,7 +290,7 @@ def _top_r_greedy_connected(
     """
     m = evaluator.m
     nodes = range(1, m + 1)
-    lists, root_entry = _greedy_lists(evaluator, L, root_has_parents)
+    lists, roots = _greedy_lists(evaluator, L, root_has_parents)
 
     heap: list[tuple] = []
     tiebreak = count()
@@ -308,7 +307,7 @@ def _top_r_greedy_connected(
             return None
 
         try:
-            tree, _, entries = _entry_tree(m, arc_entry, root_entry, root)
+            tree, _, entries = _entry_tree(m, arc_entry, roots, root)
         except InfeasibleArborescenceError:
             return  # the subproblem holds no class member
         score = sum(value for _, value in entries)

@@ -175,3 +175,17 @@ def test_root_weights_pick_the_root_and_are_validated():
         max_weight_arborescence(ew, root_weights=[0.0, np.nan, 1.0])
     with pytest.raises(ValidationError, match="only to a free root"):
         max_weight_arborescence(ew, 1, root_weights=[0.0] * 3)
+
+
+@pytest.mark.parametrize("node", [True, 1.0, np.int64(1), 0, 4])
+def test_node_indices_follow_the_process_index_rule(node):
+    ew = EdgeWeights(np.ones((3, 3)))
+    for call in (
+        lambda: ew.weight(node, 3),
+        lambda: ew.weight(2, node),
+        lambda: ew.is_allowed(node, 2),
+        lambda: ew.is_allowed(3, node),
+        lambda: max_weight_arborescence(ew, root=node),
+    ):
+        with pytest.raises(ValidationError, match="must be an integer|out of range 1..3"):
+            call()

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_discrete_lyapunov
 
+from dinet import estimation
 from dinet.errors import (
     EstimationError,
     NonStationaryModelError,
@@ -297,6 +298,80 @@ def test_batched_cache_finds_the_failing_set():
         build_cache(DIEvaluator.from_panel(panel), 4, 2)
     assert "singular design" in str(err.value)
     assert "target 1, addition [2, 3], conditioning []" in str(err.value)
+
+
+def _spy_on_degenerate(monkeypatch):
+    """Record every query that reaches the failed-factorization diagnosis."""
+    reached = []
+    diagnose = estimation._degenerate_value
+
+    def spy(block, r, d, target, add, cond):
+        reached.append((target, add, cond))
+        return diagnose(block, r, d, target, add, cond)
+
+    monkeypatch.setattr(estimation, "_degenerate_value", spy)
+    return reached
+
+
+@pytest.mark.parametrize("batched", [False, True])
+def test_near_collinear_regressors_fail_the_pivot_check(monkeypatch, batched):
+    # x2 = x1 + 1e-7 noise factors, but its pivot falls below
+    # SINGULAR_PIVOT times its scale
+    reached = _spy_on_degenerate(monkeypatch)
+    rng = np.random.default_rng(5)
+    x1 = rng.standard_normal(200)
+    data = np.vstack([x1, x1 + 1e-7 * rng.standard_normal(200),
+                      rng.standard_normal((2, 200))])
+    ev = DIEvaluator.from_panel(TimeSeriesPanel(data))
+    with pytest.raises(EstimationError) as err:
+        if batched:
+            ev.increments(3, [(4,), (2,)], (1,))
+        else:
+            ev.increment(3, (2,), (1,))
+    assert str(err.value).startswith("singular design")
+    assert str(err.value).endswith("(target 3, addition [2], conditioning [1])")
+    assert reached == []
+
+
+def _deterministic_target_panel():
+    # x3[t] = x1[t-1] exactly, so the lag of x1 leaves target 3 no residual
+    rng = np.random.default_rng(5)
+    data = rng.standard_normal((4, 200))
+    data[2, 1:] = data[0, :-1]
+    return TimeSeriesPanel(data)
+
+
+@pytest.mark.parametrize("batched", [False, True])
+def test_zero_residual_is_zero_when_the_reduced_fit_has_none(monkeypatch, batched):
+    reached = _spy_on_degenerate(monkeypatch)
+    ev = DIEvaluator.from_panel(_deterministic_target_panel())
+    if batched:
+        assert ev.increments(3, [(4,), (2,)], (1,)) == [0.0, 0.0]
+    else:
+        assert ev.increment(3, (2,), (1,)) == 0.0
+    assert (3, (2,), (1,)) in reached
+
+
+@pytest.mark.parametrize("batched", [False, True])
+def test_zero_residual_after_the_addition_names_the_query(monkeypatch, batched):
+    reached = _spy_on_degenerate(monkeypatch)
+    ev = DIEvaluator.from_panel(_deterministic_target_panel())
+    with pytest.raises(EstimationError) as err:
+        if batched:
+            ev.increments(3, [(2,), (1,)], ())
+        else:
+            ev.increment(3, (1,), ())
+    assert str(err.value).startswith("zero residual variance")
+    assert str(err.value).endswith("(target 3, addition [1], conditioning [])")
+    assert reached[-1] == (3, (1,), ())
+
+
+def test_build_cache_rejects_a_non_finite_value():
+    def fn(target, add, cond):
+        return math.nan if (target, add) == (2, (1, 4)) else 0.5
+
+    with pytest.raises(ValidationError, match=r"target 2: parent set \[1, 4\] has value nan"):
+        build_cache(DIEvaluator(fn, 4), 4, 2)
 
 
 def test_gaussian_estimator_deterministic_coupling_is_extreme():

@@ -399,20 +399,32 @@ def test_top_r_greedy_expands_each_depth_first_state_once(monkeypatch):
     model = generate_ar_network(m, np.random.default_rng([7, 0, 11]))
     ev = DIEvaluator.from_model(model)
     expanded = []
-    built = m  # each node's list starts with its greedy state
-    step = approximation._dfs_successor
+    leaves = 0
+    lists = []
+    sets = approximation._greedy_sets
+    greedy = approximation._Candidates.greedy
 
-    def counting_step(evaluator, target, choices, ranks, n_pinned):
-        nonlocal built
-        expanded.append((target, choices, ranks))
-        nxt = step(evaluator, target, choices, ranks, n_pinned)
-        built += nxt is not None
-        return nxt
+    # the generator recurses through the module name, so every depth-first
+    # state, a (target, prefix) pair, passes through the wrapper
+    def counting_sets(evaluator, target, pool, prefix, length):
+        nonlocal leaves
+        expanded.append((target, prefix))
+        leaves += length == 0
+        yield from sets(evaluator, target, pool, prefix, length)
 
-    monkeypatch.setattr(approximation, "_dfs_successor", counting_step)
+    def keeping_lists(cls, *args):
+        made = greedy(*args)
+        lists.extend(made)
+        return made
+
+    monkeypatch.setattr(approximation, "_greedy_sets", counting_sets)
+    monkeypatch.setattr(approximation._Candidates, "greedy", classmethod(keeping_lists))
     assert len(top_r_greedy(ev, 2, 50)) == 50
+    assert len({target for target, _ in expanded}) > 1
     assert len(set(expanded)) == len(expanded)
-    assert len(expanded) <= built
+    # every finished set is a list entry: a generator's first is the
+    # greedy set at position 0, and no set is built past what is read
+    assert leaves <= sum(len(lst.members) for lst in lists)
 
 
 def test_zero_degree_ranking_needs_no_cache_entries():
