@@ -21,17 +21,23 @@ conditioning set) is then a principal submatrix: the reduced regressors
 (the lags of the target and the conditioning set), the addition's lags,
 and last the target's own row, which is the augmented block
 ``[[G_SS, c_S], [c_S', y'y]]``.  The kernel takes queries of any targets
-and conditioning sets at once, groups them by (conditioning size,
-addition size), gathers each group's blocks and factors the stack with
-one Cholesky call.  The factor's last row holds the full residual sum of
-squares as ``L_yy**2`` and its drop from the reduced fit as
-``|L_y,add|**2``, so the value, ``log1p(|L_y,add|**2 / L_yy**2) / 2``,
-never subtracts two residual sums.  Each block is factored on its own,
-so a query gives bit for bit the same value alone or in any batch.  A
-failure still names its query: a group that fails to factor is
-refactored one query at a time.  :func:`build_cache` asks for one
-target's sets at a time; the greedy searches ask for every live chain's
-candidates at once.
+and conditioning sets at once and groups them by (conditioning size,
+addition size) in one pass, which appends each query's processes
+(target, conditioning set, addition, target) to its group's flat list of
+ints.  One ``np.array(...).reshape`` call turns that list into a row per
+query.  The target and conditioning columns are sorted in place, one
+lookup in a table of each process's lag rows, at any Markov order, turns
+every column but the last into its process's stacked lag indices, and
+the last column becomes the target's row; one fancy index then gathers
+the group's blocks and one Cholesky call factors the stack.  The
+factor's last row holds the full residual sum of squares as ``L_yy**2``
+and its drop from the reduced fit as ``|L_y,add|**2``, so the value,
+``log1p(|L_y,add|**2 / L_yy**2) / 2``, never subtracts two residual
+sums.  Each block is factored on its own, so a query gives bit for bit
+the same value alone or in any batch.  A failure still names its
+query: a group that fails to factor is refactored one query at a time.
+:func:`build_cache` asks for one target's sets at a time; the greedy
+searches ask for every live chain's candidates at once.
 
 :func:`estimate_di_discrete`, the plug-in conditional mutual information
 over lagged windows for finite-alphabet data, has a batched kernel of its
@@ -65,7 +71,13 @@ from .errors import (
     PanelFormatError,
     ValidationError,
 )
-from .structures import DirectedInfoCache, _check_process, _check_set, all_parent_sets
+from .structures import (
+    DirectedInfoCache,
+    _check_int,
+    _check_process,
+    _check_set,
+    all_parent_sets,
+)
 
 # relative size of the last doubling update of the stationary covariance
 LYAPUNOV_TOL = 1e-12
@@ -250,12 +262,14 @@ class _Moments(NamedTuple):
     regressor and ``C`` target against regressor.  Only the diagonal of
     the target block ``T`` is ever read, so it holds each target's sum of
     squares and zeros elsewhere.  Every query's augmented block is then a
-    principal submatrix.  ``rows`` is the sample count of a panel's
-    moments and None for a model's population moments.
+    principal submatrix.  ``lags[s - 1]`` lists process ``s``'s regressor
+    rows, lag 1 first.  ``rows`` is the sample count of a panel's moments
+    and None for a model's population moments.
     """
 
     stacked: np.ndarray
     order: int
+    lags: np.ndarray
     rows: int | None
 
 
@@ -269,7 +283,7 @@ def _stack_moments(
     stacked[:p, p:] = cross.T
     targets = np.arange(p, p + m)
     stacked[targets, targets] = total
-    return _Moments(stacked, order, rows)
+    return _Moments(stacked, order, np.arange(p).reshape(m, order), rows)
 
 
 def _panel_moments(panel: TimeSeriesPanel, order: int) -> _Moments:
@@ -302,15 +316,6 @@ def _query_error(
     )
 
 
-def _groups(queries: Sequence[_Query], key: Callable[[_Query], tuple]) -> dict:
-    """Positions of the queries with a nonempty addition, grouped by ``key``."""
-    groups: dict[tuple, list[int]] = {}
-    for q, query in enumerate(queries):
-        if query[1]:
-            groups.setdefault(key(query), []).append(q)
-    return groups
-
-
 def _projection_di(moments: _Moments, queries: Sequence[_Query]) -> list[float]:
     """Directed information of each checked query, by Cholesky projection.
 
@@ -321,35 +326,51 @@ def _projection_di(moments: _Moments, queries: Sequence[_Query]) -> list[float]:
     ``L`` gives ``ss_full = L_yy**2`` and ``ss_reduced - ss_full =
     |L_y,add|**2``, so the value is ``log1p(|L_y,add|**2 / L_yy**2) / 2``
     with no difference of two residual sums.  Queries of any targets and
-    conditioning sets are grouped by (conditioning size, addition size),
-    and each group's blocks go through one stacked factorization and the
-    same element-wise steps, so a query gives bit for bit the same value
-    in any batch.  An empty addition is worth 0.
+    conditioning sets are grouped by (conditioning size, addition size)
+    in one pass that builds each group's flat list of processes, a row
+    per query (see the module notes).  Each group's blocks go through one
+    stacked factorization and the same element-wise steps, so a query
+    gives bit for bit the same value in any batch.  An empty addition is
+    worth 0.
     """
     values = [0.0] * len(queries)
     order = moments.order
-    p = moments.stacked.shape[0] // (order + 1) * order
-    lag = np.arange(order)
-    for group in _groups(queries, lambda q: (len(q[2]), len(q[1]))).values():
-        members = [queries[q] for q in group]
-        target, add, cond = members[0]
-        r = (len(cond) + 1) * order
-        d = r + len(add) * order
+    p = moments.lags.size
+    # (conditioning size, addition size) -> (positions, flat processes)
+    groups: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
+    for q, (target, add, cond) in enumerate(queries):
+        if add:
+            key = (len(cond), len(add))
+            group = groups.get(key)
+            if group is None:
+                group = groups[key] = ([], [])
+            group[0].append(q)
+            flat = group[1]
+            flat.append(target)
+            flat += cond
+            flat += add
+            flat.append(target)
+    log1p = math.log1p
+    for (c, a), (group, flat) in groups.items():
+        r = (c + 1) * order
+        d = r + a * order
         if moments.rows is not None and moments.rows <= d:
             raise _query_error(
                 f"insufficient samples: {moments.rows} rows for {d} regressors",
-                target, add, cond,
+                *queries[group[0]],
             )
-        procs = np.array([(*sorted((t, *c)), *a) for t, a, c in members], dtype=np.intp)
+        # a row per query: target, conditioning set, addition, target
+        procs = np.array(flat, dtype=np.intp).reshape(len(group), c + a + 2)
+        procs[:, : c + 1].sort(axis=1)
         idx = np.empty((len(group), d + 1), dtype=np.intp)
-        idx[:, :d] = (((procs - 1) * order)[:, :, None] + lag).reshape(len(group), d)
-        idx[:, d] = [p + t - 1 for t, _, _ in members]
+        idx[:, :d] = moments.lags[procs[:, :-1] - 1].reshape(len(group), d)
+        np.add(procs[:, -1], p - 1, out=idx[:, d])
         blocks = moments.stacked[idx[:, :, None], idx[:, None, :]]
         try:
             chol = np.linalg.cholesky(blocks)
         except np.linalg.LinAlgError:
             if len(group) == 1:
-                values[group[0]] = _degenerate_value(blocks[0], r, d, *members[0])
+                values[group[0]] = _degenerate_value(blocks[0], r, d, *queries[group[0]])
             else:
                 # factor the queries one by one, so the failing one is named
                 for q in group:
@@ -359,14 +380,15 @@ def _projection_di(moments: _Moments, queries: Sequence[_Query]) -> list[float]:
         scale = np.diagonal(blocks, axis1=1, axis2=2)[:, :d]
         singular = np.flatnonzero((pivots < SINGULAR_PIVOT * scale).any(axis=1))
         if singular.size:
-            raise _query_error(SINGULAR_DESIGN, *members[singular[0]])
+            raise _query_error(SINGULAR_DESIGN, *queries[group[singular[0]]])
         tail = chol[:, d, r:d]
         gain = tail[:, 0] ** 2
         for j in range(1, d - r):
             gain = gain + tail[:, j] ** 2
-        ss_full = chol[:, d, d] ** 2
-        for q, g, s in zip(group, gain.tolist(), ss_full.tolist()):
-            values[q] = 0.5 * math.log1p(g / s)
+        # the ratio |L_y,add|**2 / L_yy**2, one correctly rounded division each
+        ratio = gain / chol[:, d, d] ** 2
+        for q, x in zip(group, ratio.tolist()):
+            values[q] = 0.5 * log1p(x)
     return values
 
 
@@ -503,7 +525,10 @@ def _plugin_di(lags: _LagCodes, queries: Sequence[_Query]) -> list[float]:
     rows = lags.codes.shape[1]
     span = size**order
     codes = lags.codes
-    groups = _groups(queries, lambda q: (q[0], q[2], len(q[1])))
+    groups: dict[tuple, list[int]] = {}
+    for q, (target, add, cond) in enumerate(queries):
+        if add:
+            groups.setdefault((target, cond, len(add)), []).append(q)
     for (target, cond, k), group in groups.items():
         if rows == 0:
             raise _query_error(
@@ -602,6 +627,7 @@ class DIEvaluator:
         fn: Callable[[int, tuple[int, ...], tuple[int, ...]], float],
         m: int,
     ) -> None:
+        _check_int(m, "m")
         if m < 1:
             raise ValidationError("m must be >= 1")
         self.m = m
@@ -690,6 +716,7 @@ def build_cache(evaluator: DIEvaluator, m: int, K: int) -> DirectedInfoCache:
     above :data:`dinet.structures.MAX_CACHE_VALUES` raises
     :class:`ValidationError` before any value is computed.
     """
+    _check_int(m, "m")
     if m != evaluator.m:
         raise ValidationError(f"evaluator has m={evaluator.m}, asked for m={m}")
     cache = DirectedInfoCache(m, K)

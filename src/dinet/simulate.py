@@ -172,11 +172,18 @@ def simulate_panel(model: LinearNetworkModel, n: int, seed, burn_in: int | None 
         burn_in = 10 * m
     if burn_in < 0:
         raise ValidationError(f"burn_in must be >= 0, got {burn_in}")
-    dyn = model.dynamics_matrix()
-    # one draw of every step's noise, then x[t] = noise[t] + A x[t-1] in place
+    # one draw of every step's noise, then x[t] = noise[t] + A x[t-1] in
+    # place, row view by row view, each product written into one reused
+    # step buffer; at small m the per-call overhead is the whole cost
     path = np.sqrt(model.noise_variances) * rng.standard_normal((burn_in + n, m))
-    for t in range(1, burn_in + n):
-        path[t] += dyn @ path[t - 1]
+    product = model.dynamics_matrix().dot
+    step = np.empty(m)
+    rows = iter(path)
+    prev = next(rows)
+    for row in rows:
+        product(prev, out=step)
+        row += step
+        prev = row
     return TimeSeriesPanel(np.ascontiguousarray(path[burn_in:].T))
 
 

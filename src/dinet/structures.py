@@ -289,6 +289,7 @@ class DirectedInfoCache:
     """
 
     def __init__(self, m: int, K: int) -> None:
+        _check_int(m, "m")
         if m < 1:
             raise ValidationError(f"m must be >= 1, got {m}")
         _check_degree(K, m)

@@ -1,7 +1,8 @@
-"""Every public entry that takes a set size K or L, or a count (r, and a
-study's m, n and trials), takes an ``int`` that is not a ``bool`` and
-raises ValidationError for anything else, before any list is built or
-any value is computed."""
+"""Every public entry that takes a set size K or L, or a count (r, a
+study's m, n and trials, and the process count m of an evaluator, a cache
+and ``build_cache``), takes an ``int`` that is not a ``bool`` and raises
+ValidationError for anything else, before any list is built or any value
+is computed."""
 
 from functools import cache
 
@@ -76,6 +77,11 @@ COUNT_ENTRIES = {
     "ExperimentConfig n": lambda v: ExperimentConfig(M, 2, n=v),
     "ExperimentConfig trials": lambda v: ExperimentConfig(M, 2, trials=v),
 }
+PROCESS_COUNT_ENTRIES = {
+    "DIEvaluator": lambda v: DIEvaluator(lambda *query: 0.0, v),
+    "DirectedInfoCache": lambda v: DirectedInfoCache(v, 0),
+    "build_cache": lambda v: build_cache(inputs()[0], v, 2),
+}
 BAD = [1.5, True, "2", np.int64(2)]
 # a non-integer r never equals an emitted count, so without the check a
 # ranking runs until its class is exhausted
@@ -101,3 +107,11 @@ def test_a_size_vector_is_a_list_or_tuple_of_integers():
         optimal_general(cache_, [1.9, 1, 1, 1, 1])
     with pytest.raises(ValidationError, match="one entry per process"):
         optimal_general(cache_, [2, 2])
+
+
+@pytest.mark.parametrize("value", [*BAD_COUNTS, 4.0], ids=repr)
+@pytest.mark.parametrize("entry", PROCESS_COUNT_ENTRIES)
+def test_a_process_count_is_a_plain_integer(entry, value):
+    # a whole float or a bool fails here, before any list or value is built
+    with pytest.raises(ValidationError, match="m must be an integer"):
+        PROCESS_COUNT_ENTRIES[entry](value)

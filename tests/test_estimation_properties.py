@@ -7,16 +7,18 @@ float pattern.  The plug-in kernel's panels may hold constant rows.  The
 panel CSV round trip is checked on drawn values directly.
 """
 
+import math
 import os
 import tempfile
 from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from dinet import estimation
 from dinet.errors import EstimationError
 from dinet.estimation import (
     DIEvaluator,
@@ -156,12 +158,44 @@ def _queries(draw, m, count):
     return queries
 
 
+@st.composite
+def panel_batches(draw):
+    """A random real panel, a Markov order and 1 to 12 queries, any roles each."""
+    data, order, *_ = draw(panel_queries())
+    return data, order, _queries(draw, data.shape[0], draw(st.integers(1, 12)))
+
+
+def _order_two_batch():
+    """An order-2 batch whose groups (|cond|, |add|) are first seen as (2, 1),
+    (0, 2), (0, 1), (1, 3); the target sorts first, in the middle and last
+    among its conditioning set, and two queries repeat."""
+    rng = np.random.default_rng(17)
+    data = rng.standard_normal((6, 200))
+    for i in range(1, 6):
+        data[i, 2:] += 0.5 * data[i - 1, :-2]
+    queries = [
+        (4, (1,), (2, 5)),
+        (2, (3, 6), ()),
+        (5, (1,), ()),
+        (4, (1,), (2, 5)),
+        (1, (6,), (3, 5)),
+        (6, (2, 4, 5), (1,)),
+        (3, (1,), (2, 4)),
+        (2, (3, 6), ()),
+        (5, (), (1,)),
+        (6, (5,), (1, 2)),
+    ]
+    return data, 2, queries
+
+
+ORDER_TWO_BATCH = _order_two_batch()
+
+
 @SETTINGS
-@given(panel_queries(), st.data())
-def test_mixed_panel_batch_equals_single_queries(query, data):
-    panel_data, order, *_ = query
-    m = panel_data.shape[0]
-    queries = _queries(data.draw, m, data.draw(st.integers(1, 12)))
+@given(panel_batches())
+@example(ORDER_TWO_BATCH)
+def test_mixed_panel_batch_equals_single_queries(drawn):
+    panel_data, order, queries = drawn
     panel = TimeSeriesPanel(panel_data)
     config = EstimatorConfig(markov_order=order)
     batch = DIEvaluator.from_panel(panel, config)._fill(queries)
@@ -235,6 +269,31 @@ def test_cache_fills_the_memo_once():
     # repeated queries and a second build read the memo
     build_cache(ev, 4, 2)
     assert ev.calls == 4 * 3
+
+
+def test_order_two_batch_reads_the_documented_blocks():
+    # each distinct query is computed once, and each value is its block's:
+    # the sorted target and conditioning lags, the addition's lags, the
+    # target row
+    data, order, queries = ORDER_TWO_BATCH
+    panel = TimeSeriesPanel(data)
+    evaluator = DIEvaluator.from_panel(panel, EstimatorConfig(markov_order=order))
+    values = evaluator._fill(queries)
+    assert evaluator.calls == len(set(queries)) == 8
+    moments = estimation._panel_moments(panel, order)
+    assert estimation._projection_di(moments, queries) == values
+    p = data.shape[0] * order
+
+    def lags(procs):
+        return [(s - 1) * order + lag for s in procs for lag in range(order)]
+
+    for (target, addition, conditioning), value in zip(queries, values):
+        if addition:
+            ix = lags(sorted((target, *conditioning))) + lags(addition) + [p + target - 1]
+            chol = np.linalg.cholesky(moments.stacked[np.ix_(ix, ix)])
+            r, d = (len(conditioning) + 1) * order, len(ix) - 1
+            gain = sum(float(v) ** 2 for v in chol[d, r:d])
+            assert value == 0.5 * math.log1p(gain / float(chol[d, d]) ** 2)
 
 
 # ---------------------------------------------------------------------------

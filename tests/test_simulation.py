@@ -94,16 +94,18 @@ def test_simulate_panel_determinism():
         simulate_panel(model, 1, 0)
 
 
-@pytest.mark.parametrize("m", [3, 8, 16])
+@pytest.mark.parametrize("m", [1, 2, 3, 8, 16, 40])
 def test_simulate_panel_equals_the_stepwise_loop(m):
-    # one noise draw for the whole path gives the stream of per-step draws
-    for seed in range(20):
-        model = generate_ar_network(m, np.random.default_rng([seed, m]))
+    # one noise draw for the whole path gives the stream of per-step draws,
+    # and the in-place product of each step the oracle's x[t] bit for bit
+    models = [generate_ar_network(m, np.random.default_rng([seed, m])) for seed in range(20)]
+    models.append(LinearNetworkModel(np.zeros((m, m)), np.full(m, 0.25)))
+    for seed, model in enumerate(models):
         got = simulate_panel(model, 150, seed).data
         assert np.array_equal(got, loop_simulate_panel(model, 150, seed))
-    for burn_in in (0, 1, 7):
-        got = simulate_panel(model, 40, 3, burn_in=burn_in).data
-        assert np.array_equal(got, loop_simulate_panel(model, 40, 3, burn_in))
+        for n, burn_in in ((2, None), (2, 0), (40, 0), (40, 1), (40, 7)):
+            got = simulate_panel(model, n, seed, burn_in=burn_in).data
+            assert np.array_equal(got, loop_simulate_panel(model, n, seed, burn_in))
     with pytest.raises(ValidationError, match="burn_in"):
         simulate_panel(model, 40, 3, burn_in=-1)
 
