@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from .approximation import _greedy_orders
 from .errors import ValidationError
 from .estimation import DIEvaluator
-from .structures import ParentAssignment, _check_set
+from .structures import ParentAssignment, _check_int, _check_set
 
 
 def _check_alpha(alpha: float) -> float:
@@ -34,7 +34,8 @@ def _check_alpha(alpha: float) -> float:
 
 
 def _check_size(value: int, name: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+    _check_int(value, name)
+    if value < 1:
         raise ValidationError(f"{name} must be a positive integer, got {value!r}")
     return value
 

@@ -58,15 +58,13 @@ def _estimator_config(args) -> EstimatorConfig:
     return EstimatorConfig(
         markov_order=args.markov_order,
         estimator=args.estimator,
-        state_space_cap=getattr(args, "state_space_cap", 1_000_000),
+        state_space_cap=args.state_space_cap,
     )
 
 
 def _load_panel(args):
     kind = "discrete" if args.estimator == "discrete" else "real"
-    return read_panel_csv(
-        args.panel, kind=kind, alphabet_size=getattr(args, "alphabet_size", None)
-    )
+    return read_panel_csv(args.panel, kind=kind, alphabet_size=args.alphabet_size)
 
 
 def _write_text(path: str | None, text: str) -> None:

@@ -138,6 +138,8 @@ def generate_ar_network(
     unless ``include_diagonal`` is off.  An all-zero draw cannot be
     rescaled and is resampled.
     """
+    _check_int(m, "m")
+    _check_int(max_attempts, "max_attempts")
     rng = _as_generator(seed)
     if m < 1:
         raise ValidationError(f"m must be >= 1, got {m}")
@@ -166,10 +168,12 @@ def simulate_panel(model: LinearNetworkModel, n: int, seed, burn_in: int | None 
     """Iterate the network recursion from zero, discarding a burn-in."""
     rng = _as_generator(seed)
     m = model.m
+    _check_int(n, "n")
     if n < 2:
         raise ValidationError(f"n must be >= 2, got {n}")
     if burn_in is None:
         burn_in = 10 * m
+    _check_int(burn_in, "burn_in")
     if burn_in < 0:
         raise ValidationError(f"burn_in must be >= 0, got {burn_in}")
     # one draw of every step's noise, then x[t] = noise[t] + A x[t-1] in

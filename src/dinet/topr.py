@@ -9,28 +9,32 @@ sets by value (ties to the smaller set rank, its
 choice sequences depth-first, built lazily as the rankings reach them.
 
 A lattice is one candidate list per node; a point picks a position in
-each.  One walk, with one tie rule for every ranking, pops the points
-of one or more lattices in order of (score descending, approximation
-index, lattice, position) and pushes the one-step successors of every
-popped point, so each point is reached once and never before a better
-one.  Heap entries hold positions, never :class:`ParentAssignment`
-objects, which are built only for emitted solutions.  A score is always
-the full sum of node values in node order, so equal scores compare bit
-for bit.
+each.  One walk pops the points of one or more lattices in order of
+(score descending, tie index, lattice, position) and pushes the one-step
+successors of every popped point, so each point is reached once and
+never before a better one; every ranking emits points as it pops them.
+Heap entries hold positions, never :class:`ParentAssignment` objects,
+which are built only for emitted solutions.  A score is always the full
+sum of node values in node order, so equal scores compare bit for bit.
+
+The tie index weighs each node's set rank, and a step between equal
+values raises a rank, so exact ties pop in index order.  The general
+rankings weigh node i by ``C(m-1, K)**(i-1)``, the
+:func:`approximation_index`.  The connected ranking weighs node 1 most,
+in base ``C(m-1, K) + 1`` with a root's empty set at rank -1, which is
+the canonical assignment key's order across all roots.  One caveat holds
+for every ranking: a tie that exists only after rounding (node values
+that differ, sums that round equal) comes in the walk's order.
 
 * unconstrained (:func:`top_r_general`, and :func:`top_r_greedy` without
   ``connected``): the first r points of one lattice.  Over the exact
   lists this is the exact ranking, since the (l+1)-th best always
   differs from some better solution in exactly one parent set
-  (:func:`get_new_solutions` exposes that one step); ties go to the
-  smaller :func:`approximation_index`, kept as a Python int.
+  (:func:`get_new_solutions` exposes that one step).
 * tree-constrained exact (:func:`top_r_connected`): one lattice per
-  candidate root, whose own list holds only the empty set (set rank 0),
-  or a single lattice with ``root_has_parents``; points are filtered to
-  those containing a spanning tree.  A score plateau is fully drained
-  before anything below it is emitted, and equal scores order by the
-  canonical assignment key, so the ranking stays exact under the tree
-  constraint whatever order the walk pops a plateau in.
+  candidate root, whose own list holds only the empty set, or a single
+  lattice with ``root_has_parents``; the first r points that contain a
+  spanning tree, which is exact since no point pops before a better one.
 * greedy tree-constrained (:func:`top_r_greedy` with ``connected``): a
   Lawler partition search over the greedy lists pinned to each tree
   edge, the lists :func:`dinet.approximation.greedy_connected` reads.
@@ -47,7 +51,7 @@ for bit.
 from __future__ import annotations
 
 import heapq
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from itertools import count
 from math import comb
 
@@ -108,15 +112,13 @@ def _successors(lattice: _Lattice, pos: _Point):
             yield c, pos[:c] + (p + 1,) + pos[c + 1:]
 
 
-def _walk(lattices: Sequence[_Lattice], radix: int):
+def _walk(lattices: Sequence[_Lattice], weights: Sequence[int]):
     """Every point of ``lattices``, yielded as (score, lattice, position).
 
-    Points come by score descending, equal scores to the smaller
-    approximation index, then by lattice and position.  The index is
-    updated in O(1) per step as node ``i`` weighs its set rank by
-    ``radix**i``, ``radix`` being the full length of a node's list.
+    Points come by score descending, equal scores to the smaller tie
+    index, the sum of each node's set rank times its ``weights`` entry,
+    then by lattice and position.  The index is updated in O(1) per step.
     """
-    weight = [radix**i for i in range(len(lattices[0]))]
     columns = [[lst.values for lst in lattice] for lattice in lattices]
     ranks = [[lst.ranks for lst in lattice] for lattice in lattices]
     seen = []
@@ -124,7 +126,7 @@ def _walk(lattices: Sequence[_Lattice], radix: int):
     for n, lattice in enumerate(lattices):
         pos = (0,) * len(lattice)
         seen.append({pos})
-        index = 1 + sum(col[0] * w for col, w in zip(ranks[n], weight))
+        index = sum(col[0] * w for col, w in zip(ranks[n], weights))
         heap.append((-_score_at(columns[n], pos), index, n, pos))
     heapq.heapify(heap)
     while heap:
@@ -134,7 +136,7 @@ def _walk(lattices: Sequence[_Lattice], radix: int):
             if nxt not in seen[n]:
                 seen[n].add(nxt)
                 col = ranks[n][c]
-                step = (col[nxt[c]] - col[pos[c]]) * weight[c]
+                step = (col[nxt[c]] - col[pos[c]]) * weights[c]
                 heapq.heappush(
                     heap, (-_score_at(columns[n], nxt), index + step, n, nxt)
                 )
@@ -146,16 +148,19 @@ def _key(lattice: _Lattice, pos: _Point) -> tuple[tuple[int, ...], ...]:
 
 
 def _top_points(
-    lattice: _Lattice, radix: int, r: int
+    lattices: Sequence[_Lattice],
+    weights: Sequence[int],
+    r: int,
+    keep: Callable[[int, tuple], bool] | None = None,
 ) -> tuple[ScoredApproximation, ...]:
-    """The first ``r`` points of the walk over one lattice."""
+    """The first ``r`` points of the walk that ``keep(lattice, key)`` accepts."""
     emitted: list[ScoredApproximation] = []
-    for score, _, pos in _walk([lattice], radix):
-        emitted.append(
-            ScoredApproximation(ParentAssignment._from_keys(_key(lattice, pos)), score)
-        )
-        if len(emitted) == r:
-            break
+    for score, n, pos in _walk(lattices, weights):
+        key = _key(lattices[n], pos)
+        if keep is None or keep(n, key):
+            emitted.append(ScoredApproximation(ParentAssignment._from_keys(key), score))
+            if len(emitted) == r:
+                break
     return tuple(emitted)
 
 
@@ -168,13 +173,15 @@ def top_r_general(
 ) -> tuple[ScoredApproximation, ...]:
     """The exact r best unconstrained structures, best first.
 
-    Output order is score descending, ties by ascending assignment index;
-    it matches a full enumeration sort exactly.
+    Output order is score descending, ties by ascending assignment index,
+    as a full enumeration sort orders them, except that a tie that exists
+    only after rounding comes in the walk's order.
     """
     m = cache.m
     _check_degree(K, m)
     _check_r(m, K, r)
-    return _top_points(_exact_lists(cache, K), comb(m - 1, K), r)
+    weights = [comb(m - 1, K) ** i for i in range(m)]
+    return _top_points([_exact_lists(cache, K)], weights, r)
 
 
 def get_new_solutions(
@@ -221,11 +228,12 @@ def top_r_connected(
     The walk runs over one lattice per candidate root, the root's own
     list holding only the empty set (with ``root_has_parents``, over one
     lattice where every node keeps K parents), and keeps the points that
-    contain a spanning tree.  Walking every point at or above a score
-    before moving below it makes the ranking exact; equal scores order by
-    the canonical assignment key.  The output may be shorter than ``r``
-    when the class is exhausted.  Worst case (members sparse among high
-    scores) the walk degrades to full enumeration of the lattices.
+    contain a spanning tree.  No point is popped before a better one, so
+    the ranking is exact; equal scores order by the canonical assignment
+    key, except that a tie that exists only after rounding comes in the
+    walk's order.  The output may be shorter than ``r`` when the class is
+    exhausted.  Worst case (members sparse among high scores) the walk
+    degrades to full enumeration of the lattices.
     """
     m = cache.m
     _check_degree(K, m, least=1)
@@ -235,32 +243,17 @@ def top_r_connected(
     if root_has_parents:
         lattices, roots = [lists], [None]
     else:
+        # the empty set sorts first in a canonical key, so it ranks -1
         roots = list(range(1, m + 1))
         lattices = [
-            [*lists[: rt - 1], _Candidates.exact(cache, rt, 0), *lists[rt:]]
+            [*lists[: rt - 1], _Candidates(rt, [()], [0.0], [-1]), *lists[rt:]]
             for rt in roots
         ]
-
-    emitted: list[tuple[tuple[tuple[int, ...], ...], float]] = []
-    block: list[tuple[tuple[tuple[int, ...], ...], float]] = []
-    block_score: float | None = None
-    for score, n, pos in _walk(lattices, comb(m - 1, K)):
-        # children never beat their parent, so once the popped score drops
-        # the finished plateau holds every solution at that score
-        if score != block_score:
-            emitted += sorted(block)
-            block = []
-            if len(emitted) >= r:
-                break
-            block_score = score
-        key = _key(lattices[n], pos)
-        if _has_spanning_tree(key, roots[n]):
-            block.append((key, score))
-    else:
-        emitted += sorted(block)
-    return tuple(
-        ScoredApproximation(ParentAssignment._from_keys(key), score)
-        for key, score in emitted[:r]
+    # node 1 weighs most and every digit, rank + 1, stays below the base
+    base = comb(m - 1, K) + 1
+    weights = [base ** (m - i) for i in range(1, m + 1)]
+    return _top_points(
+        lattices, weights, r, lambda n, key: _has_spanning_tree(key, roots[n])
     )
 
 
@@ -376,4 +369,4 @@ def top_r_greedy(
     if connected:
         return _top_r_greedy_connected(evaluator, L, r, root_has_parents)
     lists = _Candidates.greedy(evaluator, L, [(i, ()) for i in range(1, m + 1)])
-    return _top_points(lists, comb(m - 1, L), r)
+    return _top_points([lists], [comb(m - 1, L) ** i for i in range(m)], r)

@@ -1,8 +1,9 @@
 """Every public entry that takes a set size K or L, or a count (r, a
-study's m, n and trials, and the process count m of an evaluator, a cache
-and ``build_cache``), takes an ``int`` that is not a ``bool`` and raises
-ValidationError for anything else, before any list is built or any value
-is computed."""
+study's m, n and trials, a simulated panel's n and burn-in, the draw
+limit of a random network, and the process count m of an evaluator, a
+cache, ``build_cache`` and a random network), takes an ``int`` that is
+not a ``bool`` and raises ValidationError for anything else, before any
+list is built or any value is computed."""
 
 from functools import cache
 
@@ -23,7 +24,7 @@ from dinet.bounds import (
 )
 from dinet.errors import ValidationError
 from dinet.estimation import DIEvaluator, build_cache
-from dinet.simulate import ExperimentConfig, generate_ar_network
+from dinet.simulate import ExperimentConfig, generate_ar_network, simulate_panel
 from dinet.structures import (
     DirectedInfoCache,
     all_parent_sets,
@@ -36,8 +37,13 @@ M = 5
 
 
 @cache
+def network():
+    return generate_ar_network(M, np.random.default_rng([13, 5]))
+
+
+@cache
 def inputs():
-    ev = DIEvaluator.from_model(generate_ar_network(M, np.random.default_rng([13, 5])))
+    ev = DIEvaluator.from_model(network())
     cache_ = build_cache(ev, M, 2)
     return ev, cache_, optimal_general(cache_, 2).assignment
 
@@ -76,11 +82,15 @@ COUNT_ENTRIES = {
     "ExperimentConfig m": lambda v: ExperimentConfig(v, 1),
     "ExperimentConfig n": lambda v: ExperimentConfig(M, 2, n=v),
     "ExperimentConfig trials": lambda v: ExperimentConfig(M, 2, trials=v),
+    "generate_ar_network max_attempts": lambda v: generate_ar_network(M, 1, max_attempts=v),
+    "simulate_panel n": lambda v: simulate_panel(network(), v, 0),
+    "simulate_panel burn_in": lambda v: simulate_panel(network(), 50, 0, burn_in=v),
 }
 PROCESS_COUNT_ENTRIES = {
     "DIEvaluator": lambda v: DIEvaluator(lambda *query: 0.0, v),
     "DirectedInfoCache": lambda v: DirectedInfoCache(v, 0),
     "build_cache": lambda v: build_cache(inputs()[0], v, 2),
+    "generate_ar_network": lambda v: generate_ar_network(v, 1),
 }
 BAD = [1.5, True, "2", np.int64(2)]
 # a non-integer r never equals an emitted count, so without the check a

@@ -1,5 +1,5 @@
 from itertools import combinations, islice, product
-from math import comb
+from math import comb, nextafter
 
 import numpy as np
 import pytest
@@ -288,6 +288,94 @@ def test_top_r_connected_matches_per_point_reference(root_has_parents):
         want = per_point_top_r_connected(cache, 2, 100, root_has_parents)
         assert len(got) == 100
         assert [(sol.assignment, sol.score) for sol in got] == want
+
+
+def _all_zero_cache(m, K):
+    cache = DirectedInfoCache(m, K)
+    for i in range(1, m + 1):
+        for members in combinations([j for j in range(1, m + 1) if j != i], K):
+            cache.put(i, members, 0.0)
+    return cache
+
+
+TIED_CACHES = {
+    "all-zero m=8": lambda: (_all_zero_cache(8, 2), 5),
+    "all-zero m=16": lambda: (_all_zero_cache(16, 2), 5),
+    "tie-rich m=16": lambda: (
+        random_cache(16, 2, np.random.default_rng(433), tie_rich=True),
+        20,
+    ),
+}
+
+
+@pytest.mark.parametrize("root_has_parents", [False, True])
+@pytest.mark.parametrize("case", TIED_CACHES)
+def test_top_r_connected_emits_tied_caches_without_draining_a_plateau(
+    case, root_has_parents
+):
+    # every point of these lattices ties with many others; a ranking that
+    # waited for a whole score plateau would walk most of the lattice
+    cache, r = TIED_CACHES[case]()
+    got = top_r_connected(cache, 2, r, root_has_parents=root_has_parents)
+    assert len(got) == r
+    keys = [(-sol.score, sol.assignment.canonical_key()) for sol in got]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    for sol in got:
+        a = sol.assignment
+        root = None if root_has_parents else a.root()
+        assert contains_spanning_arborescence(a, root)
+        assert sol.score == sum(
+            cache.get(i, a.members_of(i)) if a.members_of(i) else 0.0
+            for i in range(1, cache.m + 1)
+        )
+
+
+def _runs(rows):
+    """(score, structure keys) per run of equal score, in emission order."""
+    runs = []
+    for assignment, score in rows:
+        if runs and runs[-1][0] == score:
+            runs[-1][1].add(assignment.canonical_key())
+        else:
+            runs.append((score, {assignment.canonical_key()}))
+    return runs
+
+
+def _assert_same_up_to_order_within_ties(got, want):
+    rows = [(sol.assignment, sol.score) for sol in got]
+    assert [score for _, score in rows] == [score for _, score in want]
+    assert _runs(rows) == _runs(want)
+
+
+def test_top_r_general_orders_a_tie_made_by_rounding_in_walk_order():
+    # node 1's two values differ by one ulp, which node 2's 1e6 rounds
+    # away: the two best points tie only after rounding, and the walk pops
+    # index 2 (node 1's first candidate) before index 1
+    cache = DirectedInfoCache(3, 1)
+    for target, members, value in [
+        (1, (2,), nextafter(0.3, 0.0)),
+        (1, (3,), 0.3),
+        (2, (1,), 1e6),
+        (2, (3,), 1.0),
+        (3, (1,), 2.0),
+        (3, (2,), 1.5),
+    ]:
+        cache.put(target, members, value)
+    got = top_r_general(cache, 1, 8)
+    assert got[0].score == got[1].score
+    assert [approximation_index(sol.assignment) for sol in got[:2]] == [2, 1]
+    _assert_same_up_to_order_within_ties(got, exhaustive_sorted_general(cache, 1))
+
+
+def test_top_r_connected_orders_a_tie_made_by_rounding_in_walk_order():
+    # node 2's sets (x, 16) differ only by rounding noise here, so one run
+    # of equal scores may come in the walk's order, not canonical key order
+    network = generate_ar_network(16, np.random.default_rng([7, 8, 10]))
+    cache = build_cache(DIEvaluator.from_model(network), 16, 2)
+    got = top_r_connected(cache, 2, 100, root_has_parents=True)
+    want = per_point_top_r_connected(cache, 2, 100, root_has_parents=True)
+    assert len(got) == 100
+    _assert_same_up_to_order_within_ties(got, want)
 
 
 def test_top_r_connected_validation():
