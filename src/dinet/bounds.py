@@ -33,13 +33,6 @@ def _check_alpha(alpha: float) -> float:
     return alpha
 
 
-def _check_size(value: int, name: str) -> int:
-    _check_int(value, name)
-    if value < 1:
-        raise ValidationError(f"{name} must be a positive integer, got {value!r}")
-    return value
-
-
 def _geometric_sum(alpha: float, k: int) -> float:
     # 1 + alpha + ... + alpha^(k-1), stable at alpha == 1
     if alpha == 1.0:
@@ -55,8 +48,8 @@ def greedy_bound_coefficient(alpha: float, K: int, L: int) -> float:
     unbounded measured alpha collapses the guarantee to 0.
     """
     alpha = _check_alpha(alpha)
-    K = _check_size(K, "K")
-    L = _check_size(L, "L")
+    _check_int(K, "K", 1)
+    _check_int(L, "L", 1)
     if math.isinf(alpha):
         return 0.0
     return 1.0 - math.exp(-L / _geometric_sum(alpha, K))
@@ -70,8 +63,8 @@ def degree_gap_coefficient(alpha: float, K: int, L: int) -> float:
     (or 1 when the sizes agree).
     """
     alpha = _check_alpha(alpha)
-    K = _check_size(K, "K")
-    L = _check_size(L, "L")
+    _check_int(K, "K", 1)
+    _check_int(L, "L", 1)
     if L > K:
         raise ValidationError(f"L={L} must not exceed K={K}")
     if math.isinf(alpha):
@@ -93,8 +86,8 @@ def geometric_budget_maximum(alpha: float, K: int, L: int, budget: float) -> flo
     alpha = float(alpha)
     if math.isnan(alpha) or math.isinf(alpha) or alpha <= 1.0:
         raise ValidationError(f"alpha must be finite and > 1, got {alpha}")
-    K = _check_size(K, "K")
-    L = _check_size(L, "L")
+    _check_int(K, "K", 1)
+    _check_int(L, "L", 1)
     if L > K:
         raise ValidationError(f"L={L} must not exceed K={K}")
     budget = float(budget)

@@ -120,11 +120,12 @@ class TimeSeriesPanel:
             size = self.alphabet_size
             if size is None:
                 size = int(arr.max()) + 1
+            _check_int(size, "alphabet_size", 1)
             if np.any(arr >= size):
                 raise ValidationError(
                     f"discrete panel symbol out of range 0..{size - 1}"
                 )
-            object.__setattr__(self, "alphabet_size", int(size))
+            object.__setattr__(self, "alphabet_size", size)
         else:
             raise ValidationError(f"unknown panel kind {self.kind!r}")
         arr.flags.writeable = False
@@ -159,12 +160,10 @@ class EstimatorConfig:
     state_space_cap: int = 1_000_000
 
     def __post_init__(self) -> None:
-        if self.markov_order < 1:
-            raise ValidationError("markov_order must be >= 1")
+        _check_int(self.markov_order, "markov_order", 1)
         if self.estimator not in ("gaussian", "discrete"):
             raise ValidationError(f"unknown estimator {self.estimator!r}")
-        if self.state_space_cap < 1:
-            raise ValidationError("state_space_cap must be positive")
+        _check_int(self.state_space_cap, "state_space_cap", 1)
 
 
 @dataclass(frozen=True)
@@ -188,8 +187,8 @@ class LinearNetworkModel:
             raise ValidationError("noise_variances must have one entry per process")
         if not np.all(np.isfinite(c)):
             raise ValidationError("coefficients must be finite")
-        if not np.all(q > 0):
-            raise ValidationError("noise variances must be positive")
+        if not np.all((q > 0) & (q < np.inf)):
+            raise ValidationError("noise variances must be finite and positive")
         c.flags.writeable = False
         q.flags.writeable = False
         object.__setattr__(self, "coefficients", c)
@@ -627,9 +626,7 @@ class DIEvaluator:
         fn: Callable[[int, tuple[int, ...], tuple[int, ...]], float],
         m: int,
     ) -> None:
-        _check_int(m, "m")
-        if m < 1:
-            raise ValidationError("m must be >= 1")
+        _check_int(m, "m", 1)
         self.m = m
         self._memo: dict[_Query, float] = {}
         self.calls = 0

@@ -17,7 +17,6 @@ import os
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass
-from math import comb
 
 import numpy as np
 
@@ -36,7 +35,7 @@ from .estimation import (
     build_cache,
 )
 from .structures import ParentAssignment, _check_degree, _check_int
-from .topr import top_r_general
+from .topr import _class_size, top_r_general
 
 logger = logging.getLogger(__name__)
 
@@ -62,30 +61,11 @@ class ExperimentConfig:
     timing: bool = False
 
     def __post_init__(self):
-        for name in ("m", "n", "trials", "r"):
-            _check_int(getattr(self, name), name)
-        if self.m < 2:
-            raise ValidationError(f"m must be >= 2, got {self.m}")
+        for name, least in (("m", 2), ("n", 2), ("trials", 1), ("r", 0), ("seed", 0)):
+            _check_int(getattr(self, name), name, least)
         _check_degree(self.K, self.m, least=1)
         _check_degree(self.greedy_length, self.m, "L", 1)
-        if self.n < 2:
-            raise ValidationError(f"n must be >= 2, got {self.n}")
-        if self.trials < 1:
-            raise ValidationError(f"trials must be >= 1, got {self.trials}")
-        if not 0.0 <= self.edge_probability <= 1.0:
-            raise ValidationError(
-                f"edge_probability must lie in [0, 1], got {self.edge_probability}"
-            )
-        if self.noise_variance <= 0.0:
-            raise ValidationError(
-                f"noise_variance must be positive, got {self.noise_variance}"
-            )
-        if not 0.0 < self.spectral_target < 1.0:
-            raise ValidationError(
-                f"spectral_target must lie in (0, 1), got {self.spectral_target}"
-            )
-        if self.r < 0:
-            raise ValidationError(f"r must be >= 0, got {self.r}")
+        _check_network(self.edge_probability, self.spectral_target, self.noise_variance)
         if self.selection not in ("estimated", "exact"):
             raise ValidationError(f"unknown selection mode: {self.selection!r}")
 
@@ -116,6 +96,24 @@ class ExperimentResult:
     excluded_trials: int
 
 
+def _check_network(
+    edge_probability: float, spectral_target: float, noise_variance: float
+) -> None:
+    """Reject a random network's parameters, NaN included, outside their ranges."""
+    if not 0.0 <= edge_probability <= 1.0:
+        raise ValidationError(
+            f"edge_probability must lie in [0, 1], got {edge_probability}"
+        )
+    if not 0.0 < spectral_target < 1.0:
+        raise ValidationError(
+            f"spectral_target must lie in (0, 1), got {spectral_target}"
+        )
+    if not 0.0 < noise_variance < math.inf:
+        raise ValidationError(
+            f"noise_variance must be finite and positive, got {noise_variance}"
+        )
+
+
 def _as_generator(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
@@ -138,15 +136,10 @@ def generate_ar_network(
     unless ``include_diagonal`` is off.  An all-zero draw cannot be
     rescaled and is resampled.
     """
-    _check_int(m, "m")
-    _check_int(max_attempts, "max_attempts")
+    _check_int(m, "m", 1)
+    _check_int(max_attempts, "max_attempts", 1)
+    _check_network(edge_probability, spectral_target, noise_variance)
     rng = _as_generator(seed)
-    if m < 1:
-        raise ValidationError(f"m must be >= 1, got {m}")
-    if not 0.0 < spectral_target < 1.0:
-        raise ValidationError(
-            f"spectral_target must lie in (0, 1), got {spectral_target}"
-        )
     for _ in range(max_attempts):
         coeffs = rng.standard_normal((m, m))
         mask = rng.random((m, m)) < edge_probability
@@ -168,14 +161,10 @@ def simulate_panel(model: LinearNetworkModel, n: int, seed, burn_in: int | None 
     """Iterate the network recursion from zero, discarding a burn-in."""
     rng = _as_generator(seed)
     m = model.m
-    _check_int(n, "n")
-    if n < 2:
-        raise ValidationError(f"n must be >= 2, got {n}")
+    _check_int(n, "n", 2)
     if burn_in is None:
         burn_in = 10 * m
-    _check_int(burn_in, "burn_in")
-    if burn_in < 0:
-        raise ValidationError(f"burn_in must be >= 0, got {burn_in}")
+    _check_int(burn_in, "burn_in", 0)
     # one draw of every step's noise, then x[t] = noise[t] + A x[t-1] in
     # place, row view by row view, each product written into one reused
     # step buffer; at small m the per-call overhead is the whole cost
@@ -310,8 +299,8 @@ def _run_trial(
     add("greedy", "connected", grd_c.assignment, ms, alpha_hat)
 
     if config.r:
-        space = comb(config.m - 1, K) ** config.m
-        ranked, ms = clocked(top_r_general, sel_cache, K, min(config.r, space))
+        r = min(config.r, _class_size(config.m, K))
+        ranked, ms = clocked(top_r_general, sel_cache, K, r)
         for rank, sol in enumerate(ranked, start=1):
             add(f"topr-{rank}", "general", sol.assignment, ms if rank == 1 else 0.0)
 

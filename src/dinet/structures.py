@@ -15,6 +15,17 @@ densely, one float64 row per (target, set size) in that index order, so
 the searches read a whole row at once; structures the searches build
 from such rows skip the constructor's checks.
 
+Integers have one rule as well, ``_check_int``: an ``int`` that is not a
+``bool``, in the input's range.  It checks every public set size K or L;
+a ranking's r; an ``ExperimentConfig``'s m, n, trials, r and seed; a
+simulated panel's n and burn-in; a random network's m and draw limit;
+an ``EstimatorConfig``'s Markov order and state space cap; a discrete
+panel's alphabet size; the m of an evaluator, a cache and
+``build_cache``; the m, target, set rank and approximation index of
+:func:`all_parent_sets`, :func:`parent_set_from_index` and
+:func:`assignment_from_index`; and every process index (a target, a
+root, a node of an edge weight table).
+
 :class:`ParentSet` and :class:`ParentAssignment` are immutable after
 construction and safe to share across threads.
 """
@@ -45,20 +56,26 @@ it, and :func:`dinet.build_cache` for such a size, raise
 """
 
 
-def _check_int(value: int, what: str) -> None:
-    """Reject anything but an ``int`` that is not a ``bool``.
+def _check_int(
+    value: int, what: str, least: int | None = None, most: int | None = None
+) -> None:
+    """Reject anything but an ``int`` that is not a ``bool``, in ``least..most``.
 
-    The one type rule for a process index, a set size and a count, so
-    ``True``, ``1.0``, ``"2"`` and ``np.int64(2)`` are all refused.
+    The one rule for a process index, a process count, a set size, a
+    count, a set rank, an approximation index and a seed, so ``True``,
+    ``1.0``, ``"2"`` and ``np.int64(2)`` are all refused.  A ``most``
+    needs a ``least``; with neither, only the type is checked.
     """
     if not isinstance(value, int) or isinstance(value, bool):
         raise ValidationError(f"{what} must be an integer, got {value!r}")
+    if most is not None and not least <= value <= most:
+        raise ValidationError(f"{what} {value} out of range {least}..{most}")
+    if least is not None and value < least:
+        raise ValidationError(f"{what} must be >= {least}, got {value}")
 
 
 def _check_process(i: int, m: int, what: str = "process index") -> None:
-    _check_int(i, what)
-    if not 1 <= i <= m:
-        raise ValidationError(f"{what} {i} out of range 1..{m}")
+    _check_int(i, what, 1, m)
 
 
 def _check_set(
@@ -289,9 +306,7 @@ class DirectedInfoCache:
     """
 
     def __init__(self, m: int, K: int) -> None:
-        _check_int(m, "m")
-        if m < 1:
-            raise ValidationError(f"m must be >= 1, got {m}")
+        _check_int(m, "m", 1)
         _check_degree(K, m)
         self.m = m
         self.K = K
@@ -500,10 +515,10 @@ def _set_rank(m: int, target: int, key: Sequence[int]) -> int:
 
 def parent_set_from_index(m: int, target: int, K: int, rank: int) -> tuple[int, ...]:
     """Inverse of :func:`parent_set_index` for size-``K`` sets."""
+    _check_int(m, "m", 1)
+    _check_process(target, m, "target")
     _check_degree(K, m)
-    total = comb(m - 1, K)
-    if not 0 <= rank < total:
-        raise ValidationError(f"rank {rank} out of range for C({m - 1},{K})={total}")
+    _check_int(rank, "rank", 0, comb(m - 1, K) - 1)
     universe = [j for j in range(1, m + 1) if j != target]
     chosen: list[int] = []
     lo = 0  # position in universe of the smallest remaining candidate
@@ -521,6 +536,8 @@ def parent_set_from_index(m: int, target: int, K: int, rank: int) -> tuple[int, 
 
 def all_parent_sets(m: int, target: int, K: int) -> Iterator[tuple[int, ...]]:
     """All size-``K`` parent sets for ``target``, in index order."""
+    _check_int(m, "m", 1)
+    _check_process(target, m, "target")
     _check_degree(K, m)
     universe = [j for j in range(1, m + 1) if j != target]
     return iter(combinations(universe, K))
@@ -551,11 +568,10 @@ def approximation_index(assignment: ParentAssignment) -> int:
 
 def assignment_from_index(m: int, K: int, index: int) -> ParentAssignment:
     """Inverse of :func:`approximation_index`."""
+    _check_int(m, "m", 1)
     _check_degree(K, m)
     radix = comb(m - 1, K)
-    total = radix**m
-    if not 1 <= index <= total:
-        raise ValidationError(f"index {index} out of range 1..{total}")
+    _check_int(index, "index", 1, radix**m)
     rest = index - 1
     lists = []
     for target in range(1, m + 1):

@@ -74,18 +74,15 @@ from .structures import (
 )
 
 
-def _check_r(m: int, K: int, r: int, empty_root: bool = False) -> None:
-    """Reject an ``r`` that is not an integer in ``1 ..`` the class size bound.
+def _class_size(m: int, K: int, empty_root: bool = False) -> int:
+    """A bound on the size of a ranking's class, the largest ``r`` it takes.
 
     Every node has ``C(m-1, K)`` candidate sets.  In a class whose tree
     root keeps the empty set, one of ``m`` roots does so while the other
     ``m - 1`` nodes choose, which can exceed ``C(m-1, K)**m``.
     """
-    _check_int(r, "r")
     radix = comb(m - 1, K)
-    space = m * radix ** (m - 1) if empty_root else radix**m
-    if not 1 <= r <= space:
-        raise ValidationError(f"r={r} out of range 1..{space}")
+    return m * radix ** (m - 1) if empty_root else radix**m
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +176,7 @@ def top_r_general(
     """
     m = cache.m
     _check_degree(K, m)
-    _check_r(m, K, r)
+    _check_int(r, "r", 1, _class_size(m, K))
     weights = [comb(m - 1, K) ** i for i in range(m)]
     return _top_points([_exact_lists(cache, K)], weights, r)
 
@@ -237,7 +234,7 @@ def top_r_connected(
     """
     m = cache.m
     _check_degree(K, m, least=1)
-    _check_r(m, K, r, empty_root=not root_has_parents)
+    _check_int(r, "r", 1, _class_size(m, K, not root_has_parents))
 
     lists = _exact_lists(cache, K)
     if root_has_parents:
@@ -365,7 +362,7 @@ def top_r_greedy(
     """
     m = evaluator.m
     _check_degree(L, m, "L", 1)
-    _check_r(m, L, r, empty_root=connected and not root_has_parents)
+    _check_int(r, "r", 1, _class_size(m, L, connected and not root_has_parents))
     if connected:
         return _top_r_greedy_connected(evaluator, L, r, root_has_parents)
     lists = _Candidates.greedy(evaluator, L, [(i, ()) for i in range(1, m + 1)])

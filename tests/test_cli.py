@@ -358,3 +358,18 @@ def test_simulate_validation_exit(capsys, tmp_path):
     )
     assert code == 1
     assert "degree too large" in err
+
+
+@pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--noise-variance", "nan")])
+def test_simulate_refuses_a_bad_seed_or_noise_variance_with_one_error_line(
+    capsys, tmp_path, flag, value
+):
+    code, out, err = run(
+        capsys, "simulate", "--m", "3", "--K", "1", "--trials", "3", "--n", "50",
+        flag, value, "--out", str(tmp_path),
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not any(tmp_path.iterdir())

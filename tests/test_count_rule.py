@@ -1,9 +1,15 @@
-"""Every public entry that takes a set size K or L, or a count (r, a
-study's m, n and trials, a simulated panel's n and burn-in, the draw
-limit of a random network, and the process count m of an evaluator, a
-cache, ``build_cache`` and a random network), takes an ``int`` that is
-not a ``bool`` and raises ValidationError for anything else, before any
-list is built or any value is computed."""
+"""One integer rule, ``structures._check_int``, at every public entry.
+
+A set size K or L; a count (r, a study's m, n, trials and seed, a
+simulated panel's n and burn-in, the draw limit of a random network, an
+estimator's Markov order and state space cap, a discrete panel's
+alphabet size); a process count m (of an evaluator, a cache,
+``build_cache``, a random network, ``all_parent_sets``,
+``parent_set_from_index`` and ``assignment_from_index``); and an index
+(the target of ``all_parent_sets`` and ``parent_set_from_index``, a set
+rank, an approximation index) each take an ``int`` that is not a
+``bool`` and in range, and raise ValidationError for anything else,
+before any list is built or any value is computed."""
 
 from functools import cache
 
@@ -23,7 +29,7 @@ from dinet.bounds import (
     greedy_bound_coefficient,
 )
 from dinet.errors import ValidationError
-from dinet.estimation import DIEvaluator, build_cache
+from dinet.estimation import DIEvaluator, EstimatorConfig, TimeSeriesPanel, build_cache
 from dinet.simulate import ExperimentConfig, generate_ar_network, simulate_panel
 from dinet.structures import (
     DirectedInfoCache,
@@ -85,12 +91,27 @@ COUNT_ENTRIES = {
     "generate_ar_network max_attempts": lambda v: generate_ar_network(M, 1, max_attempts=v),
     "simulate_panel n": lambda v: simulate_panel(network(), v, 0),
     "simulate_panel burn_in": lambda v: simulate_panel(network(), 50, 0, burn_in=v),
+    "ExperimentConfig seed": lambda v: ExperimentConfig(M, 2, seed=v),
+    "EstimatorConfig markov_order": lambda v: EstimatorConfig(markov_order=v),
+    "EstimatorConfig state_space_cap": lambda v: EstimatorConfig(state_space_cap=v),
+    "TimeSeriesPanel alphabet_size": lambda v: TimeSeriesPanel(
+        [[0, 1], [1, 0]], kind="discrete", alphabet_size=v
+    ),
+}
+INDEX_ENTRIES = {
+    "all_parent_sets target": lambda v: all_parent_sets(M, v, 2),
+    "parent_set_from_index target": lambda v: parent_set_from_index(M, v, 2, 0),
+    "parent_set_from_index rank": lambda v: parent_set_from_index(M, 1, 2, v),
+    "assignment_from_index index": lambda v: assignment_from_index(M, 2, v),
 }
 PROCESS_COUNT_ENTRIES = {
     "DIEvaluator": lambda v: DIEvaluator(lambda *query: 0.0, v),
     "DirectedInfoCache": lambda v: DirectedInfoCache(v, 0),
     "build_cache": lambda v: build_cache(inputs()[0], v, 2),
     "generate_ar_network": lambda v: generate_ar_network(v, 1),
+    "all_parent_sets": lambda v: all_parent_sets(v, 1, 2),
+    "parent_set_from_index": lambda v: parent_set_from_index(v, 1, 2, 0),
+    "assignment_from_index": lambda v: assignment_from_index(v, 2, 1),
 }
 BAD = [1.5, True, "2", np.int64(2)]
 # a non-integer r never equals an emitted count, so without the check a
@@ -125,3 +146,48 @@ def test_a_process_count_is_a_plain_integer(entry, value):
     # a whole float or a bool fails here, before any list or value is built
     with pytest.raises(ValidationError, match="m must be an integer"):
         PROCESS_COUNT_ENTRIES[entry](value)
+
+
+@pytest.mark.parametrize("value", BAD_COUNTS, ids=repr)
+@pytest.mark.parametrize("entry", INDEX_ENTRIES)
+def test_a_target_rank_or_index_is_a_plain_integer(entry, value):
+    with pytest.raises(ValidationError, match="must be an integer"):
+        INDEX_ENTRIES[entry](value)
+
+
+OUT_OF_RANGE = {
+    "all_parent_sets target": (lambda: all_parent_sets(5, 9, 2), "target 9 out of range 1..5"),
+    "parent_set_from_index target": (
+        lambda: parent_set_from_index(5, 9, 2, 0), "target 9 out of range 1..5"
+    ),
+    "parent_set_from_index rank": (
+        lambda: parent_set_from_index(4, 1, 2, 3), "rank 3 out of range 0..2"
+    ),
+    "ExperimentConfig seed": (lambda: ExperimentConfig(3, 1, seed=-1), "seed must be >= 0, got -1"),
+    "TimeSeriesPanel alphabet_size": (
+        lambda: TimeSeriesPanel([[0, 0], [0, 0]], kind="discrete", alphabet_size=0),
+        "alphabet_size must be >= 1, got 0",
+    ),
+    "generate_ar_network max_attempts": (
+        lambda: generate_ar_network(M, 1, max_attempts=0), "max_attempts must be >= 1, got 0"
+    ),
+    "EstimatorConfig markov_order": (
+        lambda: EstimatorConfig(markov_order=0), "markov_order must be >= 1, got 0"
+    ),
+    "EstimatorConfig state_space_cap": (
+        lambda: EstimatorConfig(state_space_cap=0), "state_space_cap must be >= 1, got 0"
+    ),
+    "DIEvaluator m": (lambda: DIEvaluator(lambda *query: 0.0, 0), "m must be >= 1, got 0"),
+    "greedy_bound_coefficient K": (
+        lambda: greedy_bound_coefficient(1.5, 0, 2), "K must be >= 1, got 0"
+    ),
+    "top_r_general r": (lambda: top_r_general(inputs()[1], 2, 0), "r 0 out of range 1..7776"),
+}
+
+
+@pytest.mark.parametrize("entry", OUT_OF_RANGE)
+def test_an_integer_out_of_range_names_the_value_and_the_range(entry):
+    call, message = OUT_OF_RANGE[entry]
+    with pytest.raises(ValidationError) as info:
+        call()
+    assert str(info.value) == message

@@ -97,6 +97,8 @@ def test_model_validation_and_accessors():
         LinearNetworkModel(np.zeros((2, 2)), np.ones(3))
     with pytest.raises(ValidationError):
         LinearNetworkModel(np.zeros((2, 2)), np.array([1.0, 0.0]))
+    with pytest.raises(ValidationError, match="noise variances must be finite and positive"):
+        LinearNetworkModel(np.zeros((2, 2)), np.array([1.0, np.inf]))
     bad = np.zeros((2, 2))
     bad[0, 1] = np.inf
     with pytest.raises(ValidationError):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -79,6 +80,28 @@ def test_generate_network_validation():
         generate_ar_network(
             2, 1, edge_probability=0.0, include_diagonal=False, max_attempts=5
         )
+
+
+BAD_NETWORKS = {
+    "edge_probability nan": ({"edge_probability": math.nan}, "edge_probability must lie in [0, 1]"),
+    "edge_probability -1": ({"edge_probability": -1.0}, "edge_probability must lie in [0, 1]"),
+    "edge_probability 5": ({"edge_probability": 5.0}, "edge_probability must lie in [0, 1]"),
+    "noise_variance nan": ({"noise_variance": math.nan}, "noise_variance must be finite and positive"),
+    "noise_variance inf": ({"noise_variance": math.inf}, "noise_variance must be finite and positive"),
+    "noise_variance 0": ({"noise_variance": 0.0}, "noise_variance must be finite and positive"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_NETWORKS)
+def test_one_check_refuses_bad_network_parameters(case):
+    # a random network and a study refuse the same values with the same
+    # words; without the check, a NaN or negative edge probability drew a
+    # diagonal-only network and an infinite noise variance passed
+    kwargs, message = BAD_NETWORKS[case]
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        generate_ar_network(4, 1, **kwargs)
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        ExperimentConfig(3, 1, **kwargs)
 
 
 def test_simulate_panel_determinism():
