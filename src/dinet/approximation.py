@@ -21,9 +21,11 @@ one stable argsort of the node's cache row;
 :func:`optimal_connected` weighs arc ``j -> i`` by the first entry of
 ``i``'s list that contains ``j``.  A greedy list starts with the greedy
 set grown after a pinned prefix (nothing, or a tree edge's parent) and
-goes on through the node's greedy choice sequences depth-first, built
-lazily as a ranking reaches them; :func:`greedy_connected` reads the
-first entry of each arc's pinned list, and the greedy rankings read on.
+goes on through the node's greedy choice sequences depth-first: past its
+first entry it holds one generator of its later entries, drawn as a
+ranking reaches them; :func:`greedy_connected` reads the first entry of
+each arc's pinned list, and the greedy rankings read on.  Every entry,
+pinned or not, carries its set's rank.
 
 Three private helpers carry the rest.  The greedy kernel,
 ``_greedy_orders``, runs many greedy chains at once, each ordering the
@@ -164,26 +166,22 @@ class _Candidates:
 
     ``members``, ``values`` and ``ranks`` are parallel: position ``p``
     holds a set, its value and its :func:`parent_set_index`.  A greedy
-    list keeps its pinned prefix and, once :meth:`has` first asks past
-    its first entry, draws its later entries from :func:`_greedy_sets`.
+    list also holds an iterator of its later ``(members, value, rank)``
+    entries, which :meth:`has` draws from as a ranking reads past the
+    entries held, and drops once it is exhausted.
     """
 
     def __init__(
         self,
-        target: int,
         members: list[tuple[int, ...]],
         values: list[float],
-        ranks: list[int] | None,
-        evaluator: DIEvaluator | None = None,
-        pinned: tuple[int, ...] = (),
+        ranks: list[int],
+        tail: Iterator[tuple[tuple[int, ...], float, int]] | None = None,
     ) -> None:
-        self.target = target
         self.members = members
         self.values = values
         self.ranks = ranks
-        self._evaluator = evaluator  # None for an exact or exhausted list
-        self._pinned = pinned
-        self._later: Iterator[tuple[int, ...]] | None = None
+        self._tail = tail  # None for an exact or exhausted list
 
     @classmethod
     def exact(cls, cache: DirectedInfoCache, target: int, K: int) -> "_Candidates":
@@ -194,13 +192,13 @@ class _Candidates:
         raises :class:`UncachedParentSetError` for the first missing set.
         """
         if K == 0:
-            return cls(target, [()], [0.0], [0])
+            return cls([()], [0.0], [0])
         row = cache._row(target, K)
         # a stable sort keeps equal values in rank order
         order = np.argsort(-row, kind="stable")
         sets = list(all_parent_sets(cache.m, target, K))
         ranks = order.tolist()
-        return cls(target, [sets[p] for p in ranks], row[order].tolist(), ranks)
+        return cls([sets[p] for p in ranks], row[order].tolist(), ranks)
 
     @classmethod
     def greedy(
@@ -215,13 +213,24 @@ class _Candidates:
         ``pinned``, every size-``length`` set containing ``pinned`` once.
         The first, the greedy set, is built here for every list in one
         lockstep :func:`_greedy_orders` call, and their values in one more
-        batch.  A pinned list serves the partition search, which never
-        reads ranks, so it has none.
+        batch.  The later entries come from a generator of each list that
+        starts only when a ranking first reads past the greedy set.
         """
         m = evaluator.m
+
+        def pool(target: int, pinned: tuple[int, ...]) -> set[int]:
+            return set(range(1, m + 1)) - {target, *pinned}
+
+        def later(target: int, pinned: tuple[int, ...]):
+            sets = _greedy_sets(
+                evaluator, target, pool(target, pinned), pinned, length - len(pinned)
+            )
+            next(sets)  # the greedy set, already at position 0
+            for ms in sets:
+                yield ms, evaluator._fill([(target, ms, ())])[0], _set_rank(m, target, ms)
+
         chains = [
-            (target, set(range(1, m + 1)) - {target, *pinned}, pinned,
-             length - len(pinned))
+            (target, pool(target, pinned), pinned, length - len(pinned))
             for target, pinned in seeds
         ]
         orders = _greedy_orders(evaluator, chains)
@@ -233,14 +242,7 @@ class _Candidates:
             [(target, ms, ()) for (target, _), ms in zip(seeds, members)]
         )
         return [
-            cls(
-                target,
-                [ms],
-                [v],
-                None if pinned else [_set_rank(m, target, ms)],
-                evaluator,
-                pinned,
-            )
+            cls([ms], [v], [_set_rank(m, target, ms)], later(target, pinned))
             for (target, pinned), ms, v in zip(seeds, members, values)
         ]
 
@@ -249,23 +251,14 @@ class _Candidates:
         return self.members[p], self.values[p]
 
     def has(self, p: int) -> bool:
-        """Whether position ``p`` exists, growing a greedy list up to it."""
-        evaluator = self._evaluator
-        if p >= len(self.members) and evaluator is not None:
-            if self._later is None:
-                pool = set(range(1, evaluator.m + 1)) - {self.target, *self._pinned}
-                self._later = _greedy_sets(
-                    evaluator, self.target, pool, self._pinned,
-                    len(self.members[0]) - len(self._pinned),
-                )
-                next(self._later)  # the greedy set, already at position 0
-            for members in islice(self._later, p + 1 - len(self.members)):
+        """Whether position ``p`` exists, drawing a greedy list up to it."""
+        if p >= len(self.members) and self._tail is not None:
+            for members, value, rank in islice(self._tail, p + 1 - len(self.members)):
                 self.members.append(members)
-                self.values.append(evaluator._fill([(self.target, members, ())])[0])
-                if self.ranks is not None:
-                    self.ranks.append(_set_rank(evaluator.m, self.target, members))
+                self.values.append(value)
+                self.ranks.append(rank)
             if p >= len(self.members):
-                self._evaluator = self._later = None
+                self._tail = None
         return p < len(self.members)
 
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleArborescenceError, ValidationError
-from .structures import _check_process
+from .structures import _check_process, _check_real
 
 
 class EdgeWeights:
@@ -235,7 +235,7 @@ def max_weight_arborescence(
     else:
         if root_weights is None:
             root_weights = [0.0] * len(nodes)
-        root_weights = [float(b) for b in root_weights]
+        root_weights = [_check_real(b, "root weight") for b in root_weights]
         if len(root_weights) != len(nodes) or not all(map(np.isfinite, root_weights)):
             raise ValidationError("root_weights must be one finite value per node")
         dummy_arcs = list(zip(nodes, root_weights))

@@ -23,11 +23,11 @@ from dataclasses import dataclass
 from .approximation import _greedy_orders
 from .errors import ValidationError
 from .estimation import DIEvaluator
-from .structures import ParentAssignment, _check_int, _check_set
+from .structures import ParentAssignment, _check_int, _check_real, _check_set
 
 
 def _check_alpha(alpha: float) -> float:
-    alpha = float(alpha)
+    alpha = _check_real(alpha, "alpha")
     if math.isnan(alpha) or alpha <= 0.0:
         raise ValidationError(f"alpha must be positive, got {alpha}")
     return alpha
@@ -83,14 +83,14 @@ def geometric_budget_maximum(alpha: float, K: int, L: int, budget: float) -> flo
     would be ``budget * K / L``, but the closed form is specific to
     ``alpha > 1`` and smaller values are rejected.
     """
-    alpha = float(alpha)
+    alpha = _check_real(alpha, "alpha")
     if math.isnan(alpha) or math.isinf(alpha) or alpha <= 1.0:
         raise ValidationError(f"alpha must be finite and > 1, got {alpha}")
     _check_int(K, "K", 1)
     _check_int(L, "L", 1)
     if L > K:
         raise ValidationError(f"L={L} must not exceed K={K}")
-    budget = float(budget)
+    budget = _check_real(budget, "budget")
     if not math.isfinite(budget) or budget <= 0.0:
         raise ValidationError(f"budget must be positive, got {budget}")
     return budget * _geometric_sum(alpha, K) / _geometric_sum(alpha, L)
@@ -106,7 +106,7 @@ def coefficient_table(
         fn = degree_gap_coefficient
     else:
         raise ValidationError(f"unknown table kind: {kind!r}")
-    return [(float(a), K, L, fn(a, K, L)) for a in alphas]
+    return [(alpha, K, L, fn(alpha, K, L)) for alpha in map(_check_alpha, alphas)]
 
 
 # ---------------------------------------------------------------------------

@@ -110,6 +110,8 @@ def cmd_cache_build(args) -> int:
 
 def _search_inputs(args):
     """What the chosen search runs on: (cache, K), or (evaluator, L) for greedy."""
+    if args.root_has_parents and args.graph_class == "general":
+        raise ValidationError("--root-has-parents applies only to --class connected")
     cache = evaluator = None
     if args.cache is not None:
         with open(args.cache) as fh:

@@ -93,7 +93,8 @@ class TimeSeriesPanel:
     """An ``m x n`` block of observations: one row per process.
 
     ``kind`` is ``"real"`` for continuous data or ``"discrete"`` for
-    finite-alphabet data with integer symbols ``0 .. alphabet_size - 1``.
+    finite-alphabet data with integer symbols ``0 .. alphabet_size - 1``;
+    a real panel takes no ``alphabet_size``.
     The underlying array is frozen read-only.
     """
 
@@ -110,7 +111,10 @@ class TimeSeriesPanel:
         if self.kind == "real":
             if not np.all(np.isfinite(arr)):
                 raise ValidationError("panel contains non-finite values")
-            object.__setattr__(self, "alphabet_size", None)
+            if self.alphabet_size is not None:
+                raise ValidationError(
+                    f"a real panel takes no alphabet_size, got {self.alphabet_size!r}"
+                )
         elif self.kind == "discrete":
             if not np.all(np.isfinite(arr)) or np.any(arr != np.round(arr)):
                 raise ValidationError("discrete panel symbols must be integers")
@@ -618,7 +622,8 @@ class DIEvaluator:
     moments, or the plug-in estimator's lag-window codes) and compute
     every value a call needs in one batch, whatever its targets and
     conditioning sets.  ``calls`` counts the values computed, never the
-    memo hits.
+    memo hits: each computed value enters the memo once, so it is the
+    memo's size.
     """
 
     def __init__(
@@ -629,12 +634,15 @@ class DIEvaluator:
         _check_int(m, "m", 1)
         self.m = m
         self._memo: dict[_Query, float] = {}
-        self.calls = 0
         # checked queries -> values; the moment-backed constructors
         # replace it with the batched kernel
         self._batch: Callable[[Sequence[_Query]], list[float]] = lambda queries: [
             fn(*query) for query in queries
         ]
+
+    @property
+    def calls(self) -> int:
+        return len(self._memo)
 
     def increment(
         self,
@@ -675,9 +683,7 @@ class DIEvaluator:
         memo = self._memo
         missing = list(dict.fromkeys(q for q in queries if q not in memo))
         if missing:
-            fresh = self._batch(missing)
-            self.calls += len(missing)
-            memo.update(zip(missing, map(float, fresh)))
+            memo.update(zip(missing, map(float, self._batch(missing))))
         return [memo[q] for q in queries]
 
     @classmethod

@@ -34,7 +34,7 @@ from .estimation import (
     TimeSeriesPanel,
     build_cache,
 )
-from .structures import ParentAssignment, _check_degree, _check_int
+from .structures import ParentAssignment, _check_degree, _check_int, _check_real
 from .topr import _class_size, top_r_general
 
 logger = logging.getLogger(__name__)
@@ -100,6 +100,9 @@ def _check_network(
     edge_probability: float, spectral_target: float, noise_variance: float
 ) -> None:
     """Reject a random network's parameters, NaN included, outside their ranges."""
+    edge_probability = _check_real(edge_probability, "edge_probability")
+    spectral_target = _check_real(spectral_target, "spectral_target")
+    noise_variance = _check_real(noise_variance, "noise_variance")
     if not 0.0 <= edge_probability <= 1.0:
         raise ValidationError(
             f"edge_probability must lie in [0, 1], got {edge_probability}"
@@ -115,9 +118,17 @@ def _check_network(
 
 
 def _as_generator(seed) -> np.random.Generator:
+    """``seed`` itself if a Generator, else a new one seeded by it.
+
+    A seed is what numpy takes: a non-negative int, a sequence of them or
+    a ``SeedSequence``; anything else raises :class:`ValidationError`.
+    """
     if isinstance(seed, np.random.Generator):
         return seed
-    return np.random.default_rng(seed)
+    try:
+        return np.random.default_rng(seed)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"seed {seed!r} is not a valid seed: {exc}") from None
 
 
 def generate_ar_network(

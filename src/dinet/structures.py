@@ -24,7 +24,10 @@ panel's alphabet size; the m of an evaluator, a cache and
 ``build_cache``; the m, target, set rank and approximation index of
 :func:`all_parent_sets`, :func:`parent_set_from_index` and
 :func:`assignment_from_index`; and every process index (a target, a
-root, a node of an edge weight table).
+root, a node of an edge weight table).  Real values have one type rule,
+``_check_real``: a real number that is not a ``bool``, numpy scalars
+included, so a cache value, a root weight, a guarantee's alpha and
+budget and a random network's parameters refuse ``"0.5"`` and ``None``.
 
 :class:`ParentSet` and :class:`ParentAssignment` are immutable after
 construction and safe to share across threads.
@@ -34,6 +37,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from itertools import combinations, compress, repeat
@@ -49,8 +53,8 @@ MAX_CACHE_VALUES = 10_000_000
 """The most values a :class:`DirectedInfoCache` holds for one set size.
 
 A cache stores the sets of one size as a dense block of ``m * C(m-1,
-size)`` values, a float64 and a filled flag each (about 9 bytes), however
-few of them are filled, so this caps one block near 90 MB.  A block above
+size)`` float64 values (8 bytes each, NaN where none is stored), however
+few of them are stored, so this caps one block near 80 MB.  A block above
 it, and :func:`dinet.build_cache` for such a size, raise
 :class:`ValidationError` before anything is allocated or computed.
 """
@@ -72,6 +76,18 @@ def _check_int(
         raise ValidationError(f"{what} {value} out of range {least}..{most}")
     if least is not None and value < least:
         raise ValidationError(f"{what} must be >= {least}, got {value}")
+
+
+def _check_real(value: float, what: str) -> float:
+    """``value`` as a ``float``, if it is a real number that is not a ``bool``.
+
+    The one type rule for a real-valued input: Python and numpy numbers
+    pass, while ``True``, ``"0.5"`` and ``None`` are refused.  NaN and
+    infinities pass; each caller checks its own range.
+    """
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ValidationError(f"{what} must be a real number, got {value!r}")
+    return float(value)
 
 
 def _check_process(i: int, m: int, what: str = "process index") -> None:
@@ -299,8 +315,9 @@ class DirectedInfoCache:
     entries of other sizes may be stored to support per-node degree vectors.
 
     Storage is dense: each set size the cache holds is one block of one
-    float64 row per target, in :func:`parent_set_index` order, plus a
-    filled mask, allocated on the first value of that size and capped by
+    float64 row per target, in :func:`parent_set_index` order, with NaN
+    where no value is stored (a stored value is always finite), allocated
+    on the first value of that size and capped by
     :data:`MAX_CACHE_VALUES`.  The public methods check every set by the
     one set rule; the searches read a target's whole row at once.
     """
@@ -310,10 +327,10 @@ class DirectedInfoCache:
         _check_degree(K, m)
         self.m = m
         self.K = K
-        # set size -> (values, filled), each m x C(m-1, size)
-        self._blocks: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        # set size -> m x C(m-1, size) values, NaN where none is stored
+        self._blocks: dict[int, np.ndarray] = {}
 
-    def _block(self, size: int) -> tuple[np.ndarray, np.ndarray]:
+    def _block(self, size: int) -> np.ndarray:
         """The block of ``size``-sets, allocated on first use within the cap."""
         block = self._blocks.get(size)
         if block is None:
@@ -323,43 +340,35 @@ class DirectedInfoCache:
                     f"a cache with m={self.m} and parent sets of size {size} holds"
                     f" {self.m * width:,} values, above the limit of {MAX_CACHE_VALUES:,}"
                 )
-            shape = (self.m, width)
-            block = self._blocks[size] = (np.zeros(shape), np.zeros(shape, dtype=bool))
+            block = self._blocks[size] = np.full((self.m, width), math.nan)
         return block
 
-    def _slot(self, target: int, members: Iterable[int]) -> tuple[tuple[int, ...], bool, float]:
-        """A checked set's sorted key, whether it is filled, and its value."""
+    def _slot(self, target: int, members: Iterable[int]) -> tuple[tuple[int, ...], float]:
+        """A checked set's sorted key and its value, NaN when none is stored."""
         key = _check_set(self.m, target, members)
         block = self._blocks.get(len(key))
         if block is None:
-            return key, False, 0.0
-        rank = _set_rank(self.m, target, key)
-        return key, bool(block[1][target - 1, rank]), float(block[0][target - 1, rank])
+            return key, math.nan
+        return key, float(block[target - 1, _set_rank(self.m, target, key)])
 
     def put(self, target: int, members: Iterable[int], value: float) -> None:
         key = _check_set(self.m, target, members)
-        try:
-            number = float(value)
-        except (TypeError, ValueError):
-            number = math.nan
+        number = _check_real(value, f"target {target}: parent set {list(key)} value")
         if not math.isfinite(number):
             raise _not_finite(target, key, value)
-        values, filled = self._block(len(key))
-        rank = _set_rank(self.m, target, key)
-        values[target - 1, rank] = number
-        filled[target - 1, rank] = True
+        self._block(len(key))[target - 1, _set_rank(self.m, target, key)] = number
 
     def get(self, target: int, members: Iterable[int]) -> float:
-        key, filled, value = self._slot(target, members)
-        if not filled:
+        key, value = self._slot(target, members)
+        if math.isnan(value):
             raise UncachedParentSetError(target, key)
         return value
 
     def __contains__(self, key: tuple[int, Iterable[int]]) -> bool:
-        return self._slot(*key)[1]
+        return not math.isnan(self._slot(*key)[1])
 
     def __len__(self) -> int:
-        return sum(int(np.count_nonzero(filled)) for _, filled in self._blocks.values())
+        return sum(int(np.count_nonzero(~np.isnan(block))) for block in self._blocks.values())
 
     def _put_row(self, target: int, size: int, values: Sequence[float]) -> None:
         """Store ``target``'s values of every ``size``-set, in rank order."""
@@ -368,9 +377,7 @@ class DirectedInfoCache:
         if not finite.all():
             p = int(np.argmin(finite))
             raise _not_finite(target, parent_set_from_index(self.m, target, size, p), values[p])
-        block, filled = self._block(size)
-        block[target - 1] = row
-        filled[target - 1] = True
+        self._block(size)[target - 1] = row
 
     def _row(self, target: int, size: int) -> np.ndarray:
         """``target``'s values of every ``size``-set, in rank order.
@@ -378,19 +385,21 @@ class DirectedInfoCache:
         A gap raises :class:`UncachedParentSetError` naming the first
         missing set.  The row is the cache's own storage: do not write it.
         """
-        values, filled = self._blocks.get(size, (None, None))
-        if filled is None or not filled[target - 1].all():
-            p = 0 if filled is None else int(np.argmin(filled[target - 1]))
+        block = self._blocks.get(size)
+        # a block never allocated misses its first set
+        missing = np.isnan(block[target - 1]) if block is not None else np.ones(1, bool)
+        if missing.any():
             raise UncachedParentSetError(
-                target, parent_set_from_index(self.m, target, size, p)
+                target, parent_set_from_index(self.m, target, size, int(np.argmax(missing)))
             )
-        return values[target - 1]
+        return block[target - 1]
 
     def items(self) -> list[tuple[int, tuple[int, ...], float]]:
         """All entries as (target, members, value), deterministically sorted."""
         out = []
-        for size, (values, filled) in self._blocks.items():
-            for target, (row, mask) in enumerate(zip(values, filled), start=1):
+        for size, block in self._blocks.items():
+            for target, row in enumerate(block, start=1):
+                mask = ~np.isnan(row)
                 if mask.any():
                     sets = all_parent_sets(self.m, target, size)
                     out += zip(

@@ -148,13 +148,13 @@ def _top_points(
     lattices: Sequence[_Lattice],
     weights: Sequence[int],
     r: int,
-    keep: Callable[[int, tuple], bool] | None = None,
+    keep: Callable[[tuple], bool] | None = None,
 ) -> tuple[ScoredApproximation, ...]:
-    """The first ``r`` points of the walk that ``keep(lattice, key)`` accepts."""
+    """The first ``r`` points of the walk whose key ``keep(key)`` accepts."""
     emitted: list[ScoredApproximation] = []
     for score, n, pos in _walk(lattices, weights):
         key = _key(lattices[n], pos)
-        if keep is None or keep(n, key):
+        if keep is None or keep(key):
             emitted.append(ScoredApproximation(ParentAssignment._from_keys(key), score))
             if len(emitted) == r:
                 break
@@ -238,20 +238,17 @@ def top_r_connected(
 
     lists = _exact_lists(cache, K)
     if root_has_parents:
-        lattices, roots = [lists], [None]
+        lattices = [lists]
     else:
         # the empty set sorts first in a canonical key, so it ranks -1
-        roots = list(range(1, m + 1))
-        lattices = [
-            [*lists[: rt - 1], _Candidates(rt, [()], [0.0], [-1]), *lists[rt:]]
-            for rt in roots
-        ]
+        root = _Candidates([()], [0.0], [-1])
+        lattices = [[*lists[: rt - 1], root, *lists[rt:]] for rt in range(1, m + 1)]
     # node 1 weighs most and every digit, rank + 1, stays below the base
     base = comb(m - 1, K) + 1
     weights = [base ** (m - i) for i in range(1, m + 1)]
-    return _top_points(
-        lattices, weights, r, lambda n, key: _has_spanning_tree(key, roots[n])
-    )
+    # a free root's lattice gives only the root an empty set, so the
+    # check tries that one root
+    return _top_points(lattices, weights, r, lambda key: _has_spanning_tree(key, None))
 
 
 # ---------------------------------------------------------------------------

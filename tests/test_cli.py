@@ -373,3 +373,26 @@ def test_simulate_refuses_a_bad_seed_or_noise_variance_with_one_error_line(
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["approximate", "--K", "1", "--class", "general", "--root-has-parents"],
+         "--root-has-parents"),
+        (["topr", "--K", "1", "--r", "2", "--class", "general", "--root-has-parents"],
+         "--root-has-parents"),
+        (["topr", "--search", "greedy", "--L", "1", "--r", "2", "--root-has-parents"],
+         "--root-has-parents"),
+        (["approximate", "--K", "1", "--alphabet-size", "3"], "alphabet_size"),
+    ],
+    ids=["approximate", "topr", "topr greedy", "real panel alphabet size"],
+)
+def test_a_flag_the_search_would_ignore_is_refused_with_one_error_line(
+    capsys, panel_path, argv, message
+):
+    code, out, err = run(capsys, *argv, "--panel", panel_path)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err

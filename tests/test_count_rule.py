@@ -9,7 +9,12 @@ alphabet size); a process count m (of an evaluator, a cache,
 (the target of ``all_parent_sets`` and ``parent_set_from_index``, a set
 rank, an approximation index) each take an ``int`` that is not a
 ``bool`` and in range, and raise ValidationError for anything else,
-before any list is built or any value is computed."""
+before any list is built or any value is computed.
+
+Beside it, ``structures._check_real`` is the one type rule for a real
+value (a random network's parameters, a guarantee's alpha and budget, a
+cache value, a root weight), and a seed is refused with ValidationError
+whenever numpy refuses it.  A real panel takes no alphabet size."""
 
 from functools import cache
 
@@ -22,6 +27,7 @@ from dinet.approximation import (
     optimal_connected,
     optimal_general,
 )
+from dinet.arborescence import EdgeWeights, max_weight_arborescence
 from dinet.bounds import (
     coefficient_table,
     degree_gap_coefficient,
@@ -191,3 +197,79 @@ def test_an_integer_out_of_range_names_the_value_and_the_range(entry):
     with pytest.raises(ValidationError) as info:
         call()
     assert str(info.value) == message
+
+
+# each entry returns the array its seed drew
+SEED_ENTRIES = {
+    "generate_ar_network seed": lambda v: generate_ar_network(M, v).coefficients,
+    "simulate_panel seed": lambda v: simulate_panel(network(), 50, v).data,
+}
+BAD_SEEDS = [-1, [1, -2], "a", 1.5]
+
+
+@pytest.mark.parametrize("value", BAD_SEEDS, ids=repr)
+@pytest.mark.parametrize("entry", SEED_ENTRIES)
+def test_a_seed_numpy_refuses_raises_validation_error(entry, value):
+    with pytest.raises(ValidationError, match=r"^seed .* is not a valid seed"):
+        SEED_ENTRIES[entry](value)
+
+
+@pytest.mark.parametrize("entry", SEED_ENTRIES)
+def test_generators_seed_sequences_ints_and_int_sequences_seed_alike(entry):
+    draws = [
+        SEED_ENTRIES[entry](seed)
+        for seed in (
+            np.random.default_rng([3, 4]),
+            np.random.SeedSequence([3, 4]),
+            [3, 4],
+        )
+    ]
+    assert all(np.array_equal(draws[0], draw) for draw in draws)
+    assert not np.array_equal(SEED_ENTRIES[entry](7), draws[0])
+
+
+REAL_ENTRIES = {
+    "ExperimentConfig edge_probability": lambda v: ExperimentConfig(3, 1, edge_probability=v),
+    "ExperimentConfig spectral_target": lambda v: ExperimentConfig(3, 1, spectral_target=v),
+    "ExperimentConfig noise_variance": lambda v: ExperimentConfig(3, 1, noise_variance=v),
+    "generate_ar_network edge_probability": lambda v: generate_ar_network(
+        M, 1, edge_probability=v
+    ),
+    "greedy_bound_coefficient alpha": lambda v: greedy_bound_coefficient(v, 2, 2),
+    "degree_gap_coefficient alpha": lambda v: degree_gap_coefficient(v, 2, 2),
+    "coefficient_table alpha": lambda v: coefficient_table("degree-gap", [1.5, v], 2, 2),
+    "geometric_budget_maximum alpha": lambda v: geometric_budget_maximum(v, 2, 1, 1.0),
+    "geometric_budget_maximum budget": lambda v: geometric_budget_maximum(1.5, 2, 1, v),
+    "DirectedInfoCache.put": lambda v: DirectedInfoCache(3, 1).put(1, (2,), v),
+    "max_weight_arborescence root_weights": lambda v: max_weight_arborescence(
+        EdgeWeights(np.ones((3, 3))), None, [v, 0.0, 0.0]
+    ),
+}
+# each string and bool is in range once read as a number
+BAD_REALS = ["0.5", "1", True, None]
+
+
+@pytest.mark.parametrize("value", BAD_REALS, ids=repr)
+@pytest.mark.parametrize("entry", REAL_ENTRIES)
+def test_a_real_value_is_a_number_that_is_not_a_bool(entry, value):
+    with pytest.raises(ValidationError, match="must be a real number"):
+        REAL_ENTRIES[entry](value)
+
+
+def test_numpy_reals_pass_as_their_floats():
+    assert greedy_bound_coefficient(np.float32(2.0), 2, 2) == greedy_bound_coefficient(2.0, 2, 2)
+    assert geometric_budget_maximum(np.float64(1.5), 2, 1, np.int64(2)) == (
+        geometric_budget_maximum(1.5, 2, 1, 2.0)
+    )
+    cache_ = DirectedInfoCache(3, 1)
+    cache_.put(1, (2,), np.float32(0.5))
+    assert cache_.get(1, (2,)) == 0.5
+    ExperimentConfig(3, 1, edge_probability=np.float64(0.5), noise_variance=np.int64(1))
+
+
+def test_a_real_panel_refuses_an_alphabet_size():
+    with pytest.raises(ValidationError, match="real panel takes no alphabet_size"):
+        TimeSeriesPanel(np.zeros((2, 3)), alphabet_size=2.5)
+    with pytest.raises(ValidationError, match="real panel takes no alphabet_size"):
+        TimeSeriesPanel(np.zeros((2, 3)), kind="real", alphabet_size=2)
+    assert TimeSeriesPanel(np.zeros((2, 3))).alphabet_size is None
