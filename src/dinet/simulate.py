@@ -34,7 +34,13 @@ from .estimation import (
     TimeSeriesPanel,
     build_cache,
 )
-from .structures import ParentAssignment, _check_degree, _check_int, _check_real
+from .structures import (
+    MAX_RANKED,
+    ParentAssignment,
+    _check_degree,
+    _check_int,
+    _check_real,
+)
 from .topr import _class_size, top_r_general
 
 logger = logging.getLogger(__name__)
@@ -61,8 +67,9 @@ class ExperimentConfig:
     timing: bool = False
 
     def __post_init__(self):
-        for name, least in (("m", 2), ("n", 2), ("trials", 1), ("r", 0), ("seed", 0)):
+        for name, least in (("m", 2), ("n", 2), ("trials", 1), ("seed", 0)):
             _check_int(getattr(self, name), name, least)
+        _check_int(self.r, "r", 0, MAX_RANKED)
         _check_degree(self.K, self.m, least=1)
         _check_degree(self.greedy_length, self.m, "L", 1)
         _check_network(self.edge_probability, self.spectral_target, self.noise_variance)

@@ -38,9 +38,10 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import reprlib
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
-from itertools import combinations, compress, repeat
+from itertools import combinations, compress, count, repeat
 from math import comb
 
 import numpy as np
@@ -57,6 +58,20 @@ size)`` float64 values (8 bytes each, NaN where none is stored), however
 few of them are stored, so this caps one block near 80 MB.  A block above
 it, and :func:`dinet.build_cache` for such a size, raise
 :class:`ValidationError` before anything is allocated or computed.
+"""
+
+
+MAX_RANKED = 100_000
+"""The most structures one ranking emits: the largest ``r`` it takes.
+
+A ranking keeps every structure it emits and the heap of its walk until
+it returns.  At r = 100,000, traced by ``tracemalloc``, the peak was 1,135
+bytes per emitted structure for :func:`dinet.top_r_general` at m=16, K=2
+(373 of them kept in the result) and 2,012 for the general
+:func:`dinet.top_r_greedy` at m=10, L=2, whose walk also keeps a seen
+set; so this caps a ranking's memory near 110 to 200 MB.  The rankings
+and a study's ``r`` above it raise :class:`ValidationError` before any
+list is built.
 """
 
 
@@ -82,12 +97,18 @@ def _check_real(value: float, what: str) -> float:
     """``value`` as a ``float``, if it is a real number that is not a ``bool``.
 
     The one type rule for a real-valued input: Python and numpy numbers
-    pass, while ``True``, ``"0.5"`` and ``None`` are refused.  NaN and
+    pass, while ``True``, ``"0.5"`` and ``None`` are refused, and so is a
+    number too large for a float, such as the int ``10**400``.  NaN and
     infinities pass; each caller checks its own range.
     """
     if not isinstance(value, numbers.Real) or isinstance(value, bool):
         raise ValidationError(f"{what} must be a real number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValidationError(
+            f"{what} must be a real number a float can hold, got {reprlib.repr(value)}"
+        ) from None
 
 
 def _check_process(i: int, m: int, what: str = "process index") -> None:
@@ -149,6 +170,14 @@ class ParentSet:
         members = _check_set(math.inf, self.target, self.members)
         object.__setattr__(self, "members", members)
 
+    @classmethod
+    def _unchecked(cls, target: int, members: tuple[int, ...]) -> "ParentSet":
+        """A parent set of valid, sorted members, built without the checks."""
+        ps = object.__new__(cls)
+        object.__setattr__(ps, "target", target)
+        object.__setattr__(ps, "members", members)
+        return ps
+
     @property
     def size(self) -> int:
         return len(self.members)
@@ -204,15 +233,13 @@ class ParentAssignment:
         or generated in sorted form already; equal and hash-equal to the
         checked construction.
         """
-        new, assign = object.__new__, object.__setattr__
-        parents = []
-        for i, members in enumerate(keys, start=1):
-            ps = new(ParentSet)
-            assign(ps, "target", i)
-            assign(ps, "members", members)
-            parents.append(ps)
-        assignment = new(cls)
-        assign(assignment, "parents", tuple(parents))
+        return cls._from_sets(map(ParentSet._unchecked, count(1), keys))
+
+    @classmethod
+    def _from_sets(cls, parents: Iterable[ParentSet]) -> "ParentAssignment":
+        """An assignment of valid parent sets in node order, unchecked."""
+        assignment = object.__new__(cls)
+        object.__setattr__(assignment, "parents", tuple(parents))
         return assignment
 
     @property

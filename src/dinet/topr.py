@@ -10,12 +10,25 @@ choice sequences depth-first, built lazily as the rankings reach them.
 
 A lattice is one candidate list per node; a point picks a position in
 each.  One walk pops the points of one or more lattices in order of
-(score descending, tie index, lattice, position) and pushes the one-step
-successors of every popped point, so each point is reached once and
-never before a better one; every ranking emits points as it pops them.
+(score descending, tie index, lattice, position), so each point is
+reached once and never before a better one; every ranking emits points
+as it pops them.  Over exact lists, which are sorted by value, a point is
+pushed only by its canonical parent, the point with its last bumped
+coordinate stepped back: a pop bumps only that coordinate and the ones
+after it, and no seen set is kept.  This is exact if a parent's score
+is never lower, which holds when the float sum of a point's values is
+monotone in each value, and on an exact tie a parent's tie index is
+smaller.  Rounded left-to-right addition, the builtin ``sum`` of floats
+up to Python 3.11, is monotone.  From 3.12 ``sum`` compensates its
+rounding (Neumaier's method), for which no monotonicity proof is given
+here; a property test checks the order on caches whose values span many
+magnitudes.  Greedy lists are not sorted by value, so over them a pop
+pushes every one-step successor and a seen set drops repeats.
 Heap entries hold positions, never :class:`ParentAssignment` objects,
-which are built only for emitted solutions.  A score is always the full
-sum of node values in node order, so equal scores compare bit for bit.
+which are built only for emitted solutions, sharing one
+:class:`ParentSet` per (node, set) within a ranking.  A score is always
+the full sum of node values in node order, so equal scores compare bit
+for bit.
 
 The tie index weighs each node's set rank, and a step between equal
 values raises a rank, so exact ties pop in index order.  The general
@@ -44,8 +57,11 @@ that differ, sums that round equal) comes in the walk's order.
   each edge's list, so the first representative is
   :func:`dinet.approximation.greedy_connected` by construction.  Popping a
   representative splits the rest of its subproblem into disjoint
-  children, so every class member is reachable exactly once.  Emission
-  follows pool order, which here is not guaranteed globally sorted.
+  children, so every class member is reachable exactly once.  Children
+  are pushed unsolved, keyed by a relaxation that bounds their
+  representative's score, and are solved only when they reach the top of
+  the heap, so most are never solved.  Emission follows pool order,
+  which here is not guaranteed globally sorted.
 """
 
 from __future__ import annotations
@@ -53,7 +69,7 @@ from __future__ import annotations
 import heapq
 from collections.abc import Callable, Sequence
 from itertools import count
-from math import comb
+from math import comb, inf, ulp
 
 from .approximation import (
     _Candidates,
@@ -65,8 +81,10 @@ from .approximation import (
 from .errors import InfeasibleArborescenceError, ValidationError
 from .estimation import DIEvaluator
 from .structures import (
+    MAX_RANKED,
     DirectedInfoCache,
     ParentAssignment,
+    ParentSet,
     ScoredApproximation,
     _check_degree,
     _check_int,
@@ -85,6 +103,11 @@ def _class_size(m: int, K: int, empty_root: bool = False) -> int:
     return m * radix ** (m - 1) if empty_root else radix**m
 
 
+def _check_r(r: int, m: int, K: int, empty_root: bool = False) -> None:
+    """Reject an ``r`` outside 1 .. the class size, capped by :data:`MAX_RANKED`."""
+    _check_int(r, "r", 1, min(_class_size(m, K, empty_root), MAX_RANKED))
+
+
 # ---------------------------------------------------------------------------
 # the lattice walk
 
@@ -98,50 +121,73 @@ def _score_at(columns: Sequence[list[float]], pos: _Point) -> float:
     return sum(map(list.__getitem__, columns, pos))
 
 
-def _successors(lattice: _Lattice, pos: _Point):
-    """Each one-coordinate step below ``pos``, in coordinate order.
+def _successors(lattice: _Lattice, pos: _Point, start: int = 0):
+    """Each one-coordinate step below ``pos`` from coordinate ``start`` on.
 
-    Yields ``(c, pos with coordinate c bumped to its next candidate)`` for
-    every coordinate whose list has a next candidate.
+    Yields ``(c, pos with coordinate c bumped to its next candidate)``, in
+    coordinate order, for every such coordinate whose list has a next
+    candidate.
     """
-    for c, p in enumerate(pos):
-        if lattice[c].has(p + 1):
-            yield c, pos[:c] + (p + 1,) + pos[c + 1:]
+    for c in range(start, len(pos)):
+        p = pos[c] + 1
+        lst = lattice[c]
+        # p exists once its value is drawn; has() draws a greedy list to it
+        if p < len(lst.values) or lst.has(p):
+            yield c, pos[:c] + (p,) + pos[c + 1:]
 
 
-def _walk(lattices: Sequence[_Lattice], weights: Sequence[int]):
+def _walk(lattices: Sequence[_Lattice], weights: Sequence[int], sorted_lists: bool):
     """Every point of ``lattices``, yielded as (score, lattice, position).
 
     Points come by score descending, equal scores to the smaller tie
     index, the sum of each node's set rank times its ``weights`` entry,
     then by lattice and position.  The index is updated in O(1) per step.
+
+    With ``sorted_lists`` (each list by value, ties by rank), a point is
+    pushed only by its canonical parent, the point with its last bumped
+    coordinate stepped back: a heap entry carries that coordinate, and a
+    pop bumps only it and the ones after it, so every point is pushed
+    once.  Otherwise a pop pushes every one-step successor and a seen set
+    drops the repeats.
     """
     columns = [[lst.values for lst in lattice] for lattice in lattices]
     ranks = [[lst.ranks for lst in lattice] for lattice in lattices]
-    seen = []
+    seen = None if sorted_lists else [{(0,) * len(lattice)} for lattice in lattices]
     heap = []
     for n, lattice in enumerate(lattices):
         pos = (0,) * len(lattice)
-        seen.append({pos})
         index = sum(col[0] * w for col, w in zip(ranks[n], weights))
-        heap.append((-_score_at(columns[n], pos), index, n, pos))
+        heap.append((-_score_at(columns[n], pos), index, n, pos, 0))
     heapq.heapify(heap)
     while heap:
-        neg_score, index, n, pos = heapq.heappop(heap)
+        neg_score, index, n, pos, last = heapq.heappop(heap)
         yield -neg_score, n, pos
-        for c, nxt in _successors(lattices[n], pos):
-            if nxt not in seen[n]:
+        start = last if seen is None else 0
+        for c, nxt in _successors(lattices[n], pos, start):
+            if seen is not None:
+                if nxt in seen[n]:
+                    continue
                 seen[n].add(nxt)
-                col = ranks[n][c]
-                step = (col[nxt[c]] - col[pos[c]]) * weights[c]
-                heapq.heappush(
-                    heap, (-_score_at(columns[n], nxt), index + step, n, nxt)
-                )
+            col, p = ranks[n][c], nxt[c]
+            step = (col[p] - col[p - 1]) * weights[c]
+            heapq.heappush(heap, (-_score_at(columns[n], nxt), index + step, n, nxt, c))
 
 
-def _key(lattice: _Lattice, pos: _Point) -> tuple[tuple[int, ...], ...]:
-    """The canonical assignment key at ``pos``: one member tuple per node."""
-    return tuple(lst.members[p] for lst, p in zip(lattice, pos))
+def _key(columns: Sequence[list[tuple[int, ...]]], pos: _Point) -> tuple:
+    """The canonical assignment key at ``pos``, one member column per node."""
+    return tuple(map(list.__getitem__, columns, pos))
+
+
+class _SharedSets(dict):
+    """One node's :class:`ParentSet` per members, built when first asked for."""
+
+    def __init__(self, target: int) -> None:
+        super().__init__()
+        self.target = target
+
+    def __missing__(self, members: tuple[int, ...]) -> ParentSet:
+        ps = self[members] = ParentSet._unchecked(self.target, members)
+        return ps
 
 
 def _top_points(
@@ -149,13 +195,20 @@ def _top_points(
     weights: Sequence[int],
     r: int,
     keep: Callable[[tuple], bool] | None = None,
+    sorted_lists: bool = True,
 ) -> tuple[ScoredApproximation, ...]:
-    """The first ``r`` points of the walk whose key ``keep(key)`` accepts."""
+    """The first ``r`` points of the walk whose key ``keep(key)`` accepts.
+
+    The emitted structures share one :class:`ParentSet` per (node, set).
+    """
+    members = [[lst.members for lst in lattice] for lattice in lattices]
+    sets = [_SharedSets(i) for i in range(1, len(lattices[0]) + 1)]
     emitted: list[ScoredApproximation] = []
-    for score, n, pos in _walk(lattices, weights):
-        key = _key(lattices[n], pos)
+    for score, n, pos in _walk(lattices, weights, sorted_lists):
+        key = _key(members[n], pos)
         if keep is None or keep(key):
-            emitted.append(ScoredApproximation(ParentAssignment._from_keys(key), score))
+            assignment = ParentAssignment._from_sets(map(dict.__getitem__, sets, key))
+            emitted.append(ScoredApproximation(assignment, score))
             if len(emitted) == r:
                 break
     return tuple(emitted)
@@ -176,7 +229,7 @@ def top_r_general(
     """
     m = cache.m
     _check_degree(K, m)
-    _check_int(r, "r", 1, _class_size(m, K))
+    _check_r(r, m, K)
     weights = [comb(m - 1, K) ** i for i in range(m)]
     return _top_points([_exact_lists(cache, K)], weights, r)
 
@@ -205,10 +258,11 @@ def get_new_solutions(
                 f"seed parent set for node {i} has size {len(ms)}, expected {K}"
             )
         pos.append(lst.members.index(ms))
+    members = [lst.members for lst in lists]
     columns = [lst.values for lst in lists]
     return tuple(
         ScoredApproximation(
-            ParentAssignment._from_keys(_key(lists, nxt)), _score_at(columns, nxt)
+            ParentAssignment._from_keys(_key(members, nxt)), _score_at(columns, nxt)
         )
         for _, nxt in _successors(lists, tuple(pos))
     )
@@ -234,7 +288,7 @@ def top_r_connected(
     """
     m = cache.m
     _check_degree(K, m, least=1)
-    _check_int(r, "r", 1, _class_size(m, K, not root_has_parents))
+    _check_r(r, m, K, not root_has_parents)
 
     lists = _exact_lists(cache, K)
     if root_has_parents:
@@ -258,52 +312,89 @@ def top_r_connected(
 def _top_r_greedy_connected(
     evaluator: DIEvaluator, L: int, r: int, root_has_parents: bool
 ) -> tuple[ScoredApproximation, ...]:
-    """Lawler's partition search over per-node parent-set choices.
+    """Lawler's partition search over per-node parent-set choices, solved lazily.
 
-    A subproblem is a root plus, per node, either one forced set or a set
-    of banned sets.  Its representative is one arborescence solve: arc
-    ``j -> i`` weighs the first set of the greedy list ``(i, j)``, pinned
-    to ``j``, not banned for ``i``, and a node forced to ``S`` only takes
-    arcs from ``S``, each weighing ``S``.  Popping a representative pushes
-    one child per free non-root node ``i_t`` in node order: the earlier
-    free nodes are forced to their current sets and ``i_t``'s current set
-    is banned.  The children and the representative partition the
-    subproblem, so nothing is reached twice within a root.  The first
-    subproblem leaves the root free; once it is popped, every other root
-    starts a subproblem of its own.  The root keeps its empty (or greedy)
-    set and is never branched; with ``root_has_parents`` that set's value
-    weighs each root in the first solve, one structure can represent
-    several roots, and only its first pop is emitted.
+    A subproblem is a root (none yet for the first) plus, per node, either
+    one forced set or a set of banned sets.  Node ``i``'s arc column holds,
+    per ``j``, the entry arc ``j -> i`` stands for: the first set of the
+    greedy list ``(i, j)``, pinned to ``j``, not banned for ``i``; a node
+    forced to ``S`` only takes arcs from ``S``, each weighing ``S``.  The
+    columns come from a memo keyed by (node, forced set, banned sets).  A
+    subproblem's representative is one arborescence solve over them.
+
+    Popping a representative pushes one child per free non-root node
+    ``i_t`` in node order: the earlier free nodes are forced to their
+    current sets and ``i_t``'s current set is banned.  The children and
+    the representative partition the subproblem, so nothing is reached
+    twice within a root.  Once the first subproblem is popped, every other
+    root starts a subproblem of its own.  The root keeps its empty (or
+    greedy) set and is never branched; with ``root_has_parents`` that
+    set's value weighs each root in the first solve, one structure can
+    represent several roots, and only its first pop is emitted.
+
+    A subproblem is pushed unsolved, keyed by a relaxation: the node-order
+    sum of each node's best column value (a fixed root's own set value,
+    and with a free root each node's root value as well), widened by a
+    rounding slack, so no representative of the subproblem scores above
+    it.  A subproblem is solved only when it reaches the top of the
+    heap, where an unsolved entry goes before a solved one of equal score,
+    and its solved entry keeps its push order; so the solved entries pop
+    in (score, key, push order), as if each had been solved when pushed.
+    A child's representative can outscore its parent's (greedy lists are
+    not sorted by value), so a parent's score bounds nothing.
     """
     m = evaluator.m
     nodes = range(1, m + 1)
     lists, roots = _greedy_lists(evaluator, L, root_has_parents)
+    columns: dict[tuple, tuple[list, float, float]] = {}
+
+    def column(i: int, forced: _Entry | None, banned: frozenset) -> tuple:
+        """Node ``i``'s arc entries by ``j`` (None if barred), best value, magnitude."""
+        memo_key = (i, forced, banned)
+        if memo_key not in columns:
+            if forced is not None:
+                col = [forced if j in forced[0] else None for j in nodes]
+            else:
+                col = [None if j == i else first_allowed(lists[(i, (j,))], banned)
+                       for j in nodes]
+            values = [entry[1] for entry in col if entry is not None]
+            columns[memo_key] = (
+                col, max(values, default=-inf), max(map(abs, values), default=0.0)
+            )
+        return columns[memo_key]
+
+    def first_allowed(edges: _Candidates, banned: frozenset) -> _Entry | None:
+        level = 0
+        while edges.has(level):
+            if edges.members[level] not in banned:
+                return edges.entry(level)
+            level += 1
+        return None
 
     heap: list[tuple] = []
-    tiebreak = count()
+    tick = count()
 
     def push(root: int | None, forced: tuple, banned: tuple) -> None:
-        def arc_entry(i: int, j: int) -> _Entry | None:
-            if forced[i - 1] is not None:
-                return forced[i - 1] if j in forced[i - 1][0] else None
-            edges, level = lists[(i, (j,))], 0
-            while edges.has(level):
-                if edges.members[level] not in banned[i - 1]:
-                    return edges.entry(level)
-                level += 1
-            return None
-
-        try:
-            tree, _, entries = _entry_tree(m, arc_entry, roots, root)
-        except InfeasibleArborescenceError:
-            return  # the subproblem holds no class member
-        score = sum(value for _, value in entries)
-        key = tuple(members for members, _ in entries)
-        heapq.heappush(
-            heap,
-            (-score, key, next(tiebreak), tree.root, root is None,
-             entries, forced, banned),
-        )
+        cols: list = [None] * m
+        terms, magnitudes = [], []
+        for i in nodes:
+            value = roots[i - 1][1]
+            if i == root:
+                best, size = value, abs(value)
+            else:
+                cols[i - 1], best, size = column(i, forced[i - 1], banned[i - 1])
+                if root is None:
+                    best, size = max(best, value), max(size, abs(value))
+                elif best == -inf:
+                    return  # no arc enters node i: the subproblem holds no member
+            terms.append(best)
+            magnitudes.append(size)
+        # a float sum of m terms, in any order or compensated, is off the
+        # exact sum by under m - 1 roundoff units of the summed magnitudes;
+        # the slack covers that for this bound and for any score it bounds
+        bound = sum(terms) + 2 * (m + 1) * ulp(sum(magnitudes))
+        # the 0 sorts an unsolved entry before a solved one (1) of equal score
+        heapq.heappush(heap, (-bound, 0, next(tick), root, forced, banned, cols))
 
     unconstrained = (None,) * m, (frozenset(),) * m
     push(None, *unconstrained)
@@ -311,7 +402,22 @@ def _top_r_greedy_connected(
     emitted: list[ScoredApproximation] = []
     while heap and len(emitted) < r:
         popped = heapq.heappop(heap)
-        neg_score, key, _, root, free_root, entries, forced, banned = popped
+        if popped[1] == 0:
+            _, _, t, root, forced, banned, cols = popped
+            try:
+                tree, _, entries = _entry_tree(
+                    m, lambda i, j: cols[i - 1][j - 1], roots, root
+                )
+            except InfeasibleArborescenceError:
+                continue  # the subproblem holds no class member
+            score = sum(value for _, value in entries)
+            key = tuple(members for members, _ in entries)
+            heapq.heappush(
+                heap,
+                (-score, 1, key, t, tree.root, root is None, entries, forced, banned),
+            )
+            continue
+        neg_score, _, key, _, root, free_root, entries, forced, banned = popped
         if key not in seen:
             seen.add(key)
             emitted.append(
@@ -346,21 +452,28 @@ def top_r_greedy(
     :func:`dinet.approximation.greedy_connected` down to the bits of its
     score.  Without ``connected`` the walk runs over each node's greedy
     list, whose depth-first order changes the last greedy pick first;
-    ties go to the smaller approximation index.  With ``connected`` they
-    come from a partition search over per-node parent-set choices: each
+    since those lists are not sorted by value, every one-step successor
+    of a popped point is pushed and a seen set drops repeats, and ties go
+    to the smaller approximation index.  With ``connected`` they come
+    from a partition search over per-node parent-set choices: each
     subproblem's representative is one arborescence solve over the greedy
     sets grown from each tree edge, and popping it splits the rest of its
     subproblem into disjoint children, so with ``r`` at least the class
     size every member of the class is emitted exactly once (with
-    ``root_has_parents`` the root keeps its greedy set).  The pool emits
-    by score among generated candidates, so the score sequence may jump
-    non-monotonically; output is pool order, not a certified global
+    ``root_has_parents`` the root keeps its greedy set).  A child is
+    solved only when its relaxation, the node-order sum of each node's
+    best allowed set value, reaches the top of the pool, which emits the
+    same sequence as solving every child when it is pushed.  The pool
+    emits by score among generated candidates, so the score sequence may
+    jump non-monotonically; output is pool order, not a certified global
     ranking, and may be shorter than ``r`` when the class is exhausted.
+    ``r`` may not exceed :data:`dinet.structures.MAX_RANKED`.
     """
     m = evaluator.m
     _check_degree(L, m, "L", 1)
-    _check_int(r, "r", 1, _class_size(m, L, connected and not root_has_parents))
+    _check_r(r, m, L, connected and not root_has_parents)
     if connected:
         return _top_r_greedy_connected(evaluator, L, r, root_has_parents)
     lists = _Candidates.greedy(evaluator, L, [(i, ()) for i in range(1, m + 1)])
-    return _top_points([lists], [comb(m - 1, L) ** i for i in range(m)], r)
+    weights = [comb(m - 1, L) ** i for i in range(m)]
+    return _top_points([lists], weights, r, sorted_lists=False)

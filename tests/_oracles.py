@@ -5,11 +5,14 @@ naive counting, generic LP solvers, per-query least squares fits,
 per-query ``np.unique`` counts and scipy's Lyapunov solver.  Nothing
 imports from the package's algorithm internals beyond plain data
 containers, so agreement between these oracles and the library is
-meaningful evidence.  Two exceptions: :func:`per_root_arborescence`
+meaningful evidence.  Three exceptions: :func:`per_root_arborescence`
 loops the package's fixed-root solver (checked against
-:func:`brute_force_arborescence` on its own) over every root, and
+:func:`brute_force_arborescence` on its own) over every root,
 :func:`per_row_trial_reports` runs the package's public searches and
-checks only how a Monte Carlo trial scores what they select.
+checks only how a Monte Carlo trial scores what they select, and
+:func:`eager_greedy_connected` is the greedy partition search solved
+eagerly, over the package's greedy lists and tree helper, against which
+the lazily solved one is checked.
 """
 
 from __future__ import annotations
@@ -255,6 +258,66 @@ def per_point_top_r_connected(cache, K: int, r: int, root_has_parents: bool = Fa
     return rows[:r]
 
 
+def seen_set_ranking(cache, K: int, r: int, connected: bool = False,
+                     root_has_parents: bool = False):
+    """The lattice walk that pushes every successor and drops repeats by a seen set.
+
+    Per node, every size-K set sorted by value descending, ties by set
+    (lexicographic) order.  One product lattice, or with ``connected``
+    and a free root one lattice per root whose own list holds only the
+    empty set.  A heap ordered by (score descending, tie key, lattice,
+    position) pops points; each pop pushes every one-step successor not
+    pushed before.  The tie key is the ``approximation_index`` (general)
+    or the canonical key (connected).  A score sums the set values in node
+    order, a root's empty set worth 0.0.  With ``connected`` only points
+    whose structure contains a spanning tree are kept.  Returns up to r
+    (assignment, score) rows.
+    """
+    import heapq
+
+    m = cache.m
+    lists = []
+    for i in range(1, m + 1):
+        cands = [
+            (ms, cache.get(i, ms))
+            for ms in combinations([j for j in range(1, m + 1) if j != i], K)
+        ]
+        cands.sort(key=lambda mv: (-mv[1], mv[0]))
+        lists.append(cands)
+    if connected and not root_has_parents:
+        lattices = [
+            [[((), 0.0)] if i == rt else lists[i - 1] for i in range(1, m + 1)]
+            for rt in range(1, m + 1)
+        ]
+    else:
+        lattices = [lists]
+
+    def entry(n, pos):
+        key = tuple(lattices[n][i][p][0] for i, p in enumerate(pos))
+        score = sum(lattices[n][i][p][1] for i, p in enumerate(pos))
+        assignment = ParentAssignment.from_lists(key)
+        tie = key if connected else approximation_index(assignment)
+        return (-score, tie, n, pos), assignment
+
+    heap, seen, rows = [], set(), []
+    for n in range(len(lattices)):
+        pos = (0,) * m
+        seen.add((n, pos))
+        heap.append(entry(n, pos))
+    heapq.heapify(heap)
+    while heap and len(rows) < r:
+        (neg_score, _, n, pos), assignment = heapq.heappop(heap)
+        if not connected or contains_spanning_arborescence(assignment):
+            rows.append((assignment, -neg_score))
+        for c in range(m):
+            if pos[c] + 1 < len(lattices[n][c]):
+                nxt = pos[:c] + (pos[c] + 1,) + pos[c + 1:]
+                if (n, nxt) not in seen:
+                    seen.add((n, nxt))
+                    heapq.heappush(heap, entry(n, nxt))
+    return rows
+
+
 def exhaustive_sorted_general(cache, K: int):
     """Every uniform-K assignment sorted by (score desc, index asc)."""
     m = cache.m
@@ -371,6 +434,77 @@ def greedy_state_ranking(evaluator, L: int, r: int):
             if nxt is not None:
                 push(states[:i] + (nxt,) + states[i + 1:])
     return rows
+
+
+def eager_greedy_connected(evaluator, L: int, r: int, root_has_parents: bool = False):
+    """The greedy connected ranking's partition search, every child solved at push.
+
+    The search :func:`dinet.topr.top_r_greedy` runs with ``connected``,
+    before it learned to solve lazily: each subproblem is solved by
+    ``topr._entry_tree`` (looked up at call time, so a test can count the
+    solves) as soon as it is pushed, and keyed by its representative's
+    score.  Returns the emitted ``ScoredApproximation`` tuple.
+    """
+    import heapq
+    from itertools import count
+
+    from dinet import topr
+    from dinet.approximation import _greedy_lists
+    from dinet.errors import InfeasibleArborescenceError
+    from dinet.structures import ScoredApproximation
+
+    m = evaluator.m
+    nodes = range(1, m + 1)
+    lists, roots = _greedy_lists(evaluator, L, root_has_parents)
+    heap: list[tuple] = []
+    tiebreak = count()
+
+    def push(root, forced, banned):
+        def arc_entry(i, j):
+            if forced[i - 1] is not None:
+                return forced[i - 1] if j in forced[i - 1][0] else None
+            edges, level = lists[(i, (j,))], 0
+            while edges.has(level):
+                if edges.members[level] not in banned[i - 1]:
+                    return edges.entry(level)
+                level += 1
+            return None
+
+        try:
+            tree, _, entries = topr._entry_tree(m, arc_entry, roots, root)
+        except InfeasibleArborescenceError:
+            return
+        score = sum(value for _, value in entries)
+        key = tuple(members for members, _ in entries)
+        heapq.heappush(
+            heap,
+            (-score, key, next(tiebreak), tree.root, root is None,
+             entries, forced, banned),
+        )
+
+    unconstrained = (None,) * m, (frozenset(),) * m
+    push(None, *unconstrained)
+    seen, emitted = set(), []
+    while heap and len(emitted) < r:
+        neg_score, key, _, root, free_root, entries, forced, banned = heapq.heappop(heap)
+        if key not in seen:
+            seen.add(key)
+            emitted.append(
+                ScoredApproximation(ParentAssignment.from_lists(key), -neg_score)
+            )
+        fixed = list(forced)
+        for i in nodes:
+            if i == root or forced[i - 1] is not None:
+                continue
+            child_banned = list(banned)
+            child_banned[i - 1] = banned[i - 1] | {key[i - 1]}
+            push(root, tuple(fixed), tuple(child_banned))
+            fixed[i - 1] = entries[i - 1]
+        if free_root:
+            for other in nodes:
+                if other != root:
+                    push(other, *unconstrained)
+    return tuple(emitted)
 
 
 # ---------------------------------------------------------------------------

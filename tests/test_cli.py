@@ -375,6 +375,20 @@ def test_simulate_refuses_a_bad_seed_or_noise_variance_with_one_error_line(
     assert not any(tmp_path.iterdir())
 
 
+def test_a_cache_value_too_large_for_a_float_is_one_error_line(capsys, tmp_path):
+    # JSON reads 10**400 as an int, which float() cannot hold
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(
+        {"m": 3, "K": 1, "entries": [{"target": 1, "set": [2], "value": 10**400}]}
+    ))
+    code, out, err = run(capsys, "approximate", "--cache", str(path), "--K", "1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "a float can hold" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

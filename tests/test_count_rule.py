@@ -16,6 +16,7 @@ value (a random network's parameters, a guarantee's alpha and budget, a
 cache value, a root weight), and a seed is refused with ValidationError
 whenever numpy refuses it.  A real panel takes no alphabet size."""
 
+import reprlib
 from functools import cache
 
 import numpy as np
@@ -245,11 +246,12 @@ REAL_ENTRIES = {
         EdgeWeights(np.ones((3, 3))), None, [v, 0.0, 0.0]
     ),
 }
-# each string and bool is in range once read as a number
-BAD_REALS = ["0.5", "1", True, None]
+# each string and bool is in range once read as a number; 10**400 is a
+# real number, but float() of it overflows
+BAD_REALS = ["0.5", "1", True, None, 10**400]
 
 
-@pytest.mark.parametrize("value", BAD_REALS, ids=repr)
+@pytest.mark.parametrize("value", BAD_REALS, ids=reprlib.repr)
 @pytest.mark.parametrize("entry", REAL_ENTRIES)
 def test_a_real_value_is_a_number_that_is_not_a_bool(entry, value):
     with pytest.raises(ValidationError, match="must be a real number"):

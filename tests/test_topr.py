@@ -4,7 +4,7 @@ from math import comb, nextafter
 import numpy as np
 import pytest
 
-from dinet import approximation
+from dinet import approximation, topr
 from dinet.approximation import (
     greedy_connected,
     greedy_general,
@@ -13,8 +13,9 @@ from dinet.approximation import (
 )
 from dinet.errors import ValidationError
 from dinet.estimation import DIEvaluator, build_cache
-from dinet.simulate import generate_ar_network
+from dinet.simulate import ExperimentConfig, generate_ar_network
 from dinet.structures import (
+    MAX_RANKED,
     DirectedInfoCache,
     ScoredApproximation,
     approximation_index,
@@ -26,6 +27,7 @@ from dinet.topr import get_new_solutions, top_r_connected, top_r_general, top_r_
 from _oracles import (
     all_assignments,
     connected_class_members,
+    eager_greedy_connected,
     exhaustive_connected,
     exhaustive_sorted_general,
     per_point_top_r_connected,
@@ -629,3 +631,50 @@ def test_top_r_greedy_validation():
         top_r_greedy(ev, 1, 0)
     with pytest.raises(ValidationError):
         top_r_greedy(ev, 1, 9)
+
+
+def test_an_r_above_the_ranking_cap_is_refused_before_any_work():
+    # m=16, K=2 classes hold far more than MAX_RANKED structures; the
+    # cache stays empty and the evaluator is never asked, so a ranking
+    # that read either before checking r would fail differently
+    cache = DirectedInfoCache(16, 2)
+    ev = DIEvaluator(lambda *query: pytest.fail(f"queried {query}"), 16)
+    assert comb(15, 2) ** 16 > MAX_RANKED
+    r = MAX_RANKED + 1
+    for rank in (
+        lambda: top_r_general(cache, 2, r),
+        lambda: top_r_connected(cache, 2, r),
+        lambda: top_r_connected(cache, 2, r, root_has_parents=True),
+        lambda: top_r_greedy(ev, 2, r),
+        lambda: top_r_greedy(ev, 2, r, connected=True),
+        lambda: top_r_greedy(ev, 2, r, connected=True, root_has_parents=True),
+    ):
+        with pytest.raises(ValidationError) as info:
+            rank()
+        assert str(info.value) == f"r {r} out of range 1..{MAX_RANKED}"
+    with pytest.raises(ValidationError, match=f"r {r} out of range 0..{MAX_RANKED}"):
+        ExperimentConfig(16, 2, r=r)
+    assert len(cache) == 0 and ev.calls == 0
+
+
+def test_the_lazy_greedy_search_solves_fewer_subproblems(monkeypatch):
+    # the greedy model of the exact-rank benchmark at seed 7, instance 0
+    model = generate_ar_network(10, np.random.default_rng([7, 0, 11]))
+    solve = topr._entry_tree
+    solves = 0
+
+    def counting_solve(*args):
+        nonlocal solves
+        solves += 1
+        return solve(*args)
+
+    monkeypatch.setattr(topr, "_entry_tree", counting_solve)
+    lazy_ev, eager_ev = DIEvaluator.from_model(model), DIEvaluator.from_model(model)
+    lazy = top_r_greedy(lazy_ev, 2, 10, connected=True)
+    lazy_solves, solves = solves, 0
+    eager = eager_greedy_connected(eager_ev, 2, 10)
+    assert lazy_solves <= 20 and solves == 51
+    assert [(sol.score.hex(), sol.assignment) for sol in lazy] == [
+        (sol.score.hex(), sol.assignment) for sol in eager
+    ]
+    assert lazy_ev.calls == eager_ev.calls
