@@ -42,12 +42,18 @@ searches ask for every live chain's candidates at once.
 :func:`estimate_di_discrete`, the plug-in conditional mutual information
 over lagged windows for finite-alphabet data, has a batched kernel of its
 own, which groups a batch by (target, conditioning set, addition size).
-Each process's lag windows are encoded as integers once per
-evaluator; per set, the joint (context, addition, target symbol) codes
-are counted with one ``np.bincount`` over the dense cell range, which the
-state space cap bounds, and the marginal counts are its axis sums.  The
-nonzero cells are summed in ascending code order, so here too a batch
-gives each set bit for bit its single-query value.
+Each process's lag windows are encoded as integers once per evaluator.
+Cells are laid out as (context window, target symbol, addition window),
+so the addition's last member enters its set's cell codes unscaled: the
+codes of the members before it (the prefix) are added to the group's
+context codes once per distinct prefix, and each set then costs one
+integer add and one ``np.bincount`` over the dense cell range.  A
+group's count rows are stacked, in chunks of at most the state space
+cap's cells; the marginal counts are the stack's axis sums, and one
+vectorized pass over its nonzero cells gives every term.  Each set's
+terms are summed on their own, in ascending (context, addition, target
+symbol) code order, so here too a batch gives each set bit for bit its
+single-query value.
 
 The estimators and the exact oracle share a conventions contract: order-1
 models, least squares fits without intercepts (processes are zero mean),
@@ -155,8 +161,10 @@ class EstimatorConfig:
     ``markov_order`` is the number of lags included per process.  Values
     are in nats; the command line layer divides by ``ln 2`` for display
     with ``--units bits``.  ``state_space_cap`` bounds the joint cell
-    count the discrete estimator will attempt; since the cells are
-    counted densely, it also bounds that count array, at 8 bytes a cell.
+    count of one query the discrete estimator will attempt.  Since the
+    cells are counted densely and a batch's count rows are stacked in
+    chunks, it also bounds each chunk's stacked count block, at 8 bytes a
+    cell.
     """
 
     markov_order: int = 1
@@ -512,16 +520,17 @@ def _lag_codes(panel: TimeSeriesPanel, config: EstimatorConfig) -> _LagCodes:
 def _plugin_di(lags: _LagCodes, queries: Sequence[_Query]) -> list[float]:
     """Plug-in directed information of each checked query, by dense counts.
 
-    Queries are grouped by (target, conditioning set, addition size).  The
-    joint code of (context window, addition window, target symbol)
-    indexes a C-ordered ``(w, a, y)`` array of ``span_w * span_a * size``
-    cells, bounded by the state space cap, and one ``np.bincount`` per
-    query fills it.  Its axis sums are the marginal counts ``n_wa``,
-    ``n_wy`` and ``n_w``, and the value sums
-    ``cnt * (log cnt + log n_w - log n_wa - log n_wy)`` over the nonzero
-    cells in C order, which is ascending joint code, so a query's value
-    does not depend on the batch it is computed in.  An empty addition is
-    worth 0.
+    Queries are grouped by (target, conditioning set, addition size).  A
+    sample's cell code is ``(w * size + y) * span_a + a`` for context
+    window ``w``, target symbol ``y`` and addition window ``a``, over
+    ``span_w * size * span_a`` cells, bounded by the state space cap.
+    The addition's last member is the last digit of ``a``, so the code
+    of the members before it is added to the context's share once per
+    distinct prefix, and a query costs one add and one ``np.bincount``.
+    Count rows are stacked in chunks of at most ``cap // cells`` queries,
+    so a stacked block never holds more than the cap's cells, and each
+    chunk's values come from one vectorized pass (:func:`_plugin_values`).
+    An empty addition is worth 0.
     """
     values = [0.0] * len(queries)
     order, size = lags.order, lags.size
@@ -551,30 +560,64 @@ def _plugin_di(lags: _LagCodes, queries: Sequence[_Query]) -> list[float]:
         w = codes[context[0] - 1]
         for s in context[1:]:
             w = w * span + codes[s - 1]
-        # joint code (w * span_a + a) * size + y, less the addition's share
-        base = w * (span_a * size) + lags.symbols[target - 1]
-        for q in group:
-            add = queries[q][1]
-            a = codes[add[0] - 1]
-            for s in add[1:]:
-                a = a * span + codes[s - 1]
-            counts = np.bincount(base + a * size, minlength=cells)
-            n_wa = counts.reshape(-1, size).sum(axis=1)
-            n_wy = counts.reshape(span_w, span_a, size).sum(axis=1).ravel()
-            n_w = n_wa.reshape(span_w, span_a).sum(axis=1)
-            cell = np.flatnonzero(counts)
-            cnt = counts[cell]
-            cell_wa, cell_y = np.divmod(cell, size)
-            cell_w = cell_wa // span_a
-            terms = (
-                np.log(cnt)
-                + np.log(n_w[cell_w])
-                - np.log(n_wa[cell_wa])
-                - np.log(n_wy[cell_w * size + cell_y])
-            )
-            total = float(np.sum(cnt * terms))
-            values[q] = max(0.0, total / rows)
+        # cell code (w * size + y) * span_a + a, less the addition's share
+        base = (w * size + lags.symbols[target - 1]) * span_a
+        chunk = lags.cap // cells
+        prefix = None
+        for start in range(0, len(group), chunk):
+            part = group[start: start + chunk]
+            counts = np.empty((len(part), cells), dtype=np.int64)
+            for row, q in zip(counts, part):
+                add = queries[q][1]
+                if add[:-1] != prefix:
+                    prefix, head = add[:-1], base
+                    if prefix:
+                        a = codes[prefix[0] - 1]
+                        for s in prefix[1:]:
+                            a = a * span + codes[s - 1]
+                        head = base + a * span
+                row[:] = np.bincount(head + codes[add[-1] - 1], minlength=cells)
+            block = counts.reshape(len(part), span_w, size, span_a)
+            for q, value in zip(part, _plugin_values(block, rows)):
+                values[q] = value
     return values
+
+
+def _plugin_values(block: np.ndarray, rows: int) -> list[float]:
+    """Plug-in values of a ``(query, w, y, a)`` stack of counts, one per query.
+
+    The marginal counts ``n_w``, ``n_wa`` and ``n_wy`` are axis sums of
+    the stack.  The stack is then reordered to ``(query, w, a, y)`` C
+    order, so one ``np.flatnonzero`` lists every query's nonzero cells
+    in that query's ascending joint code order, and the terms
+    ``cnt * (log cnt + log n_w - log n_wa - log n_wy)`` are computed
+    element by element over all of them.  Each query's value sums its
+    own contiguous slice of terms with one ``sum``, so it does not depend
+    on the stack it is computed in.
+    """
+    size, span_a = block.shape[2:]
+    cells = block[0].size
+    n_wy = block.sum(axis=3)
+    n_wa = block.sum(axis=2).ravel()
+    n_w = n_wy.sum(axis=2).ravel()
+    n_wy = n_wy.ravel()
+    joint = block.transpose(0, 1, 3, 2).ravel()
+    cell = np.flatnonzero(joint)
+    cnt = joint[cell]
+    cell_wa, cell_y = np.divmod(cell, size)
+    cell_w = cell_wa // span_a
+    terms = (
+        np.log(cnt)
+        + np.log(n_w[cell_w])
+        - np.log(n_wa[cell_wa])
+        - np.log(n_wy[cell_w * size + cell_y])
+    )
+    products = cnt * terms
+    bounds = np.searchsorted(cell, np.arange(0, block.size + 1, cells)).tolist()
+    return [
+        max(0.0, float(products[lo:hi].sum()) / rows)
+        for lo, hi in zip(bounds, bounds[1:])
+    ]
 
 
 def estimate_di_discrete(

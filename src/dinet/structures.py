@@ -333,6 +333,13 @@ def _not_finite(target: int, key: Sequence[int], value: object) -> ValidationErr
     )
 
 
+def _json_set(members: Sequence[int]) -> str:
+    """A member list as ``json.dumps(..., indent=2)`` writes it in a cache entry."""
+    if not members:
+        return "[]"
+    return "[\n        " + ",\n        ".join(map(str, members)) + "\n      ]"
+
+
 class DirectedInfoCache:
     """Directed information values keyed by (target, parent set members).
 
@@ -446,7 +453,21 @@ class DirectedInfoCache:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2) + "\n"
+        """``json.dumps(self.to_json_dict(), indent=2) + "\\n"``, written directly.
+
+        The layout is fixed, so each entry is formatted in place; the
+        values alone go through the JSON encoder, in one call.  This
+        skips the pure-Python encoder ``indent`` would take.
+        """
+        items = self.items()
+        values = json.dumps([v for _, _, v in items])[1:-1].split(", ")
+        entries = ",\n".join(
+            f'    {{\n      "target": {t},\n      "set": {_json_set(ms)},\n'
+            f'      "value": {v}\n    }}'
+            for (t, ms, _), v in zip(items, values)
+        )
+        entries = f"[\n{entries}\n  ]" if items else "[]"
+        return f'{{\n  "m": {self.m},\n  "K": {self.K},\n  "entries": {entries}\n}}\n'
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "DirectedInfoCache":

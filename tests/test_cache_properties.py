@@ -9,9 +9,11 @@ argsort of a row; it must order sets exactly as a stable reverse sort of
 the values in rank order does.
 """
 
+import json
 import math
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +24,8 @@ from dinet.structures import DirectedInfoCache
 
 from _oracles import DictCache, best_first_positions
 
+# signed zeros, values at the ends of the float range and a 16-digit repr
+EDGE_VALUES = [0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300, 5e-324, 1 / 3]
 # equal values, signed zeros and values that differ below rounding
 TIE_VALUES = st.sampled_from([0.0, -0.0, 0.25, 0.5, 1e-17, 2e-17])
 VALUES = TIE_VALUES | st.floats(-1e3, 1e3, allow_nan=False)
@@ -93,6 +97,24 @@ def test_cache_matches_the_dict_oracle(drawn):
             same_read(
                 lambda: cache.get(target, shuffled), lambda: oracle.get(target, members)
             )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 6), st.integers(0, 3), st.sampled_from([0.0, 0.3, 1.0]),
+       st.integers(0, 2**32 - 1))
+def test_json_writer_matches_the_indenting_encoder(m, K, fill, seed):
+    """``to_json`` writes exactly what ``json.dumps(..., indent=2)`` would."""
+    K = min(K, m - 1)
+    rng = np.random.default_rng(seed)
+    cache = DirectedInfoCache(m, K)
+    for target in range(1, m + 1):
+        # empty sets and sizes around K, each set stored with probability fill
+        for members in every_set(m, target):
+            if len(members) <= K + 1 and rng.random() < fill:
+                value = (EDGE_VALUES[rng.integers(len(EDGE_VALUES))] if rng.random() < 0.5
+                         else float(rng.standard_normal() * 10.0 ** rng.integers(-20, 20)))
+                cache.put(target, members, value)
+    assert cache.to_json() == json.dumps(cache.to_json_dict(), indent=2) + "\n"
 
 
 @st.composite

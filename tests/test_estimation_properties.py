@@ -10,6 +10,7 @@ panel CSV round trip is checked on drawn values directly.
 import math
 import os
 import tempfile
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -373,6 +374,39 @@ def test_plugin_cache_equals_fresh_estimates_bitwise(query, K):
     cache = build_cache(DIEvaluator.from_panel(panel, config), m, K)
     for target, members, value in cache.items():
         assert value == estimate_di_discrete(panel, target, members, (), config)
+
+
+@SETTINGS
+@given(discrete_queries(), st.integers(1, 2), st.integers(1, 3))
+def test_plugin_chunks_of_q_queries_keep_every_bit(query, K, q):
+    """A cap of ``cells * q`` splits each group into chunks of q queries."""
+    data, alphabet, order, target, addition, conditioning = query
+    m = len(data)
+    K = min(K, m - 1)
+    panel, config = _discrete(data, alphabet, order)
+    cells = alphabet ** (order * (K + 1) + 1)
+    chunked = replace(config, state_space_cap=cells * q)
+    cache = build_cache(DIEvaluator.from_panel(panel, chunked), m, K)
+    default = build_cache(DIEvaluator.from_panel(panel, config), m, K)
+    assert cache.items() == default.items()
+    for t, members, value in cache.items():
+        assert value == unique_count_di(data, alphabet, t, members, (), order)
+    # a group under a conditioning set, chunked the same way
+    free = [j for j in range(1, m + 1) if j != target and j not in conditioning]
+    adds = list(combinations(free, len(addition)))
+    cells = alphabet ** (order * (1 + len(conditioning) + len(addition)) + 1)
+    chunked = replace(config, state_space_cap=cells * q)
+    batch = DIEvaluator.from_panel(panel, chunked).increments(target, adds, conditioning)
+    assert batch == [
+        unique_count_di(data, alphabet, target, add, conditioning, order) for add in adds
+    ]
+    # one cell short of a single query, the group's first query is named
+    short = replace(config, state_space_cap=cells - 1)
+    with pytest.raises(EstimationError) as err:
+        DIEvaluator.from_panel(panel, short).increments(target, adds, conditioning)
+    assert str(err.value).endswith(
+        f"(target {target}, addition {list(adds[0])}, conditioning {list(conditioning)})"
+    )
 
 
 @SETTINGS

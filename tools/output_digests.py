@@ -7,10 +7,11 @@ Run from a checkout root:
 The outputs are the ``run_pass`` result of every instance of the three
 benchmark workloads (``bench/workloads.py``) at seeds 7 and 4049, the
 stdout of each demo, the CSVs ``dinet simulate`` writes with each
-selection, and one line per ranking of two seeded sets (see
-``ranking_lines``).  Two checkouts whose lines agree give those outputs
-bit for bit, so ``diff`` of two runs shows whether a change kept its
-outputs.
+selection, one line per ranking of two seeded sets (see
+``ranking_lines``) and one line per plug-in cache or greedy search on
+seeded finite-alphabet panels (see ``plugin_lines``).  Two checkouts
+whose lines agree give those outputs bit for bit, so ``diff`` of two
+runs shows whether a change kept its outputs.
 Everything is written to temporary directories, removed on exit.
 """
 
@@ -34,9 +35,13 @@ import numpy as np  # noqa: E402
 import workloads  # noqa: E402
 from dinet import (  # noqa: E402
     DIEvaluator,
+    EstimatorConfig,
+    TimeSeriesPanel,
     build_cache,
     cli,
     generate_ar_network,
+    greedy_connected,
+    greedy_general,
     top_r_connected,
     top_r_general,
     top_r_greedy,
@@ -44,6 +49,7 @@ from dinet import (  # noqa: E402
 
 SEEDS = (7, 4049)
 RANKING_SEEDS = (7, 4049, 11)
+PLUGIN_M, PLUGIN_N = 8, 2000
 SIMULATE = ["simulate", "--m", "5", "--K", "2", "--trials", "4", "--n", "300",
             "--r", "3", "--seed", "11"]
 
@@ -125,11 +131,59 @@ def ranking_lines() -> list[str]:
     return lines
 
 
+def plugin_panel(alphabet: int) -> TimeSeriesPanel:
+    """An ``m=8, n=2000`` panel: each process copies its predecessor's last symbol.
+
+    A copy happens with probability 0.6, and a fresh uniform symbol is
+    drawn otherwise.
+    """
+    rng = np.random.default_rng([alphabet, 12])
+    data = rng.integers(0, alphabet, size=(PLUGIN_M, PLUGIN_N))
+    for i in range(1, PLUGIN_M):
+        copy = rng.random(PLUGIN_N - 1) < 0.6
+        data[i, 1:] = np.where(copy, data[i - 1, :-1], data[i, 1:])
+    return TimeSeriesPanel(data, kind="discrete", alphabet_size=alphabet)
+
+
+def plugin_lines() -> list[str]:
+    """One line per plug-in cache's JSON and per plug-in greedy search.
+
+    The caches are ``build_cache`` on ``plugin_panel(alphabet)`` for
+    alphabet 2 and 3, Markov order 1 to 3 and K 1 to 3, wherever a set's
+    cells fit the default state space cap.  ``greedy_general`` and
+    ``greedy_connected`` (L=3, order 2, binary panel) ask for batches
+    under conditioning sets.
+    """
+    cap = EstimatorConfig().state_space_cap
+    lines = []
+    for alphabet in (2, 3):
+        panel = plugin_panel(alphabet)
+        for order in (1, 2, 3):
+            config = EstimatorConfig(markov_order=order, estimator="discrete")
+            for K in (1, 2, 3):
+                if alphabet ** (order * (K + 1) + 1) > cap:
+                    continue
+                cache = build_cache(DIEvaluator.from_panel(panel, config), PLUGIN_M, K)
+                lines.append(
+                    f"{sha(cache.to_json())}  plugin build_cache alphabet {alphabet}"
+                    f" order {order} K {K}"
+                )
+    config = EstimatorConfig(markov_order=2, estimator="discrete")
+    for search in (greedy_general, greedy_connected):
+        result = search(DIEvaluator.from_panel(plugin_panel(2), config), 3)
+        parents = [list(ps.members) for ps in result.assignment.parents]
+        text = json.dumps([result.score.hex(), parents, getattr(result, "orders", None),
+                           getattr(result, "tree", None)])
+        lines.append(f"{sha(text)}  plugin {search.__name__} L 3")
+    return lines
+
+
 def main() -> None:
     with tempfile.TemporaryDirectory(prefix="dinet_digests_") as tmp:
         for lines in (bench_lines(tmp), demo_lines(tmp), simulate_lines(tmp)):
             print(*lines, sep="\n", flush=True)
     print(*ranking_lines(), sep="\n", flush=True)
+    print(*plugin_lines(), sep="\n", flush=True)
 
 
 if __name__ == "__main__":
