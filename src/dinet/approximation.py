@@ -56,6 +56,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import islice
+from math import fsum
 
 import numpy as np
 
@@ -334,7 +335,7 @@ def optimal_general(
     ]
     return ScoredApproximation(
         ParentAssignment._from_keys([members for members, _ in firsts]),
-        sum(value for _, value in firsts),
+        fsum(value for _, value in firsts),
     )
 
 
@@ -344,22 +345,21 @@ def greedy_general(
     """Greedy unconstrained selection, one forward pass per node.
 
     Each step adds the process with the largest directed information
-    increment conditioned on the picks so far; the node's score is the
-    chain rule sum of its increments.  ``L`` may be one length per node.
-    All nodes' passes advance together, one batched query per step.
+    increment conditioned on the picks so far.  By the chain rule a
+    node's value is the sum of its increments, and the score is the
+    ``fsum`` of every node's increments.  ``L`` may be one length per
+    node.  All nodes' passes advance together, one batched query per step.
     """
     m = evaluator.m
     lengths = _degree_vector(L, m, "L")
     nodes = range(1, m + 1)
     chains = [(i, [j for j in nodes if j != i], (), lengths[i - 1]) for i in nodes]
-    orders: list[tuple[int, ...]] = []
-    score = 0.0
-    for picks, increments in _greedy_orders(evaluator, chains):
-        orders.append(picks)
-        score += sum(increments)
-    members = [tuple(sorted(picks)) for picks in orders]
+    results = _greedy_orders(evaluator, chains)
+    orders = tuple(picks for picks, _ in results)
     return GreedyApproximation(
-        ParentAssignment._from_keys(members), score, tuple(orders)
+        ParentAssignment._from_keys([tuple(sorted(picks)) for picks in orders]),
+        fsum(gain for _, gains in results for gain in gains),
+        orders,
     )
 
 
@@ -408,7 +408,7 @@ def _connected(
     tree, weights, entries = _entry_tree(m, arc_entry, roots)
     return ConnectedApproximation(
         ParentAssignment._from_keys([members for members, _ in entries]),
-        sum(value for _, value in entries),
+        fsum(value for _, value in entries),
         root=tree.root,
         tree=tuple(tree.edges()),
         weights=weights,

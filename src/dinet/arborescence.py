@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from math import fsum
 
 import numpy as np
 
@@ -221,10 +222,10 @@ def max_weight_arborescence(
     all roots, exact ties going to the smallest root index.
     ``root_weights[r-1]``, one finite value per node and only for a free
     root, is added to the weight of every tree rooted at ``r``, so the
-    solve maximizes tree plus root weight.  ``total_weight`` sums the
-    chosen edges' weights in ascending child order, without the root
-    weight.  Raises :class:`InfeasibleArborescenceError` when no spanning
-    tree of allowed edges exists.
+    solve maximizes tree plus root weight.  ``total_weight`` is the
+    ``fsum`` of the chosen edges' weights, without the root weight.
+    Raises :class:`InfeasibleArborescenceError` when no spanning tree of
+    allowed edges exists.
     """
     nodes = list(weights.nodes)
     if root is not None:
@@ -258,7 +259,7 @@ def max_weight_arborescence(
         )
     root = tops[0]
     chosen = [a for a in chosen if a.src != dummy]
-    total = sum(a.w[1] for a in sorted(chosen, key=lambda a: a.dst))
+    total = fsum(a.w[1] for a in chosen)
     return Arborescence(
         root=root, parent={a.dst: a.src for a in chosen}, total_weight=total
     )

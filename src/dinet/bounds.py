@@ -6,9 +6,11 @@ greedy selection chain.  Submodular objectives have ``alpha <= 1``;
 directed information scores can exceed it (synergy between parents), and
 the coefficients below degrade gracefully as ``alpha`` grows.
 
-Measured ratios follow two conventions: 0/0 counts as 1 (a stalled chain
-is no evidence of synergy), and a positive gain right after a zero gain
-admits no finite ratio, so the estimate becomes ``inf`` -- flagged on the
+Measured ratios follow three conventions: a gain within
+``ZERO_GAIN_EPS`` eps nats of zero (:mod:`dinet.estimation`) is rounding
+noise and counts as exactly 0, 0/0 counts as 1 (a stalled chain is no
+evidence of synergy), and a nonzero gain right after a zero gain admits
+no finite ratio, so the estimate becomes ``inf`` -- flagged on the
 result, never raised.  The coefficient functions accept ``inf`` and
 return their degenerate limits so measured values can be piped straight
 in.
@@ -17,12 +19,13 @@ in.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from .approximation import _greedy_orders
 from .errors import ValidationError
-from .estimation import DIEvaluator
+from .estimation import ZERO_GAIN_EPS, DIEvaluator
 from .structures import ParentAssignment, _check_int, _check_real, _check_set
 
 
@@ -122,13 +125,17 @@ class AlphaEstimate:
     ``gain[k+1] <= alpha * gain[k]``.  It may be below 1 (submodular
     behavior) or ``inf`` (a positive gain after a zero gain, reported by
     ``unbounded``).  The witness records the target node, the ordered
-    picks, and the gain sequence of the chain containing the maximum.
+    picks, and the gain sequence of the chain containing the maximum, as
+    measured; the ratios read a gain within ``ZERO_GAIN_EPS`` eps nats of
+    zero as 0, and ``floored`` counts the nonzero gains, over all chains
+    measured, read so.
     """
 
     alpha: float
     witness_target: int
     witness_path: tuple[int, ...]
     witness_increments: tuple[float, ...]
+    floored: int = 0
 
     @property
     def unbounded(self) -> bool:
@@ -153,14 +160,18 @@ def _steepest_chain(
     When no chain is long enough to yield a ratio the estimate is 1,
     which asserts nothing.
     """
-    best = AlphaEstimate(1.0, 0, (), ())
+    floor = ZERO_GAIN_EPS * sys.float_info.epsilon
+    best = (1.0, 0, (), ())
     alpha = -math.inf
+    floored = 0
     for target, path, increments in chains:
-        ratios = _chain_ratios(increments)
+        gains = [0.0 if abs(gain) <= floor else gain for gain in increments]
+        floored += gains.count(0.0) - increments.count(0.0)
+        ratios = _chain_ratios(gains)
         if ratios and max(ratios) > alpha:
             alpha = max(ratios)
-            best = AlphaEstimate(alpha, target, tuple(path), tuple(increments))
-    return best
+            best = (alpha, target, tuple(path), tuple(increments))
+    return AlphaEstimate(*best, floored)
 
 
 def empirical_alpha(

@@ -253,12 +253,12 @@ def cmd_simulate(args) -> int:
 
 
 def _add_estimator_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--markov-order", type=int, default=1)
+    parser.add_argument("--markov-order", type=int, default=EstimatorConfig.markov_order)
     parser.add_argument(
-        "--estimator", choices=("gaussian", "discrete"), default="gaussian"
+        "--estimator", choices=("gaussian", "discrete"), default=EstimatorConfig.estimator
     )
     parser.add_argument("--alphabet-size", type=int, default=None)
-    parser.add_argument("--state-space-cap", type=int, default=1_000_000)
+    parser.add_argument("--state-space-cap", type=int, default=EstimatorConfig.state_space_cap)
 
 
 def _add_search_flags(parser: argparse.ArgumentParser) -> None:
@@ -330,15 +330,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--K", type=int, required=True)
     p.add_argument("--L", type=int, default=None)
-    p.add_argument("--n", type=int, default=1000)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--edge-probability", type=float, default=0.5)
-    p.add_argument("--noise-variance", type=float, default=0.25)
-    p.add_argument("--spectral-target", type=float, default=0.95)
-    p.add_argument("--r", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n", type=int, default=ExperimentConfig.n)
+    p.add_argument("--trials", type=int, default=ExperimentConfig.trials)
+    p.add_argument("--edge-probability", type=float, default=ExperimentConfig.edge_probability)
+    p.add_argument("--noise-variance", type=float, default=ExperimentConfig.noise_variance)
+    p.add_argument("--spectral-target", type=float, default=ExperimentConfig.spectral_target)
+    p.add_argument("--r", type=int, default=ExperimentConfig.r)
+    p.add_argument("--seed", type=int, default=ExperimentConfig.seed)
     p.add_argument(
-        "--selection", choices=("estimated", "exact"), default="estimated"
+        "--selection", choices=("estimated", "exact"), default=ExperimentConfig.selection
     )
     p.add_argument("--no-diagonal", action="store_true")
     p.add_argument("--timing", action="store_true")

@@ -92,6 +92,10 @@ LYAPUNOV_MAX_DOUBLINGS = 64
 # a regressor as dependent on the regressors before it
 SINGULAR_PIVOT = 1e-10
 SINGULAR_DESIGN = "singular design: regressor columns are linearly dependent"
+# a value is the log of a ratio of two residual variances, each computed
+# to a few eps relative, so it is off by a few eps in nats at any size; a
+# curvature gain within ZERO_GAIN_EPS eps nats of zero reads as exactly 0
+ZERO_GAIN_EPS = 64
 
 
 @dataclass(frozen=True)

@@ -201,7 +201,7 @@ def simulate_panel(model: LinearNetworkModel, n: int, seed, burn_in: int | None 
 def _exact_scores(
     assignments: Sequence[ParentAssignment], exact: DIEvaluator
 ) -> list[float]:
-    """Each assignment's set values summed in node order, in one batch."""
+    """Each assignment's ``math.fsum`` of its set values, in one batch."""
     for assignment in assignments:
         if assignment.m != exact.m:
             raise ValidationError(
@@ -210,11 +210,8 @@ def _exact_scores(
     values = exact._fill(
         [(ps.target, ps.members, ()) for a in assignments for ps in a.parents]
     )
-    scores, start = [], 0
-    for assignment in assignments:
-        scores.append(sum(values[start: start + assignment.m]))
-        start += assignment.m
-    return scores
+    starts = range(0, len(values), exact.m)
+    return [math.fsum(values[start: start + exact.m]) for start in starts]
 
 
 def assignment_exact_score(assignment: ParentAssignment, exact: DIEvaluator) -> float:

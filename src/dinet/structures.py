@@ -485,7 +485,7 @@ class DirectedInfoCache:
 
 
 def total_score(cache: DirectedInfoCache, assignment: ParentAssignment) -> float:
-    """Sum of cached values over all nodes, in ascending node order.
+    """The ``math.fsum`` of the cached values of the assignment's sets.
 
     Empty parent sets contribute exactly 0.0 without a cache lookup, since
     conditioning on nothing carries no information.  A missing entry for a
@@ -495,11 +495,9 @@ def total_score(cache: DirectedInfoCache, assignment: ParentAssignment) -> float
         raise ValidationError(
             f"assignment has m={assignment.m} but cache has m={cache.m}"
         )
-    score = 0.0
-    for ps in assignment.parents:
-        if ps.size:
-            score += cache.get(ps.target, ps.members)
-    return score
+    return math.fsum(
+        cache.get(ps.target, ps.members) for ps in assignment.parents if ps.size
+    )
 
 
 def contains_spanning_arborescence(

@@ -16,19 +16,15 @@ as it pops them.  Over exact lists, which are sorted by value, a point is
 pushed only by its canonical parent, the point with its last bumped
 coordinate stepped back: a pop bumps only that coordinate and the ones
 after it, and no seen set is kept.  This is exact if a parent's score
-is never lower, which holds when the float sum of a point's values is
-monotone in each value, and on an exact tie a parent's tie index is
-smaller.  Rounded left-to-right addition, the builtin ``sum`` of floats
-up to Python 3.11, is monotone.  From 3.12 ``sum`` compensates its
-rounding (Neumaier's method), for which no monotonicity proof is given
-here; a property test checks the order on caches whose values span many
-magnitudes.  Greedy lists are not sorted by value, so over them a pop
-pushes every one-step successor and a seen set drops repeats.
-Heap entries hold positions, never :class:`ParentAssignment` objects,
-which are built only for emitted solutions, sharing one
-:class:`ParentSet` per (node, set) within a ranking.  A score is always
-the full sum of node values in node order, so equal scores compare bit
-for bit.
+is never lower, and on an exact tie a parent's tie index is smaller.
+A score is ``math.fsum`` of the point's node values: the exact sum,
+correctly rounded, so it is monotone in each value and the walk is
+exact on every Python version.  Greedy lists are not sorted by value,
+so over them a pop pushes every one-step successor and a seen set drops
+repeats.  Heap entries hold positions, never :class:`ParentAssignment`
+objects, which are built only for emitted solutions, sharing one
+:class:`ParentSet` per (node, set) within a ranking.  The same values
+give the same bits in any order, so equal scores compare bit for bit.
 
 The tie index weighs each node's set rank, and a step between equal
 values raises a rank, so exact ties pop in index order.  The general
@@ -58,10 +54,11 @@ that differ, sums that round equal) comes in the walk's order.
   :func:`dinet.approximation.greedy_connected` by construction.  Popping a
   representative splits the rest of its subproblem into disjoint
   children, so every class member is reachable exactly once.  Children
-  are pushed unsolved, keyed by a relaxation that bounds their
-  representative's score, and are solved only when they reach the top of
-  the heap, so most are never solved.  Emission follows pool order,
-  which here is not guaranteed globally sorted.
+  are pushed unsolved, keyed by the ``fsum`` of each node's best allowed
+  value, which bounds their representative's score, and are solved only
+  when they reach the top of the heap, so most are never solved.
+  Emission follows pool order, which here is not guaranteed globally
+  sorted.
 """
 
 from __future__ import annotations
@@ -69,7 +66,7 @@ from __future__ import annotations
 import heapq
 from collections.abc import Callable, Sequence
 from itertools import count
-from math import comb, inf, ulp
+from math import comb, fsum, inf
 
 from .approximation import (
     _Candidates,
@@ -117,8 +114,8 @@ _Point = tuple[int, ...]  # one position per node
 
 
 def _score_at(columns: Sequence[list[float]], pos: _Point) -> float:
-    """The summed values at ``pos``, one value column per node, in node order."""
-    return sum(map(list.__getitem__, columns, pos))
+    """The ``fsum`` of the values at ``pos``, one value column per node."""
+    return fsum(map(list.__getitem__, columns, pos))
 
 
 def _successors(lattice: _Lattice, pos: _Point, start: int = 0):
@@ -332,11 +329,11 @@ def _top_r_greedy_connected(
     set's value weighs each root in the first solve, one structure can
     represent several roots, and only its first pop is emitted.
 
-    A subproblem is pushed unsolved, keyed by a relaxation: the node-order
-    sum of each node's best column value (a fixed root's own set value,
-    and with a free root each node's root value as well), widened by a
-    rounding slack, so no representative of the subproblem scores above
-    it.  A subproblem is solved only when it reaches the top of the
+    A subproblem is pushed unsolved, keyed by a relaxation: the ``fsum``
+    of each node's best column value (a fixed root's own set value, and
+    with a free root each node's root value as well).  ``fsum`` is
+    monotone in each term, so no representative of the subproblem scores
+    above it.  A subproblem is solved only when it reaches the top of the
     heap, where an unsolved entry goes before a solved one of equal score,
     and its solved entry keeps its push order; so the solved entries pop
     in (score, key, push order), as if each had been solved when pushed.
@@ -346,10 +343,10 @@ def _top_r_greedy_connected(
     m = evaluator.m
     nodes = range(1, m + 1)
     lists, roots = _greedy_lists(evaluator, L, root_has_parents)
-    columns: dict[tuple, tuple[list, float, float]] = {}
+    columns: dict[tuple, tuple[list, float]] = {}
 
     def column(i: int, forced: _Entry | None, banned: frozenset) -> tuple:
-        """Node ``i``'s arc entries by ``j`` (None if barred), best value, magnitude."""
+        """Node ``i``'s arc entries by ``j`` (None if barred) and their best value."""
         memo_key = (i, forced, banned)
         if memo_key not in columns:
             if forced is not None:
@@ -358,9 +355,7 @@ def _top_r_greedy_connected(
                 col = [None if j == i else first_allowed(lists[(i, (j,))], banned)
                        for j in nodes]
             values = [entry[1] for entry in col if entry is not None]
-            columns[memo_key] = (
-                col, max(values, default=-inf), max(map(abs, values), default=0.0)
-            )
+            columns[memo_key] = col, max(values, default=-inf)
         return columns[memo_key]
 
     def first_allowed(edges: _Candidates, banned: frozenset) -> _Entry | None:
@@ -376,23 +371,17 @@ def _top_r_greedy_connected(
 
     def push(root: int | None, forced: tuple, banned: tuple) -> None:
         cols: list = [None] * m
-        terms, magnitudes = [], []
+        terms = []
         for i in nodes:
-            value = roots[i - 1][1]
-            if i == root:
-                best, size = value, abs(value)
-            else:
-                cols[i - 1], best, size = column(i, forced[i - 1], banned[i - 1])
+            best = value = roots[i - 1][1]
+            if i != root:
+                cols[i - 1], best = column(i, forced[i - 1], banned[i - 1])
                 if root is None:
-                    best, size = max(best, value), max(size, abs(value))
+                    best = max(best, value)
                 elif best == -inf:
                     return  # no arc enters node i: the subproblem holds no member
             terms.append(best)
-            magnitudes.append(size)
-        # a float sum of m terms, in any order or compensated, is off the
-        # exact sum by under m - 1 roundoff units of the summed magnitudes;
-        # the slack covers that for this bound and for any score it bounds
-        bound = sum(terms) + 2 * (m + 1) * ulp(sum(magnitudes))
+        bound = fsum(terms)
         # the 0 sorts an unsolved entry before a solved one (1) of equal score
         heapq.heappush(heap, (-bound, 0, next(tick), root, forced, banned, cols))
 
@@ -410,7 +399,7 @@ def _top_r_greedy_connected(
                 )
             except InfeasibleArborescenceError:
                 continue  # the subproblem holds no class member
-            score = sum(value for _, value in entries)
+            score = fsum(value for _, value in entries)
             key = tuple(members for members, _ in entries)
             heapq.heappush(
                 heap,
@@ -461,8 +450,8 @@ def top_r_greedy(
     subproblem into disjoint children, so with ``r`` at least the class
     size every member of the class is emitted exactly once (with
     ``root_has_parents`` the root keeps its greedy set).  A child is
-    solved only when its relaxation, the node-order sum of each node's
-    best allowed set value, reaches the top of the pool, which emits the
+    solved only when its relaxation, the ``fsum`` of each node's best
+    allowed set value, reaches the top of the pool, which emits the
     same sequence as solving every child when it is pushed.  The pool
     emits by score among generated candidates, so the score sequence may
     jump non-monotonically; output is pool order, not a certified global

@@ -18,6 +18,7 @@ the lazily solved one is checked.
 from __future__ import annotations
 
 import json
+import math
 from itertools import combinations, product
 
 import numpy as np
@@ -82,7 +83,7 @@ def brute_force_arborescence(
                     break
             if not ok:
                 continue
-            total = sum(
+            total = math.fsum(
                 weights[parent_map[v] - first_node][v - first_node] for v in others
             )
             if best is None or total > best[0]:
@@ -140,7 +141,7 @@ def exhaustive_optimal_general(cache, K: int):
     best = None
     for combo in all_assignments(m, K):
         assignment = ParentAssignment.from_lists(combo)
-        score = sum(cache.get(i + 1, combo[i]) for i in range(m))
+        score = math.fsum(cache.get(i + 1, combo[i]) for i in range(m))
         key = (-score, approximation_index(assignment))
         if best is None or key < best[0]:
             best = (key, assignment, score)
@@ -189,7 +190,7 @@ def exhaustive_connected(cache, K: int, root_has_parents: bool = False):
         if key in seen:
             continue
         seen.add(key)
-        score = sum(
+        score = math.fsum(
             cache.get(i, assignment.members_of(i)) if assignment.members_of(i) else 0.0
             for i in range(1, m + 1)
         )
@@ -222,7 +223,7 @@ def per_point_top_r_connected(cache, K: int, r: int, root_has_parents: bool = Fa
     others = {rt: [i for i in range(1, m + 1) if i != rt] for rt in roots}
 
     def score_of(rt, pos):
-        return sum(lists[i - 1][p][1] for i, p in zip(others[rt], pos))
+        return math.fsum(lists[i - 1][p][1] for i, p in zip(others[rt], pos))
 
     def as_assignment(rt, pos):
         by_node = {i: lists[i - 1][p][0] for i, p in zip(others[rt], pos)}
@@ -294,7 +295,7 @@ def seen_set_ranking(cache, K: int, r: int, connected: bool = False,
 
     def entry(n, pos):
         key = tuple(lattices[n][i][p][0] for i, p in enumerate(pos))
-        score = sum(lattices[n][i][p][1] for i, p in enumerate(pos))
+        score = math.fsum(lattices[n][i][p][1] for i, p in enumerate(pos))
         assignment = ParentAssignment.from_lists(key)
         tie = key if connected else approximation_index(assignment)
         return (-score, tie, n, pos), assignment
@@ -324,7 +325,7 @@ def exhaustive_sorted_general(cache, K: int):
     rows = []
     for combo in all_assignments(m, K):
         assignment = ParentAssignment.from_lists(combo)
-        score = sum(cache.get(i + 1, combo[i]) for i in range(m))
+        score = math.fsum(cache.get(i + 1, combo[i]) for i in range(m))
         rows.append((assignment, score))
     rows.sort(key=lambda row: (-row[1], approximation_index(row[0])))
     return rows
@@ -415,7 +416,7 @@ def greedy_state_ranking(evaluator, L: int, r: int):
         if key in seen:
             return
         seen.add(key)
-        score = sum(evaluator.set_value(i, ms) for i, ms in enumerate(key, 1))
+        score = math.fsum(evaluator.set_value(i, ms) for i, ms in enumerate(key, 1))
         index = approximation_index(ParentAssignment.from_lists(key))
         heapq.heappush(heap, (-score, index, key, states))
 
@@ -474,7 +475,7 @@ def eager_greedy_connected(evaluator, L: int, r: int, root_has_parents: bool = F
             tree, _, entries = topr._entry_tree(m, arc_entry, roots, root)
         except InfeasibleArborescenceError:
             return
-        score = sum(value for _, value in entries)
+        score = math.fsum(value for _, value in entries)
         key = tuple(members for members, _ in entries)
         heapq.heappush(
             heap,
@@ -878,7 +879,7 @@ def per_row_trial_reports(config):
             exact = DIEvaluator.from_model(model)
 
             def score(assignment):
-                return sum(
+                return math.fsum(
                     exact.set_value(i, assignment.members_of(i))
                     for i in range(1, m + 1)
                 )

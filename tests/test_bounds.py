@@ -1,4 +1,5 @@
 import math
+import sys
 from itertools import combinations
 
 import numpy as np
@@ -16,7 +17,7 @@ from dinet.bounds import (
     network_empirical_alpha,
 )
 from dinet.errors import ValidationError
-from dinet.estimation import DIEvaluator, LinearNetworkModel, build_cache
+from dinet.estimation import ZERO_GAIN_EPS, DIEvaluator, LinearNetworkModel, build_cache
 from dinet.simulate import generate_ar_network
 
 from _oracles import lp_budget_maximum, sample_budget_feasible
@@ -29,7 +30,10 @@ def geometric_sum(alpha, k):
 
 
 def max_ratio(increments):
-    # same conventions as the library: 0/0 -> 1, x/0 -> inf for x > 0
+    # same conventions as the library: a gain within ZERO_GAIN_EPS eps
+    # nats of zero is 0, 0/0 -> 1, x/0 -> inf for x > 0
+    floor = ZERO_GAIN_EPS * sys.float_info.epsilon
+    increments = [0.0 if abs(g) <= floor else g for g in increments]
     out = []
     for prev, nxt in zip(increments, increments[1:]):
         if prev == 0.0:
@@ -195,6 +199,59 @@ def test_alpha_ratio_conventions():
     assert math.isinf(est.alpha)
     assert greedy_bound_coefficient(est.alpha, 2, 2) == 0.0
     assert AlphaEstimate(math.inf, 1, (2,), (0.0, 0.5)).unbounded
+
+
+def test_gains_within_the_floor_read_as_zero():
+    floor = ZERO_GAIN_EPS * sys.float_info.epsilon
+    # two noise gains: 0/0 reads as 1, not as their ratio of 1000
+    ev = gains_by_depth_evaluator(4, (0.3, 1e-20, 1e-17))
+    est = empirical_alpha(ev, 4, (1, 2, 3))
+    assert est.alpha == 1.0
+    assert est.floored == 2
+    assert est.witness_increments == (0.3, 1e-20, 1e-17)
+    # the floor is inclusive, symmetric about zero, and counts no exact zero
+    ev = gains_by_depth_evaluator(4, (0.3, -floor, 0.0))
+    assert empirical_alpha(ev, 4, (1, 2, 3)).floored == 1
+    # a gain just above the floor is a gain: after a zero it is unbounded
+    ev = gains_by_depth_evaluator(3, (floor, math.nextafter(floor, 1.0)))
+    est = empirical_alpha(ev, 3, (1, 2))
+    assert est.unbounded
+    assert est.floored == 1
+    # nothing floored, nothing counted
+    est = empirical_alpha(gains_by_depth_evaluator(4, (0.4, 0.2, 0.1)), 4, (1, 2, 3))
+    assert est.floored == 0
+
+
+def test_guarantee_demo_trial_6_gets_a_finite_alpha():
+    # demos/guarantee_tables.py trial 6: target 3's witness chain is two
+    # noise gains, 7.06e-38 and 7.04e-35, whose ratio read 998.14
+    m, K = 6, 2
+    exact = DIEvaluator.from_model(generate_ar_network(m, seed=106))
+    optimal = optimal_general(build_cache(exact, m, K), K)
+    greedy = greedy_general(exact, K)
+    est = bound_witness_alpha(exact, optimal.assignment, greedy.orders)
+    assert math.isfinite(est.alpha) and est.alpha < 10
+    assert est.floored > 0
+    assert greedy_bound_coefficient(est.alpha, K, K) <= greedy.score / optimal.score
+
+
+def test_floored_witness_coefficient_never_exceeds_the_realized_ratio():
+    # exact models with missing parents, where the chains past a node's
+    # true parents hold rounding noise of exact zeros
+    floored = 0
+    for m, K in ((6, 2), (8, 2), (8, 3)):
+        for s in range(60):
+            model = generate_ar_network(m, np.random.default_rng([s, m, K, 5]))
+            exact = DIEvaluator.from_model(model)
+            optimal = optimal_general(build_cache(exact, m, K), K)
+            greedy = greedy_general(exact, K)
+            est = bound_witness_alpha(exact, optimal.assignment, greedy.orders)
+            assert not est.unbounded
+            coefficient = greedy_bound_coefficient(est.alpha, K, K)
+            assert coefficient <= greedy.score / optimal.score
+            floored += est.floored > 0
+    # the floor is exercised, not bypassed
+    assert floored >= 50
 
 
 def test_empirical_alpha_validation():

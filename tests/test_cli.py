@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -5,15 +6,16 @@ import re
 import numpy as np
 import pytest
 
-from dinet.cli import main
+from dinet.cli import build_parser, main
 from dinet.estimation import (
     DIEvaluator,
+    EstimatorConfig,
     LinearNetworkModel,
     TimeSeriesPanel,
     read_panel_csv,
     write_panel_csv,
 )
-from dinet.simulate import generate_ar_network, simulate_panel
+from dinet.simulate import ExperimentConfig, generate_ar_network, simulate_panel
 from dinet.structures import DirectedInfoCache
 
 NINE_DECIMALS = re.compile(r"^-?\d+\.\d{9}$")
@@ -410,3 +412,30 @@ def test_a_flag_the_search_would_ignore_is_refused_with_one_error_line(
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["estimate", "panel.csv", "--target", "1"],
+        ["cache", "build", "panel.csv", "--K", "1"],
+        ["approximate"],
+        ["topr", "--r", "1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_estimator_flag_defaults_are_the_config_defaults(argv):
+    args = build_parser().parse_args(argv)
+    want = EstimatorConfig()
+    for field in dataclasses.fields(EstimatorConfig):
+        assert getattr(args, field.name) == getattr(want, field.name), field.name
+
+
+def test_simulate_flag_defaults_are_the_config_defaults():
+    args = build_parser().parse_args(["simulate", "--m", "5", "--K", "2"])
+    want = ExperimentConfig(m=5, K=2)
+    for field in dataclasses.fields(ExperimentConfig):
+        if field.name == "include_diagonal":  # the flag is --no-diagonal
+            assert args.no_diagonal is not want.include_diagonal
+        else:
+            assert getattr(args, field.name) == getattr(want, field.name), field.name

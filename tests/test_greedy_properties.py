@@ -11,6 +11,7 @@ carry every node's depth-first state, stepped one query at a time.
 """
 
 import math
+import sys
 from itertools import combinations
 
 import numpy as np
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 
 from dinet.approximation import greedy_connected, greedy_general
 from dinet.bounds import bound_witness_alpha, network_empirical_alpha
-from dinet.estimation import DIEvaluator
+from dinet.estimation import ZERO_GAIN_EPS, DIEvaluator
 from dinet.simulate import generate_ar_network
 from dinet.structures import DirectedInfoCache, ParentAssignment
 from dinet.topr import top_r_greedy
@@ -63,9 +64,7 @@ def test_greedy_general_orders_match_the_oracle(source):
     ]
     got = greedy_general(make(), L)
     assert got.orders == tuple(picks for picks, _ in chains)
-    score = 0.0
-    for _, gains in chains:
-        score += sum(gains)
+    score = math.fsum(gain for _, gains in chains for gain in gains)
     assert got.score.hex() == score.hex()
 
 
@@ -96,6 +95,9 @@ def test_greedy_connected_edge_sets_match_the_oracle(source, root_has_parents):
 
 
 def _max_ratio(gains):
+    # a gain within ZERO_GAIN_EPS eps nats of zero reads as 0
+    floor = ZERO_GAIN_EPS * sys.float_info.epsilon
+    gains = [0.0 if abs(g) <= floor else g for g in gains]
     ratios = [
         (1.0 if b == 0.0 else math.inf) if a == 0.0 else b / a
         for a, b in zip(gains, gains[1:])

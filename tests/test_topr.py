@@ -1,5 +1,5 @@
 from itertools import combinations, islice, product
-from math import comb, nextafter
+from math import comb, fsum, nextafter
 
 import numpy as np
 import pytest
@@ -326,7 +326,7 @@ def test_top_r_connected_emits_tied_caches_without_draining_a_plateau(
         a = sol.assignment
         root = None if root_has_parents else a.root()
         assert contains_spanning_arborescence(a, root)
-        assert sol.score == sum(
+        assert sol.score == fsum(
             cache.get(i, a.members_of(i)) if a.members_of(i) else 0.0
             for i in range(1, cache.m + 1)
         )
@@ -465,7 +465,7 @@ def test_top_r_greedy_rank_one_is_greedy_connected_under_exact_ties(root_has_par
     assert ranked[0].score == single.score
     # the score is the evaluator's value of the chosen sets
     parents = [single.assignment.members_of(i) for i in range(1, 7)]
-    assert single.score == sum(ev.set_value(i, ms) for i, ms in enumerate(parents, 1) if ms)
+    assert single.score == fsum(ev.set_value(i, ms) for i, ms in enumerate(parents, 1) if ms)
 
 
 @pytest.mark.parametrize("L", [1, 2, 3])
@@ -591,7 +591,7 @@ def test_top_r_greedy_connected_enumerates_the_whole_class(m, L, tie_rich):
     assert got[0].assignment == single.assignment
     assert got[0].score == single.score
     for sol, key in zip(got, keys):
-        assert sol.score == sum(ev.set_value(i, ms) for i, ms in enumerate(key, 1) if ms)
+        assert sol.score == fsum(ev.set_value(i, ms) for i, ms in enumerate(key, 1) if ms)
 
 
 def test_top_r_greedy_rooted_connected_reaches_every_tree_around_greedy_roots():

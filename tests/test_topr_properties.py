@@ -58,9 +58,14 @@ def _runs(rows):
 
 
 # exponents that put values at, just below and far below a rounding unit
-# of 1, so a score's sum rounds away, or under compensation keeps, its
-# smallest terms
+# of 1, so a score's rounding drops or keeps its smallest terms
 _EXPONENTS = [0, 0, -1, -26, -52, -53, -54, -80, -106, -107, -126, -160]
+
+
+def _mixed_magnitude_value(rng: np.random.Generator) -> float:
+    """Uniform times 2^e over ``_EXPONENTS``, negative one time in four."""
+    value = float(rng.random()) * 2.0 ** int(rng.choice(_EXPONENTS))
+    return -value if rng.random() < 0.25 else value
 
 
 def _mixed_magnitude_cache(m: int, K: int, rng: np.random.Generator):
@@ -68,8 +73,7 @@ def _mixed_magnitude_cache(m: int, K: int, rng: np.random.Generator):
     for i in range(1, m + 1):
         others = [j for j in range(1, m + 1) if j != i]
         for members in combinations(others, K):
-            value = float(rng.random()) * 2.0 ** int(rng.choice(_EXPONENTS))
-            cache.put(i, members, -value if rng.random() < 0.25 else value)
+            cache.put(i, members, _mixed_magnitude_value(rng))
     return cache
 
 
@@ -99,7 +103,7 @@ def test_the_one_parent_walk_matches_the_seen_set_walk(
     else:
         got = top_r_general(cache, K, r)
     # the walk is exact only while a parent never scores below its child,
-    # that is while the float sum is monotone in each term
+    # that is while fsum is monotone in each term
     scores = [sol.score for sol in got]
     assert all(a >= b for a, b in zip(scores, scores[1:]))
     want = seen_set_ranking(cache, K, r, connected, root_has_parents)
@@ -121,21 +125,32 @@ def test_the_one_parent_walk_matches_the_seen_set_walk(
 
 @st.composite
 def greedy_models(draw):
-    """A factory of fresh, equal evaluators, a greedy length L and m."""
+    """A factory of fresh, equal evaluators, a greedy length L and m.
+
+    The evaluators are exact linear models, or caches of every set up to
+    size L, worth 0, 0.25 or 0.5 (tie-rich) or uniform times 2^e over
+    ``_EXPONENTS``, a quarter of them negative (mixed magnitudes), whose
+    sums round.  A partition key that fell below a score it bounds, by
+    as little as one rounding unit, would pop a subproblem late.
+    """
     seed = draw(st.integers(0, 2**32 - 1))
     m = draw(st.integers(3, 7))
     L = draw(st.integers(1, 2))
+    kind = draw(st.sampled_from(["model", "tie-rich", "mixed magnitudes"]))
     rng = np.random.default_rng(seed)
-    if draw(st.booleans()):
+    if kind == "model":
         model = generate_ar_network(m, rng)
         return (lambda: DIEvaluator.from_model(model)), L, m
-    # tie-rich: every set up to size L worth 0, 0.25 or 0.5
     cache = DirectedInfoCache(m, L)
     for i in range(1, m + 1):
         others = [j for j in range(1, m + 1) if j != i]
         for k in range(1, L + 1):
             for members in combinations(others, k):
-                cache.put(i, members, float(rng.choice([0.0, 0.25, 0.5])))
+                if kind == "tie-rich":
+                    value = float(rng.choice([0.0, 0.25, 0.5]))
+                else:
+                    value = _mixed_magnitude_value(rng)
+                cache.put(i, members, value)
     return (lambda: evaluator_from_cache(cache, L)), L, m
 
 
