@@ -71,7 +71,7 @@ from .structures import (
     DirectedInfoCache,
     ParentAssignment,
     ScoredApproximation,
-    _check_degree,
+    _check_int,
     _set_rank,
     all_parent_sets,
 )
@@ -107,7 +107,7 @@ def _degree_vector(degree: int | Sequence[int], m: int, name: str) -> list[int]:
     else:
         degrees = [degree] * m
     for k in degrees:
-        _check_degree(k, m, name)
+        _check_int(k, name, 0, m - 1)
     return degrees
 
 
@@ -429,7 +429,7 @@ def optimal_connected(
     is the optimum of that class too.
     """
     m = cache.m
-    _check_degree(K, m, least=1)
+    _check_int(K, "K", 1, m - 1)
     arcs: dict[tuple[int, int], _Entry] = {}
     best: list[_Entry] = []
     for i in range(1, m + 1):
@@ -461,6 +461,6 @@ def greedy_connected(
     greedy lists through the same solve, so its rank 1 is this structure.
     """
     m = evaluator.m
-    _check_degree(L, m, "L", 1)
+    _check_int(L, "L", 1, m - 1)
     lists, roots = _greedy_lists(evaluator, L, root_has_parents)
     return _connected(m, lambda i, j: lists[(i, (j,))].entry(), roots)

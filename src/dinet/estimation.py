@@ -34,8 +34,10 @@ factor's last row holds the full residual sum of squares as ``L_yy**2``
 and its drop from the reduced fit as ``|L_y,add|**2``, so the value,
 ``log1p(|L_y,add|**2 / L_yy**2) / 2``, never subtracts two residual
 sums.  Each block is factored on its own, so a query gives bit for bit
-the same value alone or in any batch.  A failure still names its
-query: a group that fails to factor is refactored one query at a time.
+the same value alone or in any batch.  A group that fails to factor, or
+whose factor has a pivot that marks a lag as dependent on those before
+it, goes query by query through one fallback that drops the dependent
+lags and reads the value off the rest the same way.
 :func:`build_cache` asks for one target's sets at a time; the greedy
 searches ask for every live chain's candidates at once.
 
@@ -91,7 +93,6 @@ LYAPUNOV_MAX_DOUBLINGS = 64
 # a squared Cholesky pivot below this fraction of its diagonal entry marks
 # a regressor as dependent on the regressors before it
 SINGULAR_PIVOT = 1e-10
-SINGULAR_DESIGN = "singular design: regressor columns are linearly dependent"
 # a value is the log of a ratio of two residual variances, each computed
 # to a few eps relative, so it is off by a few eps in nats at any size; a
 # curvature gain within ZERO_GAIN_EPS eps nats of zero reads as exactly 0
@@ -345,8 +346,9 @@ def _projection_di(moments: _Moments, queries: Sequence[_Query]) -> list[float]:
     in one pass that builds each group's flat list of processes, a row
     per query (see the module notes).  Each group's blocks go through one
     stacked factorization and the same element-wise steps, so a query
-    gives bit for bit the same value in any batch.  An empty addition is
-    worth 0.
+    gives bit for bit the same value in any batch.  A group that fails
+    :func:`_factor` takes :func:`_dependent_ratio` query by query.  An
+    empty addition is worth 0.
     """
     values = [0.0] * len(queries)
     order = moments.order
@@ -381,64 +383,76 @@ def _projection_di(moments: _Moments, queries: Sequence[_Query]) -> list[float]:
         idx[:, :d] = moments.lags[procs[:, :-1] - 1].reshape(len(group), d)
         np.add(procs[:, -1], p - 1, out=idx[:, d])
         blocks = moments.stacked[idx[:, :, None], idx[:, None, :]]
-        try:
-            chol = np.linalg.cholesky(blocks)
-        except np.linalg.LinAlgError:
-            if len(group) == 1:
-                values[group[0]] = _degenerate_value(blocks[0], r, d, *queries[group[0]])
-            else:
-                # factor the queries one by one, so the failing one is named
-                for q in group:
-                    values[q] = _projection_di(moments, [queries[q]])[0]
-            continue
-        pivots = np.diagonal(chol, axis1=1, axis2=2)[:, :d] ** 2
-        scale = np.diagonal(blocks, axis1=1, axis2=2)[:, :d]
-        singular = np.flatnonzero((pivots < SINGULAR_PIVOT * scale).any(axis=1))
-        if singular.size:
-            raise _query_error(SINGULAR_DESIGN, *queries[group[singular[0]]])
-        tail = chol[:, d, r:d]
-        gain = tail[:, 0] ** 2
-        for j in range(1, d - r):
-            gain = gain + tail[:, j] ** 2
-        # the ratio |L_y,add|**2 / L_yy**2, one correctly rounded division each
-        ratio = gain / chol[:, d, d] ** 2
-        for q, x in zip(group, ratio.tolist()):
+        chol = _factor(blocks, d)
+        if chol is not None:
+            ratios = _ratios(chol, r, d).tolist()
+        else:
+            ratios = [
+                _dependent_ratio(block, r, d, queries[q])
+                for block, q in zip(blocks, group)
+            ]
+        for q, x in zip(group, ratios):
             values[q] = 0.5 * log1p(x)
     return values
 
 
-def _degenerate_value(
-    block: np.ndarray,
-    r: int,
-    d: int,
-    target: int,
-    add: tuple[int, ...],
-    cond: tuple[int, ...],
-) -> float:
-    """Diagnose an augmented block that failed to factor.
+def _factor(blocks: np.ndarray, checked: int) -> np.ndarray | None:
+    """Cholesky factors of a stack of blocks, or None.
 
-    Either the regressors are dependent, or the target's own pivot, the
-    full residual sum of squares, came out nonpositive: the target is a
-    deterministic function of the regressors.  Then the value is 0 when
-    the reduced regressors already leave no residual, and an error
-    otherwise.
+    None when a block is not positive definite, or when one of its first
+    ``checked`` squared pivots falls below ``SINGULAR_PIVOT`` times its
+    diagonal entry: that column depends on the columns before it.
     """
     try:
-        regressors = np.linalg.cholesky(block[:d, :d])
+        chol = np.linalg.cholesky(blocks)
     except np.linalg.LinAlgError:
-        regressors = None
-    if regressors is None or np.any(
-        np.diagonal(regressors) ** 2 < SINGULAR_PIVOT * np.diagonal(block)[:d]
-    ):
-        raise _query_error(SINGULAR_DESIGN, target, add, cond)
-    keep = [*range(r), d]
-    try:
-        np.linalg.cholesky(block[np.ix_(keep, keep)])
-    except np.linalg.LinAlgError:
+        return None
+    pivots = np.diagonal(chol, axis1=1, axis2=2)[:, :checked] ** 2
+    scale = np.diagonal(blocks, axis1=1, axis2=2)[:, :checked]
+    return None if (pivots < SINGULAR_PIVOT * scale).any() else chol
+
+
+def _ratios(chol: np.ndarray, r: int, d: int) -> np.ndarray:
+    """``|L_y,add|**2 / L_yy**2`` off the last row of each factor in a stack.
+
+    The addition's entries are squared and summed in column order and
+    the ratio is one correctly rounded division, so a factor gives the
+    same bits in a stack of any size.  An addition with no columns gives 0.
+    """
+    gain = np.zeros(len(chol))
+    for j in range(r, d):
+        gain = gain + chol[:, d, j] ** 2
+    return gain / chol[:, d, d] ** 2
+
+
+def _dependent_ratio(block: np.ndarray, r: int, d: int, query: _Query) -> float:
+    """The ratio of one augmented block whose regressors may be dependent.
+
+    The regressors are taken in block order, and one is kept only when it
+    clears the pivot check after the kept ones (Higham, 1990): a
+    projection does not depend on which spanning columns it uses.  The
+    kept columns and the target row are then factored and read as in the
+    batched path, so a block that keeps every column gives the batched
+    bits, and an addition whose columns all drop is worth 0.  A target
+    with no residual after the kept columns is worth 0 when the kept
+    reduced columns leave none either, and an error otherwise.
+    """
+
+    def factor(cols: list[int], checked: int = 0) -> np.ndarray | None:
+        return _factor(block[cols][:, cols][None], checked)
+
+    keep: list[int] = []
+    for j in range(d):
+        if factor([*keep, j], len(keep) + 1) is not None:
+            keep.append(j)
+    reduced = [j for j in keep if j < r]
+    chol = factor([*keep, d])
+    if chol is not None:
+        return float(_ratios(chol, len(reduced), len(keep))[0])
+    if factor([*reduced, d]) is None:
         return 0.0
     raise _query_error(
-        "zero residual variance: target is a deterministic function of lags",
-        target, add, cond,
+        "zero residual variance: target is a deterministic function of lags", *query
     )
 
 

@@ -37,7 +37,6 @@ from .estimation import (
 from .structures import (
     MAX_RANKED,
     ParentAssignment,
-    _check_degree,
     _check_int,
     _check_real,
 )
@@ -70,8 +69,8 @@ class ExperimentConfig:
         for name, least in (("m", 2), ("n", 2), ("trials", 1), ("seed", 0)):
             _check_int(getattr(self, name), name, least)
         _check_int(self.r, "r", 0, MAX_RANKED)
-        _check_degree(self.K, self.m, least=1)
-        _check_degree(self.greedy_length, self.m, "L", 1)
+        _check_int(self.K, "K", 1, self.m - 1)
+        _check_int(self.greedy_length, "L", 1, self.m - 1)
         _check_network(self.edge_probability, self.spectral_target, self.noise_variance)
         if self.selection not in ("estimated", "exact"):
             raise ValidationError(f"unknown selection mode: {self.selection!r}")

@@ -147,13 +147,6 @@ def _check_set(
     return key
 
 
-def _check_degree(k: int, m: int, name: str = "K", least: int = 0) -> None:
-    """Reject a parent set size ``name=k`` outside ``least .. m - 1``."""
-    _check_int(k, name)
-    if not least <= k < m:
-        raise ValidationError(f"degree too large: {name}={k} with m={m}")
-
-
 @dataclass(frozen=True)
 class ParentSet:
     """A target process together with its chosen set of parent processes.
@@ -358,7 +351,7 @@ class DirectedInfoCache:
 
     def __init__(self, m: int, K: int) -> None:
         _check_int(m, "m", 1)
-        _check_degree(K, m)
+        _check_int(K, "K", 0, m - 1)
         self.m = m
         self.K = K
         # set size -> m x C(m-1, size) values, NaN where none is stored
@@ -572,7 +565,7 @@ def parent_set_from_index(m: int, target: int, K: int, rank: int) -> tuple[int, 
     """Inverse of :func:`parent_set_index` for size-``K`` sets."""
     _check_int(m, "m", 1)
     _check_process(target, m, "target")
-    _check_degree(K, m)
+    _check_int(K, "K", 0, m - 1)
     _check_int(rank, "rank", 0, comb(m - 1, K) - 1)
     universe = [j for j in range(1, m + 1) if j != target]
     chosen: list[int] = []
@@ -593,7 +586,7 @@ def all_parent_sets(m: int, target: int, K: int) -> Iterator[tuple[int, ...]]:
     """All size-``K`` parent sets for ``target``, in index order."""
     _check_int(m, "m", 1)
     _check_process(target, m, "target")
-    _check_degree(K, m)
+    _check_int(K, "K", 0, m - 1)
     universe = [j for j in range(1, m + 1) if j != target]
     return iter(combinations(universe, K))
 
@@ -624,7 +617,7 @@ def approximation_index(assignment: ParentAssignment) -> int:
 def assignment_from_index(m: int, K: int, index: int) -> ParentAssignment:
     """Inverse of :func:`approximation_index`."""
     _check_int(m, "m", 1)
-    _check_degree(K, m)
+    _check_int(K, "K", 0, m - 1)
     radix = comb(m - 1, K)
     _check_int(index, "index", 1, radix**m)
     rest = index - 1

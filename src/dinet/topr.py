@@ -83,7 +83,6 @@ from .structures import (
     ParentAssignment,
     ParentSet,
     ScoredApproximation,
-    _check_degree,
     _check_int,
     _has_spanning_tree,
 )
@@ -225,7 +224,7 @@ def top_r_general(
     only after rounding comes in the walk's order.
     """
     m = cache.m
-    _check_degree(K, m)
+    _check_int(K, "K", 0, m - 1)
     _check_r(r, m, K)
     weights = [comb(m - 1, K) ** i for i in range(m)]
     return _top_points([_exact_lists(cache, K)], weights, r)
@@ -243,7 +242,7 @@ def get_new_solutions(
     :func:`top_r_general` branches by.
     """
     m = cache.m
-    _check_degree(K, m)
+    _check_int(K, "K", 0, m - 1)
     if seed.m != m:
         raise ValidationError(f"seed has m={seed.m} but cache has m={m}")
     lists = _exact_lists(cache, K)
@@ -284,7 +283,7 @@ def top_r_connected(
     degrades to full enumeration of the lattices.
     """
     m = cache.m
-    _check_degree(K, m, least=1)
+    _check_int(K, "K", 1, m - 1)
     _check_r(r, m, K, not root_has_parents)
 
     lists = _exact_lists(cache, K)
@@ -459,7 +458,7 @@ def top_r_greedy(
     ``r`` may not exceed :data:`dinet.structures.MAX_RANKED`.
     """
     m = evaluator.m
-    _check_degree(L, m, "L", 1)
+    _check_int(L, "L", 1, m - 1)
     _check_r(r, m, L, connected and not root_has_parents)
     if connected:
         return _top_r_greedy_connected(evaluator, L, r, root_has_parents)

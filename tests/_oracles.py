@@ -587,11 +587,14 @@ def lag_design(data: np.ndarray, processes, order: int) -> np.ndarray:
 
 
 def residual_ss(design: np.ndarray, y: np.ndarray) -> float:
-    """Residual sum of squares of a least squares fit, by ``lstsq``."""
+    """Residual sum of squares of the minimum-norm least squares fit.
+
+    ``lstsq`` drops the singular directions below its default cutoff, so
+    a design with dependent columns has the residual of their span.
+    """
     if design.shape[1] == 0:
         return float(y @ y)
-    beta, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
-    assert rank == design.shape[1], "singular design"
+    beta = np.linalg.lstsq(design, y, rcond=None)[0]
     resid = y - design @ beta
     return float(resid @ resid)
 
@@ -607,7 +610,7 @@ def lstsq_di(
 
     Half the log ratio of the residual sums of squares without and with
     the addition's lags, both fits over the same rows and without
-    intercepts.
+    intercepts.  A target the reduced fit leaves no residual is worth 0.
     """
     if not addition:
         return 0.0
@@ -615,6 +618,8 @@ def lstsq_di(
     reduced = sorted({target, *conditioning})
     full = sorted({target, *conditioning, *addition})
     ss_reduced = residual_ss(lag_design(data, reduced, order), y)
+    if ss_reduced == 0.0:
+        return 0.0
     ss_full = residual_ss(lag_design(data, full, order), y)
     return max(0.0, 0.5 * float(np.log(ss_reduced / ss_full)))
 

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import math
@@ -211,16 +212,24 @@ def test_malformed_cache_entry_is_a_validation_error(
     assert lines[0].startswith("error: target 1: parent set [2")
 
 
-def test_cache_build_names_a_singular_query(capsys, tmp_path):
+def test_cache_build_of_a_duplicated_process(capsys, tmp_path):
     rng = np.random.default_rng(29)
     x = rng.standard_normal(80)
+    panel = TimeSeriesPanel(np.vstack([rng.standard_normal(80), x, x]))
     path = tmp_path / "duplicated.csv"
-    write_panel_csv(TimeSeriesPanel(np.vstack([rng.standard_normal(80), x, x])), str(path))
+    write_panel_csv(panel, str(path))
     code, out, err = run(capsys, "cache", "build", str(path), "--K", "1")
-    assert code == 3
-    assert out == ""
-    assert "singular design" in err
-    assert "target 2, addition [3], conditioning []" in err
+    assert code == 0
+    assert err == ""
+    values = {
+        (e["target"], tuple(e["set"])): e["value"] for e in json.loads(out)["entries"]
+    }
+    assert values[2, (3,)] == 0.0
+    assert values[1, (2,)] == values[1, (3,)]
+    ev = DIEvaluator.from_panel(read_panel_csv(str(path)))
+    assert len(values) == 6
+    for (target, members), value in values.items():
+        assert value == ev.set_value(target, members)
 
 
 def test_cache_build_names_a_plugin_query_over_the_cap(capsys, tmp_path):
@@ -353,13 +362,32 @@ def test_simulate_writes_deterministic_csvs(capsys, tmp_path):
     assert "topr-1" in body and "topr-2" in body
 
 
+@pytest.mark.parametrize("timing", [False, True])
+def test_simulate_timing_fills_the_ms_column(capsys, tmp_path, timing):
+    args = [
+        "simulate", "--m", "3", "--K", "1", "--trials", "2", "--seed", "4",
+        "--selection", "exact", "--r", "3", *(["--timing"] if timing else []),
+    ]
+    code, out, _ = run(capsys, *args, "--out", str(tmp_path))
+    assert code == 0
+    with open(out.strip().splitlines()[0], newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert {row["algorithm"] for row in rows} == {
+        "optimal", "greedy", "topr-1", "topr-2", "topr-3"
+    }
+    for row in rows:
+        # a ranking's time is its first row's; the rows after it read 0
+        timed = timing and row["algorithm"] in ("optimal", "greedy", "topr-1")
+        assert (float(row["ms"]) > 0.0) if timed else row["ms"] == "0", row
+
+
 def test_simulate_validation_exit(capsys, tmp_path):
     code, _, err = run(
         capsys, "simulate", "--m", "2", "--K", "2", "--trials", "1",
         "--out", str(tmp_path),
     )
     assert code == 1
-    assert "degree too large" in err
+    assert "K 2 out of range 1..1" in err
 
 
 @pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--noise-variance", "nan")])

@@ -189,6 +189,14 @@ OUT_OF_RANGE = {
         lambda: greedy_bound_coefficient(1.5, 0, 2), "K must be >= 1, got 0"
     ),
     "top_r_general r": (lambda: top_r_general(inputs()[1], 2, 0), "r 0 out of range 1..7776"),
+    "top_r_general K": (lambda: top_r_general(inputs()[1], -1, 3), "K -1 out of range 0..4"),
+    "build_cache K": (lambda: build_cache(inputs()[0], M, 5), "K 5 out of range 0..4"),
+    "optimal_connected K": (lambda: optimal_connected(inputs()[1], 0), "K 0 out of range 1..4"),
+    "top_r_connected K": (lambda: top_r_connected(inputs()[1], 0, 3), "K 0 out of range 1..4"),
+    "greedy_connected L": (lambda: greedy_connected(inputs()[0], 0), "L 0 out of range 1..4"),
+    "top_r_greedy L": (lambda: top_r_greedy(inputs()[0], 0, 3), "L 0 out of range 1..4"),
+    "ExperimentConfig K": (lambda: ExperimentConfig(4, 0), "K 0 out of range 1..3"),
+    "ExperimentConfig L": (lambda: ExperimentConfig(4, 1, L=0), "L 0 out of range 1..3"),
 }
 
 

@@ -6,6 +6,12 @@ import pytest
 from scipy.linalg import solve_discrete_lyapunov
 
 from dinet import estimation
+from dinet.approximation import (
+    greedy_connected,
+    greedy_general,
+    optimal_connected,
+    optimal_general,
+)
 from dinet.errors import (
     EstimationError,
     NonStationaryModelError,
@@ -27,8 +33,9 @@ from dinet.estimation import (
     write_panel_csv,
 )
 from dinet.simulate import generate_ar_network, simulate_panel
+from dinet.topr import top_r_connected, top_r_general
 
-from _oracles import naive_discrete_di
+from _oracles import lstsq_di, naive_discrete_di
 
 HALF_LOG_3_2 = 0.5 * math.log(1.5)
 HALF_LOG_2 = 0.5 * math.log(2.0)
@@ -259,80 +266,112 @@ def test_gaussian_estimator_insufficient_samples():
     assert "insufficient samples" in str(err.value)
 
 
-def test_gaussian_estimator_singular_design():
+def test_gaussian_estimator_drops_a_dependent_column():
+    # x1 and x2 are one series, so x2's lag adds nothing beside x1's
     rng = np.random.default_rng(29)
     x = rng.standard_normal(80)
-    panel = TimeSeriesPanel(np.vstack([x, x, rng.standard_normal(80)]))
-    with pytest.raises(EstimationError) as err:
-        estimate_di_gaussian(panel, 3, (1, 2))
-    assert "singular design" in str(err.value)
+    data = np.vstack([x, x, rng.standard_normal(80)])
+    panel = TimeSeriesPanel(data)
+    value = estimate_di_gaussian(panel, 3, (1, 2))
+    assert value == estimate_di_gaussian(panel, 3, (1,))
+    assert value == pytest.approx(lstsq_di(data, 3, (1, 2), (), 1), rel=1e-9)
 
 
-def test_singular_design_in_a_cache_names_the_query():
+def test_a_cache_with_a_duplicated_process_finishes():
     rng = np.random.default_rng(29)
     x = rng.standard_normal(80)
     panel = TimeSeriesPanel(np.vstack([rng.standard_normal(80), x, x]))
-    ev = DIEvaluator.from_panel(panel)
-    with pytest.raises(EstimationError) as err:
-        build_cache(ev, 3, 1)
-    # target 1's sets factor cleanly; target 2 with set {3} is the first
-    # query whose regressors repeat a column
-    message = str(err.value)
-    assert "singular design" in message
-    assert "target 2, addition [3], conditioning []" in message
-    with pytest.raises(EstimationError) as err:
-        estimate_di_gaussian(panel, 1, (2,), (3,))
-    assert "target 1, addition [2], conditioning [3]" in str(err.value)
+    cache = build_cache(DIEvaluator.from_panel(panel), 3, 1)
+    # x3 repeats x2, the target's own lag, so it adds nothing to target 2
+    assert cache.get(2, (3,)) == 0.0
+    assert cache.get(1, (2,)) == cache.get(1, (3,))
+    assert estimate_di_gaussian(panel, 1, (2,), (3,)) == 0.0
     with pytest.raises(EstimationError) as err:
         estimate_di_gaussian(TimeSeriesPanel(rng.standard_normal((2, 3))), 1, (2,))
     assert "insufficient samples" in str(err.value)
     assert "target 1, addition [2]" in str(err.value)
 
 
-def test_batched_cache_finds_the_failing_set():
-    # a zero column makes the stacked factorization fail outright; the
-    # cache build falls back to single sets to name the failing one
+def test_a_zero_process_adds_nothing_to_any_set():
+    # a zero row makes the stacked factorization fail outright; every set
+    # is then worth its value without that process, and the zero target
+    # nothing at all
     rng = np.random.default_rng(30)
     data = rng.standard_normal((4, 60))
     data[2] = 0.0
     panel = TimeSeriesPanel(data)
-    with pytest.raises(EstimationError) as err:
-        build_cache(DIEvaluator.from_panel(panel), 4, 2)
-    assert "singular design" in str(err.value)
-    assert "target 1, addition [2, 3], conditioning []" in str(err.value)
+    cache = build_cache(DIEvaluator.from_panel(panel), 4, 2)
+    single = DIEvaluator.from_panel(panel)
+    for target, members, value in cache.items():
+        rest = tuple(j for j in members if j != 3)
+        want = 0.0 if target == 3 else single.increment(target, rest)
+        assert value == want, (target, members)
 
 
-def _spy_on_degenerate(monkeypatch):
-    """Record every query that reaches the failed-factorization diagnosis."""
+def _collinear_panel(kind):
+    """An m=6 panel whose process 5 is zero, twice process 2, or process 2
+    plus 1e-13 noise."""
+    data = np.array(
+        simulate_panel(generate_ar_network(6, np.random.default_rng(3)), 500, 1).data
+    )
+    data[4] = {
+        "zero": 0.0,
+        "twice": 2.0 * data[1],
+        "noisy copy": data[1] + 1e-13 * np.random.default_rng(5).standard_normal(500),
+    }[kind]
+    return data
+
+
+@pytest.mark.parametrize("kind", ["zero", "twice", "noisy copy"])
+def test_collinear_panels_get_the_lstsq_values_and_every_search_finishes(kind):
+    data = _collinear_panel(kind)
+    ev = DIEvaluator.from_panel(TimeSeriesPanel(data))
+    caches = {K: build_cache(ev, 6, K) for K in (1, 2)}
+    for cache in caches.values():
+        for target, members, value in cache.items():
+            want = lstsq_di(data, target, members, (), 1)
+            assert value == pytest.approx(want, rel=1e-9, abs=1e-12), (target, members)
+    # process 5's lag adds nothing beside process 2's
+    assert caches[2].get(1, (2, 5)) == caches[1].get(1, (2,)) > 0.0
+    optimal_general(caches[2], 2)
+    optimal_connected(caches[1], 1)
+    greedy_general(ev, 2)
+    greedy_connected(ev, 2)
+    assert len(top_r_general(caches[2], 2, 10)) == 10
+    assert len(top_r_connected(caches[1], 1, 10)) == 10
+
+
+def _spy_on_fallback(monkeypatch):
+    """Record every query that reaches the per-query fallback."""
     reached = []
-    diagnose = estimation._degenerate_value
+    fallback = estimation._dependent_ratio
 
-    def spy(block, r, d, target, add, cond):
-        reached.append((target, add, cond))
-        return diagnose(block, r, d, target, add, cond)
+    def spy(block, r, d, query):
+        reached.append(query)
+        return fallback(block, r, d, query)
 
-    monkeypatch.setattr(estimation, "_degenerate_value", spy)
+    monkeypatch.setattr(estimation, "_dependent_ratio", spy)
     return reached
 
 
 @pytest.mark.parametrize("batched", [False, True])
 def test_near_collinear_regressors_fail_the_pivot_check(monkeypatch, batched):
     # x2 = x1 + 1e-7 noise factors, but its pivot falls below
-    # SINGULAR_PIVOT times its scale
-    reached = _spy_on_degenerate(monkeypatch)
+    # SINGULAR_PIVOT times its scale, so its column drops out
+    reached = _spy_on_fallback(monkeypatch)
     rng = np.random.default_rng(5)
     x1 = rng.standard_normal(200)
     data = np.vstack([x1, x1 + 1e-7 * rng.standard_normal(200),
                       rng.standard_normal((2, 200))])
-    ev = DIEvaluator.from_panel(TimeSeriesPanel(data))
-    with pytest.raises(EstimationError) as err:
-        if batched:
-            ev.increments(3, [(4,), (2,)], (1,))
-        else:
-            ev.increment(3, (2,), (1,))
-    assert str(err.value).startswith("singular design")
-    assert str(err.value).endswith("(target 3, addition [2], conditioning [1])")
-    assert reached == []
+    panel = TimeSeriesPanel(data)
+    ev = DIEvaluator.from_panel(panel)
+    if batched:
+        values = ev.increments(3, [(4,), (2,)], (1,))
+        assert values == [DIEvaluator.from_panel(panel).increment(3, (4,), (1,)), 0.0]
+        assert values[0] > 0.0
+    else:
+        assert ev.increment(3, (2,), (1,)) == 0.0
+    assert reached[-1] == (3, (2,), (1,))
 
 
 def _deterministic_target_panel():
@@ -345,7 +384,7 @@ def _deterministic_target_panel():
 
 @pytest.mark.parametrize("batched", [False, True])
 def test_zero_residual_is_zero_when_the_reduced_fit_has_none(monkeypatch, batched):
-    reached = _spy_on_degenerate(monkeypatch)
+    reached = _spy_on_fallback(monkeypatch)
     ev = DIEvaluator.from_panel(_deterministic_target_panel())
     if batched:
         assert ev.increments(3, [(4,), (2,)], (1,)) == [0.0, 0.0]
@@ -356,7 +395,7 @@ def test_zero_residual_is_zero_when_the_reduced_fit_has_none(monkeypatch, batche
 
 @pytest.mark.parametrize("batched", [False, True])
 def test_zero_residual_after_the_addition_names_the_query(monkeypatch, batched):
-    reached = _spy_on_degenerate(monkeypatch)
+    reached = _spy_on_fallback(monkeypatch)
     ev = DIEvaluator.from_panel(_deterministic_target_panel())
     with pytest.raises(EstimationError) as err:
         if batched:

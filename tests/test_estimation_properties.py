@@ -221,42 +221,35 @@ def test_mixed_model_batch_equals_single_queries(model, data):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(3, 5), st.data())
-def test_mixed_batch_names_the_query_that_fails_to_factor(seed, m, data):
-    # a zero process has an all-zero lag column, so any block holding it
-    # fails to factor and its group is refactored one query at a time
+@given(st.integers(0, 2**32 - 1), st.integers(3, 5), st.booleans(), st.data())
+def test_mixed_batch_with_a_dead_or_copied_process_equals_single_queries(
+    seed, m, copied, data
+):
+    # a zero process has an all-zero lag column and a copied one repeats
+    # a column, so a block holding either fails to factor or fails the
+    # pivot check, and its whole group takes the per-query fallback
     rng = np.random.default_rng(seed)
     panel_data = rng.standard_normal((m, 80))
-    dead = data.draw(st.integers(1, m), label="dead")
-    panel_data[dead - 1] = 0.0
-    live = [j for j in range(1, m + 1) if j != dead]
-    good = [
-        (t, a, c)
-        for t, a, c in _queries(data.draw, m, data.draw(st.integers(0, 8)))
-        if dead not in (t, *a, *c)
-    ]
-    target = data.draw(st.sampled_from(live), label="target")
-    rest = [j for j in live if j != target]
-    if data.draw(st.booleans(), label="dead in addition"):
-        bad = (target, (dead,), tuple(rest[:1]))
-    else:
-        bad = (target, tuple(rest[:1]), (dead,))
-    at = data.draw(st.integers(0, len(good)), label="position")
-    queries = good[:at] + [bad] + good[at:]
-    evaluator = DIEvaluator.from_panel(TimeSeriesPanel(panel_data))
-    with pytest.raises(EstimationError) as err:
-        evaluator._fill(queries)
-    target, addition, conditioning = bad
-    assert str(err.value) == (
-        "singular design: regressor columns are linearly dependent (target "
-        f"{target}, addition {list(addition)}, conditioning {list(conditioning)})"
-    )
-    assert evaluator.calls == 0
-    # without the failing query the same batch factors, as single queries do
-    values = evaluator._fill(good)
-    assert values == [
-        DIEvaluator.from_panel(TimeSeriesPanel(panel_data)).increment(*q) for q in good
-    ]
+    odd = data.draw(st.integers(1, m), label="odd process")
+    live = [j for j in range(1, m + 1) if j != odd]
+    source = data.draw(st.sampled_from(live), label="source")
+    panel_data[odd - 1] = panel_data[source - 1] if copied else 0.0
+    queries = _queries(data.draw, m, data.draw(st.integers(0, 8)))
+    # this query's block holds the odd column: beside its source's lag
+    # when it is a copy
+    bad = (source, (odd,), ())
+    at = data.draw(st.integers(0, len(queries)), label="position")
+    queries = queries[:at] + [bad] + queries[at:]
+    panel = TimeSeriesPanel(panel_data)
+    evaluator = DIEvaluator.from_panel(panel)
+    values = evaluator._fill(queries)
+    assert evaluator.calls == len(set(queries))
+    for (target, addition, conditioning), value in zip(queries, values):
+        single = DIEvaluator.from_panel(panel)
+        assert value == single.increment(target, addition, conditioning)
+        want = lstsq_di(panel_data, target, addition, conditioning, 1)
+        assert value == pytest.approx(want, rel=REL, abs=ABS)
+    assert values[at] == 0.0
 
 
 def test_cache_fills_the_memo_once():

@@ -8,10 +8,14 @@ The outputs are the ``run_pass`` result of every instance of the three
 benchmark workloads (``bench/workloads.py``) at seeds 7 and 4049, the
 stdout of each demo, the CSVs ``dinet simulate`` writes with each
 selection, one line per ranking of two seeded sets (see
-``ranking_lines``) and one line per plug-in cache or greedy search on
-seeded finite-alphabet panels (see ``plugin_lines``).  Two checkouts
-whose lines agree give those outputs bit for bit, so ``diff`` of two
-runs shows whether a change kept its outputs.
+``ranking_lines``), one line per plug-in cache or greedy search on
+seeded finite-alphabet panels (see ``plugin_lines``) and one line per
+Gaussian cache on panels with a dependent process (see
+``collinear_lines``); a cache there that raises ``DinetError`` is
+digested as its message, so the script also runs on a checkout that
+refuses such panels.  Two checkouts whose lines agree give those
+outputs bit for bit, so ``diff`` of two runs shows whether a change
+kept its outputs.
 Everything is written to temporary directories, removed on exit.
 """
 
@@ -35,6 +39,7 @@ import numpy as np  # noqa: E402
 import workloads  # noqa: E402
 from dinet import (  # noqa: E402
     DIEvaluator,
+    DinetError,
     EstimatorConfig,
     TimeSeriesPanel,
     build_cache,
@@ -42,6 +47,7 @@ from dinet import (  # noqa: E402
     generate_ar_network,
     greedy_connected,
     greedy_general,
+    simulate_panel,
     top_r_connected,
     top_r_general,
     top_r_greedy,
@@ -104,7 +110,7 @@ def ranking_lines() -> list[str]:
     at K=2 for k < 40: ``top_r_general`` (r=500) and ``top_r_connected``
     (r=100) in both root modes.  The greedy set ranks
     ``generate_ar_network(10, default_rng([s, k, 11]))`` at L=2 for k < 12
-    with ``top_r_greedy(connected=True)`` (r=50) in both root modes.
+    with ``top_r_greedy`` (r=50), connected in both root modes and general.
     """
     def line(name: str, seed: int, k: int, ranked) -> str:
         rows = [[sol.score.hex(), sol.assignment.canonical_key()] for sol in ranked]
@@ -123,10 +129,13 @@ def ranking_lines() -> list[str]:
             ]
         for k in range(12):
             network = generate_ar_network(10, np.random.default_rng([seed, k, 11]))
-            for name, root_has_parents in (("top_r_greedy_connected", False),
-                                           ("top_r_greedy_connected_root_parents", True)):
+            for name, connected, root_has_parents in (
+                ("top_r_greedy_connected", True, False),
+                ("top_r_greedy_connected_root_parents", True, True),
+                ("top_r_greedy", False, False),
+            ):
                 ranked = top_r_greedy(DIEvaluator.from_model(network), 2, 50,
-                                      connected=True, root_has_parents=root_has_parents)
+                                      connected=connected, root_has_parents=root_has_parents)
                 lines.append(line(name, seed, k, ranked))
     return lines
 
@@ -178,12 +187,39 @@ def plugin_lines() -> list[str]:
     return lines
 
 
+def collinear_panels() -> dict[str, TimeSeriesPanel]:
+    """``simulate_panel(generate_ar_network(6, default_rng(3)), 500, 1)``
+    with process 5 made zero, twice process 2, or process 2 plus 1e-13
+    noise."""
+    data = simulate_panel(generate_ar_network(6, np.random.default_rng(3)), 500, 1).data
+    noise = 1e-13 * np.random.default_rng(5).standard_normal(data.shape[1])
+    return {
+        name: TimeSeriesPanel(np.vstack([data[:4], row, data[5:]]))
+        for name, row in (("zero", np.zeros(data.shape[1])), ("twice", 2.0 * data[1]),
+                          ("noisy copy", data[1] + noise))
+    }
+
+
+def collinear_lines() -> list[str]:
+    """One line per Gaussian ``build_cache`` (K 1 and 2) on ``collinear_panels``."""
+    lines = []
+    for name, panel in collinear_panels().items():
+        for K in (1, 2):
+            try:
+                text = build_cache(DIEvaluator.from_panel(panel), 6, K).to_json()
+            except DinetError as exc:
+                text = str(exc)
+            lines.append(f"{sha(text)}  collinear build_cache {name} K {K}")
+    return lines
+
+
 def main() -> None:
     with tempfile.TemporaryDirectory(prefix="dinet_digests_") as tmp:
         for lines in (bench_lines(tmp), demo_lines(tmp), simulate_lines(tmp)):
             print(*lines, sep="\n", flush=True)
     print(*ranking_lines(), sep="\n", flush=True)
     print(*plugin_lines(), sep="\n", flush=True)
+    print(*collinear_lines(), sep="\n", flush=True)
 
 
 if __name__ == "__main__":
