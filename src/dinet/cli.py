@@ -55,11 +55,7 @@ def _parse_processes(text: str) -> tuple[int, ...]:
 
 
 def _estimator_config(args) -> EstimatorConfig:
-    return EstimatorConfig(
-        markov_order=args.markov_order,
-        estimator=args.estimator,
-        state_space_cap=args.state_space_cap,
-    )
+    return EstimatorConfig(markov_order=args.markov_order, estimator=args.estimator)
 
 
 def _load_panel(args):
@@ -258,7 +254,6 @@ def _add_estimator_flags(parser: argparse.ArgumentParser) -> None:
         "--estimator", choices=("gaussian", "discrete"), default=EstimatorConfig.estimator
     )
     parser.add_argument("--alphabet-size", type=int, default=None)
-    parser.add_argument("--state-space-cap", type=int, default=EstimatorConfig.state_space_cap)
 
 
 def _add_search_flags(parser: argparse.ArgumentParser) -> None:

@@ -36,8 +36,9 @@ and its drop from the reduced fit as ``|L_y,add|**2``, so the value,
 sums.  Each block is factored on its own, so a query gives bit for bit
 the same value alone or in any batch.  A group that fails to factor, or
 whose factor has a pivot that marks a lag as dependent on those before
-it, goes query by query through one fallback that drops the dependent
-lags and reads the value off the rest the same way.
+it, is split in halves until each block that fails on its own goes
+through one fallback, which drops the dependent lags and reads the value
+off the rest the same way.
 :func:`build_cache` asks for one target's sets at a time; the greedy
 searches ask for every live chain's candidates at once.
 
@@ -50,8 +51,8 @@ so the addition's last member enters its set's cell codes unscaled: the
 codes of the members before it (the prefix) are added to the group's
 context codes once per distinct prefix, and each set then costs one
 integer add and one ``np.bincount`` over the dense cell range.  A
-group's count rows are stacked, in chunks of at most the state space
-cap's cells; the marginal counts are the stack's axis sums, and one
+group's count rows are stacked, in chunks of at most :data:`MAX_CELLS`
+cells; the marginal counts are the stack's axis sums, and one
 vectorized pass over its nonzero cells gives every term.  Each set's
 terms are summed on their own, in ascending (context, addition, target
 symbol) code order, so here too a batch gives each set bit for bit its
@@ -97,6 +98,14 @@ SINGULAR_PIVOT = 1e-10
 # to a few eps relative, so it is off by a few eps in nats at any size; a
 # curvature gain within ZERO_GAIN_EPS eps nats of zero reads as exactly 0
 ZERO_GAIN_EPS = 64
+
+MAX_CELLS = 1_000_000
+"""The most cells one plug-in query counts, and one stacked chunk holds.
+
+Cells are counted densely, 8 bytes each, so this caps a query's count
+row and a chunk of rows near 8 MB.  A query above it raises
+:class:`EstimationError` naming the query before anything is counted.
+"""
 
 
 @dataclass(frozen=True)
@@ -165,22 +174,17 @@ class EstimatorConfig:
 
     ``markov_order`` is the number of lags included per process.  Values
     are in nats; the command line layer divides by ``ln 2`` for display
-    with ``--units bits``.  ``state_space_cap`` bounds the joint cell
-    count of one query the discrete estimator will attempt.  Since the
-    cells are counted densely and a batch's count rows are stacked in
-    chunks, it also bounds each chunk's stacked count block, at 8 bytes a
-    cell.
+    with ``--units bits``.  The discrete estimator counts at most
+    :data:`MAX_CELLS` cells per query.
     """
 
     markov_order: int = 1
     estimator: str = "gaussian"
-    state_space_cap: int = 1_000_000
 
     def __post_init__(self) -> None:
         _check_int(self.markov_order, "markov_order", 1)
         if self.estimator not in ("gaussian", "discrete"):
             raise ValidationError(f"unknown estimator {self.estimator!r}")
-        _check_int(self.state_space_cap, "state_space_cap", 1)
 
 
 @dataclass(frozen=True)
@@ -346,9 +350,9 @@ def _projection_di(moments: _Moments, queries: Sequence[_Query]) -> list[float]:
     in one pass that builds each group's flat list of processes, a row
     per query (see the module notes).  Each group's blocks go through one
     stacked factorization and the same element-wise steps, so a query
-    gives bit for bit the same value in any batch.  A group that fails
-    :func:`_factor` takes :func:`_dependent_ratio` query by query.  An
-    empty addition is worth 0.
+    gives bit for bit the same value in any batch.  Only a block that
+    fails :func:`_factor` on its own takes :func:`_dependent_ratio`
+    (:func:`_stack_ratios`).  An empty addition is worth 0.
     """
     values = [0.0] * len(queries)
     order = moments.order
@@ -383,17 +387,31 @@ def _projection_di(moments: _Moments, queries: Sequence[_Query]) -> list[float]:
         idx[:, :d] = moments.lags[procs[:, :-1] - 1].reshape(len(group), d)
         np.add(procs[:, -1], p - 1, out=idx[:, d])
         blocks = moments.stacked[idx[:, :, None], idx[:, None, :]]
-        chol = _factor(blocks, d)
-        if chol is not None:
-            ratios = _ratios(chol, r, d).tolist()
-        else:
-            ratios = [
-                _dependent_ratio(block, r, d, queries[q])
-                for block, q in zip(blocks, group)
-            ]
-        for q, x in zip(group, ratios):
+        for q, x in zip(group, _stack_ratios(blocks, r, d, queries, group)):
             values[q] = 0.5 * log1p(x)
     return values
+
+
+def _stack_ratios(
+    blocks: np.ndarray, r: int, d: int, queries: Sequence[_Query], group: list[int]
+) -> list[float]:
+    """:func:`_ratios` of each block in a stack, as that block gives it alone.
+
+    A stack that fails :func:`_factor` is split in halves, and each half
+    is tried on its own, so only a block that fails alone goes to
+    :func:`_dependent_ratio`, named as query ``queries[group[j]]`` for
+    block ``j``.  A block's factor has the same bits in a stack of any
+    size.  The halves go in order, so the first block to raise is the
+    first in the stack.
+    """
+    chol = _factor(blocks, d)
+    if chol is not None:
+        return _ratios(chol, r, d).tolist()
+    if len(blocks) == 1:
+        return [_dependent_ratio(blocks[0], r, d, queries[group[0]])]
+    half = len(blocks) // 2
+    head = _stack_ratios(blocks[:half], r, d, queries, group[:half])
+    return head + _stack_ratios(blocks[half:], r, d, queries, group[half:])
 
 
 def _factor(blocks: np.ndarray, checked: int) -> np.ndarray | None:
@@ -518,7 +536,6 @@ class _LagCodes(NamedTuple):
     size: int
     order: int
     steps: int
-    cap: int
 
 
 def _lag_codes(panel: TimeSeriesPanel, config: EstimatorConfig) -> _LagCodes:
@@ -530,9 +547,7 @@ def _lag_codes(panel: TimeSeriesPanel, config: EstimatorConfig) -> _LagCodes:
     codes = np.zeros((panel.m, rows), dtype=np.int64)
     for lag in range(1, order + 1):
         codes = codes * size + panel.data[:, order - lag: order - lag + rows]
-    return _LagCodes(
-        codes, panel.data[:, order:], size, order, n, config.state_space_cap
-    )
+    return _LagCodes(codes, panel.data[:, order:], size, order, n)
 
 
 def _plugin_di(lags: _LagCodes, queries: Sequence[_Query]) -> list[float]:
@@ -541,14 +556,14 @@ def _plugin_di(lags: _LagCodes, queries: Sequence[_Query]) -> list[float]:
     Queries are grouped by (target, conditioning set, addition size).  A
     sample's cell code is ``(w * size + y) * span_a + a`` for context
     window ``w``, target symbol ``y`` and addition window ``a``, over
-    ``span_w * size * span_a`` cells, bounded by the state space cap.
+    ``span_w * size * span_a`` cells, at most :data:`MAX_CELLS`.
     The addition's last member is the last digit of ``a``, so the code
     of the members before it is added to the context's share once per
     distinct prefix, and a query costs one add and one ``np.bincount``.
-    Count rows are stacked in chunks of at most ``cap // cells`` queries,
-    so a stacked block never holds more than the cap's cells, and each
-    chunk's values come from one vectorized pass (:func:`_plugin_values`).
-    An empty addition is worth 0.
+    Count rows are stacked in chunks of at most ``MAX_CELLS // cells``
+    queries, so a stacked block never holds more than ``MAX_CELLS`` cells,
+    and each chunk's values come from one vectorized pass
+    (:func:`_plugin_values`).  An empty addition is worth 0.
     """
     values = [0.0] * len(queries)
     order, size = lags.order, lags.size
@@ -570,9 +585,9 @@ def _plugin_di(lags: _LagCodes, queries: Sequence[_Query]) -> list[float]:
         span_w = span ** len(context)
         span_a = span**k
         cells = span_w * span_a * size
-        if cells > lags.cap:
+        if cells > MAX_CELLS:
             raise _query_error(
-                f"state space too large: {cells} cells exceed cap {lags.cap}",
+                f"state space too large: {cells} cells exceed cap {MAX_CELLS}",
                 target, queries[group[0]][1], cond,
             )
         w = codes[context[0] - 1]
@@ -580,7 +595,7 @@ def _plugin_di(lags: _LagCodes, queries: Sequence[_Query]) -> list[float]:
             w = w * span + codes[s - 1]
         # cell code (w * size + y) * span_a + a, less the addition's share
         base = (w * size + lags.symbols[target - 1]) * span_a
-        chunk = lags.cap // cells
+        chunk = MAX_CELLS // cells
         prefix = None
         for start in range(0, len(group), chunk):
             part = group[start: start + chunk]
@@ -836,17 +851,16 @@ def read_panel_csv(
     return TimeSeriesPanel(data, kind=kind, alphabet_size=alphabet_size)
 
 
-def write_panel_csv(panel: TimeSeriesPanel, path: str, header: bool = True) -> None:
+def write_panel_csv(panel: TimeSeriesPanel, path: str) -> None:
     """Write a panel as CSV, one row per time step.
 
-    A header row ``x1,...,xm`` comes first unless ``header`` is false.
-    Discrete symbols are written as integers, exactly; real values with
-    12 significant digits (``.12g``), so they read back within a relative
-    error of ``1e-11``.  The alphabet size is not written.
+    A header row ``x1,...,xm`` comes first.  Discrete symbols are written
+    as integers, exactly; real values with 12 significant digits
+    (``.12g``), so they read back within a relative error of ``1e-11``.
+    The alphabet size is not written.
     """
     with open(path, "w", newline="") as fh:
-        if header:
-            fh.write(",".join(f"x{i}" for i in range(1, panel.m + 1)) + "\n")
+        fh.write(",".join(f"x{i}" for i in range(1, panel.m + 1)) + "\n")
         for t in range(panel.n):
             if panel.kind == "discrete":
                 cells = (str(int(panel.data[i, t])) for i in range(panel.m))

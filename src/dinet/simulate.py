@@ -46,6 +46,10 @@ logger = logging.getLogger(__name__)
 
 RATIO_OPTIMAL_TOL = 1e-9  # scores within this relative gap count as optimal
 
+# draws generate_ar_network makes before it gives up on a network whose
+# coefficients keep coming out with no spectral radius to rescale
+MAX_NETWORK_DRAWS = 100
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -144,20 +148,19 @@ def generate_ar_network(
     spectral_target: float = 0.95,
     noise_variance: float = 0.25,
     include_diagonal: bool = True,
-    max_attempts: int = 100,
 ) -> LinearNetworkModel:
     """A random sparse AR(1) network rescaled to the target spectral radius.
 
     Off-diagonal coefficients are standard normal, each present with
     ``edge_probability``; diagonal self-terms are standard normal too
     unless ``include_diagonal`` is off.  An all-zero draw cannot be
-    rescaled and is resampled.
+    rescaled and is resampled, up to :data:`MAX_NETWORK_DRAWS` draws in
+    all.
     """
     _check_int(m, "m", 1)
-    _check_int(max_attempts, "max_attempts", 1)
     _check_network(edge_probability, spectral_target, noise_variance)
     rng = _as_generator(seed)
-    for _ in range(max_attempts):
+    for _ in range(MAX_NETWORK_DRAWS):
         coeffs = rng.standard_normal((m, m))
         mask = rng.random((m, m)) < edge_probability
         np.fill_diagonal(mask, include_diagonal)
@@ -170,18 +173,17 @@ def generate_ar_network(
             coeffs * (spectral_target / rho), np.full(m, noise_variance)
         )
     raise ValidationError(
-        f"could not draw a nonzero coefficient matrix in {max_attempts} attempts"
+        f"could not draw a nonzero coefficient matrix in {MAX_NETWORK_DRAWS} attempts"
     )
 
 
-def simulate_panel(model: LinearNetworkModel, n: int, seed, burn_in: int | None = None) -> TimeSeriesPanel:
-    """Iterate the network recursion from zero, discarding a burn-in."""
+def simulate_panel(model: LinearNetworkModel, n: int, seed) -> TimeSeriesPanel:
+    """Iterate the network recursion from zero; keep ``n`` steps after a
+    burn-in of ``10 * m``."""
     rng = _as_generator(seed)
     m = model.m
     _check_int(n, "n", 2)
-    if burn_in is None:
-        burn_in = 10 * m
-    _check_int(burn_in, "burn_in", 0)
+    burn_in = 10 * m
     # one draw of every step's noise, then x[t] = noise[t] + A x[t-1] in
     # place, row view by row view, each product written into one reused
     # step buffer; at small m the per-call overhead is the whole cost

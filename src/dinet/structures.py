@@ -18,11 +18,10 @@ from such rows skip the constructor's checks.
 Integers have one rule as well, ``_check_int``: an ``int`` that is not a
 ``bool``, in the input's range.  It checks every public set size K or L;
 a ranking's r; an ``ExperimentConfig``'s m, n, trials, r and seed; a
-simulated panel's n and burn-in; a random network's m and draw limit;
-an ``EstimatorConfig``'s Markov order and state space cap; a discrete
-panel's alphabet size; the m of an evaluator, a cache and
-``build_cache``; the m, target, set rank and approximation index of
-:func:`all_parent_sets`, :func:`parent_set_from_index` and
+simulated panel's n; a random network's m; an ``EstimatorConfig``'s
+Markov order; a discrete panel's alphabet size; the m of an evaluator,
+a cache and ``build_cache``; the m, target, set rank and approximation
+index of :func:`all_parent_sets`, :func:`parent_set_from_index` and
 :func:`assignment_from_index`; and every process index (a target, a
 root, a node of an edge weight table).  Real values have one type rule,
 ``_check_real``: a real number that is not a ``bool``, numpy scalars

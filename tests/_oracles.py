@@ -822,12 +822,12 @@ def random_cache(m: int, K: int, rng: np.random.Generator, tie_rich: bool = Fals
 # Monte Carlo trials, one step and one query at a time
 
 
-def loop_simulate_panel(model, n: int, seed, burn_in=None) -> np.ndarray:
-    """The network recursion with one noise draw per step, as an m x n array."""
+def loop_simulate_panel(model, n: int, seed) -> np.ndarray:
+    """The network recursion with one noise draw per step, as an m x n
+    array of the steps after a burn-in of 10 * m."""
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     m = model.m
-    if burn_in is None:
-        burn_in = 10 * m
+    burn_in = 10 * m
     dyn = model.coefficients.T
     scale = np.sqrt(model.noise_variances)
     x = np.zeros(m)

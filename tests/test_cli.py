@@ -233,19 +233,30 @@ def test_cache_build_of_a_duplicated_process(capsys, tmp_path):
 
 
 def test_cache_build_names_a_plugin_query_over_the_cap(capsys, tmp_path):
+    # binary symbols at order 10: a one-process addition spans 2**21 cells,
+    # above MAX_CELLS, and the query is refused before any row is counted
     rng = np.random.default_rng(31)
     path = tmp_path / "symbols.csv"
     write_panel_csv(
-        TimeSeriesPanel(rng.integers(0, 3, size=(3, 60)), kind="discrete"), str(path)
+        TimeSeriesPanel(rng.integers(0, 2, size=(3, 60)), kind="discrete"), str(path)
     )
     code, out, err = run(
         capsys, "cache", "build", str(path), "--K", "1", "--estimator", "discrete",
-        "--markov-order", "2", "--state-space-cap", "200",
+        "--markov-order", "10",
     )
     assert code == 3
     assert out == ""
-    assert "state space too large: 243 cells exceed cap 200" in err
+    assert "state space too large: 2097152 cells exceed cap 1000000" in err
     assert "(target 1, addition [2], conditioning [])" in err
+
+
+def test_the_state_space_cap_is_not_an_option(capsys, panel_path):
+    with pytest.raises(SystemExit) as exit_:
+        main(["cache", "build", panel_path, "--K", "1", "--state-space-cap", "5"])
+    assert exit_.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --state-space-cap 5" in captured.err
 
 
 def test_cache_build_over_the_size_cap_fails_early(capsys, tmp_path):

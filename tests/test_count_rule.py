@@ -95,12 +95,9 @@ COUNT_ENTRIES = {
     "ExperimentConfig m": lambda v: ExperimentConfig(v, 1),
     "ExperimentConfig n": lambda v: ExperimentConfig(M, 2, n=v),
     "ExperimentConfig trials": lambda v: ExperimentConfig(M, 2, trials=v),
-    "generate_ar_network max_attempts": lambda v: generate_ar_network(M, 1, max_attempts=v),
     "simulate_panel n": lambda v: simulate_panel(network(), v, 0),
-    "simulate_panel burn_in": lambda v: simulate_panel(network(), 50, 0, burn_in=v),
     "ExperimentConfig seed": lambda v: ExperimentConfig(M, 2, seed=v),
     "EstimatorConfig markov_order": lambda v: EstimatorConfig(markov_order=v),
-    "EstimatorConfig state_space_cap": lambda v: EstimatorConfig(state_space_cap=v),
     "TimeSeriesPanel alphabet_size": lambda v: TimeSeriesPanel(
         [[0, 1], [1, 0]], kind="discrete", alphabet_size=v
     ),
@@ -175,14 +172,8 @@ OUT_OF_RANGE = {
         lambda: TimeSeriesPanel([[0, 0], [0, 0]], kind="discrete", alphabet_size=0),
         "alphabet_size must be >= 1, got 0",
     ),
-    "generate_ar_network max_attempts": (
-        lambda: generate_ar_network(M, 1, max_attempts=0), "max_attempts must be >= 1, got 0"
-    ),
     "EstimatorConfig markov_order": (
         lambda: EstimatorConfig(markov_order=0), "markov_order must be >= 1, got 0"
-    ),
-    "EstimatorConfig state_space_cap": (
-        lambda: EstimatorConfig(state_space_cap=0), "state_space_cap must be >= 1, got 0"
     ),
     "DIEvaluator m": (lambda: DIEvaluator(lambda *query: 0.0, 0), "m must be >= 1, got 0"),
     "greedy_bound_coefficient K": (

@@ -35,7 +35,7 @@ from dinet.estimation import (
 from dinet.simulate import generate_ar_network, simulate_panel
 from dinet.topr import top_r_connected, top_r_general
 
-from _oracles import lstsq_di, naive_discrete_di
+from _oracles import lstsq_di, naive_discrete_di, unique_count_di
 
 HALF_LOG_3_2 = 0.5 * math.log(1.5)
 HALF_LOG_2 = 0.5 * math.log(2.0)
@@ -93,8 +93,6 @@ def test_estimator_config_validation():
         EstimatorConfig(markov_order=0)
     with pytest.raises(ValidationError):
         EstimatorConfig(estimator="kernel")
-    with pytest.raises(ValidationError):
-        EstimatorConfig(state_space_cap=0)
 
 
 def test_model_validation_and_accessors():
@@ -374,6 +372,29 @@ def test_near_collinear_regressors_fail_the_pivot_check(monkeypatch, batched):
     assert reached[-1] == (3, (2,), (1,))
 
 
+def test_only_blocks_that_fail_alone_take_the_fallback(monkeypatch):
+    # process 8 copies process 1, so a block holding both lags fails;
+    # the other blocks of its batch keep their own factor's bits
+    reached = _spy_on_fallback(monkeypatch)
+    data = np.array(
+        simulate_panel(generate_ar_network(8, np.random.default_rng(7)), 500, 1).data
+    )
+    data[7] = data[0]
+    panel = TimeSeriesPanel(data)
+    cache = build_cache(DIEvaluator.from_panel(panel), 8, 2)
+    batched = list(reached)
+    alone = []
+    for target, members, value in cache.items():
+        del reached[:]
+        assert value == DIEvaluator.from_panel(panel).set_value(target, members)
+        alone += reached
+        want = lstsq_di(data, target, members, (), 1)
+        assert value == pytest.approx(want, rel=1e-9, abs=1e-12), (target, members)
+    assert sorted(batched) == sorted(alone)
+    # targets 1 and 8 with the other's set, and each other target's {1, 8}
+    assert len(batched) == 2 * 6 + 6 < len(cache.items())
+
+
 def _deterministic_target_panel():
     # x3[t] = x1[t-1] exactly, so the lag of x1 leaves target 3 no residual
     rng = np.random.default_rng(5)
@@ -474,22 +495,45 @@ def test_discrete_estimator_independent_symbols_near_zero():
     assert estimate_di_discrete(panel, 1, (2,)) < 0.005
 
 
-def test_discrete_estimator_state_space_cap():
+def test_discrete_estimator_state_space_cap(monkeypatch):
+    monkeypatch.setattr(estimation, "MAX_CELLS", 100)
     rng = np.random.default_rng(47)
     data = rng.integers(0, 4, size=(3, 100))
     panel = TimeSeriesPanel(data, kind="discrete")
-    config = EstimatorConfig(
-        markov_order=2, estimator="discrete", state_space_cap=100
-    )
+    config = EstimatorConfig(markov_order=2, estimator="discrete")
     with pytest.raises(EstimationError) as err:
         estimate_di_discrete(panel, 1, (2,), (3,), config)
     assert "state space too large" in str(err.value)
 
 
-def test_discrete_cache_errors_name_the_query():
+@pytest.mark.parametrize("K", [1, 2])
+def test_a_query_of_exactly_max_cells_runs_and_one_more_is_named(monkeypatch, K):
+    # alphabet 3, order 1: a K-set query over target 1 alone has
+    # 3**(K + 1) * 3 cells; at a cap of exactly that it runs, one short it
+    # names the group's first query
+    rng = np.random.default_rng(47)
+    data = rng.integers(0, 3, size=(4, 200))
+    panel = TimeSeriesPanel(data, kind="discrete")
+    config = EstimatorConfig(estimator="discrete")
+    cells = 3 ** (K + 2)
+    monkeypatch.setattr(estimation, "MAX_CELLS", cells)
+    cache = build_cache(DIEvaluator.from_panel(panel, config), 4, K)
+    for target, members, value in cache.items():
+        assert value == unique_count_di(data, 3, target, members, (), 1)
+    monkeypatch.setattr(estimation, "MAX_CELLS", cells - 1)
+    with pytest.raises(EstimationError) as err:
+        build_cache(DIEvaluator.from_panel(panel, config), 4, K)
+    assert str(err.value) == (
+        f"state space too large: {cells} cells exceed cap {cells - 1} "
+        f"(target 1, addition {list(range(2, K + 2))}, conditioning [])"
+    )
+
+
+def test_discrete_cache_errors_name_the_query(monkeypatch):
+    monkeypatch.setattr(estimation, "MAX_CELLS", 100)
     rng = np.random.default_rng(47)
     panel = TimeSeriesPanel(rng.integers(0, 4, size=(3, 100)), kind="discrete")
-    config = EstimatorConfig(markov_order=2, estimator="discrete", state_space_cap=100)
+    config = EstimatorConfig(markov_order=2, estimator="discrete")
     ev = DIEvaluator.from_panel(panel, config)
     with pytest.raises(EstimationError) as err:
         build_cache(ev, 3, 1)

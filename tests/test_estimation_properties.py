@@ -10,8 +10,8 @@ panel CSV round trip is checked on drawn values directly.
 import math
 import os
 import tempfile
-from dataclasses import replace
 from itertools import combinations
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -378,9 +378,9 @@ def test_plugin_chunks_of_q_queries_keep_every_bit(query, K, q):
     K = min(K, m - 1)
     panel, config = _discrete(data, alphabet, order)
     cells = alphabet ** (order * (K + 1) + 1)
-    chunked = replace(config, state_space_cap=cells * q)
-    cache = build_cache(DIEvaluator.from_panel(panel, chunked), m, K)
     default = build_cache(DIEvaluator.from_panel(panel, config), m, K)
+    with patch.object(estimation, "MAX_CELLS", cells * q):
+        cache = build_cache(DIEvaluator.from_panel(panel, config), m, K)
     assert cache.items() == default.items()
     for t, members, value in cache.items():
         assert value == unique_count_di(data, alphabet, t, members, (), order)
@@ -388,15 +388,15 @@ def test_plugin_chunks_of_q_queries_keep_every_bit(query, K, q):
     free = [j for j in range(1, m + 1) if j != target and j not in conditioning]
     adds = list(combinations(free, len(addition)))
     cells = alphabet ** (order * (1 + len(conditioning) + len(addition)) + 1)
-    chunked = replace(config, state_space_cap=cells * q)
-    batch = DIEvaluator.from_panel(panel, chunked).increments(target, adds, conditioning)
+    with patch.object(estimation, "MAX_CELLS", cells * q):
+        batch = DIEvaluator.from_panel(panel, config).increments(target, adds, conditioning)
     assert batch == [
         unique_count_di(data, alphabet, target, add, conditioning, order) for add in adds
     ]
     # one cell short of a single query, the group's first query is named
-    short = replace(config, state_space_cap=cells - 1)
-    with pytest.raises(EstimationError) as err:
-        DIEvaluator.from_panel(panel, short).increments(target, adds, conditioning)
+    with patch.object(estimation, "MAX_CELLS", cells - 1):
+        with pytest.raises(EstimationError) as err:
+            DIEvaluator.from_panel(panel, config).increments(target, adds, conditioning)
     assert str(err.value).endswith(
         f"(target {target}, addition {list(adds[0])}, conditioning {list(conditioning)})"
     )
@@ -418,9 +418,17 @@ def test_plugin_kernel_matches_dictionary_counting(query):
 
 
 def _round_trip(panel, header, **read):
+    """``write_panel_csv`` and back; without ``header``, the file's header
+    row is cut by hand, as in a headerless file written elsewhere."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "panel.csv")
-        write_panel_csv(panel, path, header=header)
+        write_panel_csv(panel, path)
+        with open(path) as fh:
+            first, rows = fh.readline(), fh.read()
+        assert first == ",".join(f"x{i}" for i in range(1, panel.m + 1)) + "\n"
+        if not header:
+            with open(path, "w") as fh:
+                fh.write(rows)
         return read_panel_csv(path, kind=panel.kind, **read)
 
 

@@ -12,6 +12,7 @@ from dinet.estimation import (
 )
 from dinet.simulate import (
     AGGREGATE_HEADER,
+    MAX_NETWORK_DRAWS,
     TRIAL_HEADER,
     ExperimentConfig,
     aggregate_rows,
@@ -76,10 +77,8 @@ def test_generate_network_validation():
         with pytest.raises(ValidationError):
             generate_ar_network(3, 1, spectral_target=bad)
     # nothing to rescale when every coefficient is masked away
-    with pytest.raises(ValidationError):
-        generate_ar_network(
-            2, 1, edge_probability=0.0, include_diagonal=False, max_attempts=5
-        )
+    with pytest.raises(ValidationError, match=f"in {MAX_NETWORK_DRAWS} attempts"):
+        generate_ar_network(2, 1, edge_probability=0.0, include_diagonal=False)
 
 
 BAD_NETWORKS = {
@@ -124,13 +123,9 @@ def test_simulate_panel_equals_the_stepwise_loop(m):
     models = [generate_ar_network(m, np.random.default_rng([seed, m])) for seed in range(20)]
     models.append(LinearNetworkModel(np.zeros((m, m)), np.full(m, 0.25)))
     for seed, model in enumerate(models):
-        got = simulate_panel(model, 150, seed).data
-        assert np.array_equal(got, loop_simulate_panel(model, 150, seed))
-        for n, burn_in in ((2, None), (2, 0), (40, 0), (40, 1), (40, 7)):
-            got = simulate_panel(model, n, seed, burn_in=burn_in).data
-            assert np.array_equal(got, loop_simulate_panel(model, n, seed, burn_in))
-    with pytest.raises(ValidationError, match="burn_in"):
-        simulate_panel(model, 40, 3, burn_in=-1)
+        for n in (2, 40, 150):
+            got = simulate_panel(model, n, seed).data
+            assert np.array_equal(got, loop_simulate_panel(model, n, seed))
 
 
 def test_simulate_panel_moments():

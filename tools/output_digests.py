@@ -44,6 +44,7 @@ from dinet import (  # noqa: E402
     TimeSeriesPanel,
     build_cache,
     cli,
+    estimation,
     generate_ar_network,
     greedy_connected,
     greedy_general,
@@ -159,11 +160,12 @@ def plugin_lines() -> list[str]:
 
     The caches are ``build_cache`` on ``plugin_panel(alphabet)`` for
     alphabet 2 and 3, Markov order 1 to 3 and K 1 to 3, wherever a set's
-    cells fit the default state space cap.  ``greedy_general`` and
+    cells fit ``estimation.MAX_CELLS``.  ``greedy_general`` and
     ``greedy_connected`` (L=3, order 2, binary panel) ask for batches
     under conditioning sets.
     """
-    cap = EstimatorConfig().state_space_cap
+    # a base checkout from before MAX_CELLS held the same cap in its config
+    cap = getattr(estimation, "MAX_CELLS", None) or EstimatorConfig().state_space_cap
     lines = []
     for alphabet in (2, 3):
         panel = plugin_panel(alphabet)
