@@ -1,8 +1,7 @@
 """One integer rule, ``structures._check_int``, at every public entry.
 
 A set size K or L; a count (r, a study's m, n, trials and seed, a
-simulated panel's n and burn-in, the draw limit of a random network, an
-estimator's Markov order and state space cap, a discrete panel's
+simulated panel's n, an estimator's Markov order, a discrete panel's
 alphabet size); a process count m (of an evaluator, a cache,
 ``build_cache``, a random network, ``all_parent_sets``,
 ``parent_set_from_index`` and ``assignment_from_index``); and an index
@@ -14,9 +13,15 @@ before any list is built or any value is computed.
 Beside it, ``structures._check_real`` is the one type rule for a real
 value (a random network's parameters, a guarantee's alpha and budget, a
 cache value, a root weight), and a seed is refused with ValidationError
-whenever numpy refuses it.  A real panel takes no alphabet size."""
+whenever numpy refuses it.  A real panel takes no alphabet size.
 
+The package's fixed limits (the plug-in cell cap, a random network's
+draws, a simulated panel's burn-in, the CSV header row) are constants,
+and no entry takes them as an argument."""
+
+import os
 import reprlib
+import tempfile
 from functools import cache
 
 import numpy as np
@@ -36,7 +41,13 @@ from dinet.bounds import (
     greedy_bound_coefficient,
 )
 from dinet.errors import ValidationError
-from dinet.estimation import DIEvaluator, EstimatorConfig, TimeSeriesPanel, build_cache
+from dinet.estimation import (
+    DIEvaluator,
+    EstimatorConfig,
+    TimeSeriesPanel,
+    build_cache,
+    write_panel_csv,
+)
 from dinet.simulate import ExperimentConfig, generate_ar_network, simulate_panel
 from dinet.structures import (
     DirectedInfoCache,
@@ -189,6 +200,27 @@ OUT_OF_RANGE = {
     "ExperimentConfig K": (lambda: ExperimentConfig(4, 0), "K 0 out of range 1..3"),
     "ExperimentConfig L": (lambda: ExperimentConfig(4, 1, L=0), "L 0 out of range 1..3"),
 }
+
+
+def _write_csv(**kwargs):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "panel.csv")
+        write_panel_csv(TimeSeriesPanel(np.zeros((2, 3))), path, **kwargs)
+
+
+FIXED_LIMITS = {
+    "generate_ar_network max_attempts": lambda: generate_ar_network(M, 1, max_attempts=5),
+    "simulate_panel burn_in": lambda: simulate_panel(network(), 50, 0, burn_in=0),
+    "EstimatorConfig state_space_cap": lambda: EstimatorConfig(state_space_cap=100),
+    "write_panel_csv header": lambda: _write_csv(header=False),
+}
+
+
+@pytest.mark.parametrize("entry", FIXED_LIMITS)
+def test_a_fixed_limit_is_not_an_argument(entry):
+    name = entry.split()[-1]
+    with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
+        FIXED_LIMITS[entry]()
 
 
 @pytest.mark.parametrize("entry", OUT_OF_RANGE)

@@ -372,16 +372,17 @@ def test_near_collinear_regressors_fail_the_pivot_check(monkeypatch, batched):
     assert reached[-1] == (3, (2,), (1,))
 
 
-def test_only_blocks_that_fail_alone_take_the_fallback(monkeypatch):
-    # process 8 copies process 1, so a block holding both lags fails;
+@pytest.mark.parametrize("m, K", [(8, 2), (6, 1), (6, 3), (7, 3)])
+def test_only_blocks_that_fail_alone_take_the_fallback(monkeypatch, m, K):
+    # process m copies process 1, so a block holding both lags fails;
     # the other blocks of its batch keep their own factor's bits
     reached = _spy_on_fallback(monkeypatch)
     data = np.array(
-        simulate_panel(generate_ar_network(8, np.random.default_rng(7)), 500, 1).data
+        simulate_panel(generate_ar_network(m, np.random.default_rng(7)), 500, 1).data
     )
-    data[7] = data[0]
+    data[m - 1] = data[0]
     panel = TimeSeriesPanel(data)
-    cache = build_cache(DIEvaluator.from_panel(panel), 8, 2)
+    cache = build_cache(DIEvaluator.from_panel(panel), m, K)
     batched = list(reached)
     alone = []
     for target, members, value in cache.items():
@@ -391,8 +392,10 @@ def test_only_blocks_that_fail_alone_take_the_fallback(monkeypatch):
         want = lstsq_di(data, target, members, (), 1)
         assert value == pytest.approx(want, rel=1e-9, abs=1e-12), (target, members)
     assert sorted(batched) == sorted(alone)
-    # targets 1 and 8 with the other's set, and each other target's {1, 8}
-    assert len(batched) == 2 * 6 + 6 < len(cache.items())
+    # targets 1 and m with a set holding the other, and each other
+    # target's sets holding both
+    both = (m - 2) * math.comb(m - 3, K - 2) if K >= 2 else 0
+    assert len(batched) == 2 * math.comb(m - 2, K - 1) + both < len(cache.items())
 
 
 def _deterministic_target_panel():
@@ -507,19 +510,23 @@ def test_discrete_estimator_state_space_cap(monkeypatch):
 
 
 @pytest.mark.parametrize("K", [1, 2])
-def test_a_query_of_exactly_max_cells_runs_and_one_more_is_named(monkeypatch, K):
-    # alphabet 3, order 1: a K-set query over target 1 alone has
-    # 3**(K + 1) * 3 cells; at a cap of exactly that it runs, one short it
-    # names the group's first query
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("alphabet", [2, 3])
+def test_a_query_of_exactly_max_cells_runs_and_one_more_is_named(
+    monkeypatch, alphabet, order, K
+):
+    # a K-set query over target 1 alone has alphabet**(order * (K + 1) + 1)
+    # cells; at a cap of exactly that it runs, one short it names the
+    # group's first query
     rng = np.random.default_rng(47)
-    data = rng.integers(0, 3, size=(4, 200))
+    data = rng.integers(0, alphabet, size=(4, 200))
     panel = TimeSeriesPanel(data, kind="discrete")
-    config = EstimatorConfig(estimator="discrete")
-    cells = 3 ** (K + 2)
+    config = EstimatorConfig(markov_order=order, estimator="discrete")
+    cells = alphabet ** (order * (K + 1) + 1)
     monkeypatch.setattr(estimation, "MAX_CELLS", cells)
     cache = build_cache(DIEvaluator.from_panel(panel, config), 4, K)
     for target, members, value in cache.items():
-        assert value == unique_count_di(data, 3, target, members, (), 1)
+        assert value == unique_count_di(data, alphabet, target, members, (), order)
     monkeypatch.setattr(estimation, "MAX_CELLS", cells - 1)
     with pytest.raises(EstimationError) as err:
         build_cache(DIEvaluator.from_panel(panel, config), 4, K)
