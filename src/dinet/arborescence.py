@@ -1,11 +1,16 @@
 """Maximum weight directed spanning trees (arborescences).
 
-The solver is the classic cycle-contraction algorithm: greedily pick the
-best in-edge per node, contract any cycle that forms, adjust the weights of
+The solver is the classic cycle-contraction algorithm: pick the best
+in-edge per node, contract any cycle that forms, adjust the weights of
 edges entering the cycle by the weight of the in-cycle edge they displace,
-and recurse.  Everything is deterministic: among equal-weight choices the
-smaller original ``(source, destination)`` pair wins, so equal-weight
-inputs always reproduce the same tree.
+and repeat.  As in Tarjan (1977), a contraction touches only the edges
+around its cycle: each node keeps a map of its in-edges by source, the
+best in-edges are picked once, and a contraction re-weights the edges
+entering the cycle and merges per destination the edges leaving it, so
+every other edge and best in-edge stays as it was.  Everything is
+deterministic: among equal-weight choices the smaller original ``(source,
+destination)`` pair wins, so equal-weight inputs always reproduce the
+same tree.
 
 Internally an arc's weight is an element of the ordered group
 ``Z x R x Z``, compared lexicographically; contraction subtracts weights
@@ -136,22 +141,11 @@ def _better(a: _Arc, b: _Arc | None) -> bool:
     return a.key < b.key
 
 
-def _solve(nodes: list[int], arcs: list[_Arc], root: int) -> list[_Arc] | None:
-    """Chosen arcs at this contraction level, or None if infeasible."""
-    best_in: dict[int, _Arc] = {}
-    for arc in arcs:
-        if arc.dst == root:
-            continue
-        if _better(arc, best_in.get(arc.dst)):
-            best_in[arc.dst] = arc
-
-    for v in nodes:
-        if v != root and v not in best_in:
-            return None
-
-    # look for a cycle among the chosen in-edges
+def _find_cycle(
+    nodes: list[int], best_in: dict[int, _Arc], root: int
+) -> list[int] | None:
+    """The first cycle of chosen in-arcs, walking up from each node in order."""
     color: dict[int, int] = {}  # 0 on current walk, 1 finished
-    cycle: list[int] | None = None
     for start in nodes:
         if start == root or start in color:
             continue
@@ -162,51 +156,88 @@ def _solve(nodes: list[int], arcs: list[_Arc], root: int) -> list[_Arc] | None:
             path.append(v)
             v = best_in[v].src
         if v != root and color[v] == 0:
-            cycle = path[path.index(v):]
+            return path[path.index(v):]
         for u in path:
             color[u] = 1
-        if cycle:
-            break
+    return None
 
-    if cycle is None:
-        return [best_in[v] for v in nodes if v != root]
 
-    cyc = set(cycle)
-    super_node = max(nodes) + 1
-    new_nodes = [v for v in nodes if v not in cyc] + [super_node]
-    merged: dict[tuple[int, int], _Arc] = {}
+def _best(arcs) -> _Arc | None:
+    best = None
     for arc in arcs:
-        s_in, d_in = arc.src in cyc, arc.dst in cyc
-        if s_in and d_in:
-            continue
-        if d_in:
-            adjusted = _minus(arc.w, best_in[arc.dst].w)
-            cand = _Arc(arc.src, super_node, adjusted, arc.key, arc, arc.dst)
-        elif s_in:
-            cand = _Arc(super_node, arc.dst, arc.w, arc.key, arc, None)
-        else:
-            cand = arc
-        pair = (cand.src, cand.dst)
-        if _better(cand, merged.get(pair)):
-            merged[pair] = cand
+        if _better(arc, best):
+            best = arc
+    return best
 
-    sub = _solve(new_nodes, list(merged.values()), root)
-    if sub is None:
-        return None
 
-    # the super node is never the root, so one arc of ``sub`` enters it
-    chosen: list[_Arc] = []
-    for arc in sub:
-        if arc.dst == super_node:
-            entered_at = arc.enters_at
-            chosen.append(arc.orig)  # type: ignore[arg-type]
-        elif arc.src == super_node:
-            chosen.append(arc.orig)  # type: ignore[arg-type]
-        else:
-            chosen.append(arc)
-    for v in cycle:
-        if v != entered_at:
-            chosen.append(best_in[v])
+def _solve(
+    nodes: list[int], into: dict[int, dict[int, _Arc]], root: int
+) -> list[_Arc] | None:
+    """Chosen arcs, or None if infeasible.
+
+    ``into[v]`` maps each source to the arc into ``v``, for every node but
+    the root.  Every node's best in-arc is picked once.  Contracting a
+    cycle into a super node re-weights only the arcs entering it, keeping
+    the best per source, and merges per destination the arcs leaving it
+    into one wrapped arc; every other arc and best in-arc stays, a best
+    in-arc from the cycle becoming its wrapped arc.  Contractions repeat
+    while a cycle remains, then unwind from the last one.
+    """
+    best_in: dict[int, _Arc] = {}
+    for v in nodes:
+        if v != root:
+            best = _best(into[v].values())
+            if best is None:
+                return None
+            best_in[v] = best
+
+    # per contraction: its cycle, super node and the cycle's best in-arcs
+    levels: list[tuple[list[int], int, dict[int, _Arc]]] = []
+    while (cycle := _find_cycle(nodes, best_in, root)) is not None:
+        cyc = set(cycle)
+        super_node = max(nodes) + 1
+        entering: dict[int, _Arc] = {}
+        for v in cycle:
+            base = best_in[v].w
+            for s, arc in into.pop(v).items():
+                if s in cyc:
+                    continue
+                cand = _Arc(s, super_node, _minus(arc.w, base), arc.key, arc, v)
+                if _better(cand, entering.get(s)):
+                    entering[s] = cand
+        nodes = [v for v in nodes if v not in cyc]
+        for d in nodes:
+            if d == root:
+                continue
+            arcs = into[d]
+            best = _best([a for c in cycle if (a := arcs.pop(c, None)) is not None])
+            if best is not None:
+                arcs[super_node] = wrapped = _Arc(
+                    super_node, d, best.w, best.key, best, None
+                )
+                if best_in[d] is best:
+                    best_in[d] = wrapped
+        if not entering:
+            return None
+        levels.append((cycle, super_node, {v: best_in.pop(v) for v in cycle}))
+        nodes.append(super_node)
+        into[super_node] = entering
+        best_in[super_node] = _best(entering.values())  # type: ignore[assignment]
+
+    chosen = [best_in[v] for v in nodes if v != root]
+    # the super node is never the root, so one chosen arc enters it
+    for cycle, super_node, cycle_in in reversed(levels):
+        unwound: list[_Arc] = []
+        for arc in chosen:
+            if arc.dst == super_node:
+                entered_at = arc.enters_at
+                unwound.append(arc.orig)  # type: ignore[arg-type]
+            elif arc.src == super_node:
+                unwound.append(arc.orig)  # type: ignore[arg-type]
+            else:
+                unwound.append(arc)
+        unwound += [cycle_in[v] for v in cycle if v != entered_at]
+        chosen = unwound
     return chosen
 
 
@@ -241,15 +272,13 @@ def max_weight_arborescence(
             raise ValidationError("root_weights must be one finite value per node")
         dummy_arcs = list(zip(nodes, root_weights))
     dummy = 0
-    arcs = [
-        _Arc(s, d, (0, w, 0), (s, d), None, None)
-        for s, d, w in weights.arcs()
-        if d != root
-    ]
-    arcs += [
-        _Arc(dummy, r, (-1, b, -r), (dummy, r), None, None) for r, b in dummy_arcs
-    ]
-    chosen = _solve([dummy, *nodes], arcs, dummy) or []
+    into: dict[int, dict[int, _Arc]] = {v: {} for v in nodes}
+    for s, d, w in weights.arcs():
+        if d != root:
+            into[d][s] = _Arc(s, d, (0, w, 0), (s, d), None, None)
+    for r, b in dummy_arcs:
+        into[r][dummy] = _Arc(dummy, r, (-1, b, -r), (dummy, r), None, None)
+    chosen = _solve([dummy, *nodes], into, dummy) or []
     # a tree of real arcs is one that needs a single dummy arc
     tops = [a.dst for a in chosen if a.src == dummy]
     if len(tops) != 1:

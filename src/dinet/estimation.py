@@ -397,37 +397,56 @@ def _stack_ratios(
 ) -> list[float]:
     """:func:`_ratios` of each block in a stack, as that block gives it alone.
 
-    A stack that fails :func:`_factor` is split in halves, and each half
-    is tried on its own, so only a block that fails alone goes to
-    :func:`_dependent_ratio`, named as query ``queries[group[j]]`` for
-    block ``j``.  A block's factor has the same bits in a stack of any
-    size.  The halves go in order, so the first block to raise is the
-    first in the stack.
+    A stack whose factorization raises is split in halves, and each half
+    is tried on its own.  Once a stack factors, each block that fails the
+    pivot check (:func:`_dependent`) goes to :func:`_dependent_ratio`,
+    named as query ``queries[group[j]]`` for block ``j``, and the others
+    keep their factors: a block's factor has the same bits in a stack of
+    any size.  The halves and the failing blocks go in order, so the
+    first block to raise is the first in the stack.
     """
-    chol = _factor(blocks, d)
-    if chol is not None:
+    try:
+        chol = np.linalg.cholesky(blocks)
+    except np.linalg.LinAlgError:
+        if len(blocks) == 1:
+            return [_dependent_ratio(blocks[0], r, d, queries[group[0]])]
+        half = len(blocks) // 2
+        head = _stack_ratios(blocks[:half], r, d, queries, group[:half])
+        return head + _stack_ratios(blocks[half:], r, d, queries, group[half:])
+    dependent = _dependent(chol, blocks, d)
+    if not dependent.any():
         return _ratios(chol, r, d).tolist()
-    if len(blocks) == 1:
-        return [_dependent_ratio(blocks[0], r, d, queries[group[0]])]
-    half = len(blocks) // 2
-    head = _stack_ratios(blocks[:half], r, d, queries, group[:half])
-    return head + _stack_ratios(blocks[half:], r, d, queries, group[half:])
+    values = [0.0] * len(blocks)
+    kept = np.flatnonzero(~dependent).tolist()
+    for j, x in zip(kept, _ratios(chol[kept], r, d).tolist()):
+        values[j] = x
+    for j in np.flatnonzero(dependent).tolist():
+        values[j] = _dependent_ratio(blocks[j], r, d, queries[group[j]])
+    return values
 
 
 def _factor(blocks: np.ndarray, checked: int) -> np.ndarray | None:
     """Cholesky factors of a stack of blocks, or None.
 
-    None when a block is not positive definite, or when one of its first
-    ``checked`` squared pivots falls below ``SINGULAR_PIVOT`` times its
-    diagonal entry: that column depends on the columns before it.
+    None when a block is not positive definite or fails the pivot check
+    of its first ``checked`` columns (:func:`_dependent`).
     """
     try:
         chol = np.linalg.cholesky(blocks)
     except np.linalg.LinAlgError:
         return None
+    return None if _dependent(chol, blocks, checked).any() else chol
+
+
+def _dependent(chol: np.ndarray, blocks: np.ndarray, checked: int) -> np.ndarray:
+    """Per block, whether it fails the pivot check of its first ``checked`` columns.
+
+    A column fails when its squared pivot falls below ``SINGULAR_PIVOT``
+    times its diagonal entry: it depends on the columns before it.
+    """
     pivots = np.diagonal(chol, axis1=1, axis2=2)[:, :checked] ** 2
     scale = np.diagonal(blocks, axis1=1, axis2=2)[:, :checked]
-    return None if (pivots < SINGULAR_PIVOT * scale).any() else chol
+    return (pivots < SINGULAR_PIVOT * scale).any(axis=1)
 
 
 def _ratios(chol: np.ndarray, r: int, d: int) -> np.ndarray:

@@ -19,11 +19,16 @@ after it, and no seen set is kept.  This is exact if a parent's score
 is never lower, and on an exact tie a parent's tie index is smaller.
 A score is ``math.fsum`` of the point's node values: the exact sum,
 correctly rounded, so it is monotone in each value and the walk is
-exact on every Python version.  Greedy lists are not sorted by value,
-so over them a pop pushes every one-step successor and a seen set drops
-repeats.  Heap entries hold positions, never :class:`ParentAssignment`
-objects, which are built only for emitted solutions, sharing one
-:class:`ParentSet` per (node, set) within a ranking.  The same values
+exact on every Python version.  A point is pushed unscored, under a key
+that bounds its score: the ``fsum`` of its parent's score, half that
+score's ulp and the one value that changed.  Most points never reach
+the top of the heap; one that does is built and scored there and pushed
+again, so the walk scores only the points it pops.  Greedy lists are
+not sorted by value, so over them a pop pushes every one-step successor
+and a seen set drops repeats.  Heap entries hold positions, never
+:class:`ParentAssignment` objects, which are built only for emitted
+solutions, sharing one :class:`ParentSet` per (node, set) within a
+ranking.  The same values
 give the same bits in any order, so equal scores compare bit for bit.
 
 The tie index weighs each node's set rank, and a step between equal
@@ -66,7 +71,7 @@ from __future__ import annotations
 import heapq
 from collections.abc import Callable, Sequence
 from itertools import count
-from math import comb, fsum, inf
+from math import comb, fsum, inf, ulp
 
 from .approximation import (
     _Candidates,
@@ -117,19 +122,30 @@ def _score_at(columns: Sequence[list[float]], pos: _Point) -> float:
     return fsum(map(list.__getitem__, columns, pos))
 
 
-def _successors(lattice: _Lattice, pos: _Point, start: int = 0):
-    """Each one-coordinate step below ``pos`` from coordinate ``start`` on.
+def _successors(lattice: _Lattice, pos: _Point):
+    """Each one-coordinate step below ``pos``.
 
     Yields ``(c, pos with coordinate c bumped to its next candidate)``, in
-    coordinate order, for every such coordinate whose list has a next
+    coordinate order, for every coordinate whose list has a next
     candidate.
     """
-    for c in range(start, len(pos)):
+    for c in range(len(pos)):
         p = pos[c] + 1
         lst = lattice[c]
         # p exists once its value is drawn; has() draws a greedy list to it
         if p < len(lst.values) or lst.has(p):
             yield c, pos[:c] + (p,) + pos[c + 1:]
+
+
+def _bound(score: float, new: float, old: float) -> float:
+    """A key no lower than the score of a point after one value changes.
+
+    ``score`` is the ``fsum`` of the point's values, so their exact sum
+    lies within half an ulp of it.  ``fsum`` rounds correctly and rounding
+    is monotone, so the key is at least the score of the point whose
+    value ``old`` became ``new``.
+    """
+    return fsum((score, ulp(score) / 2, new, -old))
 
 
 def _walk(lattices: Sequence[_Lattice], weights: Sequence[int], sorted_lists: bool):
@@ -143,30 +159,51 @@ def _walk(lattices: Sequence[_Lattice], weights: Sequence[int], sorted_lists: bo
     pushed only by its canonical parent, the point with its last bumped
     coordinate stepped back: a heap entry carries that coordinate, and a
     pop bumps only it and the ones after it, so every point is pushed
-    once.  Otherwise a pop pushes every one-step successor and a seen set
-    drops the repeats.
+    once.  It is pushed unscored, under its :func:`_bound` from the
+    parent's score, and gets its position and score only when it reaches
+    the top of the heap, where it is pushed again, scored.  An unscored
+    entry goes before a scored one of equal key, so scored entries pop
+    in the order they would if every point were scored when pushed.
+    Otherwise a pop pushes every one-step successor, scored, and a seen
+    set drops the repeats.
     """
     columns = [[lst.values for lst in lattice] for lattice in lattices]
     ranks = [[lst.ranks for lst in lattice] for lattice in lattices]
     seen = None if sorted_lists else [{(0,) * len(lattice)} for lattice in lattices]
+    # (-score, 1, index, lattice, position, last bumped coordinate), or
+    # unscored (-bound, 0, index, lattice, parent position, bumped coordinate)
     heap = []
     for n, lattice in enumerate(lattices):
         pos = (0,) * len(lattice)
         index = sum(col[0] * w for col, w in zip(ranks[n], weights))
-        heap.append((-_score_at(columns[n], pos), index, n, pos, 0))
+        heap.append((-_score_at(columns[n], pos), 1, index, n, pos, 0))
     heapq.heapify(heap)
     while heap:
-        neg_score, index, n, pos, last = heapq.heappop(heap)
+        neg_score, scored, index, n, pos, last = heapq.heappop(heap)
+        if not scored:
+            nxt = pos[:last] + (pos[last] + 1,) + pos[last + 1:]
+            heapq.heappush(heap, (-_score_at(columns[n], nxt), 1, index, n, nxt, last))
+            continue
         yield -neg_score, n, pos
-        start = last if seen is None else 0
-        for c, nxt in _successors(lattices[n], pos, start):
-            if seen is not None:
-                if nxt in seen[n]:
-                    continue
-                seen[n].add(nxt)
+        if seen is None:
+            score, values, rank = -neg_score, columns[n], ranks[n]
+            for c in range(last, len(pos)):
+                p = pos[c] + 1
+                col = values[c]
+                if p < len(col):
+                    key = _bound(score, col[p], col[p - 1])
+                    step = (rank[c][p] - rank[c][p - 1]) * weights[c]
+                    heapq.heappush(heap, (-key, 0, index + step, n, pos, c))
+            continue
+        for c, nxt in _successors(lattices[n], pos):
+            if nxt in seen[n]:
+                continue
+            seen[n].add(nxt)
             col, p = ranks[n][c], nxt[c]
             step = (col[p] - col[p - 1]) * weights[c]
-            heapq.heappush(heap, (-_score_at(columns[n], nxt), index + step, n, nxt, c))
+            heapq.heappush(
+                heap, (-_score_at(columns[n], nxt), 1, index + step, n, nxt, c)
+            )
 
 
 def _key(columns: Sequence[list[tuple[int, ...]]], pos: _Point) -> tuple:

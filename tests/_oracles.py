@@ -5,9 +5,11 @@ naive counting, generic LP solvers, per-query least squares fits,
 per-query ``np.unique`` counts and scipy's Lyapunov solver.  Nothing
 imports from the package's algorithm internals beyond plain data
 containers, so agreement between these oracles and the library is
-meaningful evidence.  Three exceptions: :func:`per_root_arborescence`
+meaningful evidence.  Four exceptions: :func:`per_root_arborescence`
 loops the package's fixed-root solver (checked against
 :func:`brute_force_arborescence` on its own) over every root,
+:func:`contraction_arborescence` is the package's earlier solver, which
+rebuilds every arc at each contraction level,
 :func:`per_row_trial_reports` runs the package's public searches and
 checks only how a Monte Carlo trial scores what they select, and
 :func:`eager_greedy_connected` is the greedy partition search solved
@@ -119,6 +121,113 @@ def per_root_arborescence(weights, root_weights=None):
             "infeasible: no spanning arborescence with allowed edges"
         )
     return best
+
+
+def contraction_arborescence(weights, root=None, root_weights=None):
+    """The cycle-contraction solve that rebuilds every arc at each level.
+
+    Takes an ``EdgeWeights`` table and returns ``(tree, contractions)``:
+    the package's ``Arborescence`` for the same query and the number of
+    cycles contracted.  It is the package's earlier solver, kept as the
+    reference for the incremental one: the same dummy node 0 and
+    ``Z x R x Z`` arc weights (see ``dinet.arborescence``), the same
+    cycle search, super-node numbering and unwinding, but each level
+    builds a fresh arc list from the one before, re-weighting every arc
+    that enters the cycle and merging arcs per (source, destination)
+    pair.  Raises ``InfeasibleArborescenceError`` as the package does.
+    """
+    from dinet.arborescence import Arborescence
+    from dinet.errors import InfeasibleArborescenceError
+
+    # an arc is [src, dst, weight, original (src, dst), wrapped arc, entered node]
+    def better(a, b):
+        return b is None or (a[2], b[3]) > (b[2], a[3])
+
+    def minus(a, b):
+        return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
+
+    contractions = 0
+
+    def solve(nodes, arcs, root):
+        nonlocal contractions
+        best_in = {}
+        for arc in arcs:
+            if arc[1] != root and better(arc, best_in.get(arc[1])):
+                best_in[arc[1]] = arc
+        if any(v != root and v not in best_in for v in nodes):
+            return None
+        color, cycle = {}, None
+        for start in nodes:
+            if start == root or start in color:
+                continue
+            path, v = [], start
+            while v != root and v not in color:
+                color[v] = 0
+                path.append(v)
+                v = best_in[v][0]
+            if v != root and color[v] == 0:
+                cycle = path[path.index(v):]
+            for u in path:
+                color[u] = 1
+            if cycle:
+                break
+        if cycle is None:
+            return [best_in[v] for v in nodes if v != root]
+        contractions += 1
+        cyc = set(cycle)
+        sup = max(nodes) + 1
+        merged = {}
+        for arc in arcs:
+            s_in, d_in = arc[0] in cyc, arc[1] in cyc
+            if s_in and d_in:
+                continue
+            if d_in:
+                adjusted = minus(arc[2], best_in[arc[1]][2])
+                cand = (arc[0], sup, adjusted, arc[3], arc, arc[1])
+            elif s_in:
+                cand = (sup, arc[1], arc[2], arc[3], arc, None)
+            else:
+                cand = arc
+            if better(cand, merged.get(cand[:2])):
+                merged[cand[:2]] = cand
+        rest = [v for v in nodes if v not in cyc]
+        sub = solve(rest + [sup], list(merged.values()), root)
+        if sub is None:
+            return None
+        chosen = []
+        for arc in sub:
+            if arc[1] == sup:
+                entered_at = arc[5]
+                chosen.append(arc[4])
+            elif arc[0] == sup:
+                chosen.append(arc[4])
+            else:
+                chosen.append(arc)
+        return chosen + [best_in[v] for v in cycle if v != entered_at]
+
+    nodes = list(weights.nodes)
+    if root is not None:
+        dummy_arcs = [(root, 0.0)]
+    else:
+        bonus = [0.0] * len(nodes) if root_weights is None else root_weights
+        dummy_arcs = [(r, float(b)) for r, b in zip(nodes, bonus)]
+    arcs = [
+        (s, d, (0, w, 0), (s, d), None, None)
+        for s, d, w in weights.arcs()
+        if d != root
+    ]
+    arcs += [(0, r, (-1, b, -r), (0, r), None, None) for r, b in dummy_arcs]
+    chosen = solve([0, *nodes], arcs, 0) or []
+    tops = [arc[1] for arc in chosen if arc[0] == 0]
+    if len(tops) != 1:
+        raise InfeasibleArborescenceError("infeasible: no spanning arborescence")
+    chosen = [arc for arc in chosen if arc[0] != 0]
+    tree = Arborescence(
+        root=tops[0],
+        parent={arc[1]: arc[0] for arc in chosen},
+        total_weight=math.fsum(arc[2][1] for arc in chosen),
+    )
+    return tree, contractions
 
 
 # ---------------------------------------------------------------------------

@@ -398,6 +398,44 @@ def test_only_blocks_that_fail_alone_take_the_fallback(monkeypatch, m, K):
     assert len(batched) == 2 * math.comb(m - 2, K - 1) + both < len(cache.items())
 
 
+def test_a_stack_that_factors_is_not_split(monkeypatch):
+    # process 5 is process 2 plus 1e-7 noise: every stack factors, and
+    # only the blocks holding both lags fail the pivot check, so they
+    # alone take the fallback and no stack is split
+    def stack_sizes(data):
+        sizes = []
+        split = estimation._stack_ratios
+
+        def spy(blocks, *rest):
+            sizes.append(len(blocks))
+            return split(blocks, *rest)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(estimation, "_stack_ratios", spy)
+            cache = build_cache(DIEvaluator.from_panel(TimeSeriesPanel(data)), 6, 2)
+        return sizes, cache
+
+    rng = np.random.default_rng(5)
+    data = np.array(simulate_panel(generate_ar_network(6, rng), 500, 1).data)
+    clean, _ = stack_sizes(data)
+    data[4] = data[1] + 1e-7 * rng.standard_normal(500)
+    reached = _spy_on_fallback(monkeypatch)
+    sizes, cache = stack_sizes(data)
+    assert sizes == clean
+    assert sorted(reached) == sorted(
+        (target, members, ())
+        for target, members, _ in cache.items()
+        if {2, 5} <= {target, *members}
+    )
+    for target, members, value in cache.items():
+        assert value == DIEvaluator.from_panel(TimeSeriesPanel(data)).set_value(
+            target, members
+        )
+        if (target, members, ()) not in reached:
+            want = lstsq_di(data, target, members, (), 1)
+            assert value == pytest.approx(want, rel=1e-9), (target, members)
+
+
 def _deterministic_target_panel():
     # x3[t] = x1[t-1] exactly, so the lag of x1 leaves target 3 no residual
     rng = np.random.default_rng(5)

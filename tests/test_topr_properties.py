@@ -3,25 +3,40 @@
 Hypothesis draws tie-rich caches, where equal scores are the rule, and
 compares :func:`top_r_connected` with the exhaustive sort in
 ``_oracles.py`` in both root modes, for every ``r`` up to the class size.
-It compares the exact rankings' one-parent walk with the seen-set walk
-in ``_oracles.py``, also on caches whose values span many magnitudes,
-and the lazily solved greedy partition search with the eager one there.
+It compares :func:`top_r_general` with the exhaustive sort there, the
+exact rankings' one-parent walk with the seen-set walk in
+``_oracles.py``, also on caches whose values span many magnitudes, and
+the lazily solved greedy partition search with the eager one there.  It
+checks that the key a point is pushed under bounds the score it gets
+when the walk reaches it.
 """
 
+import heapq
 from itertools import combinations
+from math import fsum
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dinet.estimation import DIEvaluator
 from dinet.simulate import generate_ar_network
 from dinet.structures import DirectedInfoCache, approximation_index
-from dinet.topr import _class_size, top_r_connected, top_r_general, top_r_greedy
+from dinet.approximation import _Candidates
+from dinet.topr import (
+    _bound,
+    _class_size,
+    _walk,
+    top_r_connected,
+    top_r_general,
+    top_r_greedy,
+)
 
 from _oracles import (
     eager_greedy_connected,
     exhaustive_connected,
+    exhaustive_sorted_general,
     random_cache,
     seen_set_ranking,
 )
@@ -43,6 +58,21 @@ def test_top_r_connected_matches_the_exhaustive_sort(
     ranked = exhaustive_connected(cache, K, root_has_parents)
     r = data.draw(st.integers(1, len(ranked)), label="r")
     got = top_r_connected(cache, K, r, root_has_parents=root_has_parents)
+    assert [(sol.assignment, sol.score) for sol in got] == ranked[:r]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.sampled_from([(3, 1), (3, 2), (4, 1), (4, 2), (5, 1), (5, 2)]),
+)
+def test_top_r_general_matches_the_exhaustive_sort(data, seed, shape):
+    m, K = shape
+    cache = random_cache(m, K, np.random.default_rng(seed), tie_rich=True)
+    ranked = exhaustive_sorted_general(cache, K)
+    r = data.draw(st.integers(1, len(ranked)), label="r")
+    got = top_r_general(cache, K, r)
     assert [(sol.assignment, sol.score) for sol in got] == ranked[:r]
 
 
@@ -121,6 +151,80 @@ def test_the_one_parent_walk_matches_the_seen_set_walk(
         tie = (lambda a: a.canonical_key()) if connected else approximation_index
         for _, run in runs:
             assert [tie(a) for a in run] == sorted(tie(a) for a in run)
+
+
+# values of every magnitude a score can hold: mixed magnitudes, signed
+# zeros and subnormals, whose sums are exact
+_values = st.one_of(
+    st.integers(0, 2**32 - 1).map(
+        lambda seed: _mixed_magnitude_value(np.random.default_rng(seed))
+    ),
+    st.sampled_from([0.0, -0.0, 2.0**-1022, -(2.0**-1022)]),
+    st.integers(-(2**52) + 1, 2**52 - 1).map(lambda k: k * 2.0**-1074),
+)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(st.lists(_values, min_size=1, max_size=16), st.data())
+def test_the_pushed_key_bounds_the_child_score(values, data):
+    c = data.draw(st.integers(0, len(values) - 1), label="c")
+    new = data.draw(_values, label="new")
+    child = values[:c] + [new] + values[c + 1:]
+    assert _bound(fsum(values), new, values[c]) >= fsum(child)
+
+
+def _sorted_list(values: list[float]) -> _Candidates:
+    """A list of made-up sets holding ``values`` by value, ties by rank."""
+    ranks = sorted(range(len(values)), key=lambda p: -values[p])
+    return _Candidates([(p,) for p in ranks], [values[p] for p in ranks], ranks)
+
+
+def _eager_walk(lattice, lattice_count, weights):
+    """The one-parent walk that scores every point when it is pushed."""
+    def entry(n, pos, last):
+        score = fsum(lst.values[p] for lst, p in zip(lattice, pos))
+        index = sum(lst.ranks[p] * w for lst, p, w in zip(lattice, pos, weights))
+        return (-score, index, n, pos, last)
+
+    heap = [entry(n, (0,) * len(lattice), 0) for n in range(lattice_count)]
+    heapq.heapify(heap)
+    while heap:
+        neg_score, _, n, pos, last = heapq.heappop(heap)
+        yield -neg_score, n, pos
+        for c in range(last, len(pos)):
+            if pos[c] + 1 < len(lattice[c].values):
+                nxt = pos[:c] + (pos[c] + 1,) + pos[c + 1:]
+                heapq.heappush(heap, entry(n, nxt, c))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.lists(_values, min_size=1, max_size=4), min_size=1, max_size=4),
+    st.integers(1, 3),
+)
+def test_the_lazy_walk_pushes_bounding_keys_and_pops_as_the_eager_one(
+    lists, lattice_count
+):
+    lattice = [_sorted_list(values) for values in lists]
+    weights = [5**c for c in range(len(lattice))]
+    pushed = []
+    push = heapq.heappush
+
+    def spy(heap, entry):
+        pushed.append(entry)
+        push(heap, entry)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(heapq, "heappush", spy)
+        walk = list(_walk([lattice] * lattice_count, weights, sorted_lists=True))
+    for key, scored, _, _, pos, c in pushed:
+        if not scored:
+            child = pos[:c] + (pos[c] + 1,) + pos[c + 1:]
+            assert -key >= fsum(lst.values[p] for lst, p in zip(lattice, child))
+    want = list(_eager_walk(lattice, lattice_count, weights))
+    assert [(score.hex(), n, pos) for score, n, pos in walk] == [
+        (score.hex(), n, pos) for score, n, pos in want
+    ]
 
 
 @st.composite
