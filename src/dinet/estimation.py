@@ -29,7 +29,8 @@ query.  The target and conditioning columns are sorted in place, one
 lookup in a table of each process's lag rows, at any Markov order, turns
 every column but the last into its process's stacked lag indices, and
 the last column becomes the target's row; one fancy index then gathers
-the group's blocks and one Cholesky call factors the stack.  The
+the group's blocks and one Cholesky call factors the stack, in chunks of
+at most :data:`MAX_CELLS` block entries.  The
 factor's last row holds the full residual sum of squares as ``L_yy**2``
 and its drop from the reduced fit as ``|L_y,add|**2``, so the value,
 ``log1p(|L_y,add|**2 / L_yy**2) / 2``, never subtracts two residual
@@ -39,8 +40,8 @@ whose factor has a pivot that marks a lag as dependent on those before
 it, is split in halves until each block that fails on its own goes
 through one fallback, which drops the dependent lags and reads the value
 off the rest the same way.
-:func:`build_cache` asks for one target's sets at a time; the greedy
-searches ask for every live chain's candidates at once.
+:func:`build_cache` asks for every target's sets in one batch; the
+greedy searches ask for every live chain's candidates at once.
 
 :func:`estimate_di_discrete`, the plug-in conditional mutual information
 over lagged windows for finite-alphabet data, has a batched kernel of its
@@ -100,11 +101,15 @@ SINGULAR_PIVOT = 1e-10
 ZERO_GAIN_EPS = 64
 
 MAX_CELLS = 1_000_000
-"""The most cells one plug-in query counts, and one stacked chunk holds.
+"""The most entries, 8 bytes each, that one stacked chunk holds: about 8 MB.
 
-Cells are counted densely, 8 bytes each, so this caps a query's count
-row and a chunk of rows near 8 MB.  A query above it raises
-:class:`EstimationError` naming the query before anything is counted.
+It bounds three stacked arrays: a chunk of plug-in count rows, a chunk
+of Gaussian augmented blocks, and a chunk of a Monte Carlo study's
+simulated paths (:func:`dinet.simulate.run_experiment`).  A Gaussian
+block or a path larger than the cap makes a chunk of its own.  A
+plug-in query's cells are counted densely, so a query above the cap
+raises :class:`EstimationError` naming the query before anything is
+counted.
 """
 
 
@@ -348,9 +353,11 @@ def _projection_di(moments: _Moments, queries: Sequence[_Query]) -> list[float]:
     with no difference of two residual sums.  Queries of any targets and
     conditioning sets are grouped by (conditioning size, addition size)
     in one pass that builds each group's flat list of processes, a row
-    per query (see the module notes).  Each group's blocks go through one
-    stacked factorization and the same element-wise steps, so a query
-    gives bit for bit the same value in any batch.  Only a block that
+    per query (see the module notes).  Each group's blocks go through
+    stacked factorizations of at most :data:`MAX_CELLS` entries, in
+    order, and the same element-wise steps, so a query gives bit for bit
+    the same value in any batch and the first failing block is named
+    first.  Only a block that
     fails :func:`_factor` on its own takes :func:`_dependent_ratio`
     (:func:`_stack_ratios`).  An empty addition is worth 0.
     """
@@ -386,9 +393,12 @@ def _projection_di(moments: _Moments, queries: Sequence[_Query]) -> list[float]:
         idx = np.empty((len(group), d + 1), dtype=np.intp)
         idx[:, :d] = moments.lags[procs[:, :-1] - 1].reshape(len(group), d)
         np.add(procs[:, -1], p - 1, out=idx[:, d])
-        blocks = moments.stacked[idx[:, :, None], idx[:, None, :]]
-        for q, x in zip(group, _stack_ratios(blocks, r, d, queries, group)):
-            values[q] = 0.5 * log1p(x)
+        chunk = max(1, MAX_CELLS // (d + 1) ** 2)
+        for start in range(0, len(group), chunk):
+            part, rows = group[start: start + chunk], idx[start: start + chunk]
+            blocks = moments.stacked[rows[:, :, None], rows[:, None, :]]
+            for q, x in zip(part, _stack_ratios(blocks, r, d, queries, part)):
+                values[q] = 0.5 * log1p(x)
     return values
 
 
@@ -808,20 +818,24 @@ def build_cache(evaluator: DIEvaluator, m: int, K: int) -> DirectedInfoCache:
     """Directed information values for every size-``K`` parent set.
 
     Populates all ``m * C(m-1, K)`` entries deterministically in
-    (target, set) order, asking the evaluator for one target's sets at a
-    time (a single batch for evaluators from ``from_model`` and
-    ``from_panel``) and storing each batch as the target's row.  A count
-    above :data:`dinet.structures.MAX_CACHE_VALUES` raises
+    (target, set) order, asking the evaluator for every target's sets at
+    once (a single batch for evaluators from ``from_model`` and
+    ``from_panel``) and cutting the values into one row per target.  A
+    count above :data:`dinet.structures.MAX_CACHE_VALUES` raises
     :class:`ValidationError` before any value is computed.
     """
     _check_int(m, "m")
     if m != evaluator.m:
         raise ValidationError(f"evaluator has m={evaluator.m}, asked for m={m}")
     cache = DirectedInfoCache(m, K)
-    cache._block(K)  # checks the size before any value is computed
-    for target in range(1, m + 1):
-        queries = [(target, members, ()) for members in all_parent_sets(m, target, K)]
-        cache._put_row(target, K, evaluator._fill(queries))
+    width = cache._block(K).shape[1]  # checks the size before any value is computed
+    values = evaluator._fill([
+        (target, members, ())
+        for target in range(1, m + 1)
+        for members in all_parent_sets(m, target, K)
+    ])
+    for target, start in enumerate(range(0, len(values), width), start=1):
+        cache._put_row(target, K, values[start: start + width])
     return cache
 
 

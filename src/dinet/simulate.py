@@ -17,6 +17,8 @@ import os
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,6 +31,7 @@ from .approximation import (
 from .bounds import network_empirical_alpha
 from .errors import DinetError, ValidationError
 from .estimation import (
+    MAX_CELLS,
     DIEvaluator,
     LinearNetworkModel,
     TimeSeriesPanel,
@@ -179,24 +182,59 @@ def generate_ar_network(
 
 def simulate_panel(model: LinearNetworkModel, n: int, seed) -> TimeSeriesPanel:
     """Iterate the network recursion from zero; keep ``n`` steps after a
-    burn-in of ``10 * m``."""
+    burn-in of ``10 * m``.
+
+    The one-model case of the recursion a study runs over all of its
+    panels at once (:func:`run_experiment`); both give the same bits.
+    """
     rng = _as_generator(seed)
-    m = model.m
     _check_int(n, "n", 2)
-    burn_in = 10 * m
-    # one draw of every step's noise, then x[t] = noise[t] + A x[t-1] in
-    # place, row view by row view, each product written into one reused
-    # step buffer; at small m the per-call overhead is the whole cost
-    path = np.sqrt(model.noise_variances) * rng.standard_normal((burn_in + n, m))
-    product = model.dynamics_matrix().dot
-    step = np.empty(m)
-    rows = iter(path)
+    return _path_panel(_simulate_paths([model], n, [rng]), 0, n)
+
+
+def _simulate_paths(
+    models: Sequence[LinearNetworkModel], n: int, rngs: Sequence[np.random.Generator]
+) -> np.ndarray:
+    """The recursion of several models of one size, in lockstep.
+
+    Returns the ``(10 * m + n, len(models), m)`` path, burn-in included.
+    Each model draws every step's noise from its own generator in one
+    call, as it would alone; then x[t] = noise[t] + A x[t-1] runs in
+    place, row view by row view, each step's products written into one
+    reused buffer.  Several models take one stacked ``np.matmul`` per
+    step, a lone model a ``dot``, which costs less per call; each product
+    has the bits of its model's own ``dot``.  At small m the per-call
+    overhead is the whole cost, so a step costs about the same for one
+    model as for forty.
+    """
+    m = models[0].m
+    path = np.empty((10 * m + n, len(models), m))
+    for j, (model, rng) in enumerate(zip(models, rngs)):
+        np.multiply(
+            np.sqrt(model.noise_variances),
+            rng.standard_normal((len(path), m)),
+            out=path[:, j],
+        )
+    if len(models) == 1:
+        product = models[0].dynamics_matrix().dot
+        vectors, step = path[:, 0], np.empty(m)
+    else:
+        # each model's matrix in the layout of its own dynamics_matrix()
+        dynamics = np.stack([model.coefficients for model in models])
+        product = partial(np.matmul, dynamics.transpose(0, 2, 1))
+        vectors, step = path[..., None], np.empty((len(models), m, 1))
+    rows = iter(vectors)
     prev = next(rows)
     for row in rows:
         product(prev, out=step)
         row += step
         prev = row
-    return TimeSeriesPanel(np.ascontiguousarray(path[burn_in:].T))
+    return path
+
+
+def _path_panel(path: np.ndarray, j: int, n: int) -> TimeSeriesPanel:
+    """Model ``j``'s panel: the last ``n`` steps of its path."""
+    return TimeSeriesPanel(np.ascontiguousarray(path[-n:, j].T))
 
 
 def _exact_scores(
@@ -248,49 +286,85 @@ def ratio_to_true(
     return assignment_exact_score(assignment, exact) / denom
 
 
+class _Draw(NamedTuple):
+    """A trial's network, its exact evaluator and true score, and its panel seed."""
+
+    model: LinearNetworkModel
+    exact: DIEvaluator
+    true_score: float
+    panel_seed: np.random.SeedSequence
+
+
+def _draw_trial(config: ExperimentConfig, trial: int) -> _Draw | str:
+    """Trial ``trial``'s draw, or the reason the trial is excluded."""
+    model_seed, panel_seed = np.random.SeedSequence(config.seed + trial).spawn(2)
+    try:
+        model = generate_ar_network(
+            config.m,
+            np.random.default_rng(model_seed),
+            edge_probability=config.edge_probability,
+            spectral_target=config.spectral_target,
+            noise_variance=config.noise_variance,
+            include_diagonal=config.include_diagonal,
+        )
+        exact = DIEvaluator.from_model(model)
+        true_score = assignment_exact_score(true_parent_assignment(model), exact)
+    except DinetError as exc:
+        return str(exc)
+    if true_score == 0.0:
+        return "degenerate (zero true score)"
+    return _Draw(model, exact, true_score, panel_seed)
+
+
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """Run all trials; degenerate or failed trials are logged and skipped."""
-    K, L = config.K, config.greedy_length
+    """Run all trials; degenerate or failed trials are logged and skipped.
+
+    Trials run in chunks whose simulated paths hold at most
+    :data:`dinet.estimation.MAX_CELLS` floats, at least one trial each.
+    A chunk draws every trial's network first, then simulates every
+    surviving trial's panel in one lockstep recursion
+    (:func:`_simulate_paths`), each from its own seed, and then runs each
+    trial's pipeline in turn; a panel is cut from the path only when its
+    trial runs.  Exclusions are logged in trial order, and every value
+    is the one the trial gives alone, so the chunking changes no output.
+    """
     reports: list[TrialReport] = []
     excluded = 0
-    for trial in range(config.trials):
-        trial_ss = np.random.SeedSequence(config.seed + trial)
-        model_seed, panel_seed = trial_ss.spawn(2)
-        try:
-            rows = _run_trial(config, trial, model_seed, panel_seed, K, L)
-        except DinetError as exc:
-            logger.warning("trial %d excluded: %s", trial, exc)
+    steps = 10 * config.m + config.n
+    chunk = max(1, MAX_CELLS // (steps * config.m))
+    for start in range(0, config.trials, chunk):
+        trials = range(start, min(start + chunk, config.trials))
+        draws = [_draw_trial(config, trial) for trial in trials]
+        live = [draw for draw in draws if isinstance(draw, _Draw)]
+        path = None
+        if config.selection == "estimated" and live:
+            path = _simulate_paths(
+                [draw.model for draw in live],
+                config.n,
+                [np.random.default_rng(draw.panel_seed) for draw in live],
+            )
+        columns = iter(range(len(live)))  # each live draw's column of the path
+        for trial, draw in zip(trials, draws):
+            if isinstance(draw, _Draw):
+                column = next(columns)
+                try:
+                    panel = None if path is None else _path_panel(path, column, config.n)
+                    reports.extend(_run_trial(config, trial, draw, panel))
+                    continue
+                except DinetError as exc:
+                    draw = str(exc)
+            logger.warning("trial %d excluded: %s", trial, draw)
             excluded += 1
-            continue
-        if rows is None:
-            logger.warning("trial %d excluded: degenerate (zero true score)", trial)
-            excluded += 1
-            continue
-        reports.extend(rows)
     return ExperimentResult(config, tuple(reports), excluded)
 
 
 def _run_trial(
-    config: ExperimentConfig, trial: int, model_seed, panel_seed, K: int, L: int
-) -> list[TrialReport] | None:
-    model = generate_ar_network(
-        config.m,
-        np.random.default_rng(model_seed),
-        edge_probability=config.edge_probability,
-        spectral_target=config.spectral_target,
-        noise_variance=config.noise_variance,
-        include_diagonal=config.include_diagonal,
-    )
-    exact = DIEvaluator.from_model(model)
-    true_score = assignment_exact_score(true_parent_assignment(model), exact)
-    if true_score == 0.0:
-        return None
-
-    if config.selection == "exact":
-        selector = exact
-    else:
-        panel = simulate_panel(model, config.n, np.random.default_rng(panel_seed))
-        selector = DIEvaluator.from_panel(panel)
+    config: ExperimentConfig, trial: int, draw: _Draw, panel: TimeSeriesPanel | None
+) -> list[TrialReport]:
+    """A drawn trial's report rows; ``panel`` is None under exact selection."""
+    K, L = config.K, config.greedy_length
+    exact, true_score = draw.exact, draw.true_score
+    selector = exact if panel is None else DIEvaluator.from_panel(panel)
     sel_cache = build_cache(selector, config.m, K)
 
     def clocked(fn, *args, **kwargs):

@@ -4,10 +4,12 @@ import re
 import numpy as np
 import pytest
 
-from dinet.errors import ValidationError
+from dinet.errors import EstimationError, ValidationError
 from dinet.estimation import (
     DIEvaluator,
     LinearNetworkModel,
+    TimeSeriesPanel,
+    build_cache,
     stationary_covariance,
 )
 from dinet.simulate import (
@@ -26,9 +28,9 @@ from dinet.simulate import (
     true_parent_assignment,
     write_experiment_csv,
 )
-from dinet import cli
-from dinet.simulate import _run_trial
-from dinet.structures import ParentAssignment
+from dinet import cli, estimation, simulate
+from dinet.simulate import _draw_trial, _run_trial, _simulate_paths
+from dinet.structures import ParentAssignment, all_parent_sets
 
 from _oracles import loop_simulate_panel, per_row_trial_reports, power_iteration_radius
 
@@ -126,6 +128,21 @@ def test_simulate_panel_equals_the_stepwise_loop(m):
         for n in (2, 40, 150):
             got = simulate_panel(model, n, seed).data
             assert np.array_equal(got, loop_simulate_panel(model, n, seed))
+
+
+@pytest.mark.parametrize("m", range(1, 41))
+def test_stacked_recursion_equals_the_stepwise_loop_per_model(m):
+    # a stacked matmul step gives each model the bits of its own dot, so
+    # every panel of a lockstep run equals the oracle's, one model or forty
+    models = [generate_ar_network(m, np.random.default_rng([seed, m, 26])) for seed in range(40)]
+    for n in (2, 50, 300):
+        want = [loop_simulate_panel(model, n, [seed, n]) for seed, model in enumerate(models)]
+        for trials in (1, 2, 40):
+            rngs = [np.random.default_rng([seed, n]) for seed in range(trials)]
+            path = _simulate_paths(models[:trials], n, rngs)
+            assert path.shape == (10 * m + n, trials, m)
+            for j in range(trials):
+                assert np.array_equal(simulate._path_panel(path, j, n).data, want[j])
 
 
 def test_simulate_panel_moments():
@@ -268,8 +285,11 @@ def test_trial_calls_count_each_distinct_query_once(monkeypatch, selection, seed
     for trial in range(config.trials):
         made.clear()
         asked.clear()
-        model_seed, panel_seed = np.random.SeedSequence(seed + trial).spawn(2)
-        assert _run_trial(config, trial, model_seed, panel_seed, 2, 2)
+        draw = _draw_trial(config, trial)
+        panel = None
+        if selection == "estimated":
+            panel = simulate_panel(draw.model, config.n, draw.panel_seed)
+        assert _run_trial(config, trial, draw, panel)
         for ev in made:
             assert ev.calls == len(asked[id(ev)])
         calls.append(tuple(ev.calls for ev in made))
@@ -301,6 +321,85 @@ def test_excluded_trial_warning_names_the_trial_and_the_query(caplog):
         "trial 0 excluded: insufficient samples: 2 rows for 3 regressors "
         "(target 1, addition [2, 3], conditioning [])"
     )
+
+
+EXCLUSION_CONFIG = ExperimentConfig(m=3, K=1, n=2, trials=8, seed=0, edge_probability=0.2)
+SHORT_PANEL = (
+    "insufficient samples: 1 rows for 2 regressors (target 1, addition [2], conditioning [])"
+)
+EXCLUSIONS = [
+    f"trial {t} excluded: "
+    + ("degenerate (zero true score)" if t in (4, 7) else SHORT_PANEL)
+    for t in range(8)
+]
+
+
+def _study(config, caplog, tmp_path, name):
+    caplog.clear()
+    with caplog.at_level("WARNING", logger="dinet.simulate"):
+        result = run_experiment(config)
+    out = tmp_path / name
+    out.mkdir()
+    paths = write_experiment_csv(result, out)
+    return list(caplog.messages), [open(path, "rb").read() for path in paths]
+
+
+@pytest.mark.parametrize("config", [
+    EXCLUSION_CONFIG,
+    ExperimentConfig(m=4, K=1, n=60, trials=8, r=3, seed=0, edge_probability=0.2),
+])
+def test_exclusions_and_csvs_do_not_depend_on_the_chunks(monkeypatch, caplog, tmp_path, config):
+    # model draws are checked before the lockstep simulation, pipelines
+    # after it; warnings still come in trial order, whatever the chunks
+    messages, files = _study(config, caplog, tmp_path, "one")
+    if config is EXCLUSION_CONFIG:
+        assert messages == EXCLUSIONS
+    else:
+        assert files[0].count(b"\n") > 1
+    per_trial = (10 * config.m + config.n) * config.m
+    for name, cap in (("one-trial", 1), ("three-trial", 3 * per_trial)):
+        monkeypatch.setattr(simulate, "MAX_CELLS", cap)
+        assert _study(config, caplog, tmp_path, name) == (messages, files)
+
+
+def copied_process_panel():
+    data = simulate_panel(generate_ar_network(16, np.random.default_rng(7)), 1000, 7).data
+    return TimeSeriesPanel(np.vstack([data[:15], data[0]]))
+
+
+@pytest.mark.parametrize("source", ["clean panel", "copied process", "exact model"])
+def test_chunked_gaussian_stacks_give_the_same_rows(monkeypatch, source):
+    model = generate_ar_network(16, np.random.default_rng(7))
+    K = 3
+    make = {
+        "clean panel": lambda: DIEvaluator.from_panel(simulate_panel(model, 1000, 7)),
+        "copied process": lambda: DIEvaluator.from_panel(copied_process_panel()),
+        "exact model": lambda: DIEvaluator.from_model(model),
+    }[source]
+    whole = build_cache(make(), 16, K)
+    # one target's sets at a time, each in a batch of its own
+    per_target = make()
+    for target in range(1, 17):
+        queries = [(target, members, ()) for members in all_parent_sets(16, target, K)]
+        assert np.array_equal(whole._row(target, K), per_target._fill(queries))
+    # a few (K + 2) x (K + 2) blocks per chunk
+    monkeypatch.setattr(estimation, "MAX_CELLS", 3 * (K + 2) ** 2)
+    chunked = build_cache(make(), 16, K)
+    for target in range(1, 17):
+        assert np.array_equal(chunked._row(target, K), whole._row(target, K))
+
+
+def test_chunked_gaussian_stacks_name_the_same_first_query(monkeypatch):
+    panel = TimeSeriesPanel(np.random.default_rng(3).standard_normal((5, 4)))
+    message = re.escape(
+        "insufficient samples: 3 rows for 4 regressors"
+        " (target 1, addition [2, 3, 4], conditioning [])"
+    )
+    with pytest.raises(EstimationError, match=message):
+        build_cache(DIEvaluator.from_panel(panel), 5, 3)
+    monkeypatch.setattr(estimation, "MAX_CELLS", 1)
+    with pytest.raises(EstimationError, match=message):
+        build_cache(DIEvaluator.from_panel(panel), 5, 3)
 
 
 def test_experiment_config_validation():

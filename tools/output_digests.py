@@ -7,7 +7,8 @@ Run from a checkout root:
 The outputs are the ``run_pass`` result of every instance of the three
 benchmark workloads (``bench/workloads.py``) at seeds 7 and 4049, the
 stdout of each demo, the CSVs ``dinet simulate`` writes with each
-selection, one line per ranking of two seeded sets (see
+selection, the stderr of a study whose trials are all excluded (see
+``exclusion_lines``), one line per ranking of two seeded sets (see
 ``ranking_lines``), one line per plug-in cache or greedy search on
 seeded finite-alphabet panels (see ``plugin_lines``) and one line per
 Gaussian cache on panels with a dependent process (see
@@ -59,6 +60,8 @@ RANKING_SEEDS = (7, 4049, 11)
 PLUGIN_M, PLUGIN_N = 8, 2000
 SIMULATE = ["simulate", "--m", "5", "--K", "2", "--trials", "4", "--n", "300",
             "--r", "3", "--seed", "11"]
+EXCLUDED = ["simulate", "--m", "3", "--K", "1", "--n", "2", "--trials", "8", "--seed", "0",
+            "--edge-probability", "0.2"]
 
 
 def sha(data: str | bytes) -> str:
@@ -102,6 +105,23 @@ def simulate_lines(tmp: str) -> list[str]:
         for path in sorted(Path(out).iterdir()):
             lines.append(f"{sha(path.read_bytes())}  simulate {selection} {path.name}")
     return lines
+
+
+def exclusion_lines(tmp: str) -> list[str]:
+    """The stderr of ``dinet simulate`` on ``EXCLUDED``: one warning per trial.
+
+    Six trials have too few samples and two a zero true score, so the
+    line pins the warnings' words and their trial order.
+    """
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]
+    )}
+    out = os.path.join(tmp, "excluded")
+    proc = subprocess.run(
+        [sys.executable, "-m", "dinet.cli", *EXCLUDED, "--out", out],
+        capture_output=True, cwd=tmp, env=env, check=True,
+    )
+    return [f"{sha(proc.stderr)}  simulate excluded stderr"]
 
 
 def ranking_lines() -> list[str]:
@@ -217,7 +237,8 @@ def collinear_lines() -> list[str]:
 
 def main() -> None:
     with tempfile.TemporaryDirectory(prefix="dinet_digests_") as tmp:
-        for lines in (bench_lines(tmp), demo_lines(tmp), simulate_lines(tmp)):
+        for lines in (bench_lines(tmp), demo_lines(tmp), simulate_lines(tmp),
+                      exclusion_lines(tmp)):
             print(*lines, sep="\n", flush=True)
     print(*ranking_lines(), sep="\n", flush=True)
     print(*plugin_lines(), sep="\n", flush=True)
