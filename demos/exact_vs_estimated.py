@@ -15,8 +15,9 @@ import numpy as np
 
 from dinet.estimation import (
     DIEvaluator,
+    EstimatorConfig,
     LinearNetworkModel,
-    estimate_di_gaussian,
+    estimate_di,
     exact_di_gaussian,
 )
 from dinet.simulate import simulate_panel
@@ -36,8 +37,8 @@ print("conditioning gain ratio  =", f"{joint / lone:.4f}")
 # the same two quantities estimated from a simulated sample path
 for n in (1_000, 10_000, 100_000):
     panel = simulate_panel(model, n, seed=0)
-    est_lone = estimate_di_gaussian(panel, 3, (1,))
-    est_joint = estimate_di_gaussian(panel, 3, (1,), (2,))
+    est_lone = estimate_di(panel, 3, (1,), (), EstimatorConfig())
+    est_joint = estimate_di(panel, 3, (1,), (2,), EstimatorConfig())
     print(f"n={n:>6}: I(X1 -> X3) = {est_lone:.6f}   I(X1 -> X3 || X2) = {est_joint:.6f}")
 
 # increments telescope: summing the two conditional gains in either order

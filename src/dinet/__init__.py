@@ -26,7 +26,6 @@ from .bounds import (
     bound_witness_alpha,
     coefficient_table,
     degree_gap_coefficient,
-    empirical_alpha,
     geometric_budget_maximum,
     greedy_bound_coefficient,
     network_empirical_alpha,
@@ -47,8 +46,6 @@ from .estimation import (
     TimeSeriesPanel,
     build_cache,
     estimate_di,
-    estimate_di_discrete,
-    estimate_di_gaussian,
     exact_di_gaussian,
     read_panel_csv,
     stationary_covariance,
@@ -58,7 +55,6 @@ from .simulate import (
     ExperimentConfig,
     ExperimentResult,
     TrialReport,
-    assignment_exact_score,
     generate_ar_network,
     ratio_greedy_optimal,
     ratio_to_true,
@@ -72,16 +68,12 @@ from .structures import (
     ParentAssignment,
     ParentSet,
     ScoredApproximation,
-    all_parent_sets,
     approximation_index,
     assignment_from_index,
-    contains_spanning_arborescence,
     parent_set_from_index,
     parent_set_index,
-    total_score,
 )
 from .topr import (
-    get_new_solutions,
     top_r_connected,
     top_r_general,
     top_r_greedy,
@@ -113,23 +105,16 @@ __all__ = [
     "TrialReport",
     "UncachedParentSetError",
     "ValidationError",
-    "all_parent_sets",
     "approximation_index",
-    "assignment_exact_score",
     "assignment_from_index",
     "bound_witness_alpha",
     "build_cache",
     "coefficient_table",
-    "contains_spanning_arborescence",
     "degree_gap_coefficient",
-    "empirical_alpha",
     "estimate_di",
-    "estimate_di_discrete",
-    "estimate_di_gaussian",
     "exact_di_gaussian",
     "generate_ar_network",
     "geometric_budget_maximum",
-    "get_new_solutions",
     "greedy_bound_coefficient",
     "greedy_connected",
     "greedy_general",
@@ -148,7 +133,6 @@ __all__ = [
     "top_r_connected",
     "top_r_general",
     "top_r_greedy",
-    "total_score",
     "true_parent_assignment",
     "write_experiment_csv",
     "write_panel_csv",

@@ -71,9 +71,9 @@ from .structures import (
     DirectedInfoCache,
     ParentAssignment,
     ScoredApproximation,
+    _all_parent_sets,
     _check_int,
     _set_rank,
-    all_parent_sets,
 )
 
 
@@ -197,7 +197,7 @@ class _Candidates:
         row = cache._row(target, K)
         # a stable sort keeps equal values in rank order
         order = np.argsort(-row, kind="stable")
-        sets = list(all_parent_sets(cache.m, target, K))
+        sets = list(_all_parent_sets(cache.m, target, K))
         ranks = order.tolist()
         return cls([sets[p] for p in ranks], row[order].tolist(), ranks)
 

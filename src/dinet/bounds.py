@@ -174,24 +174,6 @@ def _steepest_chain(
     return AlphaEstimate(*best, floored)
 
 
-def empirical_alpha(
-    evaluator: DIEvaluator, target: int, pool: Sequence[int]
-) -> AlphaEstimate:
-    """Curvature measured along one greedy ordering of ``pool``.
-
-    The pool (at least two processes, none equal to the target) is
-    ordered greedily for the target; the estimate is the maximum
-    consecutive-gain ratio along that single chain.
-    """
-    # a pool is a set, but True and np.int64(2) must not merge into 1 and 2
-    unique = {(type(j), j): j for j in pool}.values()
-    members = _check_set(evaluator.m, target, unique, "pool")
-    if len(members) < 2:
-        raise ValidationError(f"pool must contain at least 2 processes, got {pool!r}")
-    [(picks, gains)] = _greedy_orders(evaluator, [(target, members, (), None)])
-    return _steepest_chain([(target, picks, gains)])
-
-
 def network_empirical_alpha(evaluator: DIEvaluator) -> AlphaEstimate:
     """The largest per-node curvature, each node measured over all others."""
     m = evaluator.m

@@ -8,10 +8,10 @@ per-time-step rates in natural log units (nats).
 
 Both Gaussian routes reduce to one computation on second moments:
 
-* :func:`estimate_di_gaussian` (least squares, no intercepts) uses the
-  sample moments of the panel's lag design: ``G = Z Z'`` over the
-  ``p = m * order`` lagged rows, ``C = Y Z'`` and ``diag(Y Y')`` for the
-  one-step targets ``Y``, all over the same rows.
+* :func:`estimate_di`'s Gaussian estimator (least squares, no
+  intercepts) uses the sample moments of the panel's lag design:
+  ``G = Z Z'`` over the ``p = m * order`` lagged rows, ``C = Y Z'`` and
+  ``diag(Y Y')`` for the one-step targets ``Y``, all over the same rows.
 * :func:`exact_di_gaussian` uses a known linear network's population
   moments ``(S, A S, diag S)``, ``S`` being the stationary covariance.
 
@@ -43,8 +43,8 @@ off the rest the same way.
 :func:`build_cache` asks for every target's sets in one batch; the
 greedy searches ask for every live chain's candidates at once.
 
-:func:`estimate_di_discrete`, the plug-in conditional mutual information
-over lagged windows for finite-alphabet data, has a batched kernel of its
+The discrete estimator, the plug-in conditional mutual information over
+lagged windows for finite-alphabet data, has a batched kernel of its
 own, which groups a batch by (target, conditioning set, addition size).
 Each process's lag windows are encoded as integers once per evaluator.
 Cells are laid out as (context window, target symbol, addition window),
@@ -69,7 +69,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple
 
@@ -83,10 +83,10 @@ from .errors import (
 )
 from .structures import (
     DirectedInfoCache,
+    _all_parent_sets,
     _check_int,
     _check_process,
     _check_set,
-    all_parent_sets,
 )
 
 # relative size of the last doubling update of the stationary covariance
@@ -131,6 +131,7 @@ class TimeSeriesPanel:
         arr = np.array(self.data, dtype=float)
         if arr.ndim != 2:
             raise ValidationError(f"panel data must be 2-D, got {arr.ndim}-D")
+        _check_int(arr.shape[0], "m", 1)
         if arr.shape[1] < 2:
             raise ValidationError("panel needs at least two time steps")
         if self.kind == "real":
@@ -209,6 +210,7 @@ class LinearNetworkModel:
         q = np.array(self.noise_variances, dtype=float)
         if c.ndim != 2 or c.shape[0] != c.shape[1]:
             raise ValidationError(f"coefficients must be square, got {c.shape}")
+        _check_int(c.shape[0], "m", 1)
         if q.shape != (c.shape[0],):
             raise ValidationError("noise_variances must have one entry per process")
         if not np.all(np.isfinite(c)):
@@ -526,30 +528,6 @@ def exact_di_gaussian(
     return DIEvaluator.from_model(model).increment(target, add, cond)
 
 
-def estimate_di_gaussian(
-    panel: TimeSeriesPanel,
-    target: int,
-    addition: Iterable[int],
-    conditioning: Iterable[int] = (),
-    config: EstimatorConfig | None = None,
-) -> float:
-    """Least squares directed information estimate, in nats per step.
-
-    Fits the target's next value on lagged values of (target +
-    conditioning), then again with the addition processes' lags included,
-    both without intercepts over the same rows, and returns the log ratio
-    of residual standard deviations.  Adding regressors can never raise
-    the in-sample residual sum of squares, so the estimate is nonnegative
-    by construction.
-
-    A one-shot convenience: every call rebuilds the panel's second
-    moments.  Repeated queries belong on ``DIEvaluator.from_panel``, which
-    builds them once and gives the same bits.
-    """
-    config = replace(config or EstimatorConfig(), estimator="gaussian")
-    return estimate_di(panel, target, addition, conditioning, config)
-
-
 class _LagCodes(NamedTuple):
     """Lag-window codes of a finite-alphabet panel, encoded once.
 
@@ -682,28 +660,6 @@ def _plugin_values(block: np.ndarray, rows: int) -> list[float]:
     ]
 
 
-def estimate_di_discrete(
-    panel: TimeSeriesPanel,
-    target: int,
-    addition: Iterable[int],
-    conditioning: Iterable[int] = (),
-    config: EstimatorConfig | None = None,
-) -> float:
-    """Plug-in directed information estimate for finite-alphabet panels.
-
-    Empirical joint frequencies over order-``l`` lagged windows feed the
-    conditional mutual information between the addition windows and the
-    target's next symbol given the (target + conditioning) windows, with
-    maximum likelihood (unsmoothed) probabilities.
-
-    A one-shot convenience: every call encodes the panel's lag windows
-    afresh.  Repeated queries belong on ``DIEvaluator.from_panel``, which
-    encodes them once and gives the same bits.
-    """
-    config = replace(config or EstimatorConfig(), estimator="discrete")
-    return estimate_di(panel, target, addition, conditioning, config)
-
-
 def estimate_di(
     panel: TimeSeriesPanel,
     target: int,
@@ -711,7 +667,24 @@ def estimate_di(
     conditioning: Iterable[int] = (),
     config: EstimatorConfig | None = None,
 ) -> float:
-    """One-shot value from the estimator named in the config."""
+    """One-shot estimate from the estimator named in the config, in nats per step.
+
+    The ``"gaussian"`` estimator fits the target's next value on lagged
+    values of (target + conditioning), then again with the addition
+    processes' lags included, both without intercepts over the same rows,
+    and returns the log ratio of residual standard deviations.  Adding
+    regressors can never raise the in-sample residual sum of squares, so
+    the estimate is nonnegative by construction.  The ``"discrete"``
+    estimator feeds empirical joint frequencies over order-``l`` lagged
+    windows into the conditional mutual information between the addition
+    windows and the target's next symbol given the (target +
+    conditioning) windows, with maximum likelihood (unsmoothed)
+    probabilities.
+
+    Every call rebuilds the panel's second moments or lag-window codes.
+    Repeated queries belong on ``DIEvaluator.from_panel``, which builds
+    them once and gives the same bits.
+    """
     evaluator = DIEvaluator.from_panel(panel, config)
     return evaluator.increment(target, addition, conditioning)
 
@@ -757,23 +730,6 @@ class DIEvaluator:
     ) -> float:
         add, cond = _check_query(self.m, target, addition, conditioning)
         return self._fill([(target, add, cond)])[0]
-
-    def increments(
-        self,
-        target: int,
-        additions: Iterable[Iterable[int]],
-        conditioning: Iterable[int] = (),
-    ) -> list[float]:
-        """:meth:`increment` for several additions under one conditioning set.
-
-        Evaluators from :meth:`from_model` and :meth:`from_panel` compute
-        the values not yet memoized in one batch; each equals the single
-        query's value bit for bit.
-        """
-        cond = _check_set(self.m, target, conditioning, "conditioning set")
-        return self._fill(
-            [(target, *_check_query(self.m, target, a, cond)) for a in additions]
-        )
 
     def set_value(self, target: int, members: Iterable[int]) -> float:
         """Directed information from a whole parent set to the target."""
@@ -832,7 +788,7 @@ def build_cache(evaluator: DIEvaluator, m: int, K: int) -> DirectedInfoCache:
     values = evaluator._fill([
         (target, members, ())
         for target in range(1, m + 1)
-        for members in all_parent_sets(m, target, K)
+        for members in _all_parent_sets(m, target, K)
     ])
     for target, start in enumerate(range(0, len(values), width), start=1):
         cache._put_row(target, K, values[start: start + width])

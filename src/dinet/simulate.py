@@ -253,11 +253,6 @@ def _exact_scores(
     return [math.fsum(values[start: start + exact.m]) for start in starts]
 
 
-def assignment_exact_score(assignment: ParentAssignment, exact: DIEvaluator) -> float:
-    """Total directed information of an assignment under the exact oracle."""
-    return _exact_scores([assignment], exact)[0]
-
-
 def true_parent_assignment(model: LinearNetworkModel) -> ParentAssignment:
     return ParentAssignment.from_lists(
         [model.true_parent_set(i) for i in range(1, model.m + 1)]
@@ -270,20 +265,16 @@ def ratio_greedy_optimal(
     """Exact-score ratio of two assignments; nan flags a degenerate trial."""
     if greedy.m != optimal.m:
         raise ValidationError(f"mixed sizes: m={greedy.m} vs m={optimal.m}")
-    denom = assignment_exact_score(optimal, exact)
-    if denom == 0.0:
-        return math.nan
-    return assignment_exact_score(greedy, exact) / denom
+    score, denom = _exact_scores([greedy, optimal], exact)
+    return math.nan if denom == 0.0 else score / denom
 
 
 def ratio_to_true(
     assignment: ParentAssignment, model: LinearNetworkModel, exact: DIEvaluator
 ) -> float:
     """Exact-score ratio of an assignment to the generating parent sets."""
-    denom = assignment_exact_score(true_parent_assignment(model), exact)
-    if denom == 0.0:
-        return math.nan
-    return assignment_exact_score(assignment, exact) / denom
+    score, denom = _exact_scores([assignment, true_parent_assignment(model)], exact)
+    return math.nan if denom == 0.0 else score / denom
 
 
 class _Draw(NamedTuple):
@@ -308,7 +299,7 @@ def _draw_trial(config: ExperimentConfig, trial: int) -> _Draw | str:
             include_diagonal=config.include_diagonal,
         )
         exact = DIEvaluator.from_model(model)
-        true_score = assignment_exact_score(true_parent_assignment(model), exact)
+        [true_score] = _exact_scores([true_parent_assignment(model)], exact)
     except DinetError as exc:
         return str(exc)
     if true_score == 0.0:

@@ -19,14 +19,15 @@ Integers have one rule as well, ``_check_int``: an ``int`` that is not a
 ``bool``, in the input's range.  It checks every public set size K or L;
 a ranking's r; an ``ExperimentConfig``'s m, n, trials, r and seed; a
 simulated panel's n; a random network's m; an ``EstimatorConfig``'s
-Markov order; a discrete panel's alphabet size; the m of an evaluator,
-a cache and ``build_cache``; the m, target, set rank and approximation
-index of :func:`all_parent_sets`, :func:`parent_set_from_index` and
-:func:`assignment_from_index`; and every process index (a target, a
-root, a node of an edge weight table).  Real values have one type rule,
-``_check_real``: a real number that is not a ``bool``, numpy scalars
-included, so a cache value, a root weight, a guarantee's alpha and
-budget and a random network's parameters refuse ``"0.5"`` and ``None``.
+Markov order; a discrete panel's alphabet size; the m of a panel, a
+linear network model, an evaluator, a cache and ``build_cache``; the m,
+target, set rank and approximation index of
+:func:`parent_set_from_index` and :func:`assignment_from_index`; and
+every process index (a target, a root, a node of an edge weight
+table).  Real values have one type rule, ``_check_real``: a real number
+that is not a ``bool``, numpy scalars included, so a cache value, a root
+weight, a guarantee's alpha and budget and a random network's parameters
+refuse ``"0.5"`` and ``None``.
 
 :class:`ParentSet` and :class:`ParentAssignment` are immutable after
 construction and safe to share across threads.
@@ -119,7 +120,7 @@ def _check_set(
 ) -> tuple[int, ...]:
     """The sorted members of a valid set of processes for ``target``.
 
-    The one rule for every parent set, DI query set, pool and greedy order:
+    The one rule for every parent set, DI query set and greedy order:
     the target and the members are integers (never bools) in ``1..m``, no
     member repeats and none is the target.  Types are checked before
     sorting, so a bad member raises :class:`ValidationError`, not
@@ -280,24 +281,6 @@ class ParentAssignment:
             "parents": [list(ps.members) for ps in self.parents],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2) + "\n"
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "ParentAssignment":
-        try:
-            m = obj["m"]
-            lists = obj["parents"]
-        except (KeyError, TypeError) as exc:
-            raise ValidationError(f"malformed assignment JSON: missing {exc}") from exc
-        if not isinstance(lists, list) or len(lists) != m:
-            raise ValidationError("assignment JSON: 'parents' length must equal m")
-        return cls.from_lists(lists)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ParentAssignment":
-        return cls.from_json_dict(json.loads(text))
-
     def to_dot(self, root: int | None = None) -> str:
         """GraphViz DOT rendering with one edge per parent relation."""
         lines = ["digraph approximation {"]
@@ -427,7 +410,7 @@ class DirectedInfoCache:
             for target, row in enumerate(block, start=1):
                 mask = ~np.isnan(row)
                 if mask.any():
-                    sets = all_parent_sets(self.m, target, size)
+                    sets = _all_parent_sets(self.m, target, size)
                     out += zip(
                         repeat(target), compress(sets, mask.tolist()), row[mask].tolist()
                     )
@@ -476,41 +459,15 @@ class DirectedInfoCache:
         return cls.from_json_dict(json.loads(text))
 
 
-def total_score(cache: DirectedInfoCache, assignment: ParentAssignment) -> float:
-    """The ``math.fsum`` of the cached values of the assignment's sets.
-
-    Empty parent sets contribute exactly 0.0 without a cache lookup, since
-    conditioning on nothing carries no information.  A missing entry for a
-    nonempty set raises :class:`UncachedParentSetError`.
-    """
-    if assignment.m != cache.m:
-        raise ValidationError(
-            f"assignment has m={assignment.m} but cache has m={cache.m}"
-        )
-    return math.fsum(
-        cache.get(ps.target, ps.members) for ps in assignment.parents if ps.size
-    )
-
-
-def contains_spanning_arborescence(
-    assignment: ParentAssignment, root: int | None = None
-) -> bool:
-    """Whether the induced graph contains a directed spanning tree.
-
-    Edges point from parent to child.  With ``root`` given, every node must
-    be reachable from it; otherwise any node may serve as the root.
-    """
-    if root is not None:
-        _check_process(root, assignment.m, "root")
-    return _has_spanning_tree(assignment.canonical_key(), root)
-
-
 def _has_spanning_tree(
     members: Sequence[tuple[int, ...]], root: int | None
 ) -> bool:
-    """:func:`contains_spanning_arborescence` over raw member tuples.
+    """Whether the graph of ``members`` contains a directed spanning tree.
 
-    ``members[i - 1]`` holds node ``i``'s parents; nothing is validated.
+    ``members[i - 1]`` holds node ``i``'s parents, and edges point from
+    parent to child.  With ``root`` given, every node must be reachable
+    from it; otherwise any node may serve as the root.  Nothing is
+    validated: the callers pass sets the searches built.
     """
     m = len(members)
     children: list[list[int]] = [[] for _ in range(m + 1)]
@@ -581,11 +538,8 @@ def parent_set_from_index(m: int, target: int, K: int, rank: int) -> tuple[int, 
     return tuple(chosen)
 
 
-def all_parent_sets(m: int, target: int, K: int) -> Iterator[tuple[int, ...]]:
-    """All size-``K`` parent sets for ``target``, in index order."""
-    _check_int(m, "m", 1)
-    _check_process(target, m, "target")
-    _check_int(K, "K", 0, m - 1)
+def _all_parent_sets(m: int, target: int, K: int) -> Iterator[tuple[int, ...]]:
+    """All size-``K`` parent sets for ``target``, in index order, unchecked."""
     universe = [j for j in range(1, m + 1) if j != target]
     return iter(combinations(universe, K))
 

@@ -43,8 +43,7 @@ that differ, sums that round equal) comes in the walk's order.
 * unconstrained (:func:`top_r_general`, and :func:`top_r_greedy` without
   ``connected``): the first r points of one lattice.  Over the exact
   lists this is the exact ranking, since the (l+1)-th best always
-  differs from some better solution in exactly one parent set
-  (:func:`get_new_solutions` exposes that one step).
+  differs from some better solution in exactly one parent set.
 * tree-constrained exact (:func:`top_r_connected`): one lattice per
   candidate root, whose own list holds only the empty set, or a single
   lattice with ``root_has_parents``; the first r points that contain a
@@ -80,7 +79,7 @@ from .approximation import (
     _exact_lists,
     _greedy_lists,
 )
-from .errors import InfeasibleArborescenceError, ValidationError
+from .errors import InfeasibleArborescenceError
 from .estimation import DIEvaluator
 from .structures import (
     MAX_RANKED,
@@ -265,40 +264,6 @@ def top_r_general(
     _check_r(r, m, K)
     weights = [comb(m - 1, K) ** i for i in range(m)]
     return _top_points([_exact_lists(cache, K)], weights, r)
-
-
-def get_new_solutions(
-    cache: DirectedInfoCache, K: int, seed: ParentAssignment
-) -> tuple[ScoredApproximation, ...]:
-    """One branch step: per node, swap in the next-best parent set.
-
-    For each node in turn the seed's set is replaced by the best strictly
-    worse candidate (worse meaning lower value, or equal value with a
-    larger set index).  Nodes already at their worst candidate contribute
-    nothing.  Results come back in node order.  This is the step
-    :func:`top_r_general` branches by.
-    """
-    m = cache.m
-    _check_int(K, "K", 0, m - 1)
-    if seed.m != m:
-        raise ValidationError(f"seed has m={seed.m} but cache has m={m}")
-    lists = _exact_lists(cache, K)
-    pos = []
-    for i, lst in enumerate(lists, 1):
-        ms = seed.members_of(i)
-        if len(ms) != K:
-            raise ValidationError(
-                f"seed parent set for node {i} has size {len(ms)}, expected {K}"
-            )
-        pos.append(lst.members.index(ms))
-    members = [lst.members for lst in lists]
-    columns = [lst.values for lst in lists]
-    return tuple(
-        ScoredApproximation(
-            ParentAssignment._from_keys(_key(members, nxt)), _score_at(columns, nxt)
-        )
-        for _, nxt in _successors(lists, tuple(pos))
-    )
 
 
 def top_r_connected(

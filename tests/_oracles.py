@@ -26,11 +26,7 @@ from itertools import combinations, product
 import numpy as np
 
 from dinet.errors import UncachedParentSetError
-from dinet.structures import (
-    ParentAssignment,
-    approximation_index,
-    contains_spanning_arborescence,
-)
+from dinet.structures import ParentAssignment, approximation_index
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +253,40 @@ def exhaustive_optimal_general(cache, K: int):
     return best[1], best[2]
 
 
+def spans(assignment, root: int | None = None) -> bool:
+    """Whether the parent -> child arcs reach every node from one root.
+
+    A plain search from ``root``, or, with no root given, from each node
+    in turn: no node is ruled out as a root beforehand.
+    """
+    m = assignment.m
+    children = {j: [] for j in range(1, m + 1)}
+    for c in range(1, m + 1):
+        for p in assignment.members_of(c):
+            children[p].append(c)
+
+    def reaches_all(r: int) -> bool:
+        seen = {r}
+        frontier = [r]
+        while frontier:
+            for c in children[frontier.pop()]:
+                if c not in seen:
+                    seen.add(c)
+                    frontier.append(c)
+        return len(seen) == m
+
+    roots = range(1, m + 1) if root is None else [root]
+    return any(reaches_all(r) for r in roots)
+
+
+def cache_score(cache, assignment) -> float:
+    """The ``math.fsum`` of an assignment's cached values, an empty set worth 0.0."""
+    return math.fsum(
+        cache.get(i, assignment.members_of(i)) if assignment.members_of(i) else 0.0
+        for i in range(1, assignment.m + 1)
+    )
+
+
 def connected_class_members(m: int, K: int, root_has_parents: bool):
     """Every member of the tree-containing class, with its root.
 
@@ -270,7 +300,7 @@ def connected_class_members(m: int, K: int, root_has_parents: bool):
         per_node = [list(combinations(others(i), K)) for i in range(1, m + 1)]
         for combo in product(*per_node):
             assignment = ParentAssignment.from_lists(combo)
-            if contains_spanning_arborescence(assignment):
+            if spans(assignment):
                 yield assignment
         return
     for root in range(1, m + 1):
@@ -280,7 +310,7 @@ def connected_class_members(m: int, K: int, root_has_parents: bool):
         ]
         for combo in product(*per_node):
             assignment = ParentAssignment.from_lists(combo)
-            if contains_spanning_arborescence(assignment, root):
+            if spans(assignment, root):
                 yield assignment
 
 
@@ -299,11 +329,7 @@ def exhaustive_connected(cache, K: int, root_has_parents: bool = False):
         if key in seen:
             continue
         seen.add(key)
-        score = math.fsum(
-            cache.get(i, assignment.members_of(i)) if assignment.members_of(i) else 0.0
-            for i in range(1, m + 1)
-        )
-        rows.append((assignment, score))
+        rows.append((assignment, cache_score(cache, assignment)))
     rows.sort(key=lambda row: (-row[1], row[0].canonical_key()))
     return rows
 
@@ -314,7 +340,7 @@ def per_point_top_r_connected(cache, K: int, r: int, root_has_parents: bool = Fa
     Walks each root's product lattice of per-node candidate lists (value
     descending, set index ascending) in score order, builds a
     ``ParentAssignment`` at every popped point and keeps those that pass
-    the public spanning check; each finished score plateau is emitted in
+    :func:`spans`; each finished score plateau is emitted in
     canonical key order.  Returns (assignment, score) rows, at most r.
     """
     import heapq
@@ -356,7 +382,7 @@ def per_point_top_r_connected(cache, K: int, r: int, root_has_parents: bool = Fa
                 break
         block_score = -neg
         assignment = as_assignment(rt, pos)
-        if contains_spanning_arborescence(assignment, None if root_has_parents else rt):
+        if spans(assignment, None if root_has_parents else rt):
             block.append((assignment, -neg))
         for c, node in enumerate(others[rt]):
             if pos[c] + 1 < len(lists[node - 1]):
@@ -417,7 +443,7 @@ def seen_set_ranking(cache, K: int, r: int, connected: bool = False,
     heapq.heapify(heap)
     while heap and len(rows) < r:
         (neg_score, _, n, pos), assignment = heapq.heappop(heap)
-        if not connected or contains_spanning_arborescence(assignment):
+        if not connected or spans(assignment):
             rows.append((assignment, -neg_score))
         for c in range(m):
             if pos[c] + 1 < len(lattices[n][c]):
@@ -438,6 +464,28 @@ def exhaustive_sorted_general(cache, K: int):
         rows.append((assignment, score))
     rows.sort(key=lambda row: (-row[1], approximation_index(row[0])))
     return rows
+
+
+def branch_step(cache, K: int, seed):
+    """Each structure one branch step below ``seed``, in node order.
+
+    Per node, the seed's set is swapped for the node's next candidate in
+    (value descending, set index ascending) order; a node at its last
+    candidate gives nothing.  The exact general ranking rests on the
+    (l+1)-th best being one such step from a better structure.
+    """
+    m = cache.m
+    lists = seed.canonical_key()
+    out = []
+    for i in range(1, m + 1):
+        cands = sorted(
+            combinations([j for j in range(1, m + 1) if j != i], K),
+            key=lambda ms: (-cache.get(i, ms), ms),
+        )
+        p = cands.index(lists[i - 1]) + 1
+        if p < len(cands):
+            out.append(ParentAssignment.from_lists(lists[: i - 1] + (cands[p],) + lists[i:]))
+    return out
 
 
 # ---------------------------------------------------------------------------

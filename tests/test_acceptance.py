@@ -28,9 +28,10 @@ from dinet.bounds import (
 )
 from dinet.estimation import (
     DIEvaluator,
+    EstimatorConfig,
     LinearNetworkModel,
     build_cache,
-    estimate_di_gaussian,
+    estimate_di,
     exact_di_gaussian,
     write_panel_csv,
 )
@@ -106,7 +107,7 @@ def test_acceptance_02_estimator_consistency():
         model = two_drivers_model()
         panel = simulate_panel(model, 100_000, 1)
         for addition, conditioning in (((1,), ()), ((1,), (2,))):
-            got = estimate_di_gaussian(panel, 3, addition, conditioning)
+            got = estimate_di(panel, 3, addition, conditioning, EstimatorConfig())
             want = exact_di_gaussian(model, 3, addition, conditioning)
             assert abs(got - want) < 0.01, (addition, conditioning, got, want)
         rng = np.random.default_rng(2)
@@ -116,7 +117,7 @@ def test_acceptance_02_estimator_consistency():
             order = list(rng.permutation(np.arange(1, 5)))
             target, first = int(order[0]), int(order[1])
             conditioning = tuple(int(j) for j in order[2 : 2 + int(rng.integers(0, 3))])
-            got = estimate_di_gaussian(panel, target, (first,), conditioning)
+            got = estimate_di(panel, target, (first,), conditioning, EstimatorConfig())
             want = exact_di_gaussian(model, target, (first,), conditioning)
             assert abs(got - want) < 0.02, (trial, got, want)
         assert time.perf_counter() - t0 < 30.0

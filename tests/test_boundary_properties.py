@@ -13,21 +13,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dinet.bounds import bound_witness_alpha, empirical_alpha
+from dinet.bounds import bound_witness_alpha
 from dinet.errors import ValidationError
 from dinet.estimation import (
     DIEvaluator,
+    EstimatorConfig,
     TimeSeriesPanel,
     estimate_di,
-    estimate_di_discrete,
-    estimate_di_gaussian,
     exact_di_gaussian,
 )
 from dinet.simulate import generate_ar_network, simulate_panel
 from dinet.structures import (
     DirectedInfoCache,
     ParentAssignment,
-    all_parent_sets,
+    _all_parent_sets,
     parent_set_index,
 )
 
@@ -66,7 +65,7 @@ def full_store(m):
     store = DirectedInfoCache(m, 1)
     for target in range(1, m + 1):
         for k in range(m):
-            for rank, members in enumerate(all_parent_sets(m, target, k)):
+            for rank, members in enumerate(_all_parent_sets(m, target, k)):
                 store.put(target, members, rank + 1.0)
     return store
 
@@ -80,6 +79,10 @@ def entries(m, target, members):
     orders = [()] * m
     orders[target - 1] = members
     empty = ParentAssignment.from_lists([()] * m)
+    # one pick, never the target: the chain orders the optimal set ``members``
+    pick = [()] * m
+    pick[target - 1] = (target % m + 1,)
+    discrete_config = EstimatorConfig(estimator="discrete")
     return {
         "ParentAssignment.from_lists": lambda: ParentAssignment.from_lists(lists),
         "DirectedInfoCache.put": lambda: DirectedInfoCache(m, 1).put(target, members, 0.5),
@@ -88,13 +91,15 @@ def entries(m, target, members):
         "parent_set_index": lambda: parent_set_index(m, target, members),
         "DIEvaluator.increment": lambda: ev.increment(target, members),
         "DIEvaluator.increment conditioning": lambda: ev.increment(target, (), members),
-        "DIEvaluator.increments": lambda: ev.increments(target, [members]),
         "DIEvaluator.set_value": lambda: ev.set_value(target, members),
         "estimate_di": lambda: estimate_di(panel, target, members),
-        "estimate_di_gaussian": lambda: estimate_di_gaussian(panel, target, members),
-        "estimate_di_discrete": lambda: estimate_di_discrete(discrete, target, members),
+        "estimate_di discrete": lambda: estimate_di(
+            discrete, target, members, (), discrete_config
+        ),
         "exact_di_gaussian": lambda: exact_di_gaussian(model, target, members),
-        "empirical_alpha": lambda: empirical_alpha(ev, target, members),
+        "bound_witness_alpha optimal": lambda: bound_witness_alpha(
+            ev, ParentAssignment.from_lists(lists), pick
+        ),
         "bound_witness_alpha": lambda: bound_witness_alpha(ev, empty, orders),
     }
 
@@ -106,22 +111,17 @@ def test_every_set_entry_applies_one_rule(case):
     key = tuple(sorted(members)) if fault is None else None
     for name, call in entries(m, target, members).items():
         if fault is not None:
-            if fault == "repeat" and name == "empirical_alpha":
-                continue  # a pool is a set: a repeat only de-duplicates
             with pytest.raises(ValidationError):
-                call()
-            continue
-        if name == "empirical_alpha" and len(key) < 2:
-            with pytest.raises(ValidationError, match="at least 2"):
                 call()
             continue
         result = call()
         if name == "ParentAssignment.from_lists":
             assert result.members_of(target) == key
         elif name == "parent_set_index":
-            assert result == list(all_parent_sets(m, target, len(key))).index(key)
-        elif name == "empirical_alpha":
-            assert tuple(sorted(result.witness_path)) == key
+            assert result == list(_all_parent_sets(m, target, len(key))).index(key)
+        elif name == "bound_witness_alpha optimal":
+            # a set of fewer than two members yields no ratio
+            assert tuple(sorted(result.witness_path)) == (key if len(key) > 1 else ())
         elif name == "DirectedInfoCache.get":
             assert result == parent_set_index(m, target, key) + 1.0
         elif name == "DirectedInfoCache.__contains__":
@@ -132,7 +132,7 @@ def test_every_set_entry_applies_one_rule(case):
         ev = DIEvaluator.from_model(model)
         value = ev.increment(target, members)
         assert ev.set_value(target, key) == value == exact_di_gaussian(model, target, key)
-        assert ev.increments(target, [key, members]) == [value, value]
+        assert [ev.increment(target, key), ev.increment(target, members)] == [value, value]
         assert ev.calls == 1
         store = DirectedInfoCache(m, 1)
         store.put(target, members, value)

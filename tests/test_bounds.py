@@ -11,7 +11,6 @@ from dinet.bounds import (
     bound_witness_alpha,
     coefficient_table,
     degree_gap_coefficient,
-    empirical_alpha,
     geometric_budget_maximum,
     greedy_bound_coefficient,
     network_empirical_alpha,
@@ -19,6 +18,7 @@ from dinet.bounds import (
 from dinet.errors import ValidationError
 from dinet.estimation import ZERO_GAIN_EPS, DIEvaluator, LinearNetworkModel, build_cache
 from dinet.simulate import generate_ar_network
+from dinet.structures import ParentAssignment
 
 from _oracles import lp_budget_maximum, sample_budget_feasible
 
@@ -49,6 +49,18 @@ def gains_by_depth_evaluator(m, gains):
         return gains[len(cond)]
 
     return DIEvaluator(fn, m)
+
+
+def pool_alpha(evaluator, target, pool):
+    """The curvature along the greedy ordering of ``pool`` for ``target``.
+
+    :func:`bound_witness_alpha` over a structure in which only ``target``
+    has parents, ``pool``, and a greedy order of one pick: its one chain
+    orders the whole pool after an empty prefix.
+    """
+    lists = [pool if i == target else () for i in range(1, evaluator.m + 1)]
+    orders = [pool[:1] if i == target else () for i in range(1, evaluator.m + 1)]
+    return bound_witness_alpha(evaluator, ParentAssignment.from_lists(lists), orders)
 
 
 def random_stable_model(rng, m, radius=0.85):
@@ -181,7 +193,7 @@ def test_budget_maximum_dominates_feasible_points():
 def test_alpha_ratio_conventions():
     # plain decaying gains: alpha is the largest consecutive ratio, below 1
     ev = gains_by_depth_evaluator(4, (0.4, 0.2, 0.1))
-    est = empirical_alpha(ev, 4, (1, 2, 3))
+    est = pool_alpha(ev, 4, (1, 2, 3))
     assert est.alpha == 0.5
     assert not est.unbounded
     assert est.witness_target == 4
@@ -189,12 +201,12 @@ def test_alpha_ratio_conventions():
     assert est.witness_increments == (0.4, 0.2, 0.1)
     # zero after zero reads as ratio 1
     ev = gains_by_depth_evaluator(4, (0.3, 0.0, 0.0))
-    est = empirical_alpha(ev, 4, (1, 2, 3))
+    est = pool_alpha(ev, 4, (1, 2, 3))
     assert est.alpha == 1.0
     assert not est.unbounded
     # a positive gain after a zero gain is unbounded, flagged not thrown
     ev = gains_by_depth_evaluator(3, (0.0, 0.5))
-    est = empirical_alpha(ev, 3, (1, 2))
+    est = pool_alpha(ev, 3, (1, 2))
     assert est.unbounded
     assert math.isinf(est.alpha)
     assert greedy_bound_coefficient(est.alpha, 2, 2) == 0.0
@@ -205,20 +217,20 @@ def test_gains_within_the_floor_read_as_zero():
     floor = ZERO_GAIN_EPS * sys.float_info.epsilon
     # two noise gains: 0/0 reads as 1, not as their ratio of 1000
     ev = gains_by_depth_evaluator(4, (0.3, 1e-20, 1e-17))
-    est = empirical_alpha(ev, 4, (1, 2, 3))
+    est = pool_alpha(ev, 4, (1, 2, 3))
     assert est.alpha == 1.0
     assert est.floored == 2
     assert est.witness_increments == (0.3, 1e-20, 1e-17)
     # the floor is inclusive, symmetric about zero, and counts no exact zero
     ev = gains_by_depth_evaluator(4, (0.3, -floor, 0.0))
-    assert empirical_alpha(ev, 4, (1, 2, 3)).floored == 1
+    assert pool_alpha(ev, 4, (1, 2, 3)).floored == 1
     # a gain just above the floor is a gain: after a zero it is unbounded
     ev = gains_by_depth_evaluator(3, (floor, math.nextafter(floor, 1.0)))
-    est = empirical_alpha(ev, 3, (1, 2))
+    est = pool_alpha(ev, 3, (1, 2))
     assert est.unbounded
     assert est.floored == 1
     # nothing floored, nothing counted
-    est = empirical_alpha(gains_by_depth_evaluator(4, (0.4, 0.2, 0.1)), 4, (1, 2, 3))
+    est = pool_alpha(gains_by_depth_evaluator(4, (0.4, 0.2, 0.1)), 4, (1, 2, 3))
     assert est.floored == 0
 
 
@@ -254,22 +266,24 @@ def test_floored_witness_coefficient_never_exceeds_the_realized_ratio():
     assert floored >= 50
 
 
-def test_empirical_alpha_validation():
+def test_pool_alpha_validation():
+    # a pool is a node's optimal set: a malformed one is refused, and one
+    # of fewer than two processes yields no ratio, so it asserts nothing
     ev = gains_by_depth_evaluator(4, (0.4, 0.2, 0.1))
+    assert pool_alpha(ev, 4, ()) == AlphaEstimate(1.0, 0, (), ())
+    assert pool_alpha(ev, 4, (1,)) == AlphaEstimate(1.0, 0, (), ())
     with pytest.raises(ValidationError):
-        empirical_alpha(ev, 4, ())
+        pool_alpha(ev, 4, (1, 1))
     with pytest.raises(ValidationError):
-        empirical_alpha(ev, 4, (1,))
+        pool_alpha(ev, 4, (1, 4))
     with pytest.raises(ValidationError):
-        empirical_alpha(ev, 4, (1, 1))
+        pool_alpha(ev, 4, (0, 2))
     with pytest.raises(ValidationError):
-        empirical_alpha(ev, 4, (1, 4))
-    with pytest.raises(ValidationError):
-        empirical_alpha(ev, 4, (0, 2))
-    with pytest.raises(ValidationError):
-        empirical_alpha(ev, 4, (2, 5))
-    with pytest.raises(ValidationError):
-        empirical_alpha(ev, 5, (1, 2))
+        pool_alpha(ev, 4, (2, 5))
+    # a fifth node's pool: the structure has m=5 and the evaluator m=4
+    five = ParentAssignment.from_lists([(), (), (), (), (1, 2)])
+    with pytest.raises(ValidationError, match="m=5 but evaluator has m=4"):
+        bound_witness_alpha(ev, five, [(), (), (), (), (1,)])
 
 
 def test_two_driver_alpha_anchor():
@@ -279,7 +293,7 @@ def test_two_driver_alpha_anchor():
     c[1, 2] = 1.0
     model = LinearNetworkModel(c, np.ones(3))
     ev = DIEvaluator.from_model(model)
-    est = empirical_alpha(ev, 3, (1, 2))
+    est = pool_alpha(ev, 3, (1, 2))
     assert abs(est.alpha - 1.7095112913514543) < 1e-12
     assert abs(est.alpha - math.log(2.0) / math.log(1.5)) < 1e-12
     assert est.witness_target == 3
@@ -287,7 +301,7 @@ def test_two_driver_alpha_anchor():
     assert abs(est.witness_increments[0] - 0.5 * math.log(1.5)) < 1e-12
     assert abs(est.witness_increments[1] - 0.5 * math.log(2.0)) < 1e-12
     # deterministic: a fresh evaluator reproduces the estimate exactly
-    again = empirical_alpha(DIEvaluator.from_model(model), 3, (1, 2))
+    again = pool_alpha(DIEvaluator.from_model(model), 3, (1, 2))
     assert again == est
 
 
@@ -298,7 +312,7 @@ def test_network_alpha_is_max_over_targets():
         model = random_stable_model(rng, m)
         ev = DIEvaluator.from_model(model)
         per_target = [
-            empirical_alpha(ev, t, tuple(j for j in range(1, m + 1) if j != t))
+            pool_alpha(ev, t, tuple(j for j in range(1, m + 1) if j != t))
             for t in range(1, m + 1)
         ]
         net = network_empirical_alpha(ev)
@@ -390,7 +404,7 @@ def test_degree_gap_guarantee_never_violated():
             opt_members = max(
                 combinations(others, big), key=lambda c: ev.set_value(i, c)
             )
-            est = empirical_alpha(ev, i, opt_members)
+            est = pool_alpha(ev, i, opt_members)
             if est.alpha <= 0.0:
                 continue
             coeff = degree_gap_coefficient(est.alpha, big, small)

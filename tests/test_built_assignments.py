@@ -19,7 +19,7 @@ from dinet.approximation import (
     optimal_general,
 )
 from dinet.structures import DirectedInfoCache, ParentAssignment
-from dinet.topr import get_new_solutions, top_r_connected, top_r_general, top_r_greedy
+from dinet.topr import top_r_connected, top_r_general, top_r_greedy
 
 from _oracles import random_cache
 from test_approximation import evaluator_from_cache
@@ -48,8 +48,6 @@ def built(cache, K, r):
                 for s in top_r_greedy(ev, K, r, connected=True, root_has_parents=rooted)]
     out += [("top_r_general", s.assignment) for s in top_r_general(cache, K, r)]
     out += [("top_r_greedy", s.assignment) for s in top_r_greedy(ev, K, r)]
-    seed = out[0][1]
-    out += [("get_new_solutions", s.assignment) for s in get_new_solutions(cache, K, seed)]
     return out
 
 

@@ -2,11 +2,11 @@
 
 A set size K or L; a count (r, a study's m, n, trials and seed, a
 simulated panel's n, an estimator's Markov order, a discrete panel's
-alphabet size); a process count m (of an evaluator, a cache,
-``build_cache``, a random network, ``all_parent_sets``,
+alphabet size); a process count m (of a panel, a linear network model,
+an evaluator, a cache, ``build_cache``, a random network, a study,
 ``parent_set_from_index`` and ``assignment_from_index``); and an index
-(the target of ``all_parent_sets`` and ``parent_set_from_index``, a set
-rank, an approximation index) each take an ``int`` that is not a
+(the target of ``parent_set_index`` and ``parent_set_from_index``, a
+set rank, an approximation index) each take an ``int`` that is not a
 ``bool`` and in range, and raise ValidationError for anything else,
 before any list is built or any value is computed.
 
@@ -44,6 +44,7 @@ from dinet.errors import ValidationError
 from dinet.estimation import (
     DIEvaluator,
     EstimatorConfig,
+    LinearNetworkModel,
     TimeSeriesPanel,
     build_cache,
     write_panel_csv,
@@ -51,11 +52,11 @@ from dinet.estimation import (
 from dinet.simulate import ExperimentConfig, generate_ar_network, simulate_panel
 from dinet.structures import (
     DirectedInfoCache,
-    all_parent_sets,
     assignment_from_index,
     parent_set_from_index,
+    parent_set_index,
 )
-from dinet.topr import get_new_solutions, top_r_connected, top_r_general, top_r_greedy
+from dinet.topr import top_r_connected, top_r_general, top_r_greedy
 
 M = 5
 
@@ -82,17 +83,17 @@ SIZE_ENTRIES = {
     "optimal_connected": lambda v: optimal_connected(inputs()[1], v),
     "greedy_connected": lambda v: greedy_connected(inputs()[0], v, True),
     "top_r_general": lambda v: top_r_general(inputs()[1], v, 3),
-    "get_new_solutions": lambda v: get_new_solutions(inputs()[1], v, inputs()[2]),
+    "top_r_general one step": lambda v: top_r_general(inputs()[1], v, 2),
     "top_r_connected": lambda v: top_r_connected(inputs()[1], v, 3),
     "top_r_greedy": lambda v: top_r_greedy(inputs()[0], v, 3),
     "top_r_greedy connected": lambda v: top_r_greedy(inputs()[0], v, 3, True),
     "ExperimentConfig K": lambda v: ExperimentConfig(M, v),
     "ExperimentConfig L": lambda v: ExperimentConfig(M, 2, L=v),
-    "all_parent_sets": lambda v: all_parent_sets(M, 1, v),
     "parent_set_from_index": lambda v: parent_set_from_index(M, 1, v, 0),
     "assignment_from_index": lambda v: assignment_from_index(M, v, 1),
     "greedy_bound_coefficient": lambda v: greedy_bound_coefficient(1.5, v, 2),
     "degree_gap_coefficient": lambda v: degree_gap_coefficient(1.5, 3, v),
+    "degree_gap_coefficient K": lambda v: degree_gap_coefficient(1.5, v, 1),
     "geometric_budget_maximum": lambda v: geometric_budget_maximum(1.5, v, 1, 1.0),
     "coefficient_table": lambda v: coefficient_table("greedy", [1.5], 2, v),
 }
@@ -114,7 +115,7 @@ COUNT_ENTRIES = {
     ),
 }
 INDEX_ENTRIES = {
-    "all_parent_sets target": lambda v: all_parent_sets(M, v, 2),
+    "parent_set_index target": lambda v: parent_set_index(M, v, (2, 3)),
     "parent_set_from_index target": lambda v: parent_set_from_index(M, v, 2, 0),
     "parent_set_from_index rank": lambda v: parent_set_from_index(M, 1, 2, v),
     "assignment_from_index index": lambda v: assignment_from_index(M, 2, v),
@@ -124,7 +125,7 @@ PROCESS_COUNT_ENTRIES = {
     "DirectedInfoCache": lambda v: DirectedInfoCache(v, 0),
     "build_cache": lambda v: build_cache(inputs()[0], v, 2),
     "generate_ar_network": lambda v: generate_ar_network(v, 1),
-    "all_parent_sets": lambda v: all_parent_sets(v, 1, 2),
+    "ExperimentConfig": lambda v: ExperimentConfig(v, 1),
     "parent_set_from_index": lambda v: parent_set_from_index(v, 1, 2, 0),
     "assignment_from_index": lambda v: assignment_from_index(v, 2, 1),
 }
@@ -171,7 +172,9 @@ def test_a_target_rank_or_index_is_a_plain_integer(entry, value):
 
 
 OUT_OF_RANGE = {
-    "all_parent_sets target": (lambda: all_parent_sets(5, 9, 2), "target 9 out of range 1..5"),
+    "parent_set_index target": (
+        lambda: parent_set_index(5, 9, (1, 2)), "target 9 out of range 1..5"
+    ),
     "parent_set_from_index target": (
         lambda: parent_set_from_index(5, 9, 2, 0), "target 9 out of range 1..5"
     ),
@@ -187,6 +190,13 @@ OUT_OF_RANGE = {
         lambda: EstimatorConfig(markov_order=0), "markov_order must be >= 1, got 0"
     ),
     "DIEvaluator m": (lambda: DIEvaluator(lambda *query: 0.0, 0), "m must be >= 1, got 0"),
+    "TimeSeriesPanel m": (lambda: TimeSeriesPanel(np.zeros((0, 5))), "m must be >= 1, got 0"),
+    "TimeSeriesPanel discrete m": (
+        lambda: TimeSeriesPanel(np.zeros((0, 5)), kind="discrete"), "m must be >= 1, got 0"
+    ),
+    "LinearNetworkModel m": (
+        lambda: LinearNetworkModel(np.zeros((0, 0)), np.zeros(0)), "m must be >= 1, got 0"
+    ),
     "greedy_bound_coefficient K": (
         lambda: greedy_bound_coefficient(1.5, 0, 2), "K must be >= 1, got 0"
     ),

@@ -25,8 +25,6 @@ from dinet.estimation import (
     TimeSeriesPanel,
     build_cache,
     estimate_di,
-    estimate_di_discrete,
-    estimate_di_gaussian,
     exact_di_gaussian,
     read_panel_csv,
     stationary_covariance,
@@ -39,6 +37,17 @@ from _oracles import lstsq_di, naive_discrete_di, unique_count_di
 
 HALF_LOG_3_2 = 0.5 * math.log(1.5)
 HALF_LOG_2 = 0.5 * math.log(2.0)
+DISCRETE = EstimatorConfig(estimator="discrete")
+
+
+def in_one_batch(ev, target, additions, conditioning=()):
+    """Several additions under one conditioning set, asked in one kernel batch.
+
+    The way :func:`build_cache` and the greedy searches ask: every value
+    not yet memoized goes to the kernel at once.
+    """
+    cond = tuple(sorted(conditioning))
+    return ev._fill([(target, tuple(sorted(add)), cond) for add in additions])
 
 
 def two_drivers_model():
@@ -217,8 +226,8 @@ def test_query_validation():
 def test_gaussian_estimator_consistency_on_two_driver_model():
     model = two_drivers_model()
     panel = simulate_panel(model, 40_000, seed=5)
-    est_pair = estimate_di_gaussian(panel, 3, (1,))
-    est_cond = estimate_di_gaussian(panel, 3, (1,), (2,))
+    est_pair = estimate_di(panel, 3, (1,))
+    est_cond = estimate_di(panel, 3, (1,), (2,))
     assert est_pair == pytest.approx(HALF_LOG_3_2, abs=0.02)
     assert est_cond == pytest.approx(HALF_LOG_2, abs=0.02)
 
@@ -226,8 +235,8 @@ def test_gaussian_estimator_consistency_on_two_driver_model():
 def test_gaussian_estimator_near_zero_for_independent_noise():
     rng = np.random.default_rng(3)
     panel = TimeSeriesPanel(rng.standard_normal((3, 20_000)))
-    assert estimate_di_gaussian(panel, 1, (2,)) < 0.005
-    assert estimate_di_gaussian(panel, 1, (2,), (3,)) < 0.005
+    assert estimate_di(panel, 1, (2,)) < 0.005
+    assert estimate_di(panel, 1, (2,), (3,)) < 0.005
 
 
 def test_gaussian_estimator_chain_rule_is_exact_in_sample():
@@ -238,29 +247,29 @@ def test_gaussian_estimator_chain_rule_is_exact_in_sample():
         config = EstimatorConfig(markov_order=order)
         members = (1, 3, 4)
         increments = [
-            estimate_di_gaussian(panel, 2, (j,), members[:k], config)
+            estimate_di(panel, 2, (j,), members[:k], config)
             for k, j in enumerate(members)
         ]
-        total = estimate_di_gaussian(panel, 2, members, (), config)
+        total = estimate_di(panel, 2, members, (), config)
         assert sum(increments) == pytest.approx(total, abs=1e-9)
 
 
 def test_gaussian_estimator_empty_addition_is_zero():
     rng = np.random.default_rng(19)
     panel = TimeSeriesPanel(rng.standard_normal((2, 50)))
-    assert estimate_di_gaussian(panel, 1, ()) == 0.0
+    assert estimate_di(panel, 1, ()) == 0.0
 
 
 def test_gaussian_estimator_insufficient_samples():
     rng = np.random.default_rng(23)
     panel = TimeSeriesPanel(rng.standard_normal((2, 3)))
     with pytest.raises(EstimationError) as err:
-        estimate_di_gaussian(panel, 1, (2,), (), EstimatorConfig(markov_order=3))
+        estimate_di(panel, 1, (2,), (), EstimatorConfig(markov_order=3))
     assert "insufficient samples" in str(err.value)
     # enough steps but more regressors than rows
     small = TimeSeriesPanel(rng.standard_normal((4, 4)))
     with pytest.raises(EstimationError) as err:
-        estimate_di_gaussian(small, 1, (2, 3, 4))
+        estimate_di(small, 1, (2, 3, 4))
     assert "insufficient samples" in str(err.value)
 
 
@@ -270,8 +279,8 @@ def test_gaussian_estimator_drops_a_dependent_column():
     x = rng.standard_normal(80)
     data = np.vstack([x, x, rng.standard_normal(80)])
     panel = TimeSeriesPanel(data)
-    value = estimate_di_gaussian(panel, 3, (1, 2))
-    assert value == estimate_di_gaussian(panel, 3, (1,))
+    value = estimate_di(panel, 3, (1, 2))
+    assert value == estimate_di(panel, 3, (1,))
     assert value == pytest.approx(lstsq_di(data, 3, (1, 2), (), 1), rel=1e-9)
 
 
@@ -283,9 +292,9 @@ def test_a_cache_with_a_duplicated_process_finishes():
     # x3 repeats x2, the target's own lag, so it adds nothing to target 2
     assert cache.get(2, (3,)) == 0.0
     assert cache.get(1, (2,)) == cache.get(1, (3,))
-    assert estimate_di_gaussian(panel, 1, (2,), (3,)) == 0.0
+    assert estimate_di(panel, 1, (2,), (3,)) == 0.0
     with pytest.raises(EstimationError) as err:
-        estimate_di_gaussian(TimeSeriesPanel(rng.standard_normal((2, 3))), 1, (2,))
+        estimate_di(TimeSeriesPanel(rng.standard_normal((2, 3))), 1, (2,))
     assert "insufficient samples" in str(err.value)
     assert "target 1, addition [2]" in str(err.value)
 
@@ -364,7 +373,7 @@ def test_near_collinear_regressors_fail_the_pivot_check(monkeypatch, batched):
     panel = TimeSeriesPanel(data)
     ev = DIEvaluator.from_panel(panel)
     if batched:
-        values = ev.increments(3, [(4,), (2,)], (1,))
+        values = in_one_batch(ev, 3, [(4,), (2,)], (1,))
         assert values == [DIEvaluator.from_panel(panel).increment(3, (4,), (1,)), 0.0]
         assert values[0] > 0.0
     else:
@@ -449,7 +458,7 @@ def test_zero_residual_is_zero_when_the_reduced_fit_has_none(monkeypatch, batche
     reached = _spy_on_fallback(monkeypatch)
     ev = DIEvaluator.from_panel(_deterministic_target_panel())
     if batched:
-        assert ev.increments(3, [(4,), (2,)], (1,)) == [0.0, 0.0]
+        assert in_one_batch(ev, 3, [(4,), (2,)], (1,)) == [0.0, 0.0]
     else:
         assert ev.increment(3, (2,), (1,)) == 0.0
     assert (3, (2,), (1,)) in reached
@@ -461,7 +470,7 @@ def test_zero_residual_after_the_addition_names_the_query(monkeypatch, batched):
     ev = DIEvaluator.from_panel(_deterministic_target_panel())
     with pytest.raises(EstimationError) as err:
         if batched:
-            ev.increments(3, [(2,), (1,)], ())
+            in_one_batch(ev, 3, [(2,), (1,)], ())
         else:
             ev.increment(3, (1,), ())
     assert str(err.value).startswith("zero residual variance")
@@ -486,7 +495,7 @@ def test_gaussian_estimator_deterministic_coupling_is_extreme():
     y = np.concatenate([[0.0], x[:-1]])
     panel = TimeSeriesPanel(np.vstack([x, y]))
     try:
-        value = estimate_di_gaussian(panel, 2, (1,))
+        value = estimate_di(panel, 2, (1,))
         assert value > 3.0
     except EstimationError as err:
         assert "zero residual" in str(err.value)
@@ -507,7 +516,7 @@ def test_discrete_estimator_matches_naive_counting_oracle():
         n_add = int(rng.integers(1, len(others) + 1))
         addition = tuple(sorted(others[:n_add]))
         conditioning = tuple(sorted(others[n_add:]))
-        got = estimate_di_discrete(
+        got = estimate_di(
             panel, target, addition, conditioning, EstimatorConfig(
                 markov_order=order, estimator="discrete"
             )
@@ -522,18 +531,18 @@ def test_discrete_estimator_binary_copy_channel():
     y = np.concatenate([[0], x[:-1]])
     panel = TimeSeriesPanel(np.vstack([x, y]), kind="discrete")
     config = EstimatorConfig(estimator="discrete")
-    assert estimate_di_discrete(panel, 2, (1,), (), config) == pytest.approx(
+    assert estimate_di(panel, 2, (1,), (), config) == pytest.approx(
         math.log(2.0), abs=0.01
     )
     # reverse direction carries nothing
-    assert estimate_di_discrete(panel, 1, (2,), (), config) < 0.01
+    assert estimate_di(panel, 1, (2,), (), config) < 0.01
 
 
 def test_discrete_estimator_independent_symbols_near_zero():
     rng = np.random.default_rng(43)
     data = rng.integers(0, 2, size=(2, 20_000))
     panel = TimeSeriesPanel(data, kind="discrete")
-    assert estimate_di_discrete(panel, 1, (2,)) < 0.005
+    assert estimate_di(panel, 1, (2,), (), DISCRETE) < 0.005
 
 
 def test_discrete_estimator_state_space_cap(monkeypatch):
@@ -543,7 +552,7 @@ def test_discrete_estimator_state_space_cap(monkeypatch):
     panel = TimeSeriesPanel(data, kind="discrete")
     config = EstimatorConfig(markov_order=2, estimator="discrete")
     with pytest.raises(EstimationError) as err:
-        estimate_di_discrete(panel, 1, (2,), (3,), config)
+        estimate_di(panel, 1, (2,), (3,), config)
     assert "state space too large" in str(err.value)
 
 
@@ -600,17 +609,20 @@ def test_discrete_cache_errors_name_the_query(monkeypatch):
 def test_discrete_estimator_requires_discrete_panel():
     panel = TimeSeriesPanel(np.random.default_rng(0).standard_normal((2, 30)))
     with pytest.raises(ValidationError):
-        estimate_di_discrete(panel, 1, (2,))
+        estimate_di(panel, 1, (2,), (), DISCRETE)
 
 
 def test_estimate_di_dispatches_on_config():
     rng = np.random.default_rng(53)
-    real = TimeSeriesPanel(rng.standard_normal((2, 120)))
-    assert estimate_di(real, 1, (2,)) == estimate_di_gaussian(real, 1, (2,))
-    disc = TimeSeriesPanel(rng.integers(0, 2, size=(2, 120)), kind="discrete")
-    config = EstimatorConfig(estimator="discrete")
-    assert estimate_di(disc, 1, (2,), (), config) == estimate_di_discrete(
-        disc, 1, (2,), (), config
+    data = rng.standard_normal((2, 120))
+    real = TimeSeriesPanel(data)
+    gaussian = estimate_di(real, 1, (2,), (), EstimatorConfig())
+    assert estimate_di(real, 1, (2,)) == gaussian
+    assert gaussian == pytest.approx(lstsq_di(data, 1, (2,), (), 1), rel=1e-9)
+    symbols = rng.integers(0, 2, size=(2, 120))
+    disc = TimeSeriesPanel(symbols, kind="discrete")
+    assert estimate_di(disc, 1, (2,), (), DISCRETE) == unique_count_di(
+        symbols, 2, 1, (2,), (), 1
     )
 
 
@@ -634,7 +646,7 @@ def test_evaluator_from_panel_matches_estimator():
     rng = np.random.default_rng(59)
     panel = TimeSeriesPanel(rng.standard_normal((3, 200)))
     ev = DIEvaluator.from_panel(panel)
-    assert ev.set_value(1, (2, 3)) == estimate_di_gaussian(panel, 1, (2, 3))
+    assert ev.set_value(1, (2, 3)) == estimate_di(panel, 1, (2, 3))
     with pytest.raises(ValidationError):
         DIEvaluator(lambda t, a, c: 0.0, 0)
 

@@ -27,14 +27,14 @@ from dinet.estimation import (
     LinearNetworkModel,
     TimeSeriesPanel,
     build_cache,
-    estimate_di_discrete,
-    estimate_di_gaussian,
+    estimate_di,
     exact_di_gaussian,
     read_panel_csv,
     write_panel_csv,
 )
 
 from _oracles import lstsq_di, lyapunov_exact_di, naive_discrete_di, unique_count_di
+from test_estimation import in_one_batch
 
 # lstsq itself carries relative errors near 1e-13 on these panels (and
 # far larger on small increments), so the bounds leave a wide margin
@@ -82,7 +82,7 @@ def test_kernel_matches_per_query_lstsq(query):
     panel = TimeSeriesPanel(data)
     config = EstimatorConfig(markov_order=order)
     want = lstsq_di(data, target, addition, conditioning, order)
-    got = estimate_di_gaussian(panel, target, addition, conditioning, config)
+    got = estimate_di(panel, target, addition, conditioning, config)
     assert got == pytest.approx(want, rel=REL, abs=ABS)
     ev = DIEvaluator.from_panel(panel, config)
     assert ev.increment(target, addition, conditioning) == got
@@ -336,7 +336,7 @@ def test_plugin_kernel_matches_unique_counts_bitwise(query):
     data, alphabet, order, target, addition, conditioning = query
     panel, config = _discrete(data, alphabet, order)
     want = unique_count_di(data, alphabet, target, addition, conditioning, order)
-    got = estimate_di_discrete(panel, target, addition, conditioning, config)
+    got = estimate_di(panel, target, addition, conditioning, config)
     assert got == want
     ev = DIEvaluator.from_panel(panel, config)
     assert ev.increment(target, addition, conditioning) == got
@@ -349,7 +349,7 @@ def test_plugin_batch_equals_single_queries_bitwise(query):
     panel, config = _discrete(data, alphabet, order)
     free = [j for j in range(1, len(data) + 1) if j != target and j not in conditioning]
     adds = list(combinations(free, len(addition)))
-    batch = DIEvaluator.from_panel(panel, config).increments(target, adds, conditioning)
+    batch = in_one_batch(DIEvaluator.from_panel(panel, config), target, adds, conditioning)
     singles = [
         DIEvaluator.from_panel(panel, config).increment(target, add, conditioning)
         for add in adds
@@ -366,7 +366,7 @@ def test_plugin_cache_equals_fresh_estimates_bitwise(query, K):
     panel, config = _discrete(data, alphabet, order)
     cache = build_cache(DIEvaluator.from_panel(panel, config), m, K)
     for target, members, value in cache.items():
-        assert value == estimate_di_discrete(panel, target, members, (), config)
+        assert value == estimate_di(panel, target, members, (), config)
 
 
 @SETTINGS
@@ -389,14 +389,14 @@ def test_plugin_chunks_of_q_queries_keep_every_bit(query, K, q):
     adds = list(combinations(free, len(addition)))
     cells = alphabet ** (order * (1 + len(conditioning) + len(addition)) + 1)
     with patch.object(estimation, "MAX_CELLS", cells * q):
-        batch = DIEvaluator.from_panel(panel, config).increments(target, adds, conditioning)
+        batch = in_one_batch(DIEvaluator.from_panel(panel, config), target, adds, conditioning)
     assert batch == [
         unique_count_di(data, alphabet, target, add, conditioning, order) for add in adds
     ]
     # one cell short of a single query, the group's first query is named
     with patch.object(estimation, "MAX_CELLS", cells - 1):
         with pytest.raises(EstimationError) as err:
-            DIEvaluator.from_panel(panel, config).increments(target, adds, conditioning)
+            in_one_batch(DIEvaluator.from_panel(panel, config), target, adds, conditioning)
     assert str(err.value).endswith(
         f"(target {target}, addition {list(adds[0])}, conditioning {list(conditioning)})"
     )
@@ -408,7 +408,7 @@ def test_plugin_kernel_matches_dictionary_counting(query):
     data, alphabet, order, target, addition, conditioning = query
     panel, config = _discrete(data, alphabet, order)
     want = naive_discrete_di(data, alphabet, target, addition, conditioning, order)
-    got = estimate_di_discrete(panel, target, addition, conditioning, config)
+    got = estimate_di(panel, target, addition, conditioning, config)
     # exact zeros come out of both as rounding residue of (a + b) - b - a
     assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
 

@@ -22,8 +22,8 @@ from dinet.approximation import (
     optimal_general,
 )
 from dinet.estimation import DIEvaluator, build_cache
-from dinet.simulate import assignment_exact_score, generate_ar_network
-from dinet.structures import DirectedInfoCache, ParentAssignment, total_score
+from dinet.simulate import _exact_scores, generate_ar_network
+from dinet.structures import DirectedInfoCache, ParentAssignment
 from dinet.topr import _class_size, top_r_connected, top_r_general, top_r_greedy
 
 from test_approximation import evaluator_from_cache
@@ -91,6 +91,8 @@ def test_every_score_is_the_fsum_of_its_node_values(seed, m, K, kind):
 
     for degrees in (K, [int(k) for k in rng.integers(1, K + 1, size=m)]):
         from_cache([optimal_general(cache, degrees)])
+    # some nodes keep the empty set, worth 0.0 without a cache lookup
+    from_cache([optimal_general(cache, [int(k) for k in rng.integers(0, K + 1, size=m)])])
     r = min(_class_size(m, K), 60)
     from_cache(top_r_general(cache, K, r))
     for root_has_parents in (False, True):
@@ -111,14 +113,6 @@ def test_every_score_is_the_fsum_of_its_node_values(seed, m, K, kind):
     ]
     _assert_fsum(greedy.score, gains, rng)
 
-    # an arbitrary assignment, empty sets included, scored from the cache
-    assignment = ParentAssignment.from_lists(
-        rng.choice([j for j in range(1, m + 1) if j != i],
-                   size=int(rng.integers(0, K + 1)), replace=False).tolist()
-        for i in range(1, m + 1)
-    )
-    _assert_fsum(total_score(cache, assignment), _node_values(cached, assignment), rng)
-
 
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(3, 6))
@@ -128,6 +122,6 @@ def test_exact_assignment_scores_are_fsums(seed, m):
     exact = DIEvaluator.from_model(model)
     for K in (1, 2):
         r = min(_class_size(m, K), 10)
-        for sol in top_r_general(build_cache(exact, m, K), K, r):
-            score = assignment_exact_score(sol.assignment, exact)
-            _assert_fsum(score, _node_values(exact.set_value, sol.assignment), rng)
+        ranked = [sol.assignment for sol in top_r_general(build_cache(exact, m, K), K, r)]
+        for assignment, score in zip(ranked, _exact_scores(ranked, exact)):
+            _assert_fsum(score, _node_values(exact.set_value, assignment), rng)

@@ -18,7 +18,6 @@ from dinet.simulate import (
     TRIAL_HEADER,
     ExperimentConfig,
     aggregate_rows,
-    assignment_exact_score,
     generate_ar_network,
     ratio_greedy_optimal,
     ratio_to_true,
@@ -29,8 +28,8 @@ from dinet.simulate import (
     write_experiment_csv,
 )
 from dinet import cli, estimation, simulate
-from dinet.simulate import _draw_trial, _run_trial, _simulate_paths
-from dinet.structures import ParentAssignment, all_parent_sets
+from dinet.simulate import _draw_trial, _exact_scores, _run_trial, _simulate_paths
+from dinet.structures import ParentAssignment, _all_parent_sets
 
 from _oracles import loop_simulate_panel, per_row_trial_reports, power_iteration_radius
 
@@ -176,13 +175,13 @@ def test_ratio_helpers():
     # an assignment of another size is refused, not summed over its own nodes
     for other in ([(), (1,)], [(), (), (1,), ()]):
         with pytest.raises(ValidationError, match="evaluator has m=3"):
-            assignment_exact_score(ParentAssignment.from_lists(other), exact)
+            ratio_to_true(ParentAssignment.from_lists(other), model, exact)
     # a silent network has no score to compare against
     silent = LinearNetworkModel(np.zeros((2, 2)), np.ones(2))
     silent_exact = DIEvaluator.from_model(silent)
     empty = true_parent_assignment(silent)
     assert math.isnan(ratio_to_true(empty, silent, silent_exact))
-    assert assignment_exact_score(empty, silent_exact) == 0.0
+    assert _exact_scores([empty], silent_exact) == [0.0]
 
 
 def test_run_experiment_deterministic():
@@ -380,7 +379,7 @@ def test_chunked_gaussian_stacks_give_the_same_rows(monkeypatch, source):
     # one target's sets at a time, each in a batch of its own
     per_target = make()
     for target in range(1, 17):
-        queries = [(target, members, ()) for members in all_parent_sets(16, target, K)]
+        queries = [(target, members, ()) for members in _all_parent_sets(16, target, K)]
         assert np.array_equal(whole._row(target, K), per_target._fill(queries))
     # a few (K + 2) x (K + 2) blocks per chunk
     monkeypatch.setattr(estimation, "MAX_CELLS", 3 * (K + 2) ** 2)

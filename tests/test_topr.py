@@ -19,19 +19,20 @@ from dinet.structures import (
     DirectedInfoCache,
     ScoredApproximation,
     approximation_index,
-    contains_spanning_arborescence,
     parent_set_index,
 )
-from dinet.topr import get_new_solutions, top_r_connected, top_r_general, top_r_greedy
+from dinet.topr import top_r_connected, top_r_general, top_r_greedy
 
 from _oracles import (
     all_assignments,
+    branch_step,
     connected_class_members,
     eager_greedy_connected,
     exhaustive_connected,
     exhaustive_sorted_general,
     per_point_top_r_connected,
     random_cache,
+    spans,
 )
 from test_approximation import evaluator_from_cache
 
@@ -123,78 +124,62 @@ def test_top_r_general_tie_keys_at_big_int_scale(tie_rich):
         assert [index for _, index in keys] == want
 
 
-def test_get_new_solutions_structure():
+def test_top_r_general_second_best_is_one_branch_step():
+    # the ranking branches by one step: a node swaps in its next-best set
     rng = np.random.default_rng(317)
     cache = random_cache(4, 1, rng)
-    seed = optimal_general(cache, 1)
-    out = get_new_solutions(cache, 1, seed.assignment)
-    assert 1 <= len(out) <= 4
-    for sol in out:
-        diffs = [
-            i
-            for i in range(1, 5)
-            if sol.assignment.members_of(i) != seed.assignment.members_of(i)
-        ]
-        assert len(diffs) == 1  # exactly one parent set replaced
-        assert sol.score <= seed.score + 1e-12
+    seed, second = top_r_general(cache, 1, 2)
+    assert seed.assignment == optimal_general(cache, 1).assignment
+    diffs = [
+        i
+        for i in range(1, 5)
+        if second.assignment.members_of(i) != seed.assignment.members_of(i)
+    ]
+    assert len(diffs) == 1  # exactly one parent set replaced
+    assert second.score <= seed.score + 1e-12
+    assert second.assignment in branch_step(cache, 1, seed.assignment)
 
 
-def test_get_new_solutions_worst_seed_is_a_dead_end():
+def test_top_r_general_worst_solution_is_a_dead_end():
+    # the full ranking ends at the worst solution, and nothing comes after
     rng = np.random.default_rng(331)
     cache = random_cache(3, 1, rng)
     ranked = exhaustive_sorted_general(cache, 1)
     worst = ranked[-1][0]
-    assert get_new_solutions(cache, 1, worst) == ()
+    assert top_r_general(cache, 1, len(ranked))[-1].assignment == worst
+    with pytest.raises(ValidationError, match="r 9 out of range 1..8"):
+        top_r_general(cache, 1, len(ranked) + 1)
 
 
-def test_get_new_solutions_two_node_graph_has_no_successors():
+def test_top_r_general_two_node_graph_has_no_successors():
     rng = np.random.default_rng(337)
     cache = random_cache(2, 1, rng)
     seed = optimal_general(cache, 1).assignment
-    assert get_new_solutions(cache, 1, seed) == ()
-
-
-def test_get_new_solutions_validation():
-    rng = np.random.default_rng(347)
-    cache = random_cache(3, 1, rng)
-    other = optimal_general(random_cache(4, 1, rng), 1).assignment
-    with pytest.raises(ValidationError):
-        get_new_solutions(cache, 1, other)  # m mismatch
-    wrong_size = optimal_general(random_cache(3, 2, rng), 2).assignment
-    with pytest.raises(ValidationError):
-        get_new_solutions(cache, 1, wrong_size)
+    assert [sol.assignment for sol in top_r_general(cache, 1, 1)] == [seed]
+    with pytest.raises(ValidationError, match="r 2 out of range 1..1"):
+        top_r_general(cache, 1, 2)
 
 
 @pytest.mark.parametrize("K", [-1, 3])
-def test_get_new_solutions_rejects_an_out_of_range_degree(K):
+def test_top_r_general_rejects_an_out_of_range_degree(K):
     rng = np.random.default_rng(348)
     cache = random_cache(3, 1, rng)
-    seed = optimal_general(cache, 1).assignment
-    with pytest.raises(ValidationError, match=f"K {K} out of range 0..2"):
-        get_new_solutions(cache, K, seed)
     with pytest.raises(ValidationError, match=f"K {K} out of range 0..2"):
         top_r_general(cache, K, 1)
 
 
 def test_branching_reaches_every_next_best():
-    # the (l+1)-th best always appears among the branches of a better
-    # solution, which is the lemma the exact enumeration rests on
+    # the (l+1)-th best always differs from some better solution in one
+    # parent set, which is the lemma the exact enumeration rests on
     rng = np.random.default_rng(349)
     for trial in range(6):
         cache = random_cache(4, 1, rng, tie_rich=bool(trial % 2))
         ranked = exhaustive_sorted_general(cache, 1)
-        reachable = {ranked[0][0].canonical_key()}
-        frontier = [ranked[0][0]]
-        for l in range(1, len(ranked)):
-            nxt = ranked[l][0]
-            found = any(
-                sol.assignment == nxt
-                for seed in frontier
-                for sol in get_new_solutions(cache, 1, seed)
-            )
+        got = [sol.assignment for sol in top_r_general(cache, 1, len(ranked))]
+        assert got == [a for a, _ in ranked]
+        for l in range(1, len(got)):
+            found = any(got[l] in branch_step(cache, 1, seed) for seed in got[:l])
             assert found, f"rank {l} unreachable from better solutions"
-            frontier.append(nxt)
-            reachable.add(nxt.canonical_key())
 
 
 def test_top_r_connected_matches_exhaustive_first_ranks():
@@ -235,7 +220,7 @@ def test_top_r_connected_solutions_are_class_members():
         root = a.root()
         assert root is not None
         assert a.members_of(root) == ()
-        assert contains_spanning_arborescence(a, root)
+        assert spans(a, root)
         for i in range(1, 6):
             if i != root:
                 assert len(a.members_of(i)) == 2
@@ -325,7 +310,7 @@ def test_top_r_connected_emits_tied_caches_without_draining_a_plateau(
     for sol in got:
         a = sol.assignment
         root = None if root_has_parents else a.root()
-        assert contains_spanning_arborescence(a, root)
+        assert spans(a, root)
         assert sol.score == fsum(
             cache.get(i, a.members_of(i)) if a.members_of(i) else 0.0
             for i in range(1, cache.m + 1)
@@ -525,7 +510,8 @@ def test_zero_degree_ranking_needs_no_cache_entries():
     assert len(got) == 1
     assert got[0].assignment == best.assignment
     assert got[0].score == best.score == 0.0
-    assert get_new_solutions(cache, 0, best.assignment) == ()
+    with pytest.raises(ValidationError, match="r 2 out of range 1..1"):
+        top_r_general(cache, 0, 2)
 
 
 def test_top_r_greedy_general_properties():
@@ -556,7 +542,7 @@ def test_top_r_greedy_connected_properties():
     for s in got:
         root = s.assignment.root()
         assert root is not None
-        assert contains_spanning_arborescence(s.assignment, root)
+        assert spans(s.assignment, root)
         for i in range(1, 5):
             if i != root:
                 assert len(s.assignment.members_of(i)) == 2
@@ -573,7 +559,7 @@ def test_top_r_greedy_rooted_connected_variant():
     got = top_r_greedy(ev, 2, 4, connected=True, root_has_parents=True)
     for s in got:
         assert s.assignment.uniform_degree() == 2
-        assert contains_spanning_arborescence(s.assignment)
+        assert spans(s.assignment)
 
 
 @pytest.mark.parametrize("tie_rich", [False, True])
@@ -608,7 +594,7 @@ def test_top_r_greedy_rooted_connected_reaches_every_tree_around_greedy_roots():
             for a in connected_class_members(4, 2, True)
             if any(
                 a.members_of(rt) == greedy.members_of(rt)
-                and contains_spanning_arborescence(a, rt)
+                and spans(a, rt)
                 for rt in range(1, 5)
             )
         }

@@ -8,7 +8,9 @@ A code line is a line that holds a token of code: comments, blank lines
 and the docstrings of modules, classes and functions (found by ``ast``)
 do not count.  A string statement after an assignment, such as the one
 that documents a module constant, counts as code.  Each line printed is
-``<count>  <module>``, and the last is ``<total>  src/dinet``.
+``<count>  <module>``, then ``<total>  src/dinet``; the last line is the
+number of names in ``dinet.__all__``, read from the syntax tree of
+``__init__.py`` without importing the package.
 """
 
 from __future__ import annotations
@@ -43,6 +45,15 @@ def code_lines(source: str) -> int:
     return len(lines - docstrings)
 
 
+def public_names(source: str) -> int:
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            return len(node.value.elts)
+    raise SystemExit("no __all__ list in src/dinet/__init__.py")
+
+
 def main() -> None:
     total = 0
     for path in sorted(Path("src/dinet").glob("*.py")):
@@ -50,6 +61,8 @@ def main() -> None:
         total += count
         print(f"{count:6d}  {path.name}")
     print(f"{total:6d}  src/dinet")
+    names = public_names(Path("src/dinet/__init__.py").read_text())
+    print(f"{names:6d}  names in dinet.__all__")
 
 
 if __name__ == "__main__":
