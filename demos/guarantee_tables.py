@@ -9,8 +9,6 @@ Tabulate the coefficient, measure alpha on a family of random networks,
 and compare the guarantee against what greedy actually achieves.
 """
 
-import numpy as np
-
 from dinet.approximation import greedy_general, optimal_general
 from dinet.bounds import (
     bound_witness_alpha,

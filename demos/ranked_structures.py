@@ -8,8 +8,6 @@ unconstrained class and the tree-containing class, and show how quickly
 the scores fall off.
 """
 
-import numpy as np
-
 from dinet.estimation import DIEvaluator, build_cache
 from dinet.simulate import generate_ar_network
 from dinet.topr import top_r_connected, top_r_general

@@ -8,8 +8,6 @@ the tree-containing (connected) variant.  The connected search pays a
 score penalty for its spanning-tree guarantee.
 """
 
-import numpy as np
-
 from dinet.approximation import (
     greedy_general,
     optimal_connected,

@@ -35,11 +35,12 @@ factor's last row holds the full residual sum of squares as ``L_yy**2``
 and its drop from the reduced fit as ``|L_y,add|**2``, so the value,
 ``log1p(|L_y,add|**2 / L_yy**2) / 2``, never subtracts two residual
 sums.  Each block is factored on its own, so a query gives bit for bit
-the same value alone or in any batch.  A group that fails to factor, or
-whose factor has a pivot that marks a lag as dependent on those before
-it, is split in halves until each block that fails on its own goes
-through one fallback, which drops the dependent lags and reads the value
-off the rest the same way.
+the same value alone or in any batch.  A block that does not factor
+comes back all NaN, so the one call also finds every failing block: one
+with no factor, or whose factor has a pivot that marks a lag as
+dependent on those before it.  Only those blocks go through one
+fallback, which drops the dependent lags and reads the value off the
+rest the same way.
 :func:`build_cache` asks for every target's sets in one batch; the
 greedy searches ask for every live chain's candidates at once.
 
@@ -74,6 +75,7 @@ from functools import partial
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg._umath_linalg import cholesky_lo as _cholesky_lo
 
 from .errors import (
     EstimationError,
@@ -356,12 +358,12 @@ def _projection_di(moments: _Moments, queries: Sequence[_Query]) -> list[float]:
     conditioning sets are grouped by (conditioning size, addition size)
     in one pass that builds each group's flat list of processes, a row
     per query (see the module notes).  Each group's blocks go through
-    stacked factorizations of at most :data:`MAX_CELLS` entries, in
-    order, and the same element-wise steps, so a query gives bit for bit
-    the same value in any batch and the first failing block is named
-    first.  Only a block that
-    fails :func:`_factor` on its own takes :func:`_dependent_ratio`
-    (:func:`_stack_ratios`).  An empty addition is worth 0.
+    one stacked factorization (:func:`_cholesky`) per chunk of at most
+    :data:`MAX_CELLS` entries and the same element-wise steps, so a
+    query gives bit for bit the same value in any batch.  Each block
+    that fails on its own (:func:`_failing`) then takes
+    :func:`_dependent_ratio`, in stack order, so the first failing query
+    is named first.  An empty addition is worth 0.
     """
     values = [0.0] * len(queries)
     order = moments.order
@@ -399,66 +401,42 @@ def _projection_di(moments: _Moments, queries: Sequence[_Query]) -> list[float]:
         for start in range(0, len(group), chunk):
             part, rows = group[start: start + chunk], idx[start: start + chunk]
             blocks = moments.stacked[rows[:, :, None], rows[:, None, :]]
-            for q, x in zip(part, _stack_ratios(blocks, r, d, queries, part)):
+            chol = _cholesky(blocks)
+            ratios = _ratios(chol, r, d).tolist()
+            for j in np.flatnonzero(_failing(chol, blocks, d)).tolist():
+                ratios[j] = _dependent_ratio(blocks[j], r, d, queries[part[j]])
+            for q, x in zip(part, ratios):
                 values[q] = 0.5 * log1p(x)
     return values
 
 
-def _stack_ratios(
-    blocks: np.ndarray, r: int, d: int, queries: Sequence[_Query], group: list[int]
-) -> list[float]:
-    """:func:`_ratios` of each block in a stack, as that block gives it alone.
+def _cholesky(blocks: np.ndarray) -> np.ndarray:
+    """Cholesky factors of a stack of blocks, all NaN for a block that has none.
 
-    A stack whose factorization raises is split in halves, and each half
-    is tried on its own.  Once a stack factors, each block that fails the
-    pivot check (:func:`_dependent`) goes to :func:`_dependent_ratio`,
-    named as query ``queries[group[j]]`` for block ``j``, and the others
-    keep their factors: a block's factor has the same bits in a stack of
-    any size.  The halves and the failing blocks go in order, so the
-    first block to raise is the first in the stack.
+    ``np.linalg.cholesky`` raises for the whole stack when one block is
+    not positive definite.  Its own gufunc, called here directly with
+    floating-point errors ignored, instead returns that block's factor
+    all NaN and factors every other block on its own, so one call finds
+    every failing block and each factor keeps the bits
+    ``np.linalg.cholesky`` gives it.  This is the one private numpy name
+    the package uses; it is imported at module top, so a numpy that
+    renames it fails at import rather than at the first query.
     """
-    try:
-        chol = np.linalg.cholesky(blocks)
-    except np.linalg.LinAlgError:
-        if len(blocks) == 1:
-            return [_dependent_ratio(blocks[0], r, d, queries[group[0]])]
-        half = len(blocks) // 2
-        head = _stack_ratios(blocks[:half], r, d, queries, group[:half])
-        return head + _stack_ratios(blocks[half:], r, d, queries, group[half:])
-    dependent = _dependent(chol, blocks, d)
-    if not dependent.any():
-        return _ratios(chol, r, d).tolist()
-    values = [0.0] * len(blocks)
-    kept = np.flatnonzero(~dependent).tolist()
-    for j, x in zip(kept, _ratios(chol[kept], r, d).tolist()):
-        values[j] = x
-    for j in np.flatnonzero(dependent).tolist():
-        values[j] = _dependent_ratio(blocks[j], r, d, queries[group[j]])
-    return values
+    with np.errstate(all="ignore"):
+        return _cholesky_lo(blocks, signature="d->d")
 
 
-def _factor(blocks: np.ndarray, checked: int) -> np.ndarray | None:
-    """Cholesky factors of a stack of blocks, or None.
+def _failing(chol: np.ndarray, blocks: np.ndarray, checked: int) -> np.ndarray:
+    """Per block, whether its factor is missing or fails the pivot check.
 
-    None when a block is not positive definite or fails the pivot check
-    of its first ``checked`` columns (:func:`_dependent`).
-    """
-    try:
-        chol = np.linalg.cholesky(blocks)
-    except np.linalg.LinAlgError:
-        return None
-    return None if _dependent(chol, blocks, checked).any() else chol
-
-
-def _dependent(chol: np.ndarray, blocks: np.ndarray, checked: int) -> np.ndarray:
-    """Per block, whether it fails the pivot check of its first ``checked`` columns.
-
-    A column fails when its squared pivot falls below ``SINGULAR_PIVOT``
-    times its diagonal entry: it depends on the columns before it.
+    A block with no factor (:func:`_cholesky`) fails.  Of the first
+    ``checked`` columns, one fails when its squared pivot falls below
+    ``SINGULAR_PIVOT`` times its diagonal entry: it depends on the
+    columns before it.
     """
     pivots = np.diagonal(chol, axis1=1, axis2=2)[:, :checked] ** 2
     scale = np.diagonal(blocks, axis1=1, axis2=2)[:, :checked]
-    return (pivots < SINGULAR_PIVOT * scale).any(axis=1)
+    return (pivots < SINGULAR_PIVOT * scale).any(axis=1) | np.isnan(chol[:, 0, 0])
 
 
 def _ratios(chol: np.ndarray, r: int, d: int) -> np.ndarray:
@@ -488,7 +466,9 @@ def _dependent_ratio(block: np.ndarray, r: int, d: int, query: _Query) -> float:
     """
 
     def factor(cols: list[int], checked: int = 0) -> np.ndarray | None:
-        return _factor(block[cols][:, cols][None], checked)
+        sub = block[cols][:, cols][None]
+        chol = _cholesky(sub)
+        return None if _failing(chol, sub, checked)[0] else chol
 
     keep: list[int] = []
     for j in range(d):

@@ -40,7 +40,7 @@ import math
 import numbers
 import reprlib
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations, compress, count, repeat
 from math import comb
 
@@ -211,12 +211,12 @@ class ParentAssignment:
     @classmethod
     def from_lists(cls, members_per_node: Sequence[Iterable[int]]) -> "ParentAssignment":
         """Build from one iterable of parent indices per node, in node order."""
-        return cls(
-            tuple(
-                ParentSet(i, tuple(ms))
-                for i, ms in enumerate(members_per_node, start=1)
-            )
-        )
+        parents = []
+        for i, ms in enumerate(members_per_node, start=1):
+            if not isinstance(ms, Iterable):
+                raise ValidationError(f"parents[{i - 1}] is not an iterable of processes")
+            parents.append(ParentSet(i, tuple(ms)))
+        return cls(tuple(parents))
 
     @classmethod
     def _from_keys(cls, keys: Iterable[tuple[int, ...]]) -> "ParentAssignment":

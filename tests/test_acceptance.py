@@ -40,7 +40,6 @@ from dinet.simulate import (
     ratio_greedy_optimal,
     ratio_to_true,
     simulate_panel,
-    true_parent_assignment,
 )
 from dinet.structures import (
     ParentAssignment,

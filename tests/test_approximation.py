@@ -11,10 +11,8 @@ from dinet.approximation import (
 )
 from dinet.errors import ValidationError
 from dinet.estimation import DIEvaluator, EstimatorConfig, TimeSeriesPanel
-from dinet.structures import ParentAssignment, approximation_index
 
 from _oracles import (
-    all_assignments,
     cache_score,
     exhaustive_connected,
     exhaustive_optimal_general,

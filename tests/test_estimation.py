@@ -1,4 +1,5 @@
 import math
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -408,41 +409,71 @@ def test_only_blocks_that_fail_alone_take_the_fallback(monkeypatch, m, K):
 
 
 def test_a_stack_that_factors_is_not_split(monkeypatch):
-    # process 5 is process 2 plus 1e-7 noise: every stack factors, and
-    # only the blocks holding both lags fail the pivot check, so they
-    # alone take the fallback and no stack is split
+    # process 5 is process 2 plus 1e-7 noise, so every block factors and
+    # only the blocks holding both lags fail the pivot check; or it is an
+    # exact copy, so those blocks do not factor at all.  Either way they
+    # alone take the fallback, and the stack is factored in as many
+    # multi-block calls as the clean panel's
     def stack_sizes(data):
         sizes = []
-        split = estimation._stack_ratios
+        cholesky = estimation._cholesky
 
-        def spy(blocks, *rest):
-            sizes.append(len(blocks))
-            return split(blocks, *rest)
+        def spy(blocks):
+            if len(blocks) > 1:
+                sizes.append(len(blocks))
+            return cholesky(blocks)
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(estimation, "_stack_ratios", spy)
+            patch.setattr(estimation, "_cholesky", spy)
             cache = build_cache(DIEvaluator.from_panel(TimeSeriesPanel(data)), 6, 2)
         return sizes, cache
 
     rng = np.random.default_rng(5)
     data = np.array(simulate_panel(generate_ar_network(6, rng), 500, 1).data)
     clean, _ = stack_sizes(data)
-    data[4] = data[1] + 1e-7 * rng.standard_normal(500)
+    noise = 1e-7 * rng.standard_normal(500)
     reached = _spy_on_fallback(monkeypatch)
-    sizes, cache = stack_sizes(data)
-    assert sizes == clean
-    assert sorted(reached) == sorted(
-        (target, members, ())
-        for target, members, _ in cache.items()
-        if {2, 5} <= {target, *members}
-    )
-    for target, members, value in cache.items():
-        assert value == DIEvaluator.from_panel(TimeSeriesPanel(data)).set_value(
-            target, members
+    for copy in (data[1] + noise, data[1]):
+        del reached[:]
+        data[4] = copy
+        sizes, cache = stack_sizes(data)
+        assert sizes == clean
+        assert sorted(reached) == sorted(
+            (target, members, ())
+            for target, members, _ in cache.items()
+            if {2, 5} <= {target, *members}
         )
-        if (target, members, ()) not in reached:
-            want = lstsq_di(data, target, members, (), 1)
-            assert value == pytest.approx(want, rel=1e-9), (target, members)
+        for target, members, value in cache.items():
+            assert value == DIEvaluator.from_panel(TimeSeriesPanel(data)).set_value(
+                target, members
+            )
+            if (target, members, ()) not in reached:
+                want = lstsq_di(data, target, members, (), 1)
+                assert value == pytest.approx(want, rel=1e-9), (target, members)
+
+
+def test_the_stacked_factorization_marks_each_failing_block_with_nan():
+    # the gufunc behind np.linalg.cholesky factors each block of a stack
+    # on its own and fills a block that has no factor with NaN
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((3, 20))
+    definite = [x @ x.T, np.diag([4.0, 1.0, 9.0]), x[:, :4] @ x[:, :4].T]
+    failing = [
+        -np.diag([1.0, 2.0, 3.0]),  # negative definite
+        np.diag([1.0, 0.0, 1.0]),  # a zero row
+        np.array([[4.0, 2.0, 2.0], [2.0, 1.0, 1.0], [2.0, 1.0, 1.0]]),  # a copy
+    ]
+    blocks = np.array([definite[0], failing[0], definite[1], failing[1],
+                       failing[2], definite[2]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        chol = estimation._cholesky(blocks)
+    for j in (0, 2, 5):
+        assert chol[j].tobytes() == np.linalg.cholesky(blocks[j]).tobytes()
+    for j in (1, 3, 4):
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(blocks[j])
+        assert np.isnan(chol[j]).all()
 
 
 def _deterministic_target_panel():

@@ -221,19 +221,29 @@ def test_mixed_model_batch_equals_single_queries(model, data):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(3, 5), st.booleans(), st.data())
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(3, 5),
+    st.sampled_from(["zero", "copy", "near copy"]),
+    st.data(),
+)
 def test_mixed_batch_with_a_dead_or_copied_process_equals_single_queries(
-    seed, m, copied, data
+    seed, m, kind, data
 ):
     # a zero process has an all-zero lag column and a copied one repeats
-    # a column, so a block holding either fails to factor or fails the
-    # pivot check, and its whole group takes the per-query fallback
+    # a column, so a block holding either does not factor; a near copy
+    # (1e-7 noise) factors but fails the pivot check beside its source
     rng = np.random.default_rng(seed)
     panel_data = rng.standard_normal((m, 80))
     odd = data.draw(st.integers(1, m), label="odd process")
     live = [j for j in range(1, m + 1) if j != odd]
     source = data.draw(st.sampled_from(live), label="source")
-    panel_data[odd - 1] = panel_data[source - 1] if copied else 0.0
+    if kind == "zero":
+        panel_data[odd - 1] = 0.0
+    else:
+        panel_data[odd - 1] = panel_data[source - 1]
+        if kind == "near copy":
+            panel_data[odd - 1] += 1e-7 * rng.standard_normal(80)
     queries = _queries(data.draw, m, data.draw(st.integers(0, 8)))
     # this query's block holds the odd column: beside its source's lag
     # when it is a copy
@@ -247,6 +257,10 @@ def test_mixed_batch_with_a_dead_or_copied_process_equals_single_queries(
     for (target, addition, conditioning), value in zip(queries, values):
         single = DIEvaluator.from_panel(panel)
         assert value == single.increment(target, addition, conditioning)
+        # a near copy's lag drops beside its source's, so lstsq, which
+        # keeps it, differs there by more than rounding
+        if kind == "near copy" and {source, odd} <= {target, *addition, *conditioning}:
+            continue
         want = lstsq_di(panel_data, target, addition, conditioning, 1)
         assert value == pytest.approx(want, rel=REL, abs=ABS)
     assert values[at] == 0.0

@@ -70,6 +70,8 @@ def test_assignment_rejects_out_of_range_parents():
         ParentAssignment.from_lists([(2,), (3,)])  # 3 > m=2
     with pytest.raises(ValidationError):
         ParentAssignment.from_lists([(1,), (1,)])  # self loop at node 1
+    with pytest.raises(ValidationError, match=r"parents\[0\]"):
+        ParentAssignment.from_lists([1, [1]])  # node 1's entry is not a set
 
 
 def test_assignment_canonical_key_orders_assignments():
