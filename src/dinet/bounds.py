@@ -210,8 +210,9 @@ def bound_witness_alpha(
         raise ValidationError(f"expected {m} greedy orders, got {len(greedy_orders)}")
     chains = []
     for target in range(1, m + 1):
-        order = tuple(greedy_orders[target - 1])
+        order = greedy_orders[target - 1]
         _check_set(m, target, order, "greedy order")
+        order = tuple(order)
         opt = set(optimal.members_of(target))
         for l in range(len(order)):
             pool = opt - set(order[:l])

@@ -226,7 +226,6 @@ def cmd_simulate(args) -> int:
         n=args.n,
         trials=args.trials,
         edge_probability=args.edge_probability,
-        noise_variance=args.noise_variance,
         spectral_target=args.spectral_target,
         r=args.r,
         seed=args.seed,
@@ -328,7 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=ExperimentConfig.n)
     p.add_argument("--trials", type=int, default=ExperimentConfig.trials)
     p.add_argument("--edge-probability", type=float, default=ExperimentConfig.edge_probability)
-    p.add_argument("--noise-variance", type=float, default=ExperimentConfig.noise_variance)
     p.add_argument("--spectral-target", type=float, default=ExperimentConfig.spectral_target)
     p.add_argument("--r", type=int, default=ExperimentConfig.r)
     p.add_argument("--seed", type=int, default=ExperimentConfig.seed)

@@ -53,6 +53,12 @@ RATIO_OPTIMAL_TOL = 1e-9  # scores within this relative gap count as optimal
 # coefficients keep coming out with no spectral radius to rescale
 MAX_NETWORK_DRAWS = 100
 
+# the noise variance of every process of a random network.  A DI value is
+# half the log of a ratio of two residual variances, and scaling every
+# noise variance by one factor scales both alike, so any positive value
+# gives the same DI values up to rounding
+NOISE_VARIANCE = 0.25
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -64,7 +70,6 @@ class ExperimentConfig:
     n: int = 1000
     trials: int = 100
     edge_probability: float = 0.5
-    noise_variance: float = 0.25
     spectral_target: float = 0.95
     r: int = 0  # 0 disables the ranked-enumeration rows
     seed: int = 0
@@ -78,7 +83,7 @@ class ExperimentConfig:
         _check_int(self.r, "r", 0, MAX_RANKED)
         _check_int(self.K, "K", 1, self.m - 1)
         _check_int(self.greedy_length, "L", 1, self.m - 1)
-        _check_network(self.edge_probability, self.spectral_target, self.noise_variance)
+        _check_network(self.edge_probability, self.spectral_target)
         if self.selection not in ("estimated", "exact"):
             raise ValidationError(f"unknown selection mode: {self.selection!r}")
 
@@ -109,13 +114,10 @@ class ExperimentResult:
     excluded_trials: int
 
 
-def _check_network(
-    edge_probability: float, spectral_target: float, noise_variance: float
-) -> None:
+def _check_network(edge_probability: float, spectral_target: float) -> None:
     """Reject a random network's parameters, NaN included, outside their ranges."""
     edge_probability = _check_real(edge_probability, "edge_probability")
     spectral_target = _check_real(spectral_target, "spectral_target")
-    noise_variance = _check_real(noise_variance, "noise_variance")
     if not 0.0 <= edge_probability <= 1.0:
         raise ValidationError(
             f"edge_probability must lie in [0, 1], got {edge_probability}"
@@ -123,10 +125,6 @@ def _check_network(
     if not 0.0 < spectral_target < 1.0:
         raise ValidationError(
             f"spectral_target must lie in (0, 1), got {spectral_target}"
-        )
-    if not 0.0 < noise_variance < math.inf:
-        raise ValidationError(
-            f"noise_variance must be finite and positive, got {noise_variance}"
         )
 
 
@@ -149,31 +147,31 @@ def generate_ar_network(
     seed,
     edge_probability: float = 0.5,
     spectral_target: float = 0.95,
-    noise_variance: float = 0.25,
     include_diagonal: bool = True,
 ) -> LinearNetworkModel:
     """A random sparse AR(1) network rescaled to the target spectral radius.
 
     Off-diagonal coefficients are standard normal, each present with
     ``edge_probability``; diagonal self-terms are standard normal too
-    unless ``include_diagonal`` is off.  An all-zero draw cannot be
-    rescaled and is resampled, up to :data:`MAX_NETWORK_DRAWS` draws in
-    all.
+    unless ``include_diagonal`` is off.  Every process has noise variance
+    :data:`NOISE_VARIANCE`; no other value would change a DI value beyond
+    rounding.  An all-zero draw cannot be rescaled and is resampled, up
+    to :data:`MAX_NETWORK_DRAWS` draws in all.
     """
     _check_int(m, "m", 1)
-    _check_network(edge_probability, spectral_target, noise_variance)
+    _check_network(edge_probability, spectral_target)
     rng = _as_generator(seed)
     for _ in range(MAX_NETWORK_DRAWS):
         coeffs = rng.standard_normal((m, m))
         mask = rng.random((m, m)) < edge_probability
         np.fill_diagonal(mask, include_diagonal)
         coeffs *= mask
-        model = LinearNetworkModel(coeffs, np.full(m, noise_variance))
+        model = LinearNetworkModel(coeffs, np.full(m, NOISE_VARIANCE))
         rho = model.spectral_radius()
         if rho <= 1e-12:
             continue
         return LinearNetworkModel(
-            coeffs * (spectral_target / rho), np.full(m, noise_variance)
+            coeffs * (spectral_target / rho), np.full(m, NOISE_VARIANCE)
         )
     raise ValidationError(
         f"could not draw a nonzero coefficient matrix in {MAX_NETWORK_DRAWS} attempts"
@@ -295,7 +293,6 @@ def _draw_trial(config: ExperimentConfig, trial: int) -> _Draw | str:
             np.random.default_rng(model_seed),
             edge_probability=config.edge_probability,
             spectral_target=config.spectral_target,
-            noise_variance=config.noise_variance,
             include_diagonal=config.include_diagonal,
         )
         exact = DIEvaluator.from_model(model)

@@ -67,9 +67,9 @@ MAX_RANKED = 100_000
 A ranking keeps every structure it emits and the heap of its walk until
 it returns.  At r = 100,000, traced by ``tracemalloc``, the peak was 1,135
 bytes per emitted structure for :func:`dinet.top_r_general` at m=16, K=2
-(373 of them kept in the result) and 2,012 for the general
+(373 of them kept in the result) and 2,106 for the general
 :func:`dinet.top_r_greedy` at m=10, L=2, whose walk also keeps a seen
-set; so this caps a ranking's memory near 110 to 200 MB.  The rankings
+set; so this caps a ranking's memory near 110 to 210 MB.  The rankings
 and a study's ``r`` above it raise :class:`ValidationError` before any
 list is built.
 """
@@ -123,10 +123,13 @@ def _check_set(
     The one rule for every parent set, DI query set and greedy order:
     the target and the members are integers (never bools) in ``1..m``, no
     member repeats and none is the target.  Types are checked before
-    sorting, so a bad member raises :class:`ValidationError`, not
-    ``TypeError``, naming the target and the offending process.
+    sorting, so a bad member, or members that are not iterable, raise
+    :class:`ValidationError`, not ``TypeError``, naming the target.
     """
-    key = tuple(members)
+    try:
+        key = tuple(members)
+    except TypeError:
+        raise ValidationError(f"target {target}: {what} {members!r} is not iterable") from None
     if type(target) is int and all(type(j) is int for j in key):
         key = tuple(sorted(key))
         if 1 <= target <= m and (not key or (
@@ -210,13 +213,14 @@ class ParentAssignment:
 
     @classmethod
     def from_lists(cls, members_per_node: Sequence[Iterable[int]]) -> "ParentAssignment":
-        """Build from one iterable of parent indices per node, in node order."""
-        parents = []
-        for i, ms in enumerate(members_per_node, start=1):
-            if not isinstance(ms, Iterable):
-                raise ValidationError(f"parents[{i - 1}] is not an iterable of processes")
-            parents.append(ParentSet(i, tuple(ms)))
-        return cls(tuple(parents))
+        """Build from one iterable of parent indices per node, in node order.
+
+        A bad entry is named by its position, ``parents[i - 1]``.
+        """
+        return cls(tuple(
+            ParentSet._unchecked(i, _check_set(math.inf, i, ms, f"parents[{i - 1}]"))
+            for i, ms in enumerate(members_per_node, start=1)
+        ))
 
     @classmethod
     def _from_keys(cls, keys: Iterable[tuple[int, ...]]) -> "ParentAssignment":
@@ -459,14 +463,11 @@ class DirectedInfoCache:
         return cls.from_json_dict(json.loads(text))
 
 
-def _has_spanning_tree(
-    members: Sequence[tuple[int, ...]], root: int | None
-) -> bool:
+def _has_spanning_tree(members: Sequence[tuple[int, ...]]) -> bool:
     """Whether the graph of ``members`` contains a directed spanning tree.
 
     ``members[i - 1]`` holds node ``i``'s parents, and edges point from
-    parent to child.  With ``root`` given, every node must be reachable
-    from it; otherwise any node may serve as the root.  Nothing is
+    parent to child; any node may serve as the root.  Nothing is
     validated: the callers pass sets the searches built.
     """
     m = len(members)
@@ -486,8 +487,6 @@ def _has_spanning_tree(
                     stack.append(v)
         return len(seen) == m
 
-    if root is not None:
-        return reaches_all(root)
     # only nodes with no in-edges can root a spanning tree; if none exists,
     # any node on a source cycle works, so fall back to trying all
     candidates = [

@@ -12,24 +12,25 @@ A lattice is one candidate list per node; a point picks a position in
 each.  One walk pops the points of one or more lattices in order of
 (score descending, tie index, lattice, position), so each point is
 reached once and never before a better one; every ranking emits points
-as it pops them.  Over exact lists, which are sorted by value, a point is
-pushed only by its canonical parent, the point with its last bumped
-coordinate stepped back: a pop bumps only that coordinate and the ones
-after it, and no seen set is kept.  This is exact if a parent's score
-is never lower, and on an exact tie a parent's tie index is smaller.
-A score is ``math.fsum`` of the point's node values: the exact sum,
-correctly rounded, so it is monotone in each value and the walk is
-exact on every Python version.  A point is pushed unscored, under a key
-that bounds its score: the ``fsum`` of its parent's score, half that
-score's ulp and the one value that changed.  Most points never reach
-the top of the heap; one that does is built and scored there and pushed
-again, so the walk scores only the points it pops.  Greedy lists are
-not sorted by value, so over them a pop pushes every one-step successor
-and a seen set drops repeats.  Heap entries hold positions, never
-:class:`ParentAssignment` objects, which are built only for emitted
-solutions, sharing one :class:`ParentSet` per (node, set) within a
-ranking.  The same values
-give the same bits in any order, so equal scores compare bit for bit.
+as it pops them.  A score is ``math.fsum`` of the point's node values:
+the exact sum, correctly rounded, so it is monotone in each value and
+the walk is exact on every Python version.  A popped point pushes each
+child, one coordinate stepped to its next candidate, unscored, under a
+key that bounds the child's score whatever order the list is in: the
+``fsum`` of the popped score, half that score's ulp and the one value
+that changed.  Most children never reach the top of the heap; one that
+does is built and scored there and pushed again, so the walk scores
+only the points it pops.  Over exact lists, which are sorted by value, a
+point is pushed only by its canonical parent, the point with its last
+bumped coordinate stepped back: a pop bumps only that coordinate and
+the ones after it, and no seen set is kept.  This is exact if a parent's
+score is never lower, and on an exact tie a parent's tie index is
+smaller.  Greedy lists are not sorted by value, so over them a pop
+pushes a child for every coordinate and a seen set drops repeats.  Heap
+entries hold positions, never :class:`ParentAssignment` objects, which
+are built only for emitted solutions, sharing one :class:`ParentSet`
+per (node, set) within a ranking.  The same values give the same bits
+in any order, so equal scores compare bit for bit.
 
 The tie index weighs each node's set rank, and a step between equal
 values raises a rank, so exact ties pop in index order.  The general
@@ -121,21 +122,6 @@ def _score_at(columns: Sequence[list[float]], pos: _Point) -> float:
     return fsum(map(list.__getitem__, columns, pos))
 
 
-def _successors(lattice: _Lattice, pos: _Point):
-    """Each one-coordinate step below ``pos``.
-
-    Yields ``(c, pos with coordinate c bumped to its next candidate)``, in
-    coordinate order, for every coordinate whose list has a next
-    candidate.
-    """
-    for c in range(len(pos)):
-        p = pos[c] + 1
-        lst = lattice[c]
-        # p exists once its value is drawn; has() draws a greedy list to it
-        if p < len(lst.values) or lst.has(p):
-            yield c, pos[:c] + (p,) + pos[c + 1:]
-
-
 def _bound(score: float, new: float, old: float) -> float:
     """A key no lower than the score of a point after one value changes.
 
@@ -184,25 +170,20 @@ def _walk(lattices: Sequence[_Lattice], weights: Sequence[int], sorted_lists: bo
             heapq.heappush(heap, (-_score_at(columns[n], nxt), 1, index, n, nxt, last))
             continue
         yield -neg_score, n, pos
-        if seen is None:
-            score, values, rank = -neg_score, columns[n], ranks[n]
-            for c in range(last, len(pos)):
-                p = pos[c] + 1
-                col = values[c]
-                if p < len(col):
-                    key = _bound(score, col[p], col[p - 1])
-                    step = (rank[c][p] - rank[c][p - 1]) * weights[c]
-                    heapq.heappush(heap, (-key, 0, index + step, n, pos, c))
-            continue
-        for c, nxt in _successors(lattices[n], pos):
-            if nxt in seen[n]:
-                continue
-            seen[n].add(nxt)
-            col, p = ranks[n][c], nxt[c]
-            step = (col[p] - col[p - 1]) * weights[c]
-            heapq.heappush(
-                heap, (-_score_at(columns[n], nxt), 1, index + step, n, nxt, c)
-            )
+        score, lattice, values, rank = -neg_score, lattices[n], columns[n], ranks[n]
+        for c in range(last if seen is None else 0, len(pos)):
+            p = pos[c] + 1
+            col = values[c]
+            # an exact list is complete; has() draws a greedy list up to p
+            if p < len(col) or lattice[c].has(p):
+                if seen is not None:
+                    nxt = pos[:c] + (p,) + pos[c + 1:]
+                    if nxt in seen[n]:
+                        continue
+                    seen[n].add(nxt)
+                key = _bound(score, col[p], col[p - 1])
+                step = (rank[c][p] - rank[c][p - 1]) * weights[c]
+                heapq.heappush(heap, (-key, 0, index + step, n, pos, c))
 
 
 def _key(columns: Sequence[list[tuple[int, ...]]], pos: _Point) -> tuple:
@@ -300,7 +281,7 @@ def top_r_connected(
     weights = [base ** (m - i) for i in range(1, m + 1)]
     # a free root's lattice gives only the root an empty set, so the
     # check tries that one root
-    return _top_points(lattices, weights, r, lambda key: _has_spanning_tree(key, None))
+    return _top_points(lattices, weights, r, _has_spanning_tree)
 
 
 # ---------------------------------------------------------------------------
@@ -442,8 +423,8 @@ def top_r_greedy(
     :func:`dinet.approximation.greedy_connected` down to the bits of its
     score.  Without ``connected`` the walk runs over each node's greedy
     list, whose depth-first order changes the last greedy pick first;
-    since those lists are not sorted by value, every one-step successor
-    of a popped point is pushed and a seen set drops repeats, and ties go
+    since those lists are not sorted by value, a popped point pushes a
+    child for every coordinate and a seen set drops repeats, and ties go
     to the smaller approximation index.  With ``connected`` they come
     from a partition search over per-node parent-set choices: each
     subproblem's representative is one arborescence solve over the greedy

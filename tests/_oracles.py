@@ -1035,7 +1035,6 @@ def per_row_trial_reports(config):
                 np.random.default_rng(model_seed),
                 edge_probability=config.edge_probability,
                 spectral_target=config.spectral_target,
-                noise_variance=config.noise_variance,
                 include_diagonal=config.include_diagonal,
             )
             exact = DIEvaluator.from_model(model)

@@ -30,7 +30,7 @@ from dinet.structures import (
     parent_set_index,
 )
 
-FAULTS = ("repeat", "target", "zero", "above m", "bool", "numpy int", "str")
+FAULTS = ("repeat", "target", "zero", "above m", "bool", "numpy int", "str", "not iterable")
 
 
 @cache
@@ -55,6 +55,8 @@ def cases(draw):
         "repeat": value, "target": target, "zero": 0, "above m": m + 1,
         "bool": True, "numpy int": np.int64(value), "str": str(value),
     }.get(fault)
+    if fault == "not iterable":
+        return m, target, value, fault
     members = valid if fault is None else [*valid, bad]
     return m, target, draw(st.permutations(members)), fault
 

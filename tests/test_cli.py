@@ -259,6 +259,17 @@ def test_the_state_space_cap_is_not_an_option(capsys, panel_path):
     assert "unrecognized arguments: --state-space-cap 5" in captured.err
 
 
+def test_the_noise_variance_is_not_an_option(capsys, tmp_path):
+    with pytest.raises(SystemExit) as exit_:
+        main(["simulate", "--m", "3", "--K", "1", "--noise-variance", "1",
+              "--out", str(tmp_path)])
+    assert exit_.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --noise-variance 1" in captured.err
+    assert not any(tmp_path.iterdir())
+
+
 def test_cache_build_over_the_size_cap_fails_early(capsys, tmp_path):
     # 40 * C(39, 5) values is above the cap; nothing is computed
     path = tmp_path / "wide.csv"
@@ -401,13 +412,10 @@ def test_simulate_validation_exit(capsys, tmp_path):
     assert "K 2 out of range 1..1" in err
 
 
-@pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--noise-variance", "nan")])
-def test_simulate_refuses_a_bad_seed_or_noise_variance_with_one_error_line(
-    capsys, tmp_path, flag, value
-):
+def test_simulate_refuses_a_bad_seed_with_one_error_line(capsys, tmp_path):
     code, out, err = run(
         capsys, "simulate", "--m", "3", "--K", "1", "--trials", "3", "--n", "50",
-        flag, value, "--out", str(tmp_path),
+        "--seed", "-1", "--out", str(tmp_path),
     )
     assert code == 1
     assert out == ""

@@ -223,6 +223,8 @@ FIXED_LIMITS = {
     "simulate_panel burn_in": lambda: simulate_panel(network(), 50, 0, burn_in=0),
     "EstimatorConfig state_space_cap": lambda: EstimatorConfig(state_space_cap=100),
     "write_panel_csv header": lambda: _write_csv(header=False),
+    "generate_ar_network noise_variance": lambda: generate_ar_network(M, 1, noise_variance=1.0),
+    "ExperimentConfig noise_variance": lambda: ExperimentConfig(3, 1, noise_variance=1.0),
 }
 
 
@@ -273,7 +275,6 @@ def test_generators_seed_sequences_ints_and_int_sequences_seed_alike(entry):
 REAL_ENTRIES = {
     "ExperimentConfig edge_probability": lambda v: ExperimentConfig(3, 1, edge_probability=v),
     "ExperimentConfig spectral_target": lambda v: ExperimentConfig(3, 1, spectral_target=v),
-    "ExperimentConfig noise_variance": lambda v: ExperimentConfig(3, 1, noise_variance=v),
     "generate_ar_network edge_probability": lambda v: generate_ar_network(
         M, 1, edge_probability=v
     ),
@@ -307,7 +308,7 @@ def test_numpy_reals_pass_as_their_floats():
     cache_ = DirectedInfoCache(3, 1)
     cache_.put(1, (2,), np.float32(0.5))
     assert cache_.get(1, (2,)) == 0.5
-    ExperimentConfig(3, 1, edge_probability=np.float64(0.5), noise_variance=np.int64(1))
+    ExperimentConfig(3, 1, edge_probability=np.int64(1), spectral_target=np.float64(0.5))
 
 
 def test_a_real_panel_refuses_an_alphabet_size():

@@ -15,6 +15,7 @@ from dinet.estimation import (
 from dinet.simulate import (
     AGGREGATE_HEADER,
     MAX_NETWORK_DRAWS,
+    NOISE_VARIANCE,
     TRIAL_HEADER,
     ExperimentConfig,
     aggregate_rows,
@@ -86,17 +87,37 @@ BAD_NETWORKS = {
     "edge_probability nan": ({"edge_probability": math.nan}, "edge_probability must lie in [0, 1]"),
     "edge_probability -1": ({"edge_probability": -1.0}, "edge_probability must lie in [0, 1]"),
     "edge_probability 5": ({"edge_probability": 5.0}, "edge_probability must lie in [0, 1]"),
-    "noise_variance nan": ({"noise_variance": math.nan}, "noise_variance must be finite and positive"),
-    "noise_variance inf": ({"noise_variance": math.inf}, "noise_variance must be finite and positive"),
-    "noise_variance 0": ({"noise_variance": 0.0}, "noise_variance must be finite and positive"),
 }
+
+
+def test_a_uniform_noise_variance_leaves_the_di_values_as_they_are():
+    # a DI value is half the log of a ratio of two residual variances, so
+    # a random network needs no noise-variance option: scaling every noise
+    # variance by 2**k scales every variance exactly, and any other factor
+    # moves a value by rounding only
+    network = generate_ar_network(5, np.random.default_rng(3))
+    assert np.array_equal(network.noise_variances, np.full(5, NOISE_VARIANCE))
+
+    def values(q, panel):
+        model = LinearNetworkModel(network.coefficients, np.full(5, q))
+        if panel:
+            evaluator = DIEvaluator.from_panel(simulate_panel(model, 400, 9))
+        else:
+            evaluator = DIEvaluator.from_model(model)
+        return np.array([value for *_, value in build_cache(evaluator, 5, 2).items()])
+
+    for panel, exact_scales in ((False, (1.0, 4.0, 2.0**-20)), (True, (1.0,))):
+        want = values(0.25, panel)
+        for q in exact_scales:
+            assert np.array_equal(values(q, panel), want)
+        np.testing.assert_allclose(values(0.3, panel), want, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("case", BAD_NETWORKS)
 def test_one_check_refuses_bad_network_parameters(case):
     # a random network and a study refuse the same values with the same
     # words; without the check, a NaN or negative edge probability drew a
-    # diagonal-only network and an infinite noise variance passed
+    # diagonal-only network
     kwargs, message = BAD_NETWORKS[case]
     with pytest.raises(ValidationError, match=re.escape(message)):
         generate_ar_network(4, 1, **kwargs)
@@ -415,7 +436,7 @@ def test_experiment_config_validation():
     with pytest.raises(ValidationError):
         ExperimentConfig(m=3, K=1, edge_probability=1.5)
     with pytest.raises(ValidationError):
-        ExperimentConfig(m=3, K=1, noise_variance=0.0)
+        ExperimentConfig(m=3, K=1, spectral_target=0.0)
     with pytest.raises(ValidationError):
         ExperimentConfig(m=3, K=1, spectral_target=1.0)
     with pytest.raises(ValidationError):

@@ -8,7 +8,9 @@ exact rankings' one-parent walk with the seen-set walk in
 ``_oracles.py``, also on caches whose values span many magnitudes, and
 the lazily solved greedy partition search with the eager one there.  It
 checks that the key a point is pushed under bounds the score it gets
-when the walk reaches it.
+when the walk reaches it, over sorted lists and over unsorted ones with
+lazy tails, as greedy lists are, where the walk pops as one that scores
+every point when it is pushed.
 """
 
 import heapq
@@ -179,8 +181,24 @@ def _sorted_list(values: list[float]) -> _Candidates:
     return _Candidates([(p,) for p in ranks], [values[p] for p in ranks], ranks)
 
 
-def _eager_walk(lattice, lattice_count, weights):
-    """The one-parent walk that scores every point when it is pushed."""
+def _unsorted_list(values: list[float], ranks: list[int], held: int) -> _Candidates:
+    """A list of made-up sets holding ``values`` in drawn order, as a greedy list.
+
+    The first ``held`` entries are held; the rest come from a lazy tail
+    that :meth:`_Candidates.has` draws from.
+    """
+    entries = [((rank,), value, rank) for value, rank in zip(values, ranks)]
+    members, held_values, held_ranks = (list(col) for col in zip(*entries[:held]))
+    return _Candidates(members, held_values, held_ranks, iter(entries[held:]))
+
+
+def _eager_walk(lattice, lattice_count, weights, sorted_lists):
+    """The walk that scores every point when it is pushed.
+
+    Over sorted lists a point is pushed only by its canonical parent;
+    otherwise a pop pushes every one-step successor and a seen set drops
+    the repeats.
+    """
     def entry(n, pos, last):
         score = fsum(lst.values[p] for lst, p in zip(lattice, pos))
         index = sum(lst.ranks[p] * w for lst, p, w in zip(lattice, pos, weights))
@@ -188,25 +206,44 @@ def _eager_walk(lattice, lattice_count, weights):
 
     heap = [entry(n, (0,) * len(lattice), 0) for n in range(lattice_count)]
     heapq.heapify(heap)
+    seen = [{(0,) * len(lattice)} for _ in range(lattice_count)]
     while heap:
         neg_score, _, n, pos, last = heapq.heappop(heap)
         yield -neg_score, n, pos
-        for c in range(last, len(pos)):
-            if pos[c] + 1 < len(lattice[c].values):
+        for c in range(last if sorted_lists else 0, len(pos)):
+            if pos[c] + 1 < len(lattice[c].values) or lattice[c].has(pos[c] + 1):
                 nxt = pos[:c] + (pos[c] + 1,) + pos[c + 1:]
+                if not sorted_lists:
+                    if nxt in seen[n]:
+                        continue
+                    seen[n].add(nxt)
                 heapq.heappush(heap, entry(n, nxt, c))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(
     st.lists(st.lists(_values, min_size=1, max_size=4), min_size=1, max_size=4),
     st.integers(1, 3),
+    st.booleans(),
+    st.data(),
 )
 def test_the_lazy_walk_pushes_bounding_keys_and_pops_as_the_eager_one(
-    lists, lattice_count
+    lists, lattice_count, sorted_lists, data
 ):
-    lattice = [_sorted_list(values) for values in lists]
-    weights = [5**c for c in range(len(lattice))]
+    if sorted_lists:
+        def lattice():
+            return [_sorted_list(values) for values in lists]
+    else:
+        # greedy lists: values in drawn order, ranks in any order, and
+        # some entries behind a lazy tail drawn when a push reaches them
+        ranks = [data.draw(st.permutations(range(len(v))), label="ranks") for v in lists]
+        held = [data.draw(st.integers(1, len(v)), label="held") for v in lists]
+
+        def lattice():
+            return [_unsorted_list(*args) for args in zip(lists, ranks, held)]
+
+    walked = lattice()
+    weights = [5**c for c in range(len(walked))]
     pushed = []
     push = heapq.heappush
 
@@ -216,12 +253,12 @@ def test_the_lazy_walk_pushes_bounding_keys_and_pops_as_the_eager_one(
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(heapq, "heappush", spy)
-        walk = list(_walk([lattice] * lattice_count, weights, sorted_lists=True))
+        walk = list(_walk([walked] * lattice_count, weights, sorted_lists))
     for key, scored, _, _, pos, c in pushed:
         if not scored:
             child = pos[:c] + (pos[c] + 1,) + pos[c + 1:]
-            assert -key >= fsum(lst.values[p] for lst, p in zip(lattice, child))
-    want = list(_eager_walk(lattice, lattice_count, weights))
+            assert -key >= fsum(lst.values[p] for lst, p in zip(walked, child))
+    want = list(_eager_walk(lattice(), lattice_count, weights, sorted_lists))
     assert [(score.hex(), n, pos) for score, n, pos in walk] == [
         (score.hex(), n, pos) for score, n, pos in want
     ]

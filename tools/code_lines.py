@@ -8,9 +8,11 @@ A code line is a line that holds a token of code: comments, blank lines
 and the docstrings of modules, classes and functions (found by ``ast``)
 do not count.  A string statement after an assignment, such as the one
 that documents a module constant, counts as code.  Each line printed is
-``<count>  <module>``, then ``<total>  src/dinet``; the last line is the
-number of names in ``dinet.__all__``, read from the syntax tree of
-``__init__.py`` without importing the package.
+``<count>  <module>``, then ``<total>  src/dinet``, then the number of
+names in ``dinet.__all__`` and last the number of command-line options,
+the ``add_argument`` calls in ``cli.py`` whose first argument starts
+with ``--``; both are read from the syntax tree without importing the
+package.
 """
 
 from __future__ import annotations
@@ -54,6 +56,18 @@ def public_names(source: str) -> int:
     raise SystemExit("no __all__ list in src/dinet/__init__.py")
 
 
+def option_count(source: str) -> int:
+    return sum(
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "add_argument"
+        and bool(node.args)
+        and isinstance(node.args[0], ast.Constant)
+        and str(node.args[0].value).startswith("--")
+        for node in ast.walk(ast.parse(source))
+    )
+
+
 def main() -> None:
     total = 0
     for path in sorted(Path("src/dinet").glob("*.py")):
@@ -63,6 +77,8 @@ def main() -> None:
     print(f"{total:6d}  src/dinet")
     names = public_names(Path("src/dinet/__init__.py").read_text())
     print(f"{names:6d}  names in dinet.__all__")
+    options = option_count(Path("src/dinet/cli.py").read_text())
+    print(f"{options:6d}  options in cli.py")
 
 
 if __name__ == "__main__":

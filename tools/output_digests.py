@@ -131,7 +131,9 @@ def ranking_lines() -> list[str]:
     at K=2 for k < 40: ``top_r_general`` (r=500) and ``top_r_connected``
     (r=100) in both root modes.  The greedy set ranks
     ``generate_ar_network(10, default_rng([s, k, 11]))`` at L=2 for k < 12
-    with ``top_r_greedy`` (r=50), connected in both root modes and general.
+    with ``top_r_greedy`` (r=50), connected in both root modes and general,
+    and for k < 3 with a deep general ``top_r_greedy`` (r=2000), whose walk
+    pops enough points to tell one walk order from another.
     """
     def line(name: str, seed: int, k: int, ranked) -> str:
         rows = [[sol.score.hex(), sol.assignment.canonical_key()] for sol in ranked]
@@ -158,6 +160,9 @@ def ranking_lines() -> list[str]:
                 ranked = top_r_greedy(DIEvaluator.from_model(network), 2, 50,
                                       connected=connected, root_has_parents=root_has_parents)
                 lines.append(line(name, seed, k, ranked))
+            if k < 3:
+                ranked = top_r_greedy(DIEvaluator.from_model(network), 2, 2000)
+                lines.append(line("top_r_greedy_deep", seed, k, ranked))
     return lines
 
 
