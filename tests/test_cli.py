@@ -412,10 +412,16 @@ def test_simulate_validation_exit(capsys, tmp_path):
     assert "K 2 out of range 1..1" in err
 
 
-def test_simulate_refuses_a_bad_seed_with_one_error_line(capsys, tmp_path):
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--seed", "-1"), ("--edge-probability", "nan"), ("--spectral-target", "nan")],
+)
+def test_simulate_refuses_a_bad_seed_or_network_parameter_with_one_error_line(
+    capsys, tmp_path, flag, value
+):
     code, out, err = run(
         capsys, "simulate", "--m", "3", "--K", "1", "--trials", "3", "--n", "50",
-        "--seed", "-1", "--out", str(tmp_path),
+        flag, value, "--out", str(tmp_path),
     )
     assert code == 1
     assert out == ""

@@ -278,6 +278,9 @@ REAL_ENTRIES = {
     "generate_ar_network edge_probability": lambda v: generate_ar_network(
         M, 1, edge_probability=v
     ),
+    "generate_ar_network spectral_target": lambda v: generate_ar_network(
+        M, 1, spectral_target=v
+    ),
     "greedy_bound_coefficient alpha": lambda v: greedy_bound_coefficient(v, 2, 2),
     "degree_gap_coefficient alpha": lambda v: degree_gap_coefficient(v, 2, 2),
     "coefficient_table alpha": lambda v: coefficient_table("degree-gap", [1.5, v], 2, 2),

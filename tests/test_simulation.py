@@ -87,6 +87,9 @@ BAD_NETWORKS = {
     "edge_probability nan": ({"edge_probability": math.nan}, "edge_probability must lie in [0, 1]"),
     "edge_probability -1": ({"edge_probability": -1.0}, "edge_probability must lie in [0, 1]"),
     "edge_probability 5": ({"edge_probability": 5.0}, "edge_probability must lie in [0, 1]"),
+    "spectral_target nan": ({"spectral_target": math.nan}, "spectral_target must lie in (0, 1)"),
+    "spectral_target inf": ({"spectral_target": math.inf}, "spectral_target must lie in (0, 1)"),
+    "spectral_target 0": ({"spectral_target": 0.0}, "spectral_target must lie in (0, 1)"),
 }
 
 
