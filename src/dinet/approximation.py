@@ -16,14 +16,16 @@ one of two structural regimes:
 Every search, here and in :mod:`dinet.topr`, reads its parent sets from
 one source: per node, a candidate list, best first.  An exact list sorts
 all of a node's size-K sets by value, ties to the smaller set index, with
-one stable argsort of the node's cache row;
-:func:`optimal_general` takes each node's first entry and
-:func:`optimal_connected` weighs arc ``j -> i`` by the first entry of
-``i``'s list that contains ``j``.  A greedy list starts with the greedy
-set grown after a pinned prefix (nothing, or a tree edge's parent) and
-goes on through the node's greedy choice sequences depth-first: past its
-first entry it holds one generator of its later entries, drawn as a
-ranking reaches them; :func:`greedy_connected` reads the first entry of
+one stable argsort of the node's cache row.  The cache keeps the
+searches' lists until the row is written, so the two searches here over
+one cache share them; a ranking sorts its own, so its cost does not
+depend on which searches ran first.  :func:`optimal_general` takes each
+node's first entry and :func:`optimal_connected` weighs arc ``j -> i``
+by the first entry of ``i``'s list that contains ``j``.  A greedy list
+starts with the greedy set grown after a pinned prefix (nothing, or a
+tree edge's parent) and goes on through the node's greedy choice
+sequences depth-first: past its first entry it holds one generator of
+its later entries, drawn as a ranking reaches them; :func:`greedy_connected` reads the first entry of
 each arc's pinned list, and the greedy rankings read on.  Every entry,
 pinned or not, carries its set's rank.
 
@@ -185,21 +187,32 @@ class _Candidates:
         self._tail = tail  # None for an exact or exhausted list
 
     @classmethod
-    def exact(cls, cache: DirectedInfoCache, target: int, K: int) -> "_Candidates":
+    def exact(
+        cls, cache: DirectedInfoCache, target: int, K: int, kept: bool = True
+    ) -> "_Candidates":
         """All size-``K`` sets of ``target``, by value, ties to the smaller rank.
 
         The empty set is worth 0.0 without a cache lookup.  Otherwise one
         stable argsort orders the target's cache row; a gap in the row
         raises :class:`UncachedParentSetError` for the first missing set.
+        A ``kept`` list stays on the cache until the row is written, and
+        every ``kept`` read returns it, so no caller may change it.  The
+        rankings pass ``kept=False``: they sort a list of their own and
+        leave the kept one alone.
         """
         if K == 0:
             return cls([()], [0.0], [0])
+        if kept and (target, K) in cache._lists:
+            return cache._lists[(target, K)]
         row = cache._row(target, K)
         # a stable sort keeps equal values in rank order
         order = np.argsort(-row, kind="stable")
         sets = list(_all_parent_sets(cache.m, target, K))
         ranks = order.tolist()
-        return cls([sets[p] for p in ranks], row[order].tolist(), ranks)
+        lst = cls([sets[p] for p in ranks], row[order].tolist(), ranks)
+        if kept:
+            cache._lists[(target, K)] = lst
+        return lst
 
     @classmethod
     def greedy(
@@ -293,8 +306,10 @@ def _greedy_sets(
         )
 
 
-def _exact_lists(cache: DirectedInfoCache, K: int) -> list[_Candidates]:
-    return [_Candidates.exact(cache, i, K) for i in range(1, cache.m + 1)]
+def _exact_lists(
+    cache: DirectedInfoCache, K: int, kept: bool = True
+) -> list[_Candidates]:
+    return [_Candidates.exact(cache, i, K, kept) for i in range(1, cache.m + 1)]
 
 
 def _greedy_lists(

@@ -8,12 +8,12 @@ the coefficients below degrade gracefully as ``alpha`` grows.
 
 Measured ratios follow three conventions: a gain within
 ``ZERO_GAIN_EPS`` eps nats of zero (:mod:`dinet.estimation`) is rounding
-noise and counts as exactly 0, 0/0 counts as 1 (a stalled chain is no
-evidence of synergy), and a nonzero gain right after a zero gain admits
-no finite ratio, so the estimate becomes ``inf`` -- flagged on the
-result, never raised.  The coefficient functions accept ``inf`` and
-return their degenerate limits so measured values can be piped straight
-in.
+noise and counts as exactly 0, a 0/0 step yields no ratio (``0 <= alpha
+* 0`` holds for every alpha, so a stalled chain bounds nothing), and a
+nonzero gain right after a zero gain admits no finite ratio, so the
+estimate becomes ``inf`` -- flagged on the result, never raised.  The
+coefficient functions accept ``inf`` and return their degenerate limits
+so measured values can be piped straight in.
 """
 
 from __future__ import annotations
@@ -122,7 +122,8 @@ class AlphaEstimate:
 
     ``alpha`` is the largest consecutive-gain ratio observed: the
     smallest value for which every recorded step satisfies
-    ``gain[k+1] <= alpha * gain[k]``.  It may be below 1 (submodular
+    ``gain[k+1] <= alpha * gain[k]``, which a 0/0 step satisfies for
+    every alpha, so it yields no ratio.  It may be below 1 (submodular
     behavior) or ``inf`` (a positive gain after a zero gain, reported by
     ``unbounded``).  The witness records the target node, the ordered
     picks, and the gain sequence of the chain containing the maximum, as
@@ -143,12 +144,13 @@ class AlphaEstimate:
 
 
 def _chain_ratios(increments: Sequence[float]) -> list[float]:
+    """Each step's ``gain[k+1] / gain[k]``; a 0/0 step is skipped."""
     out = []
     for prev, nxt in zip(increments, increments[1:]):
-        if prev == 0.0:
-            out.append(1.0 if nxt == 0.0 else math.inf)
-        else:
+        if prev != 0.0:
             out.append(nxt / prev)
+        elif nxt != 0.0:
+            out.append(math.inf)
     return out
 
 
@@ -157,8 +159,8 @@ def _steepest_chain(
 ) -> AlphaEstimate:
     """The first ``(target, path, increments)`` chain with the largest ratio.
 
-    When no chain is long enough to yield a ratio the estimate is 1,
-    which asserts nothing.
+    When no chain yields a ratio (each is too short, or every step is
+    0/0) the estimate is 1, which asserts nothing.
     """
     floor = ZERO_GAIN_EPS * sys.float_info.epsilon
     best = (1.0, 0, (), ())
@@ -174,13 +176,27 @@ def _steepest_chain(
     return AlphaEstimate(*best, floored)
 
 
-def network_empirical_alpha(evaluator: DIEvaluator) -> AlphaEstimate:
-    """The largest per-node curvature, each node measured over all others."""
+def network_empirical_alpha(
+    evaluator: DIEvaluator, depth: int | None = None
+) -> AlphaEstimate:
+    """The largest per-node curvature, each node's chain cut at ``depth`` picks.
+
+    Each node's greedy chain orders the other processes, up to ``depth``
+    picks (all ``m - 1`` when ``depth`` is None).  The guarantee for
+    ``K`` parents and ``L`` greedy picks reads a chain's gains only up to
+    position ``K + L - 1``, so a study passes that depth; a deeper gain
+    of an exact model is rounding noise the guarantee never reads.  A
+    depth of at least ``m - 1`` gives the full-depth estimate bit for
+    bit.  This is an estimate over the whole network, not a bound; the
+    chains a guarantee uses are :func:`bound_witness_alpha`'s.
+    """
     m = evaluator.m
     if m < 3:
         raise ValidationError(f"need m >= 3 for a ratio, got m={m}")
+    if depth is not None:
+        _check_int(depth, "depth", 1)
     nodes = range(1, m + 1)
-    chains = [(target, [j for j in nodes if j != target], (), None) for target in nodes]
+    chains = [(target, [j for j in nodes if j != target], (), depth) for target in nodes]
     return _steepest_chain(
         (target, picks, gains)
         for target, (picks, gains) in zip(nodes, _greedy_orders(evaluator, chains))

@@ -103,7 +103,7 @@ class TrialReport:
     L: int
     score: float
     ratio: float
-    alpha_hat: float | None
+    alpha_hat: float | None  # greedy rows: the network's alpha at depth K + L - 1
     ms: float
 
 
@@ -361,7 +361,10 @@ def _run_trial(
         ms = (time.perf_counter() - t0) * 1e3 if config.timing else 0.0
         return result, ms
 
-    alpha_hat = network_empirical_alpha(selector).alpha if config.m >= 3 else None
+    alpha_hat = None
+    if config.m >= 3:
+        # the guarantee reads a chain's gains only up to position K + L - 1
+        alpha_hat = network_empirical_alpha(selector, K + L - 1).alpha
     found: list[tuple[str, str, ParentAssignment, float, float | None]] = []
 
     def add(algorithm: str, graph_class: str, assignment, ms: float, alpha=None):

@@ -55,8 +55,11 @@ MAX_CACHE_VALUES = 10_000_000
 
 A cache stores the sets of one size as a dense block of ``m * C(m-1,
 size)`` float64 values (8 bytes each, NaN where none is stored), however
-few of them are stored, so this caps one block near 80 MB.  A block above
-it, and :func:`dinet.build_cache` for such a size, raise
+few of them are stored, so this caps one block near 80 MB.  The exact
+candidate list a search (not a ranking) sorts from a row stays on the
+cache until the row is written: about 127 more bytes per value (``tracemalloc``, m=16,
+K=3), as much as an exact ranking held while it ran.  A block above it,
+and :func:`dinet.build_cache` for such a size, raise
 :class:`ValidationError` before anything is allocated or computed.
 """
 
@@ -333,6 +336,13 @@ class DirectedInfoCache:
     on the first value of that size and capped by
     :data:`MAX_CACHE_VALUES`.  The public methods check every set by the
     one set rule; the searches read a target's whole row at once.
+
+    The cache also keeps, per (target, size), the exact candidate list
+    the searches build from that row (:mod:`dinet.approximation`), so
+    ``optimal_general`` and ``optimal_connected`` over one cache sort
+    each row once; the rankings sort their own lists.  A write
+    to a row, by :meth:`put`, the JSON reader or ``build_cache``, drops
+    its list, and the next search builds it again from the new values.
     """
 
     def __init__(self, m: int, K: int) -> None:
@@ -342,6 +352,8 @@ class DirectedInfoCache:
         self.K = K
         # set size -> m x C(m-1, size) values, NaN where none is stored
         self._blocks: dict[int, np.ndarray] = {}
+        # (target, size) -> the exact candidate list sorted from that row
+        self._lists: dict[tuple[int, int], object] = {}
 
     def _block(self, size: int) -> np.ndarray:
         """The block of ``size``-sets, allocated on first use within the cap."""
@@ -370,6 +382,7 @@ class DirectedInfoCache:
         if not math.isfinite(number):
             raise _not_finite(target, key, value)
         self._block(len(key))[target - 1, _set_rank(self.m, target, key)] = number
+        self._lists.pop((target, len(key)), None)
 
     def get(self, target: int, members: Iterable[int]) -> float:
         key, value = self._slot(target, members)
@@ -391,6 +404,7 @@ class DirectedInfoCache:
             p = int(np.argmin(finite))
             raise _not_finite(target, parent_set_from_index(self.m, target, size, p), values[p])
         self._block(size)[target - 1] = row
+        self._lists.pop((target, size), None)
 
     def _row(self, target: int, size: int) -> np.ndarray:
         """``target``'s values of every ``size``-set, in rank order.

@@ -244,7 +244,7 @@ def top_r_general(
     _check_int(K, "K", 0, m - 1)
     _check_r(r, m, K)
     weights = [comb(m - 1, K) ** i for i in range(m)]
-    return _top_points([_exact_lists(cache, K)], weights, r)
+    return _top_points([_exact_lists(cache, K, kept=False)], weights, r)
 
 
 def top_r_connected(
@@ -269,7 +269,7 @@ def top_r_connected(
     _check_int(K, "K", 1, m - 1)
     _check_r(r, m, K, not root_has_parents)
 
-    lists = _exact_lists(cache, K)
+    lists = _exact_lists(cache, K, kept=False)
     if root_has_parents:
         lattices = [lists]
     else:

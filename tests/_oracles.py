@@ -1055,7 +1055,8 @@ def per_row_trial_reports(config):
                 )
                 selector = DIEvaluator.from_panel(TimeSeriesPanel(data))
             cache = build_cache(selector, m, K)
-            alpha = network_empirical_alpha(selector).alpha if m >= 3 else None
+            # the chains end at the deepest gain the guarantee reads
+            alpha = network_empirical_alpha(selector, K + L - 1).alpha if m >= 3 else None
             rows = [
                 ("optimal", "general", optimal_general(cache, K).assignment, None),
                 ("greedy", "general", greedy_general(selector, L).assignment, alpha),

@@ -31,13 +31,14 @@ def geometric_sum(alpha, k):
 
 def max_ratio(increments):
     # same conventions as the library: a gain within ZERO_GAIN_EPS eps
-    # nats of zero is 0, 0/0 -> 1, x/0 -> inf for x > 0
+    # nats of zero is 0, 0/0 is no ratio, x/0 -> inf for x > 0
     floor = ZERO_GAIN_EPS * sys.float_info.epsilon
     increments = [0.0 if abs(g) <= floor else g for g in increments]
     out = []
     for prev, nxt in zip(increments, increments[1:]):
         if prev == 0.0:
-            out.append(1.0 if nxt == 0.0 else math.inf)
+            if nxt != 0.0:
+                out.append(math.inf)
         else:
             out.append(nxt / prev)
     return max(out)
@@ -199,11 +200,16 @@ def test_alpha_ratio_conventions():
     assert est.witness_target == 4
     assert est.witness_path == (1, 2, 3)
     assert est.witness_increments == (0.4, 0.2, 0.1)
-    # zero after zero reads as ratio 1
+    # zero after zero yields no ratio: 0 <= alpha * 0 holds for any alpha,
+    # so only the step 0.3 -> 0.0 counts
     ev = gains_by_depth_evaluator(4, (0.3, 0.0, 0.0))
     est = pool_alpha(ev, 4, (1, 2, 3))
-    assert est.alpha == 1.0
+    assert est.alpha == 0.0
     assert not est.unbounded
+    assert est.witness_increments == (0.3, 0.0, 0.0)
+    # a chain of zeros yields no ratio at all, so the estimate asserts nothing
+    ev = gains_by_depth_evaluator(4, (0.0, 0.0, 0.0))
+    assert pool_alpha(ev, 4, (1, 2, 3)) == AlphaEstimate(1.0, 0, (), ())
     # a positive gain after a zero gain is unbounded, flagged not thrown
     ev = gains_by_depth_evaluator(3, (0.0, 0.5))
     est = pool_alpha(ev, 3, (1, 2))
@@ -215,12 +221,19 @@ def test_alpha_ratio_conventions():
 
 def test_gains_within_the_floor_read_as_zero():
     floor = ZERO_GAIN_EPS * sys.float_info.epsilon
-    # two noise gains: 0/0 reads as 1, not as their ratio of 1000
+    # two noise gains: their 0/0 step yields no ratio, not their ratio of
+    # 1000, so alpha is the one real step's 0 / 0.3
     ev = gains_by_depth_evaluator(4, (0.3, 1e-20, 1e-17))
     est = pool_alpha(ev, 4, (1, 2, 3))
-    assert est.alpha == 1.0
+    assert est.alpha == 0.0
     assert est.floored == 2
     assert est.witness_increments == (0.3, 1e-20, 1e-17)
+    # after a real gain that falls, the noise gains' 0/0 step does not lift
+    # alpha to 1
+    ev = gains_by_depth_evaluator(5, (0.4, 0.2, 1e-20, 1e-17))
+    est = pool_alpha(ev, 5, (1, 2, 3, 4))
+    assert est.alpha == 0.5
+    assert est.floored == 2
     # the floor is inclusive, symmetric about zero, and counts no exact zero
     ev = gains_by_depth_evaluator(4, (0.3, -floor, 0.0))
     assert pool_alpha(ev, 4, (1, 2, 3)).floored == 1
@@ -320,6 +333,30 @@ def test_network_alpha_is_max_over_targets():
         assert net.witness_increments == per_target[net.witness_target - 1].witness_increments
     with pytest.raises(ValidationError):
         network_empirical_alpha(gains_by_depth_evaluator(2, (0.4, 0.2)))
+
+
+def test_a_depth_of_at_least_m_minus_1_gives_the_full_estimate_bit_for_bit():
+    rng = np.random.default_rng(31)
+    for _ in range(12):
+        m = int(rng.integers(3, 7))
+        model = random_stable_model(rng, m)
+        full = network_empirical_alpha(DIEvaluator.from_model(model))
+        for depth in (m - 1, m, 2 * m):
+            cut = network_empirical_alpha(DIEvaluator.from_model(model), depth)
+            assert repr(cut) == repr(full)
+    # a shorter cut reads fewer gains per chain
+    model = random_stable_model(rng, 6)
+    cut = network_empirical_alpha(DIEvaluator.from_model(model), 3)
+    assert len(cut.witness_increments) == len(cut.witness_path) == 3
+
+
+def test_network_alpha_depth_validation():
+    ev = gains_by_depth_evaluator(4, (0.4, 0.2, 0.1))
+    for bad in (0, -1, True, 2.0, "2"):
+        with pytest.raises(ValidationError, match="depth"):
+            network_empirical_alpha(ev, bad)
+    # one pick per chain yields no ratio, so the estimate asserts nothing
+    assert network_empirical_alpha(ev, 1) == AlphaEstimate(1.0, 0, (), ())
 
 
 def test_witness_attains_and_bounds_its_chain():

@@ -40,3 +40,16 @@ def test_demo_runs_cleanly(demo, tmp_path):
         outputs.append(proc.stdout)
     assert len(set(outputs)) == 1
     assert list(tmp_path.iterdir()) == []
+
+
+def test_guarantee_demo_trial_3_skips_the_zero_over_zero_step(tmp_path):
+    # target 3's chain (4.3e-34, 0.0) floors to a 0/0 step, which once read
+    # as ratio 1 and gave alpha 1.0000 and guarantee 0.6321; skipped, alpha
+    # is the largest real ratio
+    demo = next(p for p in DEMOS if p.stem == "guarantee_tables")
+    proc = subprocess.run(
+        [sys.executable, str(demo)], capture_output=True, cwd=tmp_path,
+        env=child_env(), check=True, text=True,
+    )
+    rows = [line.split() for line in proc.stdout.splitlines()]
+    assert ["3", "0.4718", "0.7431", "1.0000"] in rows

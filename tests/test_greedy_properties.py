@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dinet.approximation import greedy_connected, greedy_general
-from dinet.bounds import bound_witness_alpha, network_empirical_alpha
+from dinet.bounds import AlphaEstimate, bound_witness_alpha, network_empirical_alpha
 from dinet.estimation import ZERO_GAIN_EPS, DIEvaluator
 from dinet.simulate import generate_ar_network
 from dinet.structures import DirectedInfoCache, ParentAssignment
@@ -95,26 +95,37 @@ def test_greedy_connected_edge_sets_match_the_oracle(source, root_has_parents):
 
 
 def _max_ratio(gains):
-    # a gain within ZERO_GAIN_EPS eps nats of zero reads as 0
+    # a gain within ZERO_GAIN_EPS eps nats of zero reads as 0, and a 0/0
+    # step yields no ratio; a chain with no ratio reads -inf
     floor = ZERO_GAIN_EPS * sys.float_info.epsilon
     gains = [0.0 if abs(g) <= floor else g for g in gains]
     ratios = [
-        (1.0 if b == 0.0 else math.inf) if a == 0.0 else b / a
+        math.inf if a == 0.0 else b / a
         for a, b in zip(gains, gains[1:])
+        if a != 0.0 or b != 0.0
     ]
-    return max(ratios)
+    return max(ratios, default=-math.inf)
 
 
 @settings(max_examples=150, deadline=None)
-@given(sources())
-def test_network_alpha_witness_matches_the_oracle(source):
+@given(sources(), st.data())
+def test_network_alpha_witness_matches_the_oracle(source, data):
     make, _ = source
     oracle = make()
     m = oracle.m
-    chains = {i: slow_greedy_order(oracle, i, _others(m, i)) for i in range(1, m + 1)}
+    # each chain cut at depth picks, or at all m - 1 others by default
+    depth = data.draw(st.none() | st.integers(1, m), label="depth")
+    chains = {
+        i: slow_greedy_order(oracle, i, _others(m, i), length=depth)
+        for i in range(1, m + 1)
+    }
     # the first target attaining the largest ratio is the witness
     target = max(range(1, m + 1), key=lambda i: _max_ratio(chains[i][1]))
-    got = network_empirical_alpha(make())
+    got = network_empirical_alpha(make(), depth)
+    if _max_ratio(chains[target][1]) == -math.inf:
+        # no chain yields a ratio: the estimate asserts nothing
+        assert got == AlphaEstimate(1.0, 0, (), (), got.floored)
+        return
     assert got.witness_target == target
     assert got.witness_path == chains[target][0]
     assert got.witness_increments == tuple(chains[target][1])

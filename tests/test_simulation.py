@@ -29,6 +29,7 @@ from dinet.simulate import (
     write_experiment_csv,
 )
 from dinet import cli, estimation, simulate
+from dinet.bounds import network_empirical_alpha
 from dinet.simulate import _draw_trial, _exact_scores, _run_trial, _simulate_paths
 from dinet.structures import ParentAssignment, _all_parent_sets
 
@@ -257,6 +258,28 @@ def test_batched_row_scores_equal_per_row_scoring(selection, seed):
 
 
 @pytest.mark.parametrize("selection", ["estimated", "exact"])
+@pytest.mark.parametrize("K, L", [(1, None), (2, None), (2, 1), (3, 2)])
+def test_a_trial_alpha_hat_is_the_network_alpha_cut_at_K_plus_L_minus_1(selection, K, L):
+    config = ExperimentConfig(m=7, K=K, L=L, n=300, trials=3, r=0, seed=3, selection=selection)
+    depth = K + config.greedy_length - 1
+    checked = 0
+    for trial in range(config.trials):
+        draw = _draw_trial(config, trial)
+        if isinstance(draw, str):
+            continue
+        panel = None
+        if selection == "estimated":
+            panel = simulate_panel(draw.model, config.n, draw.panel_seed)
+        selector = draw.exact if panel is None else DIEvaluator.from_panel(panel)
+        want = network_empirical_alpha(selector, depth).alpha
+        rows = _run_trial(config, trial, draw, panel)
+        assert {rep.alpha_hat for rep in rows if rep.algorithm == "greedy"} == {want}
+        assert {rep.alpha_hat for rep in rows if rep.algorithm != "greedy"} == {None}
+        checked += 1
+    assert checked >= 2
+
+
+@pytest.mark.parametrize("selection", ["estimated", "exact"])
 def test_simulate_runs_write_identical_bytes(tmp_path, capsys, selection):
     outputs = []
     for run in ("first", "second"):
@@ -276,12 +299,14 @@ def test_simulate_runs_write_identical_bytes(tmp_path, capsys, selection):
 
 # the calls each evaluator of a trial made at m=8, K=2, r=10: exact then
 # panel evaluator for estimated selection, the one exact evaluator for
-# exact selection; counted before greedy chains were batched together
+# exact selection; counted before greedy chains were batched together.
+# The selector's network alpha orders 3 = K + L - 1 picks per target, not
+# all 7, so it asks 8 * (4 + 3 + 2 + 1) = 80 fewer queries than full depth
 TRIAL_CALLS = {
-    ("estimated", 0): [(23, 680), (27, 680), (25, 680)],
-    ("estimated", 5): [(26, 680), (24, 680), (20, 680)],
-    ("exact", 0): [(687,), (689,), (689,)],
-    ("exact", 5): [(689,), (687,), (686,)],
+    ("estimated", 0): [(23, 600), (27, 600), (25, 600)],
+    ("estimated", 5): [(26, 600), (24, 600), (20, 600)],
+    ("exact", 0): [(607,), (609,), (609,)],
+    ("exact", 5): [(609,), (607,), (606,)],
 }
 
 

@@ -7,7 +7,8 @@ Run from a checkout root:
 The outputs are the ``run_pass`` result of every instance of the three
 benchmark workloads (``bench/workloads.py``) at seeds 7 and 4049, the
 stdout of each demo, the CSVs ``dinet simulate`` writes with each
-selection, the stderr of a study whose trials are all excluded (see
+selection and those of a study whose ``alpha_hat`` chains run at full
+depth (see ``simulate_lines``), the stderr of a study whose trials are all excluded (see
 ``exclusion_lines``), one line per ranking of two seeded sets (see
 ``ranking_lines``), one line per plug-in cache or greedy search on
 seeded finite-alphabet panels (see ``plugin_lines``) and one line per
@@ -60,6 +61,10 @@ RANKING_SEEDS = (7, 4049, 11)
 PLUGIN_M, PLUGIN_N = 8, 2000
 SIMULATE = ["simulate", "--m", "5", "--K", "2", "--trials", "4", "--n", "300",
             "--r", "3", "--seed", "11"]
+# K + L - 1 = 3 = m - 1: the alpha_hat chains reach every other process, so
+# this study's CSVs do not depend on where the chains are cut
+SIMULATE_FULL_DEPTH = ["simulate", "--m", "4", "--K", "2", "--trials", "4", "--n", "300",
+                       "--r", "3", "--seed", "11"]
 EXCLUDED = ["simulate", "--m", "3", "--K", "1", "--n", "2", "--trials", "8", "--seed", "0",
             "--edge-probability", "0.2"]
 
@@ -95,11 +100,15 @@ def demo_lines(tmp: str) -> list[str]:
 
 
 def simulate_lines(tmp: str) -> list[str]:
+    """The CSVs of ``SIMULATE`` with each selection, and of
+    ``SIMULATE_FULL_DEPTH`` with estimated selection; each file name
+    holds its study's m and K."""
     lines = []
-    for selection in ("estimated", "exact"):
-        out = os.path.join(tmp, selection)
+    for argv, selection in ((SIMULATE, "estimated"), (SIMULATE, "exact"),
+                            (SIMULATE_FULL_DEPTH, "estimated")):
+        out = os.path.join(tmp, f"{selection}-{argv[2]}")
         with contextlib.redirect_stdout(io.StringIO()):
-            code = cli.main([*SIMULATE, "--selection", selection, "--out", out])
+            code = cli.main([*argv, "--selection", selection, "--out", out])
         if code != 0:
             sys.exit(f"dinet simulate --selection {selection} exited with code {code}")
         for path in sorted(Path(out).iterdir()):
