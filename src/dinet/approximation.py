@@ -13,21 +13,25 @@ one of two structural regimes:
   set or, with ``root_has_parents``, a set of its own whose value weighs
   that root in the same solve.
 
-Every search, here and in :mod:`dinet.topr`, reads its parent sets from
-one source: per node, a candidate list, best first.  An exact list sorts
-all of a node's size-K sets by value, ties to the smaller set index, with
-one stable argsort of the node's cache row.  The cache keeps the
-searches' lists until the row is written, so the two searches here over
-one cache share them; a ranking sorts its own, so its cost does not
-depend on which searches ran first.  :func:`optimal_general` takes each
-node's first entry and :func:`optimal_connected` weighs arc ``j -> i``
-by the first entry of ``i``'s list that contains ``j``.  A greedy list
-starts with the greedy set grown after a pinned prefix (nothing, or a
-tree edge's parent) and goes on through the node's greedy choice
-sequences depth-first: past its first entry it holds one generator of
-its later entries, drawn as a ranking reaches them; :func:`greedy_connected` reads the first entry of
-each arc's pinned list, and the greedy rankings read on.  Every entry,
-pinned or not, carries its set's rank.
+The optimal searches read a node's cache row directly.
+:func:`optimal_general` takes each row's first maximum, the largest
+value with ties to the smallest set index.  :func:`optimal_connected`
+weighs arc ``j -> i`` by the first maximum of ``i``'s row among the sets
+that hold ``j``: one ``argmax`` per target over the row masked by a
+membership matrix, which is the same for every target.  Neither keeps
+anything on the cache.
+
+The rankings of :mod:`dinet.topr` and the greedy searches read per-node
+candidate lists, best first.  An exact list sorts all of a node's
+size-K sets by value, ties to the smaller set index, with one stable
+argsort of the node's cache row, and each ranking sorts its own.  A
+greedy list starts with the greedy set grown after a pinned prefix
+(nothing, or a tree edge's parent) and goes on through the node's
+greedy choice sequences depth-first: past its first entry it holds one
+generator of its later entries, drawn as a ranking reaches them;
+:func:`greedy_connected` reads the first entry of each arc's pinned
+list, and the greedy rankings read on.  Every entry, pinned or not,
+carries its set's rank.
 
 Three private helpers carry the rest.  The greedy kernel,
 ``_greedy_orders``, runs many greedy chains at once, each ordering the
@@ -45,8 +49,9 @@ arborescence solve and reads off the structure the tree induces; both
 connected searches and the greedy connected ranking use it, so that
 ranking's first tree is :func:`greedy_connected` by construction.
 
-Every set in a candidate list is valid and sorted, so the structures
-built from them skip the public constructor's checks.
+Every set a search reads, from a row's index order or a candidate
+list, is valid and sorted, so the structures built from them skip the
+public constructor's checks.
 
 Ties are always resolved deterministically: candidate parent sets by
 ascending set index, greedy picks by ascending process index, and tree
@@ -57,8 +62,8 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from itertools import islice
-from math import fsum
+from itertools import combinations, islice
+from math import comb, fsum
 
 import numpy as np
 
@@ -187,32 +192,21 @@ class _Candidates:
         self._tail = tail  # None for an exact or exhausted list
 
     @classmethod
-    def exact(
-        cls, cache: DirectedInfoCache, target: int, K: int, kept: bool = True
-    ) -> "_Candidates":
+    def exact(cls, cache: DirectedInfoCache, target: int, K: int) -> "_Candidates":
         """All size-``K`` sets of ``target``, by value, ties to the smaller rank.
 
         The empty set is worth 0.0 without a cache lookup.  Otherwise one
         stable argsort orders the target's cache row; a gap in the row
         raises :class:`UncachedParentSetError` for the first missing set.
-        A ``kept`` list stays on the cache until the row is written, and
-        every ``kept`` read returns it, so no caller may change it.  The
-        rankings pass ``kept=False``: they sort a list of their own and
-        leave the kept one alone.
         """
         if K == 0:
             return cls([()], [0.0], [0])
-        if kept and (target, K) in cache._lists:
-            return cache._lists[(target, K)]
         row = cache._row(target, K)
         # a stable sort keeps equal values in rank order
         order = np.argsort(-row, kind="stable")
         sets = list(_all_parent_sets(cache.m, target, K))
         ranks = order.tolist()
-        lst = cls([sets[p] for p in ranks], row[order].tolist(), ranks)
-        if kept:
-            cache._lists[(target, K)] = lst
-        return lst
+        return cls([sets[p] for p in ranks], row[order].tolist(), ranks)
 
     @classmethod
     def greedy(
@@ -306,10 +300,34 @@ def _greedy_sets(
         )
 
 
-def _exact_lists(
-    cache: DirectedInfoCache, K: int, kept: bool = True
-) -> list[_Candidates]:
-    return [_Candidates.exact(cache, i, K, kept) for i in range(1, cache.m + 1)]
+def _exact_lists(cache: DirectedInfoCache, K: int) -> list[_Candidates]:
+    return [_Candidates.exact(cache, i, K) for i in range(1, cache.m + 1)]
+
+
+def _first_max(cache: DirectedInfoCache, target: int, K: int) -> _Entry:
+    """``target``'s best size-``K`` set and its value, ties to the smaller index.
+
+    The empty set is worth 0.0 without a cache lookup; ``np.argmax``
+    returns a row's first maximum.
+    """
+    if K == 0:
+        return (), 0.0
+    row = cache._row(target, K)
+    p = int(np.argmax(row))
+    return next(islice(_all_parent_sets(cache.m, target, K), p, None)), float(row[p])
+
+
+def _member_matrix(m: int, K: int) -> np.ndarray:
+    """``member[q, p]``: whether the ``p``-th size-``K`` set holds the ``q``-th other process.
+
+    A target's other processes, ascending, and its sets in index order
+    give the same matrix for every target.
+    """
+    width = comb(m - 1, K)
+    sets = np.array(list(combinations(range(m - 1), K)), dtype=np.intp).reshape(width, K)
+    member = np.zeros((m - 1, width), dtype=bool)
+    member[sets, np.arange(width)[:, None]] = True
+    return member
 
 
 def _greedy_lists(
@@ -339,15 +357,13 @@ def optimal_general(
 ) -> ScoredApproximation:
     """Exact unconstrained selection: per-node best size-``K`` parent set.
 
-    Each node takes the first entry of its exact candidate list, the
-    largest value with ties to the smallest set index.  ``K`` may be a
-    single size or one size per node.
+    Each node takes the first maximum of its cache row, the largest
+    value with ties to the smallest set index.  ``K`` may be a single
+    size or one size per node.
     """
     m = cache.m
     degrees = _degree_vector(K, m, "K")
-    firsts = [
-        _Candidates.exact(cache, i, k).entry() for i, k in enumerate(degrees, 1)
-    ]
+    firsts = [_first_max(cache, i, k) for i, k in enumerate(degrees, 1)]
     return ScoredApproximation(
         ParentAssignment._from_keys([members for members, _ in firsts]),
         fsum(value for _, value in firsts),
@@ -435,9 +451,9 @@ def optimal_connected(
 ) -> ConnectedApproximation:
     """Exact selection within the spanning-tree constrained class.
 
-    Weights edge ``j -> i`` by the first entry of ``i``'s exact candidate
-    list that contains ``j`` (its best size-``K`` set containing ``j``,
-    ties to the smallest set index), then takes a maximum weight
+    Weights edge ``j -> i`` by the first maximum of ``i``'s cache row
+    among the sets that contain ``j`` (its best size-``K`` set containing
+    ``j``, ties to the smallest set index), then takes a maximum weight
     arborescence over all roots.  By default the tree root keeps an empty
     parent set; with ``root_has_parents`` it keeps its best size-``K``
     set, whose value weighs that root in the same solve, so the result
@@ -445,19 +461,18 @@ def optimal_connected(
     """
     m = cache.m
     _check_int(K, "K", 1, m - 1)
+    member = _member_matrix(m, K)
+    nodes = range(1, m + 1)
     arcs: dict[tuple[int, int], _Entry] = {}
-    best: list[_Entry] = []
-    for i in range(1, m + 1):
-        lst = _Candidates.exact(cache, i, K)
-        best.append(lst.entry())
-        # the first entry holding j is i's best set containing j
-        for p, members in enumerate(lst.members):
-            for j in members:
-                if (i, j) not in arcs:
-                    arcs[(i, j)] = lst.entry(p)
-            if len(arcs) == i * (m - 1):
-                break
-    roots = best if root_has_parents else [((), 0.0)] * m
+    for i in nodes:
+        row = cache._row(i, K)
+        sets = list(_all_parent_sets(m, i, K))
+        # per other process, the first maximum among the sets holding it
+        firsts = np.argmax(np.where(member, row, -np.inf), axis=1)
+        others = [j for j in nodes if j != i]
+        for j, p, value in zip(others, firsts.tolist(), row[firsts].tolist()):
+            arcs[(i, j)] = (sets[p], value)
+    roots = [_first_max(cache, i, K) for i in nodes] if root_has_parents else [((), 0.0)] * m
     return _connected(m, lambda i, j: arcs[(i, j)], roots)
 
 

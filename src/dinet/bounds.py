@@ -13,7 +13,11 @@ noise and counts as exactly 0, a 0/0 step yields no ratio (``0 <= alpha
 nonzero gain right after a zero gain admits no finite ratio, so the
 estimate becomes ``inf`` -- flagged on the result, never raised.  The
 coefficient functions accept ``inf`` and return their degenerate limits
-so measured values can be piped straight in.
+so measured values can be piped straight in.  They accept 0 as well, the
+estimate of a chain whose every real step falls to a zero gain: each
+closed form is continuous there, since ``1 + alpha + ... + alpha^(k-1)``
+is 1, so the greedy coefficient reads ``1 - exp(-L)`` and the degree gap
+coefficient 1.  Negative values and NaN are refused.
 """
 
 from __future__ import annotations
@@ -31,8 +35,8 @@ from .structures import ParentAssignment, _check_int, _check_real, _check_set
 
 def _check_alpha(alpha: float) -> float:
     alpha = _check_real(alpha, "alpha")
-    if math.isnan(alpha) or alpha <= 0.0:
-        raise ValidationError(f"alpha must be positive, got {alpha}")
+    if math.isnan(alpha) or alpha < 0.0:
+        raise ValidationError(f"alpha must be non-negative, got {alpha}")
     return alpha
 
 

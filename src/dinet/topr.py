@@ -2,11 +2,12 @@
 
 Every ranking is built from one step: a node swaps its parent set for
 the next one in its own candidate order.  The candidates are the
-per-node lists of :mod:`dinet.approximation`, best first, the same lists
-its single searches read: an exact list sorts all of a node's size-K
-sets by value (ties to the smaller set rank, its
-:func:`parent_set_index`), and a greedy list walks the node's greedy
-choice sequences depth-first, built lazily as the rankings reach them.
+per-node lists of :mod:`dinet.approximation`, best first: an exact list
+sorts all of a node's size-K sets by value (ties to the smaller set
+rank, its :func:`parent_set_index`), so its first entry is the set
+:func:`dinet.approximation.optimal_general` takes, and a greedy list,
+the one the greedy searches read, walks the node's greedy choice
+sequences depth-first, built lazily as the rankings reach them.
 
 A lattice is one candidate list per node; a point picks a position in
 each.  One walk pops the points of one or more lattices in order of
@@ -244,7 +245,7 @@ def top_r_general(
     _check_int(K, "K", 0, m - 1)
     _check_r(r, m, K)
     weights = [comb(m - 1, K) ** i for i in range(m)]
-    return _top_points([_exact_lists(cache, K, kept=False)], weights, r)
+    return _top_points([_exact_lists(cache, K)], weights, r)
 
 
 def top_r_connected(
@@ -269,7 +270,7 @@ def top_r_connected(
     _check_int(K, "K", 1, m - 1)
     _check_r(r, m, K, not root_has_parents)
 
-    lists = _exact_lists(cache, K, kept=False)
+    lists = _exact_lists(cache, K)
     if root_has_parents:
         lattices = [lists]
     else:

@@ -253,6 +253,33 @@ def exhaustive_optimal_general(cache, K: int):
     return best[1], best[2]
 
 
+def first_max_entries(cache, K: int):
+    """Each node's best size-K set and each arc's best set, by enumeration.
+
+    Among a node's sets at the largest value, the first in index order
+    (:func:`itertools.combinations` order) wins; for arc ``j -> i`` only
+    the sets of ``i`` that hold ``j`` compete.  Values compare as floats,
+    so -0.0 ties with 0.0.  Returns ``(best, arcs)``: ``best[i-1]`` and
+    ``arcs[(i, j)]`` are ``(members, value)`` pairs, the value as cached.
+    """
+    m = cache.m
+    best, arcs = [], {}
+    for i in range(1, m + 1):
+        others = [j for j in range(1, m + 1) if j != i]
+        sets = list(combinations(others, K))
+        values = [cache.get(i, ms) for ms in sets]
+
+        def first_max(positions):
+            top = max(values[p] for p in positions)
+            p = next(p for p in positions if values[p] == top)
+            return sets[p], values[p]
+
+        best.append(first_max(range(len(sets))))
+        for j in others:
+            arcs[(i, j)] = first_max([p for p, ms in enumerate(sets) if j in ms])
+    return best, arcs
+
+
 def spans(assignment, root: int | None = None) -> bool:
     """Whether the parent -> child arcs reach every node from one root.
 

@@ -90,7 +90,9 @@ def test_greedy_bound_closed_forms():
 
 
 def test_greedy_bound_validation():
-    for bad in (0.0, -1.0, math.nan):
+    # a measured alpha of 0 is a value: every sum 1 + alpha + ... is 1
+    assert greedy_bound_coefficient(0.0, 2, 2) == 1.0 - math.exp(-2.0)
+    for bad in (-1.0, math.nan):
         with pytest.raises(ValidationError):
             greedy_bound_coefficient(bad, 2, 2)
     for bad_k, bad_l in ((0, 1), (1, 0), (-2, 1), (1, -2)):
@@ -114,8 +116,9 @@ def test_degree_gap_closed_forms():
     assert degree_gap_coefficient(math.inf, 3, 2) == 0.0
     with pytest.raises(ValidationError):
         degree_gap_coefficient(2.0, 2, 3)
+    assert degree_gap_coefficient(0.0, 2, 2) == 1.0
     with pytest.raises(ValidationError):
-        degree_gap_coefficient(0.0, 2, 2)
+        degree_gap_coefficient(-1.0, 2, 2)
     with pytest.raises(ValidationError):
         degree_gap_coefficient(math.nan, 2, 2)
 
@@ -442,8 +445,6 @@ def test_degree_gap_guarantee_never_violated():
                 combinations(others, big), key=lambda c: ev.set_value(i, c)
             )
             est = pool_alpha(ev, i, opt_members)
-            if est.alpha <= 0.0:
-                continue
             coeff = degree_gap_coefficient(est.alpha, big, small)
             assert best_small + 1e-9 >= coeff * best_big
             checked += 1

@@ -6,11 +6,10 @@ dict keyed by (target, sorted members) that the rows replace: the two
 must agree on every read, on ``len``, on ``items`` across mixed set
 sizes, and byte for byte on JSON.  A candidate list is one stable
 argsort of a row; it must order sets exactly as a stable reverse sort of
-the values in rank order does.  The cache keeps each row's list for the
-two optimal searches, and the rankings sort their own: no search may
-change a kept list, no ranking may keep one, a search on a shared cache
-must give what it gives on a fresh copy, and a write to a row must reach
-the next search.
+the values in rank order does.  The searches and rankings keep nothing
+on the cache: a search on a shared cache must give what it gives on a
+fresh copy and leave the cache's rows and attributes as they were, and
+a write to a row must reach the next search.
 """
 
 import json
@@ -165,15 +164,8 @@ def test_exact_candidates_match_a_stable_reverse_sort(drawn):
         assert all(type(p) is int for p in lst.ranks)
 
 
-KEEPING = ("optimal_general", "optimal_connected", "optimal_connected_root_parents")
-
-
 def searches(m, K):
-    """Every search and ranking that reads a cache's exact lists, by name.
-
-    The names in ``KEEPING`` keep their lists on the cache; the rankings
-    sort their own.
-    """
+    """Every search and ranking that reads a cache's rows, by name."""
     return {
         "optimal_general": lambda cache: optimal_general(cache, K),
         "optimal_connected": lambda cache: optimal_connected(cache, K),
@@ -201,11 +193,8 @@ def outcome(result):
 
 
 def snapshot(cache):
-    """Copies of every kept list's members, values (by bits) and ranks."""
-    return {
-        key: (list(lst.members), [bits(v) for v in lst.values], list(lst.ranks))
-        for key, lst in cache._lists.items()
-    }
+    """The cache's attribute names and every block's bytes, signed zeros too."""
+    return sorted(vars(cache)), {size: block.tobytes() for size, block in cache._blocks.items()}
 
 
 @st.composite
@@ -223,23 +212,15 @@ def full_caches(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(full_caches())
-def test_searches_on_a_shared_cache_match_a_fresh_copy_and_keep_its_lists(drawn):
+def test_searches_on_a_shared_cache_match_a_fresh_copy_and_leave_it_unchanged(drawn):
     m, K, cache, order = drawn
     run = searches(m, K)
-    kept = None
+    before = snapshot(cache)
     for name in order:
         fresh = DirectedInfoCache.from_json(cache.to_json())
         assert outcome(run[name](cache)) == outcome(run[name](fresh)), name
-        if kept is None and name in KEEPING:
-            kept = snapshot(cache)
-            lists = dict(cache._lists)
-            assert sorted(kept) == [(target, K) for target in range(1, m + 1)]
-        elif kept is None:
-            assert cache._lists == {}, name
-    # every search read the lists the first keeping one built, and no
-    # search or ranking changed them
-    assert snapshot(cache) == kept
-    assert all(cache._lists[key] is lst for key, lst in lists.items())
+        # nothing is kept on the cache and no row is written
+        assert snapshot(cache) == before, name
 
 
 @pytest.mark.parametrize("write", ["put", "_put_row"])
@@ -253,22 +234,18 @@ def test_a_write_to_a_row_reaches_the_next_search(write):
     run = searches(m, K)
     for search in run.values():
         search(cache)
-    lists = dict(cache._lists)
     # lift the target's worst set above its best, so every search changes
-    worst = lists[(target, K)].members[-1]
-    lifted = lists[(target, K)].values[0] + 1.0
+    ranked = _Candidates.exact(cache, target, K)
+    worst, lifted = ranked.members[-1], ranked.values[0] + 1.0
     if write == "put":
         cache.put(target, worst[::-1], lifted)
     else:
         row = cache._row(target, K).tolist()
         row[_set_rank(m, target, worst)] = lifted
         cache._put_row(target, K, row)
-    # the written row's list is dropped; every other row keeps its own
-    assert (target, K) not in cache._lists
-    assert all(cache._lists[key] is lst for key, lst in lists.items() if key != (target, K))
     best = optimal_general(cache, K)
     assert best.assignment.members_of(target) == worst
-    assert cache._lists[(target, K)].entry() == (worst, lifted)
+    assert _Candidates.exact(cache, target, K).entry() == (worst, lifted)
     assert top_r_general(cache, K, 3)[0].assignment.members_of(target) == worst
     for root_has_parents in (False, True):
         # each arc into the target from the lifted set now weighs that set

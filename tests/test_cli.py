@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+from dinet.bounds import coefficient_table, degree_gap_coefficient, greedy_bound_coefficient
 from dinet.cli import build_parser, main
 from dinet.estimation import (
     DIEvaluator,
@@ -361,6 +362,24 @@ def test_bounds_table_output(capsys):
     code, _, err = run(capsys, "bounds", "--alphas", "fast", "--K", "3", "--L", "3")
     assert code == 1
     assert "comma-separated numbers" in err
+
+
+def test_a_measured_alpha_of_zero_reaches_every_coefficient(capsys):
+    # a chain whose every real step falls to a zero gain measures alpha 0,
+    # where each sum 1 + alpha + ... + alpha^(k-1) is 1
+    greedy = 1.0 - math.exp(-3.0)
+    assert greedy_bound_coefficient(0.0, 3, 3) == greedy
+    assert degree_gap_coefficient(0.0, 4, 2) == 1.0
+    assert coefficient_table("greedy", [0.0, -0.0, 0], 3, 3) == [(0.0, 3, 3, greedy)] * 3
+    assert coefficient_table("degree-gap", [0.0], 4, 2) == [(0.0, 4, 2, 1.0)]
+    code, out, err = run(capsys, "bounds", "--table", "greedy", "--alphas", "0", "--K", "3", "--L", "3")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["alpha,K,L,coefficient", "0,3,3,0.950212931632"]
+    code, out, _ = run(capsys, "bounds", "--table", "degree-gap", "--alphas", "0", "--K", "4", "--L", "2")
+    assert code == 0 and out.splitlines()[1] == "0,4,2,1"
+    # a negative alpha is still refused
+    code, _, err = run(capsys, "bounds", "--alphas", "-0.5", "--K", "3", "--L", "3")
+    assert code == 1 and "alpha must be non-negative, got -0.5" in err
 
 
 def test_simulate_writes_deterministic_csvs(capsys, tmp_path):

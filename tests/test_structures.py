@@ -130,6 +130,10 @@ def test_cache_validates_entries():
     # the store itself is size flexible; cache builders decide what goes in
     cache.put(1, (2, 3), 0.1)
     assert cache.get(1, (2, 3)) == 0.1
+    # a membership key is a (target, parent set) pair, and is named when it is not
+    for key in (5, (1,), (1, 2, 3)):
+        with pytest.raises(ValidationError, match=r"a cache key is a \(target, parent set\) pair"):
+            key in cache
 
 
 def test_cache_json_round_trip_and_sorted_items():

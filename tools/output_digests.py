@@ -13,7 +13,9 @@ depth (see ``simulate_lines``), the stderr of a study whose trials are all exclu
 ``ranking_lines``), one line per plug-in cache or greedy search on
 seeded finite-alphabet panels (see ``plugin_lines``) and one line per
 Gaussian cache on panels with a dependent process (see
-``collinear_lines``); a cache there that raises ``DinetError`` is
+``collinear_lines``), and one line per optimal search over the exact
+ranking set's caches and over seeded tie-rich caches (see
+``optimal_lines``); a Gaussian cache that raises ``DinetError`` is
 digested as its message, so the script also runs on a checkout that
 refuses such panels.  Two checkouts whose lines agree give those
 outputs bit for bit, so ``diff`` of two runs shows whether a change
@@ -26,6 +28,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -42,6 +45,7 @@ import workloads  # noqa: E402
 from dinet import (  # noqa: E402
     DIEvaluator,
     DinetError,
+    DirectedInfoCache,
     EstimatorConfig,
     TimeSeriesPanel,
     build_cache,
@@ -50,6 +54,8 @@ from dinet import (  # noqa: E402
     generate_ar_network,
     greedy_connected,
     greedy_general,
+    optimal_connected,
+    optimal_general,
     simulate_panel,
     top_r_connected,
     top_r_general,
@@ -67,6 +73,8 @@ SIMULATE_FULL_DEPTH = ["simulate", "--m", "4", "--K", "2", "--trials", "4", "--n
                        "--r", "3", "--seed", "11"]
 EXCLUDED = ["simulate", "--m", "3", "--K", "1", "--n", "2", "--trials", "8", "--seed", "0",
             "--edge-probability", "0.2"]
+# equal values, signed zeros and values that differ below rounding
+TIE_VALUES = (0.0, -0.0, 0.25, 0.5, 1e-17, 2e-17)
 
 
 def sha(data: str | bytes) -> str:
@@ -133,12 +141,23 @@ def exclusion_lines(tmp: str) -> list[str]:
     return [f"{sha(proc.stderr)}  simulate excluded stderr"]
 
 
-def ranking_lines() -> list[str]:
+def exact_caches() -> dict[tuple[int, int], DirectedInfoCache]:
+    """The exact set: per seed s of ``RANKING_SEEDS`` and k < 40, ``build_cache``
+    at K=2 of ``generate_ar_network(16, default_rng([s, k, 10]))``."""
+    return {
+        (seed, k): build_cache(DIEvaluator.from_model(
+            generate_ar_network(16, np.random.default_rng([seed, k, 10]))
+        ), 16, 2)
+        for seed in RANKING_SEEDS for k in range(40)
+    }
+
+
+def ranking_lines(caches: dict[tuple[int, int], DirectedInfoCache]) -> list[str]:
     """One line per ranking, over the scores' bits and the structures' keys.
 
-    The exact set ranks ``generate_ar_network(16, default_rng([s, k, 10]))``
-    at K=2 for k < 40: ``top_r_general`` (r=500) and ``top_r_connected``
-    (r=100) in both root modes.  The greedy set ranks
+    The exact set (``exact_caches``) is ranked at K=2 by
+    ``top_r_general`` (r=500) and ``top_r_connected`` (r=100) in both
+    root modes.  The greedy set ranks
     ``generate_ar_network(10, default_rng([s, k, 11]))`` at L=2 for k < 12
     with ``top_r_greedy`` (r=50), connected in both root modes and general,
     and for k < 3 with a deep general ``top_r_greedy`` (r=2000), whose walk
@@ -151,8 +170,7 @@ def ranking_lines() -> list[str]:
     lines = []
     for seed in RANKING_SEEDS:
         for k in range(40):
-            network = generate_ar_network(16, np.random.default_rng([seed, k, 10]))
-            cache = build_cache(DIEvaluator.from_model(network), 16, 2)
+            cache = caches[(seed, k)]
             lines += [
                 line("top_r_general", seed, k, top_r_general(cache, 2, 500)),
                 line("top_r_connected", seed, k, top_r_connected(cache, 2, 100)),
@@ -172,6 +190,46 @@ def ranking_lines() -> list[str]:
             if k < 3:
                 ranked = top_r_greedy(DIEvaluator.from_model(network), 2, 2000)
                 lines.append(line("top_r_greedy_deep", seed, k, ranked))
+    return lines
+
+
+def tie_rich_cache(k: int) -> DirectedInfoCache:
+    """Every size-K value drawn from ``TIE_VALUES`` by ``default_rng([k, 12])``,
+    at m = 3 + k % 6 and K = 1 + (k // 6) % (m - 1)."""
+    m = 3 + k % 6
+    K = 1 + (k // 6) % (m - 1)
+    rng = np.random.default_rng([k, 12])
+    cache = DirectedInfoCache(m, K)
+    for target in range(1, m + 1):
+        others = [j for j in range(1, m + 1) if j != target]
+        for members in itertools.combinations(others, K):
+            cache.put(target, members, TIE_VALUES[rng.integers(len(TIE_VALUES))])
+    return cache
+
+
+def optimal_lines(caches: dict[tuple[int, int], DirectedInfoCache]) -> list[str]:
+    """One line per optimal search over each cache of the exact set and of
+    ``tie_rich_cache(k)`` for k < 40: ``optimal_general`` and
+    ``optimal_connected`` in both root modes, at the cache's K.
+
+    A line covers the score's hex and the structure's key, and for a
+    connected search the root, the tree and every arc weight's hex.
+    """
+    labelled = [(f"seed {seed} k {k}", cache) for (seed, k), cache in caches.items()]
+    labelled += [(f"tie-rich k {k}", tie_rich_cache(k)) for k in range(40)]
+    lines = []
+    for label, cache in labelled:
+        for name, result in (
+            ("optimal_general", optimal_general(cache, cache.K)),
+            ("optimal_connected", optimal_connected(cache, cache.K)),
+            ("optimal_connected_root_parents",
+             optimal_connected(cache, cache.K, root_has_parents=True)),
+        ):
+            fields = [result.score.hex(), result.assignment.canonical_key()]
+            if name != "optimal_general":
+                fields += [result.root, result.tree,
+                           [(a, b, w.hex()) for a, b, w in result.weights.arcs()]]
+            lines.append(f"{sha(json.dumps(fields))}  optimal {name} {label}")
     return lines
 
 
@@ -254,9 +312,11 @@ def main() -> None:
         for lines in (bench_lines(tmp), demo_lines(tmp), simulate_lines(tmp),
                       exclusion_lines(tmp)):
             print(*lines, sep="\n", flush=True)
-    print(*ranking_lines(), sep="\n", flush=True)
+    caches = exact_caches()
+    print(*ranking_lines(caches), sep="\n", flush=True)
     print(*plugin_lines(), sep="\n", flush=True)
     print(*collinear_lines(), sep="\n", flush=True)
+    print(*optimal_lines(caches), sep="\n", flush=True)
 
 
 if __name__ == "__main__":
